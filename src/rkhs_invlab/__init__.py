@@ -23,7 +23,7 @@ from .sampling import (NoiseModel, PerturbationSpec, SampleSet,
 from .regularization import (Estimate, FilterSpec, KernelSolution, LossSpec,
                              PenaltySpec, certify_filter,
                              erm_representer_solve, estimator_learn,
-                             estimator_paper, filter_value, kernel_tikhonov,
+                             estimator_paper, kernel_tikhonov,
                              rescale_for_landweber, solve_continuous)
 from .rates import (ConvertedRate, RateExponents, RateFit, RateLink,
                     convert_lower, convert_upper, delta_of, epsilon_lambda,

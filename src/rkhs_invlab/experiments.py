@@ -23,17 +23,16 @@ equivalence-check  Maximal deviations of the isometry, the pullback
                    the descent-solver-vs-closed-form oracle.
 
 Every study prints one machine-readable line "STUDY <kind> <pass|fail>".
-Replicates use counter-based substreams keyed by their index, so reports
-are identical no matter how many worker threads run them
-(RKHS_INVLAB_THREADS caps the pool size).
+Replicates use counter-based substreams keyed by their index, so a
+replicate's numbers do not depend on the others.  The Monte-Carlo studies
+evaluate the sine basis once per design, so all replicates on a midpoint
+grid share one basis matrix.
 """
 
 import csv
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,34 +43,16 @@ from .rates import (RateFit, RateLink, convert_upper, delta_of, fit_rate,
                     lambda_schedule, statistical_exponents, hs_norm)
 from .regularization import (FilterSpec, LossSpec, PenaltySpec,
                              erm_representer_solve, estimator_learn,
-                             estimator_paper, kernel_tikhonov,
-                             solve_continuous)
+                             kernel_tikhonov, solve_continuous,
+                             _paper_coeffs)
 from .rkhs import correspondence_pullback, rkhs_norm
-from .sampling import (NoiseModel, PerturbationSpec, SampleSet, perturb_data,
-                       sample_design, sample_outputs)
+from .sampling import (NoiseModel, PerturbationSpec, perturb_data,
+                       sample_design, sample_outputs, _add_noise)
 from .spectral_model import (basis_matrix, forward_data,
                              problem_from_descriptor)
 
 _KINDS = ("stat-rate", "det-rate", "lemma-check", "gamma-study",
           "equivalence-check")
-
-
-def worker_cap():
-    """Thread-pool size, capped by the RKHS_INVLAB_THREADS variable."""
-    raw = os.environ.get("RKHS_INVLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_indexed(fn, count):
-    """Apply fn to 0..count-1, possibly threaded; order of results is fixed."""
-    workers = min(worker_cap(), count)
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def spearman(xs, ys):
@@ -315,33 +296,48 @@ def _finish(config, points, fit, theory, checks, started):
     return report
 
 
+def _replicate_coeffs(config, problem, truth, filt, n, indices):
+    """Paper-n estimates of the replicates ``indices`` at sample size n.
+
+    Matches sample_design -> sample_outputs -> estimator_paper per replicate
+    bit for bit: replicate ``index`` draws its noise (and an iid design) from
+    its own (seed, stream, index) substream.  The basis is evaluated once
+    per design, so a grid design shares one basis across all replicates.
+    """
+    noise = NoiseModel(kind="gaussian", sigma=config.sigma)
+    y = forward_data(problem, truth.coeffs).coeffs
+
+    def estimates(design, design_indices):
+        # The basis is local to this call, so iid replicates never hold two
+        # n-by-J matrices at once.
+        u = basis_matrix(problem, design)
+        clean = u @ y
+        return [_paper_coeffs(problem, filt, u,
+                              _add_noise(clean, noise, config.seed, index))
+                for index in design_indices]
+
+    if config.design == "grid":
+        return np.array(estimates(sample_design("grid", n), indices))
+    rows = []
+    for index in indices:
+        rows += estimates(sample_design(config.design, n, config.seed,
+                                        index=index), [index])
+    return np.array(rows)
+
+
 def _run_stat_rate(config, started):
     problem, truth = _problem_of(config)
-    noise = NoiseModel(kind="gaussian", sigma=config.sigma)
     points = []
     replicates = config.replicates
     for point_idx, n in enumerate(config.n_grid):
         lam = lambda_schedule("by-n", config.schedule_c,
                               config.schedule_exponent, n)
         filt = _filter_for(config.filter_kind, lam)
-        grid_design = (sample_design("grid", n)
-                       if config.design == "grid" else None)
-
-        def one(rep, n=n, lam=lam, filt=filt, point_idx=point_idx,
-                grid_design=grid_design):
-            index = point_idx * replicates + rep
-            if grid_design is not None:
-                design = grid_design
-            else:
-                design = sample_design("iid-uniform", n, config.seed,
-                                       index=index)
-            samples = sample_outputs(problem, truth, design, noise,
-                                     config.seed, scheme=config.design,
-                                     index=index)
-            estimate = estimator_paper(problem, filt, samples)
-            return float(np.sum((estimate.coeffs - truth.coeffs) ** 2))
-
-        errors = np.array(_map_indexed(one, replicates))
+        first = point_idx * replicates
+        coeff_rows = _replicate_coeffs(config, problem, truth, filt, n,
+                                       range(first, first + replicates))
+        errors = np.array([float(np.sum((coeffs - truth.coeffs) ** 2))
+                           for coeffs in coeff_rows])
         points.append({
             "x": int(n), "lambda": lam,
             "err_mean": float(errors.mean()),
@@ -398,20 +394,9 @@ def _run_lemma_check(config, started):
     problem, truth = _problem_of(config)
     n = int(config.n)
     filt = _filter_for(config.filter_kind, config.lam)
-    noise = NoiseModel(kind="gaussian", sigma=config.sigma)
     replicates = config.replicates
-    grid_design = sample_design("grid", n) if config.design == "grid" else None
-
-    def one(rep):
-        if grid_design is not None:
-            design = grid_design
-        else:
-            design = sample_design("iid-uniform", n, config.seed, index=rep)
-        samples = sample_outputs(problem, truth, design, noise, config.seed,
-                                 scheme=config.design, index=rep)
-        return estimator_paper(problem, filt, samples).coeffs
-
-    coeff_rows = np.array(_map_indexed(one, replicates))
+    coeff_rows = _replicate_coeffs(config, problem, truth, filt, n,
+                                   range(replicates))
     err2 = np.sum((coeff_rows - truth.coeffs) ** 2, axis=1)
     mc_mean = float(err2.mean())
     mc_se = float(err2.std(ddof=1) / math.sqrt(replicates))

@@ -140,11 +140,6 @@ class FilterSpec:
         return self._evaluate(problem.mu)
 
 
-def filter_value(filt, t):
-    """s_lambda(t) for t in the positive spectrum range."""
-    return filt.value(t)
-
-
 def rescale_for_landweber(problem):
     """Return (problem with mu_1 = 1, scale) so Landweber applies.
 
@@ -315,10 +310,15 @@ def estimator_paper(problem, filt, samples):
     coeffs_j = s(mu_j) sigma_j (1/n) sum_i Y_i u_j(X_i).
     """
     u = basis_matrix(problem, samples.design)
-    moment = u.T @ samples.outputs / samples.size
-    s = filt.on_spectrum(problem)
-    return Estimate(coeffs=s * problem.sigma_sv * moment,
+    return Estimate(coeffs=_paper_coeffs(problem, filt, u, samples.outputs),
                     provenance="paper-n", lam=filt.lam, n=samples.size)
+
+
+def _paper_coeffs(problem, filt, u, outputs):
+    """s(mu_j) sigma_j (u^T Y / n)_j for the basis u = basis_matrix(design)."""
+    moment = u.T @ outputs / outputs.size
+    s = filt.on_spectrum(problem)
+    return s * problem.sigma_sv * moment
 
 
 def estimator_learn(problem, filt, samples):

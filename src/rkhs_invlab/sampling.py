@@ -14,7 +14,7 @@ worst mode for the reconstruction error).
 
 All draws go through counter-based streams keyed by (seed, purpose,
 replicate), so identical seeds give bit-identical samples on any platform
-and replicates can run concurrently in any order.
+and a replicate's draws do not depend on which replicates came before it.
 """
 
 import csv
@@ -132,12 +132,22 @@ def sample_outputs(problem, f_true, design, noise, seed=0, scheme="grid",
     if design.ndim != 1 or design.size == 0:
         raise ShapeError("design must be a nonempty 1-d sequence")
     y = forward_data(problem, f_true.coeffs)
-    values = basis_matrix(problem, design) @ y.coeffs
-    if noise.kind == "gaussian" and noise.sigma > 0.0:
-        rng = streams.generator(seed, streams.NOISE_STREAM, index)
-        values = values + noise.sigma * rng.standard_normal(design.size)
+    values = _add_noise(basis_matrix(problem, design) @ y.coeffs, noise,
+                        seed, index)
     return SampleSet(design=design, outputs=values, scheme=scheme,
                      noise=noise, seed=int(seed))
+
+
+def _add_noise(clean, noise, seed, index):
+    """Clean evaluations plus the noise of replicate ``index``.
+
+    The noise comes from the (seed, NOISE_STREAM, index) substream; with
+    noise kind "none" (or sigma = 0) ``clean`` is returned unchanged.
+    """
+    if noise.kind == "gaussian" and noise.sigma > 0.0:
+        rng = streams.generator(seed, streams.NOISE_STREAM, index)
+        return clean + noise.sigma * rng.standard_normal(clean.size)
+    return clean
 
 
 def perturb_data(problem, y, spec, seed=0, index=0):

@@ -151,7 +151,13 @@ def basis_matrix(problem, x):
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise DomainError("evaluation points must lie in [0, 1]")
     j = np.arange(1, problem.size + 1)
-    return np.sqrt(2.0) * np.sin(np.pi * np.outer(x, j))
+    # In place, so only one n-by-J temporary is alive at a time; the
+    # operations and their order match sqrt(2) * sin(pi * outer(x, j)).
+    out = np.outer(x, j)
+    out *= np.pi
+    np.sin(out, out=out)
+    out *= np.sqrt(2.0)
+    return out
 
 
 def eval_function(problem, coeffs, space, x):

@@ -4,8 +4,9 @@ All randomness in the library flows through Philox generators keyed by
 ``(seed, stream, index)``.  Philox is a counter-based generator, so two
 generators with different keys produce statistically independent streams
 and the same key reproduces the same stream bit-for-bit on every platform.
-Parallel Monte-Carlo replicates therefore do not depend on scheduling
-order: replicate ``i`` always draws from the stream keyed by its own index.
+Monte-Carlo replicates therefore do not depend on the order in which they
+are computed: replicate ``i`` always draws from the stream keyed by its own
+index.
 """
 
 import numpy as np

@@ -11,8 +11,8 @@ from rkhs_invlab import (ConvergenceError, DomainError, FilterSpec, LossSpec,
                          PerturbationSpec, SampleSet, basis_matrix,
                          build_power_law_problem, certify_filter,
                          correspondence_pullback, erm_representer_solve,
-                         estimator_learn, estimator_paper, filter_value,
-                         fit_rate, forward_data, gram_matrix, kernel_tikhonov,
+                         estimator_learn, estimator_paper, fit_rate,
+                         forward_data, gram_matrix, kernel_tikhonov,
                          make_source_solution, perturb_data,
                          rescale_for_landweber, rkhs_norm, sample_design,
                          sample_outputs, solve_continuous)
@@ -32,22 +32,22 @@ def two_mode():
 
 class TestFilterValue:
     def test_tikhonov(self):
-        assert filter_value(FilterSpec.tikhonov(1.0), 1.0) == pytest.approx(0.5)
+        assert FilterSpec.tikhonov(1.0).value(1.0) == pytest.approx(0.5)
 
     def test_cutoff(self):
         filt = FilterSpec.cutoff(0.25)
-        assert filter_value(filt, 0.5) == pytest.approx(2.0)
-        assert filter_value(filt, 0.2) == 0.0
+        assert filt.value(0.5) == pytest.approx(2.0)
+        assert filt.value(0.2) == 0.0
 
     def test_landweber_geometric_sum(self):
         # m = 2: 1 + (1 - t) at t = 0.5
-        assert filter_value(FilterSpec.landweber(2), 0.5) == pytest.approx(1.5)
+        assert FilterSpec.landweber(2).value(0.5) == pytest.approx(1.5)
 
     def test_domain_and_model_errors(self):
         with pytest.raises(DomainError):
-            filter_value(FilterSpec.tikhonov(1.0), 0.0)
+            FilterSpec.tikhonov(1.0).value(0.0)
         with pytest.raises(ModelError):
-            filter_value(FilterSpec.landweber(3), 1.5)
+            FilterSpec.landweber(3).value(1.5)
         with pytest.raises(ParameterError):
             FilterSpec.tikhonov(0.0)
         with pytest.raises(ParameterError):

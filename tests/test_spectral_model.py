@@ -116,6 +116,20 @@ class TestForwardData:
         npt.assert_allclose(lhs, rhs, rtol=1e-14)
 
 
+class TestBasisMatrix:
+    @pytest.mark.parametrize("x", [
+        (np.arange(1, 3201) - 0.5) / 3200,
+        np.random.default_rng(5).random(3200),
+        0.3,
+    ], ids=["grid", "iid", "scalar"])
+    def test_matches_direct_expression(self, x):
+        # the in-place evaluation must be bit-identical to the textbook form
+        problem = build_power_law_problem(200, 2.0, 1.0)
+        j = np.arange(1, 201)
+        expected = np.sqrt(2.0) * np.sin(np.pi * np.outer(x, j))
+        assert np.array_equal(basis_matrix(problem, x), expected)
+
+
 class TestEvalFunction:
     def test_two_mode_value(self):
         # u_1(1/4) = sqrt(2) sin(pi/4) = 1, u_2(1/4) = sqrt(2) sin(pi/2)
