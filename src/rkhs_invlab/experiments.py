@@ -255,13 +255,8 @@ class StudyReport:
 
     def recompute_checks(self):
         """Re-derive pass flags from the stored numbers."""
-        fresh = []
-        for check in self.checks:
-            passed = (check["value"] <= check["threshold"]
-                      if check["op"] == "<=" else
-                      check["value"] >= check["threshold"])
-            fresh.append({**check, "passed": bool(passed)})
-        return fresh
+        return [_check(c["name"], c["value"], c["op"], c["threshold"])
+                for c in self.checks]
 
 
 def _check(name, value, op, threshold):
@@ -339,7 +334,7 @@ def _run_stat_rate(config, started):
         errors = np.array([float(np.sum((coeffs - truth.coeffs) ** 2))
                            for coeffs in coeff_rows])
         points.append({
-            "x": int(n), "lambda": lam,
+            "x": int(n), "lambda": filt.lam,
             "err_mean": float(errors.mean()),
             "err_se": float(errors.std(ddof=1) / math.sqrt(replicates))
             if replicates > 1 else 0.0,
@@ -374,8 +369,8 @@ def _run_det_rate(config, started):
                                index=point_idx)
         estimate = solve_continuous(problem, filt, y_delta)
         err2 = float(np.sum((estimate.coeffs - truth.coeffs) ** 2))
-        points.append({"x": float(delta), "lambda": lam, "err_mean": err2,
-                       "err_se": 0.0})
+        points.append({"x": float(delta), "lambda": filt.lam,
+                       "err_mean": err2, "err_se": 0.0})
     fit = fit_rate([(p["x"], p["err_mean"]) for p in points])
     r, b = float(config.problem["r"]), float(config.problem["b"])
     if config.theory == "classical":
@@ -478,7 +473,7 @@ def _run_gamma_study(config, started):
                    started=started)
 
 
-def equivalence_deviations(problem, truth, samples, lam, seed=0,
+def equivalence_deviations(problem, samples, lam, seed=0,
                            erm_tol=1e-12, draws=100):
     """Maximal relative deviations of the four equivalence properties.
 
@@ -525,8 +520,8 @@ def _run_equivalence_check(config, started):
     design = sample_design(config.design, int(config.n), config.seed)
     samples = sample_outputs(problem, truth, design, NoiseModel(),
                              config.seed, scheme=config.design)
-    deviations = equivalence_deviations(problem, truth, samples,
-                                        float(config.lam), seed=config.seed)
+    deviations = equivalence_deviations(problem, samples, float(config.lam),
+                                        seed=config.seed)
     tolerances = {"isometry": 1e-10, "pullback_roundtrip": 1e-12,
                   "methods_equivalence": 1e-10, "representer_oracle": 1e-6}
     tolerances.update(config.tolerances)

@@ -7,11 +7,14 @@ guises, all computed here:
   noisy-delta    f_lam_d : same formula applied to perturbed data
   paper-n        fhat    : s applied to B, data replaced by the empirical
                            moment (1/n) sum_i Y_i phi_{X_i}
-  learn-n        fhat_l  : s applied to the empirical operator; for the
-                           Tikhonov filter this is the n-by-n kernel system
-                           (K + lambda n I) beta = y, in general it uses the
-                           eigendecomposition of K/n and the identity that
-                           moves s across the sampling operator.
+  learn-n        fhat_l  : s applied to the empirical covariance
+                           (1/n) Phi' Phi, a J-by-J matrix since the kernel
+                           K = Phi Phi' has rank at most J, then to the
+                           empirical moment (1/n) Phi' y.
+
+The dense n-by-n Tikhonov solve (K + lambda n I) beta = y is
+``kernel_tikhonov``, the kernel-side reference that learn-n is checked
+against.
 
 Filter families implemented: Tikhonov s(t) = 1/(t + lambda) with
 qualification 1; spectral cutoff s(t) = 1/t for t >= lambda (qualification
@@ -322,36 +325,28 @@ def _paper_coeffs(problem, filt, u, outputs):
 
 
 def estimator_learn(problem, filt, samples):
-    """Classical kernel estimator s(A_x* A_x) A_x* y.
+    """Classical kernel estimator s(A_x* A_x) A_x* y, computed in J-space.
 
-    Tikhonov reduces to the n-by-n system (K + lambda n I) beta = y; other
-    filters act through the eigendecomposition of K/n, moving s across the
-    sampling operator onto its finite-rank Gram side.
+    With feature rows Phi = u diag(sigma), A_x* A_x is the J-by-J empirical
+    covariance Phi' Phi / n and A_x* y the moment Phi' y / n, so every filter
+    takes one eigendecomposition: f = V s(e) V' Phi' y / n.  The cost is
+    O(n J^2 + J^3); ``kernel_tikhonov`` is the dense n-by-n reference.
     """
     n = samples.size
-    u = basis_matrix(problem, samples.design)
-    kernel = (u * problem.mu) @ u.T
-    kernel = 0.5 * (kernel + kernel.T)
-    if filt.kind == "tikhonov":
-        try:
-            beta = np.linalg.solve(kernel + filt.lam * n * np.eye(n),
-                                   samples.outputs)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalError(f"kernel system is singular: {exc}") from exc
-    else:
-        eigs, vecs = np.linalg.eigh(kernel / n)
-        s_eigs = filt.at_eigenvalues(eigs)
-        beta = vecs @ (s_eigs * (vecs.T @ samples.outputs)) / n
-    coeffs = problem.sigma_sv * (u.T @ beta)
+    phi = basis_matrix(problem, samples.design) * problem.sigma_sv
+    eigs, vecs = np.linalg.eigh(phi.T @ phi / n)
+    moment = phi.T @ samples.outputs / n
+    coeffs = vecs @ (filt.at_eigenvalues(eigs) * (vecs.T @ moment))
     return Estimate(coeffs=coeffs, provenance="learn-n", lam=filt.lam, n=n)
 
 
 def kernel_tikhonov(problem, samples, lam):
     """Solve (K + lambda n I) beta = y; return beta and g = sum beta_i K_{x_i}.
 
-    The range element g comes back in output-basis coordinates
-    g_j = mu_j sum_i beta_i u_j(x_i); pulling g back to parameter space
-    reproduces the Tikhonov ``estimator_learn`` solution.
+    This dense n-by-n solve is the kernel-side reference: the range element
+    g comes back in output-basis coordinates g_j = mu_j sum_i beta_i
+    u_j(x_i), and pulling g back to parameter space must reproduce the
+    J-space Tikhonov ``estimator_learn`` solution.
     """
     if lam <= 0.0:
         raise ParameterError("lambda must be positive")
@@ -414,12 +409,7 @@ def erm_representer_solve(problem, samples, loss, penalty, lam,
         if iteration % 50 == 0:
             trace.append((iteration, f_val, measure))
         if measure <= tol:
-            diagnostics = {"iterations": iteration, "measure": measure,
-                           "objective": f_val, "converged": True}
-            g_coeffs = problem.mu * (basis_matrix(problem, samples.design).T
-                                     @ beta)
-            return ErmSolution(beta=beta, g_coeffs=g_coeffs,
-                               diagnostics=diagnostics)
+            break
         if prev_beta is not None:
             diff_b = beta - prev_beta
             diff_g = grad - prev_grad
@@ -443,13 +433,13 @@ def erm_representer_solve(problem, samples, loss, penalty, lam,
         history.append(f_val)
         grad = gradient(beta, fitted)
         measure = float(np.linalg.norm(grad))
-    trace.append((iteration, f_val, measure))
     if measure <= tol:
         g_coeffs = problem.mu * (basis_matrix(problem, samples.design).T @ beta)
         return ErmSolution(beta=beta, g_coeffs=g_coeffs,
                            diagnostics={"iterations": iteration,
                                         "measure": measure,
                                         "objective": f_val, "converged": True})
+    trace.append((iteration, f_val, measure))
     raise ConvergenceError(
         f"descent stopped at gradient norm {measure:.3e} > tol {tol:.1e}",
         trace)

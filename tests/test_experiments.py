@@ -1,13 +1,21 @@
-"""Monte-Carlo studies against the public single-replicate path."""
+"""Study runs and the ``run`` command.
 
+Monte-Carlo studies are checked against the public single-replicate path;
+the kernel-side study kinds for verdict, determinism and the JSON round
+trip; ``rkhs-invlab run`` for its exit codes.
+"""
+
+import json
 import math
 
 import numpy as np
 import pytest
 
-from rkhs_invlab import (FilterSpec, NoiseModel, StudyConfig, estimator_paper,
-                         lambda_schedule, problem_from_descriptor,
-                         run_study, sample_design, sample_outputs)
+from rkhs_invlab import (FilterSpec, NoiseModel, StudyConfig, StudyReport,
+                         estimator_paper, lambda_schedule,
+                         problem_from_descriptor, run_study, sample_design,
+                         sample_outputs, write_report)
+from rkhs_invlab.cli import main
 
 J = 20
 SEED = 314
@@ -85,3 +93,84 @@ def test_repeated_runs_are_identical(make_config, design):
     config = make_config(design)
     first = run_study(config).canonical_dict()
     assert run_study(config).canonical_dict() == first
+
+
+KERNEL_J = 40
+KERNEL_PROBLEM = {"J": KERNEL_J, "b": 2.0, "d": 1.0, "r": 1.0,
+                  "w_spec": [1.0 / j for j in range(1, KERNEL_J + 1)]}
+DELTAS = [1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2]
+
+
+def det_rate_raw(filter_kind):
+    return {"kind": "det-rate", "problem": KERNEL_PROBLEM,
+            "filter": filter_kind, "delta_grid": DELTAS,
+            "schedule": {"c": 1.0, "exponent": 2.0 / 3.0}, "seed": SEED}
+
+
+KERNEL_STUDIES = {
+    "gamma-study": {"kind": "gamma-study", "problem": KERNEL_PROBLEM,
+                    "design": "grid", "n_grid": [25, 50, 100, 200],
+                    "lambda": 1e-3, "seed": SEED},
+    "equivalence-check": {"kind": "equivalence-check",
+                          "problem": KERNEL_PROBLEM, "design": "grid",
+                          "n": 60, "lambda": 1e-3, "seed": SEED},
+    **{f"det-rate-{kind}": det_rate_raw(kind)
+       for kind in ("tikhonov", "cutoff", "landweber")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_STUDIES))
+def test_kernel_side_study_passes_repeats_and_survives_json(name, tmp_path):
+    config = StudyConfig.from_dict(KERNEL_STUDIES[name])
+    report = run_study(config)
+    assert report.verdict, report.checks
+    assert run_study(config).canonical_dict() == report.canonical_dict()
+    path = tmp_path / "report.json"
+    write_report(report, "json", path)
+    back = StudyReport.from_dict(json.loads(path.read_text()))
+    assert back.canonical_dict() == report.canonical_dict()
+    assert back.recompute_checks() == back.checks
+
+
+def test_landweber_det_rate_records_applied_lambda():
+    # Landweber runs round(1/lambda) iterations, so the applied lambda is
+    # 1/m, not the scheduled delta^(2/3)
+    report = run_study(StudyConfig.from_dict(det_rate_raw("landweber")))
+    for point in report.points:
+        scheduled = lambda_schedule("by-delta", 1.0, 2.0 / 3.0, point["x"])
+        assert point["lambda"] == 1.0 / round(1.0 / scheduled)
+
+
+def run_cli(tmp_path, raw, *extra):
+    path = tmp_path / "config.json"
+    path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
+    return main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "out"), *extra])
+
+
+def test_cli_run_exit_zero_on_pass(tmp_path):
+    assert run_cli(tmp_path, det_rate_raw("tikhonov")) == 0
+    back = json.loads((tmp_path / "out" / "det-rate.report.json").read_text())
+    assert back["verdict"] is True
+
+
+def test_cli_run_exit_one_on_failed_verdict(tmp_path):
+    raw = dict(det_rate_raw("tikhonov"), tolerances={"slope": 0.15})
+    assert run_cli(tmp_path, raw, "--set", "tolerances.slope=1e-12") == 1
+
+
+@pytest.mark.parametrize("case", ["missing-file", "invalid-json",
+                                  "unknown-key", "bad-set-path"])
+def test_cli_run_exit_two_on_malformed_input(case, tmp_path):
+    if case == "missing-file":
+        code = main(["run", "--config", str(tmp_path / "absent.json"),
+                     "--out", str(tmp_path / "out")])
+    elif case == "invalid-json":
+        code = run_cli(tmp_path, "{not json")
+    elif case == "unknown-key":
+        code = run_cli(tmp_path, dict(det_rate_raw("tikhonov"), colour=1))
+    else:
+        code = run_cli(tmp_path, det_rate_raw("tikhonov"),
+                       "--set", "schedule.nope=1")
+    assert code == 2
+    assert not (tmp_path / "out").exists()

@@ -195,27 +195,52 @@ class TestEstimatorLearn:
         npt.assert_allclose(estimate.coeffs, coeffs_oracle, rtol=1e-12)
 
     def test_matrix_function_route_matches_parameter_side(self):
-        # brute-force oracle: apply s to the J-by-J empirical covariance
-        # (1/n) sum phi phi' directly, then to the empirical moment
+        # two brute-force oracles: s applied to the J-by-J empirical
+        # covariance (1/n) sum phi phi' and then to the empirical moment, and
+        # s applied to the n-by-n Gram side K/n and moved across the sampling
+        # operator, coeffs = sigma * u' V s(e) V' y / n; n = 12 < J < n = 40
         problem = build_power_law_problem(25, 2.0, 0.9)
         truth = make_source_solution(problem, 1.0,
                                      np.arange(1, 26, dtype=float) ** -1.0)
         rng = np.random.default_rng(41)
-        design = rng.random(12)
-        samples = clean_samples(problem, truth, design)
-        n = 12
-        u = basis_matrix(problem, design)
-        phi = u * problem.sigma_sv  # rows are feature vectors
-        emp_cov = phi.T @ phi / n
-        moment = phi.T @ samples.outputs / n
-        for filt in (FilterSpec.cutoff(0.05), FilterSpec.landweber(25),
-                     FilterSpec.tikhonov(0.07)):
-            eigs, vecs = np.linalg.eigh(emp_cov)
-            s_eigs = filt.at_eigenvalues(eigs)
-            oracle = vecs @ (s_eigs * (vecs.T @ moment))
-            estimate = estimator_learn(problem, filt, samples)
-            npt.assert_allclose(estimate.coeffs, oracle, rtol=1e-9,
-                                atol=1e-12)
+        for n in (12, 40):
+            design = rng.random(n)
+            samples = clean_samples(problem, truth, design)
+            u = basis_matrix(problem, design)
+            phi = u * problem.sigma_sv  # rows are feature vectors
+            eigs, vecs = np.linalg.eigh(phi.T @ phi / n)
+            moment = phi.T @ samples.outputs / n
+            kernel = (u * problem.mu) @ u.T
+            kernel = 0.5 * (kernel + kernel.T)
+            gram_eigs, gram_vecs = np.linalg.eigh(kernel / n)
+            for filt in (FilterSpec.cutoff(0.05), FilterSpec.landweber(25),
+                         FilterSpec.tikhonov(0.07)):
+                oracle = vecs @ (filt.at_eigenvalues(eigs)
+                                 * (vecs.T @ moment))
+                beta = gram_vecs @ (filt.at_eigenvalues(gram_eigs)
+                                    * (gram_vecs.T @ samples.outputs)) / n
+                gram_oracle = problem.sigma_sv * (u.T @ beta)
+                estimate = estimator_learn(problem, filt, samples)
+                for reference in (oracle, gram_oracle):
+                    npt.assert_allclose(estimate.coeffs, reference,
+                                        rtol=1e-9, atol=1e-12)
+
+    def test_matches_paper_estimator_on_fine_midpoint_grid(self):
+        # for n > J the sine basis is orthonormal on the midpoint grid, so
+        # the empirical covariance is diag(mu) and learn-n equals paper-n
+        problem = build_power_law_problem(50, 2.0, 1.0)
+        truth = make_source_solution(problem, 1.0,
+                                     np.arange(1, 51, dtype=float) ** -1.0)
+        samples = sample_outputs(problem, truth, sample_design("grid", 5000),
+                                 NoiseModel(kind="gaussian", sigma=0.1),
+                                 seed=3, scheme="grid")
+        # 0.003 lies strictly between mu_18 and mu_19, so the cutoff keeps
+        # the same modes on both sides
+        for filt in (FilterSpec.tikhonov(0.003), FilterSpec.cutoff(0.003)):
+            learn = estimator_learn(problem, filt, samples).coeffs
+            paper = estimator_paper(problem, filt, samples).coeffs
+            assert (np.linalg.norm(learn - paper)
+                    <= 1e-12 * np.linalg.norm(paper)), filt.kind
 
     def test_landweber_rejects_large_empirical_spectrum(self):
         # repeated points make the Gram eigenvalue reach K(x, x) ~ 2 sum(mu)
