@@ -7,7 +7,8 @@ Subcommands:
   info    print diagnostics of a power-law problem
 
 Exit codes: 0 success / all verdicts pass, 1 a verdict or check failed,
-2 malformed input (bad flags, missing or invalid config).
+2 malformed input (bad flags, missing or invalid config), 3 numerical
+failure such as a solver that did not converge (no report is written).
 """
 
 import argparse
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .errors import InvlabError
+from .errors import InvlabError, NumericalError
 from .experiments import StudyConfig, run_study, write_report
 from .rates import (RateExponents, convert_lower, convert_upper,
                     hs_norm, loss_factor_tau, statistical_exponents)
@@ -68,6 +69,12 @@ def _cmd_run(args):
             raw["seed"] = args.seed
         config = StudyConfig.from_dict(raw)
         report = run_study(config)
+    except NumericalError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        for iteration, objective, measure in getattr(exc, "trace", [])[-1:]:
+            print(f"trace tail: iteration {iteration}, objective "
+                  f"{objective:.6e}, measure {measure:.3e}", file=sys.stderr)
+        return 3
     except (InvlabError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,22 +13,24 @@ guises, all computed here:
                            empirical moment (1/n) Phi' y.
 
 The dense n-by-n Tikhonov solve (K + lambda n I) beta = y is
-``kernel_tikhonov``, the kernel-side reference that learn-n is checked
-against.
+``kernel_tikhonov``, the one n-by-n solve and the kernel-side reference
+that learn-n and the penalized ERM solver are checked against.
 
 Filter families implemented: Tikhonov s(t) = 1/(t + lambda) with
 qualification 1; spectral cutoff s(t) = 1/t for t >= lambda (qualification
 unbounded, tabulated to 8); Landweber with m iterations, lambda = 1/m,
 s(t) = sum_{k<m} (1-t)^k, valid on spectra bounded by 1.
 
-The generic penalized empirical risk solver works on the coefficient
-expansion g = sum_i beta_i K_{x_i} and minimizes
+The generic penalized empirical risk solver works on f in R^J.  Every
+g = sum_i beta_i K_{x_i} is A f with f = Phi' beta, ||g||_K = ||f|| and
+fitted values Phi f, and by the representer theorem the minimizer over R^J
+lies in that span.  It minimizes the 2 lambda-strongly convex
 
-    (1/n) sum_i V(Y_i, (K beta)_i) + lambda * ||g||_K^2,
+    (1/n) sum_i V(Y_i, (Phi f)_i) + lambda * ||f||^2
 
-with a Barzilai-Borwein first-order descent under a nonmonotone Armijo
-line search.  For the square loss it must and does reproduce the closed
-form (K + lambda n I)^{-1} y.
+with a Barzilai-Borwein descent under a nonmonotone Armijo line search; at
+lambda = 0 it returns the minimum-norm minimizer in f.  For the square loss
+it must and does reproduce the g of the closed form (K + lambda n I)^{-1} y.
 """
 
 import math
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, ModelError,
                      NumericalError, ParameterError, ShapeError)
-from .rkhs import gram_matrix
+from .rkhs import _gram_entries
 from .spectral_model import basis_matrix
 
 _QUALIFICATION_CAP = 8.0
@@ -290,7 +292,8 @@ class KernelSolution(NamedTuple):
 
 
 class ErmSolution(NamedTuple):
-    beta: np.ndarray
+    """g = sigma * f of the J-space ERM minimizer f, and the diagnostics."""
+
     g_coeffs: np.ndarray
     diagnostics: dict
 
@@ -351,58 +354,56 @@ def kernel_tikhonov(problem, samples, lam):
     if lam <= 0.0:
         raise ParameterError("lambda must be positive")
     n = samples.size
-    gram = gram_matrix(problem, samples.design)
+    u = basis_matrix(problem, samples.design)
+    system = _gram_entries(problem, u)
+    system.flat[::n + 1] += lam * n
     try:
-        beta = np.linalg.solve(gram.entries + lam * n * np.eye(n),
-                               samples.outputs)
+        beta = np.linalg.solve(system, samples.outputs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"kernel system is singular: {exc}") from exc
-    u = basis_matrix(problem, samples.design)
     g_coeffs = problem.mu * (u.T @ beta)
     return KernelSolution(beta=beta, g_coeffs=g_coeffs)
 
 
 def erm_representer_solve(problem, samples, loss, penalty, lam,
                           tol=1e-10, max_iter=100_000):
-    """Minimize the penalized empirical risk over span{K_{x_i}}.
+    """Minimize the penalized empirical risk over span{K_{x_i}} in J-space.
 
-    Works on beta with g = sum_i beta_i K_{x_i}, fitted values K beta and
-    squared norm beta' K beta.  First-order descent: Barzilai-Borwein steps
-    guarded by a nonmonotone Armijo backtracking line search, started at
-    beta = 0.  Terminates when the gradient norm falls below ``tol``;
-    otherwise raises a diagnostic error carrying the iteration trace.
+    Works on f with feature rows Phi = u diag(sigma), fitted values Phi f
+    and squared norm ||f||^2 = ||g||_K^2; returns g = sigma * f.  Descent:
+    Barzilai-Borwein steps guarded by a nonmonotone Armijo backtracking line
+    search from f = 0, until the gradient norm falls below ``tol``; else it
+    raises a diagnostic error carrying the iteration trace.
 
-    With lambda = 0 and a singular Gram matrix the iterates stay in the
-    range of K, so the returned beta realizes the minimum-norm minimizer
-    over the span.
+    The iterates stay in the row space of Phi, so with lambda = 0 the
+    returned f is the minimum-norm minimizer.
     """
     if lam < 0.0:
         raise ParameterError("lambda must be nonnegative")
     if penalty.psi != "square":
         raise ParameterError("solver requires the square penalty")
     n = samples.size
-    kernel = gram_matrix(problem, samples.design).entries
+    phi = basis_matrix(problem, samples.design) * problem.sigma_sv
     y = samples.outputs
 
-    def objective(beta, fitted):
+    def objective(f, fitted):
         data_term = float(np.mean(loss.smoothed_value(y, fitted)))
-        return data_term + lam * float(beta @ (kernel @ beta))
+        return data_term + lam * float(f @ f)
 
-    def gradient(beta, fitted):
-        rho = loss.derivative(y, fitted) / n + 2.0 * lam * beta
-        return kernel @ rho
+    def gradient(f, fitted):
+        return phi.T @ (loss.derivative(y, fitted) / n) + 2.0 * lam * f
 
-    kernel_norm = float(np.linalg.norm(kernel, 2))
-    lipschitz = kernel_norm * (loss.curvature_bound() * kernel_norm / n
-                               + 2.0 * lam) + 1e-300
-    beta = np.zeros(n)
-    fitted = kernel @ beta
-    f_val = objective(beta, fitted)
-    grad = gradient(beta, fitted)
+    # ||Phi||_F^2 bounds the squared spectral norm at O(nJ) cost.
+    lipschitz = (loss.curvature_bound() * float(np.sum(phi * phi)) / n
+                 + 2.0 * lam + 1e-300)
+    f = np.zeros(problem.size)
+    fitted = phi @ f
+    f_val = objective(f, fitted)
+    grad = gradient(f, fitted)
     history = [f_val]
     trace = []
     step = 1.0 / lipschitz
-    prev_beta = prev_grad = None
+    prev_f = prev_grad = None
     measure = float(np.linalg.norm(grad))
     iteration = 0
     for iteration in range(max_iter):
@@ -410,32 +411,29 @@ def erm_representer_solve(problem, samples, loss, penalty, lam,
             trace.append((iteration, f_val, measure))
         if measure <= tol:
             break
-        if prev_beta is not None:
-            diff_b = beta - prev_beta
+        if prev_f is not None:
+            diff_f = f - prev_f
             diff_g = grad - prev_grad
-            denom = float(diff_b @ diff_g)
-            step = float(diff_b @ diff_b) / denom if denom > 0 else 1.0 / lipschitz
+            denom = float(diff_f @ diff_g)
+            step = float(diff_f @ diff_f) / denom if denom > 0 else 1.0 / lipschitz
         reference = max(history[-10:])
         t = step
-        accepted = False
         for _ in range(60):
-            candidate = beta - t * grad
-            cand_fitted = kernel @ candidate
+            candidate = f - t * grad
+            cand_fitted = phi @ candidate
             cand_val = objective(candidate, cand_fitted)
             if cand_val <= reference - 1e-4 * t * measure ** 2:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             break  # objective at its floating-point floor
-        prev_beta, prev_grad = beta, grad
-        beta, fitted, f_val = candidate, cand_fitted, cand_val
+        prev_f, prev_grad = f, grad
+        f, fitted, f_val = candidate, cand_fitted, cand_val
         history.append(f_val)
-        grad = gradient(beta, fitted)
+        grad = gradient(f, fitted)
         measure = float(np.linalg.norm(grad))
     if measure <= tol:
-        g_coeffs = problem.mu * (basis_matrix(problem, samples.design).T @ beta)
-        return ErmSolution(beta=beta, g_coeffs=g_coeffs,
+        return ErmSolution(g_coeffs=problem.sigma_sv * f,
                            diagnostics={"iterations": iteration,
                                         "measure": measure,
                                         "objective": f_val, "converged": True})

@@ -62,10 +62,14 @@ def gram_matrix(problem, points):
         raise ShapeError("point set must be a nonempty 1-d sequence")
     if np.any(points < 0.0) or np.any(points > 1.0):
         raise DomainError("points must lie in [0, 1]")
-    u = basis_matrix(problem, points)
-    entries = (u * problem.mu) @ u.T
-    entries = 0.5 * (entries + entries.T)
+    entries = _gram_entries(problem, basis_matrix(problem, points))
     return GramMatrix(points=points, entries=entries)
+
+
+def _gram_entries(problem, u):
+    """Symmetrized u diag(mu) u' for the basis u = basis_matrix(points)."""
+    entries = (u * problem.mu) @ u.T
+    return 0.5 * (entries + entries.T)
 
 
 def rkhs_norm(problem, g_coeffs):

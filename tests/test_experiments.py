@@ -11,8 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from rkhs_invlab import (FilterSpec, NoiseModel, StudyConfig, StudyReport,
-                         estimator_paper, lambda_schedule,
+from rkhs_invlab import (ConvergenceError, FilterSpec, NoiseModel,
+                         StudyConfig, StudyReport, estimator_paper,
+                         experiments, lambda_schedule,
                          problem_from_descriptor, run_study, sample_design,
                          sample_outputs, write_report)
 from rkhs_invlab.cli import main
@@ -174,3 +175,45 @@ def test_cli_run_exit_two_on_malformed_input(case, tmp_path):
                        "--set", "schedule.nope=1")
     assert code == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_exit_three_on_numerical_failure(tmp_path, monkeypatch,
+                                                 capsys):
+    def diverge(*args, **kwargs):
+        raise ConvergenceError("descent stopped",
+                               [(0, 1.5, 2.0), (50, 0.25, 3.5e-11)])
+
+    monkeypatch.setattr(experiments, "erm_representer_solve", diverge)
+    assert run_cli(tmp_path, KERNEL_STUDIES["equivalence-check"]) == 3
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert "descent stopped" in err
+    assert "iteration 50, objective 2.500000e-01, measure 3.500e-11" in err
+
+
+IID_EQUIVALENCE = {"kind": "equivalence-check",
+                   "problem": {"J": 60, "b": 2.0, "d": 1.0, "r": 1.0,
+                               "w_spec": "unit-random"},
+                   "design": "iid-uniform", "n": 40, "lambda": 0.01}
+
+
+def representer_oracle(report):
+    return {c["name"]: c["value"] for c in report.checks}["representer_oracle"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_iid_equivalence_check_passes(seed):
+    # on iid designs the Gram matrix is near-singular, so the representer
+    # coefficients beta are not identifiable; the range element g is
+    config = StudyConfig.from_dict(dict(IID_EQUIVALENCE, seed=seed))
+    report = run_study(config)
+    assert report.verdict, report.checks
+    assert representer_oracle(report) <= 1e-6
+    assert run_study(config).canonical_dict() == report.canonical_dict()
+
+
+def test_iid_equivalence_check_converges_at_n_equal_j():
+    raw = dict(IID_EQUIVALENCE, n=100, seed=0)
+    raw["problem"] = dict(raw["problem"], J=100)
+    raw["lambda"] = 1e-3
+    assert representer_oracle(run_study(StudyConfig.from_dict(raw))) <= 1e-6

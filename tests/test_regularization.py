@@ -348,8 +348,8 @@ class TestErmRepresenterSolve:
         solution = erm_representer_solve(problem, samples, LossSpec("square"),
                                          PenaltySpec(), lam, tol=1e-12)
         oracle = kernel_tikhonov(problem, samples, lam)
-        rel = (np.linalg.norm(solution.beta - oracle.beta)
-               / np.linalg.norm(oracle.beta))
+        rel = (np.linalg.norm(solution.g_coeffs - oracle.g_coeffs)
+               / np.linalg.norm(oracle.g_coeffs))
         assert rel <= 1e-6
         assert solution.diagnostics["converged"]
 
@@ -360,7 +360,7 @@ class TestErmRepresenterSolve:
                             noise=NoiseModel(), seed=0)
         solution = erm_representer_solve(problem, samples, LossSpec("square"),
                                          PenaltySpec(), 0.3)
-        npt.assert_array_equal(solution.beta, np.zeros(3))
+        npt.assert_array_equal(solution.g_coeffs, np.zeros(10))
         assert solution.diagnostics["iterations"] == 0
 
     def test_absolute_loss_repeated_point_median(self):
@@ -381,7 +381,7 @@ class TestErmRepresenterSolve:
         solution = erm_representer_solve(problem, samples,
                                          LossSpec("absolute"), PenaltySpec(),
                                          lam, tol=1e-9, max_iter=200_000)
-        fitted = gram_matrix(problem, design).entries @ solution.beta
+        fitted = basis_matrix(problem, design) @ solution.g_coeffs
         assert abs(fitted[0] - target) <= 1e-3
 
     def test_absolute_loss_distinct_points_interpolates(self):
@@ -393,7 +393,7 @@ class TestErmRepresenterSolve:
         solution = erm_representer_solve(problem, samples,
                                          LossSpec("absolute"), PenaltySpec(),
                                          1e-10, tol=1e-9, max_iter=400_000)
-        fitted = gram_matrix(problem, design).entries @ solution.beta
+        fitted = basis_matrix(problem, design) @ solution.g_coeffs
         npt.assert_allclose(fitted, outputs, atol=2e-3)
 
     def test_gaussian_nll_matches_square(self):
@@ -410,7 +410,24 @@ class TestErmRepresenterSolve:
                                     LossSpec("gaussian-nll", scale=scale),
                                     PenaltySpec(), lam, tol=1e-12)
         oracle = kernel_tikhonov(problem, samples, lam * 2.0 * scale ** 2)
-        npt.assert_allclose(nll.beta, oracle.beta, rtol=1e-6)
+        npt.assert_allclose(nll.g_coeffs, oracle.g_coeffs, rtol=1e-6)
+
+    def test_grid_solve_converges_in_few_iterations(self):
+        # the J-space objective is 2 lambda-strongly convex, so the descent
+        # needs hundreds of steps, not the tens of thousands a descent on
+        # the unidentifiable beta directions would take
+        problem = build_power_law_problem(200, 2.0, 1.0)
+        truth = make_source_solution(problem, 1.0,
+                                     np.arange(1, 201, dtype=float) ** -1.0)
+        samples = clean_samples(problem, truth, sample_design("grid", 400),
+                                scheme="grid")
+        solution = erm_representer_solve(problem, samples, LossSpec("square"),
+                                         PenaltySpec(), 1e-3, tol=1e-12)
+        assert solution.diagnostics["iterations"] < 1_000
+        oracle = kernel_tikhonov(problem, samples, 1e-3)
+        rel = (np.linalg.norm(solution.g_coeffs - oracle.g_coeffs)
+               / np.linalg.norm(oracle.g_coeffs))
+        assert rel <= 1e-6
 
     def test_nonconvergence_raises_with_trace(self):
         problem = build_power_law_problem(5, 2.0, 1.0)
