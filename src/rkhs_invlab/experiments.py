@@ -26,7 +26,9 @@ Every study prints one machine-readable line "STUDY <kind> <pass|fail>".
 Replicates use counter-based substreams keyed by their index, so a
 replicate's numbers do not depend on the others.  The Monte-Carlo studies
 evaluate the sine basis once per design, so all replicates on a midpoint
-grid share one basis matrix.
+grid share one basis matrix, while each iid replicate evaluates its own.
+That evaluation costs two sines per point, not one per basis entry (see
+``basis_matrix``), which is what keeps the iid side cheap.
 """
 
 import csv

@@ -146,18 +146,45 @@ def forward_data(problem, f_coeffs):
 
 
 def basis_matrix(problem, x):
-    """Evaluate the sine basis at points x: matrix with entries u_j(x_i)."""
+    """Evaluate the sine basis at points x: n-by-J matrix of u_j(x_i).
+
+    Two sines per point instead of one per entry, by Reinsch's stabilised
+    form of the Goertzel recurrence (Stoer & Bulirsch, trigonometric
+    interpolation).  Points x > 1/2 are reflected to x' = 1 - x, which is
+    exact by Sterbenz's lemma, and sin(j pi x) = (-1)**(j+1) sin(j pi x'),
+    so the step h = pi x' lies in [0, pi/2].  With s_j = sin(j h),
+    d_j = s_j - s_{j-1} and k = (2 sin(h/2))**2 = 2 - 2 cos h (free of the
+    cancellation near h = 0):
+
+        d_1 = s_1 = sin h,   d_j = d_{j-1} - k s_{j-1},   s_j = s_{j-1} + d_j.
+
+    Against an exactly reduced reference, the maximum absolute error
+    measures below 1e-13 at J = 200 (tested bound 1.5e-13) and below 5e-13
+    at J = 1000.  Both are below the error of sqrt(2) sin(pi * outer(x, j)),
+    which loses accuracy rounding the product pi x j.  x = 0 and x = 1 give
+    exact zeros.
+
+    The recurrence runs on the rows of one J-by-n buffer, so each step is a
+    contiguous n-vector operation and no second n-by-J array is allocated.
+    The result is that buffer's transposed (Fortran-ordered) view.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise DomainError("evaluation points must lie in [0, 1]")
-    j = np.arange(1, problem.size + 1)
-    # In place, so only one n-by-J temporary is alive at a time; the
-    # operations and their order match sqrt(2) * sin(pi * outer(x, j)).
-    out = np.outer(x, j)
-    out *= np.pi
-    np.sin(out, out=out)
-    out *= np.sqrt(2.0)
-    return out
+    reflected = x > 0.5
+    step = np.pi * np.where(reflected, 1.0 - x, x)
+    k = 2.0 * np.sin(0.5 * step)
+    k *= k
+    out = np.empty((problem.size, x.size))
+    np.sin(step, out=out[0])
+    d = out[0].copy()
+    for prev, row in zip(out, out[1:]):
+        d -= k * prev
+        np.add(prev, d, out=row)
+    root2 = np.sqrt(2.0)
+    out[0::2] *= root2
+    out[1::2] *= np.where(reflected, -root2, root2)
+    return out.T
 
 
 def eval_function(problem, coeffs, space, x):

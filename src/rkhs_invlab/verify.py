@@ -223,8 +223,9 @@ def check_representer_limit(seed):
                      + rng.uniform(-0.2, 0.2, n) / n, 0.0, 1.0)
     samples = sample_outputs(problem, truth, design, NoiseModel(), seed,
                              "iid-uniform")
-    gram = gram_matrix(problem, design)
-    scale = float(np.trace(gram.entries)) / n
+    u = basis_matrix(problem, design)
+    # trace(K) / n with K = u diag(mu) u'
+    scale = float(np.sum(problem.mu * (u * u).sum(axis=0))) / n
     betas = [kernel_tikhonov(problem, samples, lam).beta
              for lam in (1e-2 * scale, 1e-4 * scale, 1e-6 * scale,
                          1e-8 * scale)]
@@ -232,8 +233,9 @@ def check_representer_limit(seed):
             for b1, b2 in zip(betas, betas[1:])]
     cauchy = all(g2 <= g1 for g1, g2 in zip(gaps, gaps[1:]))
     interp = kernel_tikhonov(problem, samples, 1e-10 * scale)
+    # K beta = u (mu u' beta) = u g
     residual = float(np.max(np.abs(samples.outputs
-                                   - gram.entries @ interp.beta)))
+                                   - u @ interp.g_coeffs)))
     return _result("representer-small-lambda-limit",
                    cauchy and residual <= 1e-6,
                    f"cauchy gaps={['%.1e' % g for g in gaps]}, "

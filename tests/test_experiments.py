@@ -1,8 +1,9 @@
 """Study runs and the ``run`` command.
 
-Monte-Carlo studies are checked against the public single-replicate path;
-the kernel-side study kinds for verdict, determinism and the JSON round
-trip; ``rkhs-invlab run`` for its exit codes.
+Monte-Carlo studies are checked against the public single-replicate path,
+for determinism and for the JSON round trip; the kernel-side study kinds
+for verdict, determinism and the JSON round trip; ``rkhs-invlab run`` for
+its exit codes.
 """
 
 import json
@@ -96,6 +97,22 @@ def test_repeated_runs_are_identical(make_config, design):
     assert run_study(config).canonical_dict() == first
 
 
+def assert_survives_json(report, tmp_path):
+    path = tmp_path / "report.json"
+    write_report(report, "json", path)
+    back = StudyReport.from_dict(json.loads(path.read_text()))
+    assert back.canonical_dict() == report.canonical_dict()
+    assert back.recompute_checks() == back.checks
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+@pytest.mark.parametrize("make_config", [stat_rate_config,
+                                         lemma_check_config],
+                         ids=["stat-rate", "lemma-check"])
+def test_monte_carlo_report_survives_json(make_config, design, tmp_path):
+    assert_survives_json(run_study(make_config(design)), tmp_path)
+
+
 KERNEL_J = 40
 KERNEL_PROBLEM = {"J": KERNEL_J, "b": 2.0, "d": 1.0, "r": 1.0,
                   "w_spec": [1.0 / j for j in range(1, KERNEL_J + 1)]}
@@ -126,11 +143,7 @@ def test_kernel_side_study_passes_repeats_and_survives_json(name, tmp_path):
     report = run_study(config)
     assert report.verdict, report.checks
     assert run_study(config).canonical_dict() == report.canonical_dict()
-    path = tmp_path / "report.json"
-    write_report(report, "json", path)
-    back = StudyReport.from_dict(json.loads(path.read_text()))
-    assert back.canonical_dict() == report.canonical_dict()
-    assert back.recompute_checks() == back.checks
+    assert_survives_json(report, tmp_path)
 
 
 def test_landweber_det_rate_records_applied_lambda():

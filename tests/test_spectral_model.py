@@ -2,6 +2,8 @@
 
 import json
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -116,6 +118,43 @@ class TestForwardData:
         npt.assert_allclose(lhs, rhs, rtol=1e-14)
 
 
+def exact_basis(x, size):
+    """sqrt(2) sin(j pi x) from the stdlib, with j x reduced mod 2 exactly.
+
+    The reduced r is folded to |r| <= 1/2 with its sign, so only the final
+    float(r), pi * r and sin round.
+    """
+    half = Fraction(1, 2)
+    out = np.empty((len(x), size))
+    for i, point in enumerate(x):
+        exact = Fraction(float(point))
+        for j in range(1, size + 1):
+            r = exact * j % 2
+            if r > 1:
+                r -= 2
+            if r > half:
+                r = 1 - r
+            elif r < -half:
+                r = -1 - r
+            out[i, j - 1] = math.sqrt(2.0) * math.sin(math.pi * float(r))
+    return out
+
+
+EDGE_POINTS = [0.0, 0.5, 1.0, 0.5 + 2.0 ** -52, 0.5 - 2.0 ** -52, 1e-9,
+               1.0 - 1e-9]
+
+
+def max_errors(x, size):
+    """Max abs error of basis_matrix and of the textbook form at x."""
+    x = np.asarray(x, dtype=float)
+    exact = exact_basis(x, size)
+    j = np.arange(1, size + 1)
+    textbook = np.sqrt(2.0) * np.sin(np.pi * np.outer(x, j))
+    got = basis_matrix(build_power_law_problem(size, 2.0, 1.0), x)
+    return (float(np.max(np.abs(got - exact))),
+            float(np.max(np.abs(textbook - exact))))
+
+
 class TestBasisMatrix:
     @pytest.mark.parametrize("x", [
         (np.arange(1, 3201) - 0.5) / 3200,
@@ -123,11 +162,52 @@ class TestBasisMatrix:
         0.3,
     ], ids=["grid", "iid", "scalar"])
     def test_matches_direct_expression(self, x):
-        # the in-place evaluation must be bit-identical to the textbook form
+        # the recurrence and the textbook form each sit within 1.5e-13 of the
+        # exact basis at J = 200, so they agree to the sum of the two bounds
         problem = build_power_law_problem(200, 2.0, 1.0)
         j = np.arange(1, 201)
         expected = np.sqrt(2.0) * np.sin(np.pi * np.outer(x, j))
-        assert np.array_equal(basis_matrix(problem, x), expected)
+        got = basis_matrix(problem, x)
+        assert got.shape == expected.shape
+        npt.assert_allclose(got, expected, rtol=0, atol=3e-13)
+
+    def test_error_bound_at_j200(self):
+        x = np.concatenate([np.random.default_rng(5).random(240), EDGE_POINTS,
+                            (np.arange(1, 54) - 0.5) / 53])
+        err, textbook_err = max_errors(x, 200)
+        assert err <= 1.5e-13
+        assert err <= textbook_err
+
+    def test_no_worse_than_textbook_at_j1000(self):
+        x = np.concatenate([np.random.default_rng(6).random(53), EDGE_POINTS])
+        err, textbook_err = max_errors(x, 1000)
+        assert err <= textbook_err
+
+    def test_endpoints_give_exact_zeros(self):
+        problem = build_power_law_problem(200, 2.0, 1.0)
+        assert np.all(basis_matrix(problem, [0.0, 1.0]) == 0.0)
+
+    def test_scalar_and_single_mode_shapes(self):
+        problem = build_power_law_problem(200, 2.0, 1.0)
+        row = basis_matrix(problem, 0.3)
+        assert row.shape == (1, 200)
+        assert np.max(np.abs(row - exact_basis([0.3], 200))) <= 1.5e-13
+        x = [0.2, 0.7, 1.0]
+        single = basis_matrix(build_power_law_problem(1, 2.0, 1.0), x)
+        assert single.shape == (3, 1)
+        npt.assert_allclose(single, exact_basis(x, 1), rtol=0, atol=1e-15)
+
+    def test_peak_allocation_is_one_buffer(self):
+        # one n-by-J buffer and O(n) work vectors, no second n-by-J array
+        problem = build_power_law_problem(200, 2.0, 1.0)
+        x = np.random.default_rng(7).random(3200)
+        tracemalloc.start()
+        try:
+            basis_matrix(problem, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * x.size * problem.size * 8
 
 
 class TestEvalFunction:
