@@ -26,9 +26,12 @@ Every study prints one machine-readable line "STUDY <kind> <pass|fail>".
 Replicates use counter-based substreams keyed by their index, so a
 replicate's numbers do not depend on the others.  The Monte-Carlo studies
 evaluate the sine basis once per design, so all replicates on a midpoint
-grid share one basis matrix, while each iid replicate evaluates its own.
-That evaluation costs two sines per point, not one per basis entry (see
-``basis_matrix``), which is what keeps the iid side cheap.
+grid share one basis matrix.  The designs of consecutive iid replicates
+are evaluated together in one ``basis_matrix`` call per batch, each
+replicate reading its own rows, so the per-call overhead of the basis
+recurrence is paid once per batch rather than once per replicate.  The
+evaluation costs two sines per point, not one per basis entry (see
+``basis_matrix``).
 """
 
 import csv
@@ -55,6 +58,13 @@ from .spectral_model import (basis_matrix, forward_data,
 
 _KINDS = ("stat-rate", "det-rate", "lemma-check", "gamma-study",
           "equivalence-check")
+
+# Basis entries (points times modes) one iid batch evaluates at once.  At
+# J = 200 on a 2-core Xeon, basis_matrix costs 7-10 ns per entry at 400
+# points, 4.5-6 ns at 1,600 and 2.5-4.5 ns from 3,200 points on, where it
+# levels off.  640,000 entries (5.1 MB) is one n = 3200 design, so batching
+# adds no memory over the largest single design of the Monte-Carlo studies.
+_BATCH_CELLS = 640_000
 
 
 def spearman(xs, ys):
@@ -168,6 +178,11 @@ class StudyConfig:
                                or self.schedule_c <= 0
                                or self.schedule_exponent <= 0):
             bad.append("schedule")
+        w_spec = self.problem.get("w_spec")
+        if needs_schedule and isinstance(w_spec, str) and w_spec == "ones":
+            # w = (1, ..., 1) has source radius sqrt(J), not a fixed source
+            # element, so the rate theory does not apply to it
+            bad.append("problem.w_spec")
         if self.kind == "stat-rate":
             if len(self.n_grid) < 2 or any(np.diff(self.n_grid) <= 0):
                 bad.append("n_grid")
@@ -298,28 +313,42 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
 
     Matches sample_design -> sample_outputs -> estimator_paper per replicate
     bit for bit: replicate ``index`` draws its noise (and an iid design) from
-    its own (seed, stream, index) substream.  The basis is evaluated once
-    per design, so a grid design shares one basis across all replicates.
+    its own (seed, stream, index) substream.  A grid design is shared, so
+    all replicates use one basis.  iid designs go in batches of consecutive
+    replicates: one basis_matrix call evaluates the batch's designs end to
+    end, and each replicate takes its own n rows of it.  A batch holds as
+    many whole designs as fit in _BATCH_CELLS basis entries, at least one.
     """
     noise = NoiseModel(kind="gaussian", sigma=config.sigma)
     y = forward_data(problem, truth.coeffs).coeffs
+    response = filt.response(problem)
+    out = np.empty((len(indices), problem.size))
 
-    def estimates(design, design_indices):
-        # The basis is local to this call, so iid replicates never hold two
-        # n-by-J matrices at once.
-        u = basis_matrix(problem, design)
-        clean = u @ y
-        return [_paper_coeffs(problem, filt, u,
-                              _add_noise(clean, noise, config.seed, index))
-                for index in design_indices]
+    def estimate(row, u, clean, index):
+        out[row] = _paper_coeffs(response, u,
+                                 _add_noise(clean, noise, config.seed, index))
 
     if config.design == "grid":
-        return np.array(estimates(sample_design("grid", n), indices))
-    rows = []
-    for index in indices:
-        rows += estimates(sample_design(config.design, n, config.seed,
-                                        index=index), [index])
-    return np.array(rows)
+        u = basis_matrix(problem, sample_design("grid", n))
+        clean = u @ y
+        for row, index in enumerate(indices):
+            estimate(row, u, clean, index)
+        return out
+
+    def fill_batch(first_row, batch):
+        # The batch basis is local to this call, so it is freed before the
+        # next batch's is built and peak memory stays at one batch.
+        u = basis_matrix(problem, np.concatenate([
+            sample_design(config.design, n, config.seed, index=index)
+            for index in batch]))
+        for k, index in enumerate(batch):
+            block = u[k * n:(k + 1) * n]
+            estimate(first_row + k, block, block @ y, index)
+
+    per_batch = max(1, _BATCH_CELLS // (n * problem.size))
+    for first_row in range(0, len(indices), per_batch):
+        fill_batch(first_row, indices[first_row:first_row + per_batch])
+    return out
 
 
 def _run_stat_rate(config, started):

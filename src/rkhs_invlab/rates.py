@@ -52,8 +52,7 @@ def hs_norm(problem, filt):
 
 def operator_norm(problem, filt):
     """Spectral norm max_j s(mu_j) sigma_j of the reconstruction operator."""
-    s = filt.on_spectrum(problem)
-    return float(np.max(s * problem.sigma_sv))
+    return float(np.max(filt.response(problem)))
 
 
 def epsilon_lambda(problem, filt, f_true):
@@ -145,15 +144,29 @@ class ConvertedRate(NamedTuple):
     case: str
 
 
+# Relative tolerance of a branch boundary: p*gamma = 1/2 or p_star*gamma
+# = 1 is often reached only up to the roundoff of the exponent arithmetic
+# (r = 1/4, b = 5/2, gamma = 0.95 gives p*gamma = 0.49999999999999994).
+_TIE_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _at_least(value, bound):
+    """value >= bound, counting a relative shortfall of _TIE_RTOL as a tie."""
+    return value >= bound * (1.0 - _TIE_RTOL)
+
+
 def convert_upper(exponents):
     """Squared-error upper rate in delta from one in n.
 
-    Boundary p*gamma = 1/2 belongs to the fast branch.
+    Boundary p*gamma = 1/2 belongs to the fast branch, and so does any
+    p*gamma within a relative 4 eps (a few ulps) below it.  Both branches
+    give the same exponent at the boundary, so the tie rule decides only
+    the ``case`` label.
     """
     if exponents.p is None:
         raise ParameterError("convert_upper requires the schedule exponent p")
     p, gamma, alpha = exponents.p, exponents.gamma, exponents.alpha
-    if p * gamma >= 0.5:
+    if _at_least(p * gamma, 0.5):
         return ConvertedRate(2.0 * alpha, 2.0 * p, "fast")
     return ConvertedRate(alpha / (1.0 - p * gamma),
                          p / (1.0 - p * gamma), "slow")
@@ -162,13 +175,16 @@ def convert_upper(exponents):
 def convert_lower(exponents):
     """Squared-error lower rate in n from one in delta.
 
-    Boundary p_star*gamma = 1 belongs to the fast branch.
+    Boundary p_star*gamma = 1 belongs to the fast branch, and so does any
+    p_star*gamma within a relative 4 eps (a few ulps) below it.  Both
+    branches give the same exponent at the boundary, so the tie rule
+    decides only the ``case`` label.
     """
     if exponents.p_star is None:
         raise ParameterError("convert_lower requires the schedule exponent "
                              "p_star")
     p_star, gamma, alpha = exponents.p_star, exponents.gamma, exponents.alpha
-    if p_star * gamma >= 1.0:
+    if _at_least(p_star * gamma, 1.0):
         return ConvertedRate(alpha / 2.0, p_star / 2.0, "fast")
     return ConvertedRate(alpha / (1.0 + p_star * gamma),
                          p_star / (1.0 + p_star * gamma), "slow")

@@ -144,6 +144,10 @@ class FilterSpec:
                              "problem (see rescale_for_landweber)")
         return self._evaluate(problem.mu)
 
+    def response(self, problem):
+        """s_lambda(mu_j) sigma_j: singular values of s(B) A*."""
+        return self.on_spectrum(problem) * problem.sigma_sv
+
 
 def rescale_for_landweber(problem):
     """Return (problem with mu_1 = 1, scale) so Landweber applies.
@@ -302,8 +306,7 @@ def solve_continuous(problem, filt, y):
     """f = s(B) A* y in coordinates: coeffs_j = s(mu_j) sigma_j y_j."""
     if y.coeffs.size != problem.size:
         raise ShapeError("data length does not match the problem")
-    s = filt.on_spectrum(problem)
-    coeffs = s * problem.sigma_sv * y.coeffs
+    coeffs = filt.response(problem) * y.coeffs
     if y.kind == "clean":
         return Estimate(coeffs=coeffs, provenance="continuous", lam=filt.lam)
     return Estimate(coeffs=coeffs, provenance="noisy-delta", lam=filt.lam,
@@ -316,15 +319,18 @@ def estimator_paper(problem, filt, samples):
     coeffs_j = s(mu_j) sigma_j (1/n) sum_i Y_i u_j(X_i).
     """
     u = basis_matrix(problem, samples.design)
-    return Estimate(coeffs=_paper_coeffs(problem, filt, u, samples.outputs),
+    return Estimate(coeffs=_paper_coeffs(filt.response(problem), u,
+                                         samples.outputs),
                     provenance="paper-n", lam=filt.lam, n=samples.size)
 
 
-def _paper_coeffs(problem, filt, u, outputs):
-    """s(mu_j) sigma_j (u^T Y / n)_j for the basis u = basis_matrix(design)."""
-    moment = u.T @ outputs / outputs.size
-    s = filt.on_spectrum(problem)
-    return s * problem.sigma_sv * moment
+def _paper_coeffs(response, u, outputs):
+    """response_j (u^T Y / n)_j for the basis u = basis_matrix(design).
+
+    ``response`` is ``filt.response(problem)``, so callers that apply one
+    filter to many replicates compute it once.
+    """
+    return response * (u.T @ outputs / outputs.size)
 
 
 def estimator_learn(problem, filt, samples):

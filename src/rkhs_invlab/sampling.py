@@ -166,15 +166,14 @@ def perturb_data(problem, y, spec, seed=0, index=0):
             raise ShapeError(f"mode index {spec.index} exceeds {problem.size}")
         direction[spec.index - 1] = 1.0
     else:  # filter-adversarial
-        response = spec.filter.on_spectrum(problem) * problem.sigma_sv
-        direction[int(np.argmax(response))] = 1.0
+        direction[int(np.argmax(spec.filter.response(problem)))] = 1.0
     return DataFunction(coeffs=y.coeffs + spec.delta * direction,
                         kind="perturbed", delta=float(spec.delta))
 
 
 def adversarial_mode(problem, filt):
     """1-based index of the mode maximizing the response s(mu_j) sigma_j."""
-    return int(np.argmax(filt.on_spectrum(problem) * problem.sigma_sv)) + 1
+    return int(np.argmax(filt.response(problem))) + 1
 
 
 def samples_to_csv(samples, path):

@@ -1,20 +1,22 @@
 """Study runs and the ``run`` command.
 
-Monte-Carlo studies are checked against the public single-replicate path,
-for determinism and for the JSON round trip; the kernel-side study kinds
-for verdict, determinism and the JSON round trip; ``rkhs-invlab run`` for
-its exit codes.
+Monte-Carlo studies are checked against the public single-replicate path
+(also across iid batch boundaries), for determinism, for the JSON round
+trip and for the peak memory of one iid batch; the kernel-side study kinds
+for verdict, determinism and the JSON round trip; config validation and
+``rkhs-invlab run`` for their exit codes.
 """
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rkhs_invlab import (ConvergenceError, FilterSpec, NoiseModel,
-                         StudyConfig, StudyReport, estimator_paper,
-                         experiments, lambda_schedule,
+                         StudyConfig, StudyReport, ValidationError,
+                         estimator_paper, experiments, lambda_schedule,
                          problem_from_descriptor, run_study, sample_design,
                          sample_outputs, write_report)
 from rkhs_invlab.cli import main
@@ -53,8 +55,23 @@ def public_coeffs(design, n, filt, index):
     return estimator_paper(MODEL, filt, samples).coeffs
 
 
-@pytest.mark.parametrize("design", DESIGNS)
-def test_stat_rate_matches_public_path(design):
+def budget_cases(*budgets):
+    """(design, budget) cases: the default budget on both designs, then
+    iid runs under ``budgets`` basis entries per batch."""
+    return ([pytest.param(design, None, id=design) for design in DESIGNS]
+            + [pytest.param("iid-uniform", cells,
+                            id=f"iid-uniform-budget{cells}")
+               for cells in budgets])
+
+
+# At J = 20 one n-point design is 20 n entries.  For stat-rate (n = 50, 100,
+# 200), 3,000 entries give 7 batches of 3 designs with a last one of 2 at
+# n = 50, and a design larger than the budget at n = 200.  For lemma-check
+# (n = 100), 6,000 give a last batch of 2 and 1,500 one over the budget.
+@pytest.mark.parametrize("design, budget", budget_cases(3000))
+def test_stat_rate_matches_public_path(design, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(experiments, "_BATCH_CELLS", budget)
     config = stat_rate_config(design)
     report = run_study(config)
     assert [p["x"] for p in report.points] == list(config.n_grid)
@@ -74,8 +91,10 @@ def test_stat_rate_matches_public_path(design):
         assert point["err_median"] == float(np.median(errors))
 
 
-@pytest.mark.parametrize("design", DESIGNS)
-def test_lemma_check_matches_public_path(design):
+@pytest.mark.parametrize("design, budget", budget_cases(6000, 1500))
+def test_lemma_check_matches_public_path(design, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(experiments, "_BATCH_CELLS", budget)
     report = run_study(lemma_check_config(design))
     filt = FilterSpec.tikhonov(0.05)
     rows = np.array([public_coeffs(design, 100, filt, rep)
@@ -95,6 +114,35 @@ def test_repeated_runs_are_identical(make_config, design):
     config = make_config(design)
     first = run_study(config).canonical_dict()
     assert run_study(config).canonical_dict() == first
+
+
+def test_iid_batch_peak_memory_is_one_batch():
+    # 12 replicates of 800 points at J = 200 are three batches of four
+    # designs; the basis of a finished batch must be freed before the next
+    # one is built
+    size, n, replicates = 200, 800, 12
+    raw = {"kind": "lemma-check", "design": "iid-uniform", "sigma": SIGMA,
+           "problem": {"J": size, "b": 2.0, "d": 1.0, "r": 1.0,
+                       "w_spec": [1.0 / j for j in range(1, size + 1)]},
+           "n": n, "lambda": 0.05, "replicates": replicates, "seed": SEED}
+    config = StudyConfig.from_dict(raw)
+    problem, truth = problem_from_descriptor(dict(raw["problem"], seed=SEED))
+    filt = FilterSpec.tikhonov(0.05)
+    assert experiments._BATCH_CELLS // (n * size) == 4
+
+    def run():
+        return experiments._replicate_coeffs(config, problem, truth, filt, n,
+                                             range(replicates))
+
+    run()  # imports numpy.random on first use; keep that out of the peak
+    tracemalloc.start()
+    try:
+        rows = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (replicates, size)
+    assert peak <= 1.1 * experiments._BATCH_CELLS * 8 + rows.nbytes
 
 
 def assert_survives_json(report, tmp_path):
@@ -153,6 +201,19 @@ def test_landweber_det_rate_records_applied_lambda():
     for point in report.points:
         scheduled = lambda_schedule("by-delta", 1.0, 2.0 / 3.0, point["x"])
         assert point["lambda"] == 1.0 / round(1.0 / scheduled)
+
+
+@pytest.mark.parametrize("raw", [stat_rate_config("grid").to_dict(),
+                                 det_rate_raw("tikhonov")],
+                         ids=["stat-rate", "det-rate"])
+def test_rate_studies_refuse_ones_source(raw, tmp_path):
+    # w = (1, ..., 1) has source radius sqrt(J): no fixed source element
+    raw = dict(raw, problem=dict(raw["problem"], w_spec="ones"))
+    with pytest.raises(ValidationError) as info:
+        StudyConfig.from_dict(raw)
+    assert info.value.fields == ("problem.w_spec",)
+    assert run_cli(tmp_path, raw) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def run_cli(tmp_path, raw, *extra):

@@ -126,6 +126,9 @@ class TestConversionTheorems:
     def test_upper_boundary_is_fast(self):
         got = convert_upper(RateExponents(alpha=1.0, p=0.5, gamma=1.0))
         assert got.case == "fast" and got.exponent == 2.0
+        stat = statistical_exponents(1.0, 2.0, gamma=1.75)
+        assert stat.p * stat.gamma == 0.5
+        assert convert_upper(stat) == (2.0 * stat.alpha, 2.0 * stat.p, "fast")
 
     def test_lower_fast_branch_tikhonov_numbers(self):
         got = convert_lower(RateExponents(alpha=4 / 3, p_star=2 / 3, gamma=1.5))
@@ -142,6 +145,33 @@ class TestConversionTheorems:
     def test_lower_halving(self):
         got = convert_lower(RateExponents(alpha=2.0, p_star=2.0, gamma=1.0))
         assert got.exponent == 1.0 and got.case == "fast"
+
+    def test_upper_tie_reached_by_rounding_is_fast(self):
+        # p = 1/1.9 and gamma = 0.95: p*gamma is 1/2 up to one ulp
+        stat = statistical_exponents(0.25, 2.5, gamma=0.95)
+        assert stat.p * stat.gamma < 0.5
+        got = convert_upper(stat)
+        assert got == (2.0 * stat.alpha, 2.0 * stat.p, "fast")
+        slow = stat.alpha / (1.0 - stat.p * stat.gamma)
+        assert got.exponent == pytest.approx(slow, rel=1e-15)
+
+    def test_lower_tie_reached_by_rounding_is_fast(self):
+        # the nominal gamma = r + 1/2 always puts p_star*gamma on the
+        # boundary 1; at r = 0.45 the product rounds to 1 - 2^-53
+        r = 0.45
+        classical = RateExponents(alpha=4 * r / (2 * r + 1),
+                                  p_star=2 / (2 * r + 1), gamma=r + 0.5)
+        assert classical.p_star * classical.gamma < 1.0
+        got = convert_lower(classical)
+        assert got == (classical.alpha / 2.0, classical.p_star / 2.0, "fast")
+        slow = classical.alpha / (1.0 + classical.p_star * classical.gamma)
+        assert got.exponent == pytest.approx(slow, rel=1e-15)
+
+    def test_shortfall_beyond_roundoff_stays_slow(self):
+        assert convert_upper(RateExponents(alpha=1.0, p=0.5,
+                                           gamma=1.0 - 1e-12)).case == "slow"
+        assert convert_lower(RateExponents(alpha=1.0, p_star=1.0,
+                                           gamma=1.0 - 1e-12)).case == "slow"
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
