@@ -328,9 +328,12 @@ def _paper_coeffs(response, u, outputs):
     """response_j (u^T Y / n)_j for the basis u = basis_matrix(design).
 
     ``response`` is ``filt.response(problem)``, so callers that apply one
-    filter to many replicates compute it once.
+    filter to many replicates compute it once.  ``outputs`` is one output
+    vector of length n, or an n-by-w matrix whose columns are the outputs
+    of w replicates on one design, which gives a w-by-J array with one row
+    per replicate.
     """
-    return response * (u.T @ outputs / outputs.size)
+    return response * (u.T @ outputs / len(u)).T
 
 
 def estimator_learn(problem, filt, samples):

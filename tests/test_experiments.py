@@ -1,10 +1,10 @@
 """Study runs and the ``run`` command.
 
 Monte-Carlo studies are checked against the public single-replicate path
-(also across iid batch boundaries), for determinism, for the JSON round
-trip and for the peak memory of one iid batch; the kernel-side study kinds
-for verdict, determinism and the JSON round trip; config validation and
-``rkhs-invlab run`` for their exit codes.
+(also across iid batch and grid chunk boundaries), for determinism, for the
+JSON round trip and for the peak memory of one iid batch or grid chunk;
+the kernel-side study kinds for verdict, determinism and the JSON round
+trip; config validation and ``rkhs-invlab run`` for their exit codes.
 """
 
 import json
@@ -55,23 +55,44 @@ def public_coeffs(design, n, filt, index):
     return estimator_paper(MODEL, filt, samples).coeffs
 
 
-def budget_cases(*budgets):
-    """(design, budget) cases: the default budget on both designs, then
-    iid runs under ``budgets`` basis entries per batch."""
+# The module constant that sizes the replicate groups of each design: basis
+# entries per iid batch, output entries per grid chunk.
+BUDGETS = {"grid": "_CHUNK_CELLS", "iid-uniform": "_BATCH_CELLS"}
+
+
+def budget_cases(iid_budgets, grid_budgets):
+    """(design, budget) cases: the default budgets on both designs, then
+    iid runs under ``iid_budgets`` basis entries per batch and grid runs
+    under ``grid_budgets`` output entries per chunk."""
     return ([pytest.param(design, None, id=design) for design in DESIGNS]
-            + [pytest.param("iid-uniform", cells,
-                            id=f"iid-uniform-budget{cells}")
+            + [pytest.param(design, cells, id=f"{design}-budget{cells}")
+               for design, budgets in (("iid-uniform", iid_budgets),
+                                       ("grid", grid_budgets))
                for cells in budgets])
+
+
+def assert_matches_public(design, value, expected):
+    # a grid chunk's GEMM sums in another order than the public path's GEMV
+    # (gaps up to 2.1e-15 relative on these inputs); iid replicates run the
+    # public path's own arithmetic
+    if design == "grid":
+        np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0)
+    else:
+        assert value == expected
 
 
 # At J = 20 one n-point design is 20 n entries.  For stat-rate (n = 50, 100,
 # 200), 3,000 entries give 7 batches of 3 designs with a last one of 2 at
 # n = 50, and a design larger than the budget at n = 200.  For lemma-check
 # (n = 100), 6,000 give a last batch of 2 and 1,500 one over the budget.
-@pytest.mark.parametrize("design, budget", budget_cases(3000))
+# A grid chunk of n-point outputs holds budget // n columns: 350 entries
+# give chunks of 7 with a last one of 6 at n = 50, chunks of 3 with a last
+# one of 2 at n = 100 and one column at n = 200; for lemma-check, 700 give
+# chunks of 7 with a last one of 6 and 60 (less than one column) give one.
+@pytest.mark.parametrize("design, budget", budget_cases([3000], [350]))
 def test_stat_rate_matches_public_path(design, budget, monkeypatch):
     if budget is not None:
-        monkeypatch.setattr(experiments, "_BATCH_CELLS", budget)
+        monkeypatch.setattr(experiments, BUDGETS[design], budget)
     config = stat_rate_config(design)
     report = run_study(config)
     assert [p["x"] for p in report.points] == list(config.n_grid)
@@ -85,25 +106,31 @@ def test_stat_rate_matches_public_path(design, budget, monkeypatch):
                           - TRUTH.coeffs) ** 2))
             for rep in range(REPLICATES)])
         assert point["lambda"] == lam
-        assert point["err_mean"] == float(errors.mean())
-        assert point["err_se"] == float(errors.std(ddof=1)
-                                        / math.sqrt(REPLICATES))
-        assert point["err_median"] == float(np.median(errors))
+        assert_matches_public(design, point["err_mean"],
+                              float(errors.mean()))
+        assert_matches_public(design, point["err_se"],
+                              float(errors.std(ddof=1)
+                                    / math.sqrt(REPLICATES)))
+        assert_matches_public(design, point["err_median"],
+                              float(np.median(errors)))
 
 
-@pytest.mark.parametrize("design, budget", budget_cases(6000, 1500))
+@pytest.mark.parametrize("design, budget",
+                         budget_cases([6000, 1500], [700, 60]))
 def test_lemma_check_matches_public_path(design, budget, monkeypatch):
     if budget is not None:
-        monkeypatch.setattr(experiments, "_BATCH_CELLS", budget)
+        monkeypatch.setattr(experiments, BUDGETS[design], budget)
     report = run_study(lemma_check_config(design))
     filt = FilterSpec.tikhonov(0.05)
     rows = np.array([public_coeffs(design, 100, filt, rep)
                      for rep in range(REPLICATES)])
     mean = rows.mean(axis=0)
     point = report.points[0]
-    assert point["mc_bias2"] == float(np.sum((mean - TRUTH.coeffs) ** 2))
-    assert point["mc_var"] == float(np.mean(np.sum((rows - mean) ** 2,
-                                                   axis=1)))
+    assert_matches_public(design, point["mc_bias2"],
+                          float(np.sum((mean - TRUTH.coeffs) ** 2)))
+    assert_matches_public(design, point["mc_var"],
+                          float(np.mean(np.sum((rows - mean) ** 2,
+                                               axis=1))))
 
 
 @pytest.mark.parametrize("design", DESIGNS)
@@ -116,25 +143,24 @@ def test_repeated_runs_are_identical(make_config, design):
     assert run_study(config).canonical_dict() == first
 
 
-def test_iid_batch_peak_memory_is_one_batch():
-    # 12 replicates of 800 points at J = 200 are three batches of four
-    # designs; the basis of a finished batch must be freed before the next
-    # one is built
-    size, n, replicates = 200, 800, 12
-    raw = {"kind": "lemma-check", "design": "iid-uniform", "sigma": SIGMA,
+def replicate_peak(design, n, replicates):
+    """Rows and ``tracemalloc`` peak of one _replicate_coeffs call at
+    J = 200, after a warm-up call that keeps the lazy ``numpy.random``
+    import out of the peak."""
+    size = 200
+    raw = {"kind": "lemma-check", "design": design, "sigma": SIGMA,
            "problem": {"J": size, "b": 2.0, "d": 1.0, "r": 1.0,
                        "w_spec": [1.0 / j for j in range(1, size + 1)]},
            "n": n, "lambda": 0.05, "replicates": replicates, "seed": SEED}
     config = StudyConfig.from_dict(raw)
     problem, truth = problem_from_descriptor(dict(raw["problem"], seed=SEED))
     filt = FilterSpec.tikhonov(0.05)
-    assert experiments._BATCH_CELLS // (n * size) == 4
 
     def run():
         return experiments._replicate_coeffs(config, problem, truth, filt, n,
                                              range(replicates))
 
-    run()  # imports numpy.random on first use; keep that out of the peak
+    run()
     tracemalloc.start()
     try:
         rows = run()
@@ -142,7 +168,27 @@ def test_iid_batch_peak_memory_is_one_batch():
     finally:
         tracemalloc.stop()
     assert rows.shape == (replicates, size)
+    return rows, peak
+
+
+def test_iid_batch_peak_memory_is_one_batch():
+    # 12 replicates of 800 points at J = 200 are three batches of four
+    # designs; the basis of a finished batch must be freed before the next
+    # one is built
+    assert experiments._BATCH_CELLS // (800 * 200) == 4
+    rows, peak = replicate_peak("iid-uniform", 800, 12)
     assert peak <= 1.1 * experiments._BATCH_CELLS * 8 + rows.nbytes
+
+
+def test_grid_chunk_peak_memory_is_basis_and_one_chunk():
+    # 64 replicates at n = 3200 share one 5.1 MB basis, and their outputs
+    # pass through chunks of _CHUNK_CELLS entries: all 64 output vectors at
+    # once (1.6 MB) would exceed the 10% margin
+    n = 3200
+    assert 1 < experiments._CHUNK_CELLS // n < 64
+    rows, peak = replicate_peak("grid", n, 64)
+    assert peak <= (1.1 * (n * 200 + experiments._CHUNK_CELLS) * 8
+                    + rows.nbytes)
 
 
 def assert_survives_json(report, tmp_path):
@@ -216,6 +262,30 @@ def test_rate_studies_refuse_ones_source(raw, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+BAD_FIELDS = {
+    # gamma-study always samples the midpoint grid
+    "gamma-study-iid": (dict(KERNEL_STUDIES["gamma-study"],
+                             design="iid-uniform"), "design"),
+    **{f"tolerance-{name}": (dict(det_rate_raw("tikhonov"),
+                                  tolerances={"slope": value}), "tolerances")
+       for name, value in (("string", "abc"), ("bool", True),
+                           ("nan", math.nan), ("inf", math.inf),
+                           ("null", None))},
+    "tolerances-number": (dict(det_rate_raw("tikhonov"), tolerances=5),
+                          "tolerances"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FIELDS))
+def test_invalid_field_is_named_and_exits_two(name, tmp_path):
+    raw, bad = BAD_FIELDS[name]
+    with pytest.raises(ValidationError) as info:
+        StudyConfig.from_dict(raw)
+    assert info.value.fields == (bad,)
+    assert run_cli(tmp_path, raw) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def run_cli(tmp_path, raw, *extra):
     path = tmp_path / "config.json"
     path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
@@ -235,7 +305,9 @@ def test_cli_run_exit_one_on_failed_verdict(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["missing-file", "invalid-json",
-                                  "unknown-key", "bad-set-path"])
+                                  "unknown-key", "bad-set-path",
+                                  "set-tolerance-string",
+                                  "set-tolerance-nan"])
 def test_cli_run_exit_two_on_malformed_input(case, tmp_path):
     if case == "missing-file":
         code = main(["run", "--config", str(tmp_path / "absent.json"),
@@ -244,9 +316,13 @@ def test_cli_run_exit_two_on_malformed_input(case, tmp_path):
         code = run_cli(tmp_path, "{not json")
     elif case == "unknown-key":
         code = run_cli(tmp_path, dict(det_rate_raw("tikhonov"), colour=1))
-    else:
+    elif case == "bad-set-path":
         code = run_cli(tmp_path, det_rate_raw("tikhonov"),
                        "--set", "schedule.nope=1")
+    else:
+        raw = dict(det_rate_raw("tikhonov"), tolerances={"slope": 0.15})
+        value = "abc" if case == "set-tolerance-string" else "NaN"
+        code = run_cli(tmp_path, raw, "--set", f"tolerances.slope={value}")
     assert code == 2
     assert not (tmp_path / "out").exists()
 
