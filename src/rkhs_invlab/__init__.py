@@ -16,20 +16,18 @@ from .spectral_model import (DataFunction, GroundTruth, SpectralProblem,
                              make_source_solution, problem_from_descriptor,
                              problem_to_descriptor, resolve_w_spec)
 from .rkhs import (GramMatrix, correspondence_pullback, gram_matrix,
-                   gram_to_csv, kernel_eval, rkhs_norm)
-from .sampling import (NoiseModel, PerturbationSpec, SampleSet,
-                       adversarial_mode, perturb_data, sample_design,
-                       sample_outputs, samples_to_csv)
+                   kernel_eval, rkhs_norm)
+from .sampling import (NoiseModel, PerturbationSpec, SampleSet, perturb_data,
+                       sample_design, sample_outputs)
 from .regularization import (Estimate, FilterSpec, KernelSolution, LossSpec,
-                             PenaltySpec, certify_filter,
-                             erm_representer_solve, estimator_learn,
-                             estimator_paper, kernel_tikhonov,
-                             rescale_for_landweber, solve_continuous)
+                             certify_filter, erm_representer_solve,
+                             estimator_learn, estimator_paper,
+                             kernel_tikhonov, solve_continuous)
 from .rates import (ConvertedRate, RateExponents, RateFit, RateLink,
                     convert_lower, convert_upper, delta_of, epsilon_lambda,
                     fit_rate, hs_norm, lambda_schedule, loss_factor_tau,
                     n_of, operator_norm, statistical_exponents)
 from .experiments import (StudyConfig, StudyReport, equivalence_deviations,
-                          run_study, spearman, write_report)
+                          run_study, write_report)
 
 __version__ = "0.1.0"

@@ -50,10 +50,9 @@ from . import streams
 from .errors import ValidationError
 from .rates import (RateFit, RateLink, convert_upper, delta_of, fit_rate,
                     lambda_schedule, statistical_exponents, hs_norm)
-from .regularization import (FilterSpec, LossSpec, PenaltySpec,
-                             erm_representer_solve, estimator_learn,
-                             kernel_tikhonov, solve_continuous,
-                             _paper_coeffs)
+from .regularization import (FilterSpec, LossSpec, erm_representer_solve,
+                             estimator_learn, kernel_tikhonov,
+                             solve_continuous, _paper_coeffs)
 from .rkhs import correspondence_pullback, rkhs_norm
 from .sampling import (NoiseModel, PerturbationSpec, perturb_data,
                        sample_design, sample_outputs, _add_noise)
@@ -81,8 +80,13 @@ _BATCH_CELLS = 640_000
 # by about 0.3 MB at 8,192 entries, 0.5 MB at 16,384 and 1.5 MB at 32,768.
 _CHUNK_CELLS = 16_384
 
+# equivalence_deviations: gradient-norm tolerance of the descent solver, and
+# the number of random draws for the isometry and pullback round trips.
+_ERM_TOL = 1e-12
+_EQUIVALENCE_DRAWS = 100
 
-def spearman(xs, ys):
+
+def _spearman(xs, ys):
     """Rank correlation of two equally long sequences."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -98,6 +102,18 @@ def _positive_finite(value):
     """True for a finite number > 0; booleans and strings are refused."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value) and value > 0)
+
+
+def _positive_int(value):
+    """True for an integer >= 1; booleans, floats and strings are refused."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= 1)
+
+
+def _increasing(values, valid):
+    """True for at least two entries, each ``valid``, strictly increasing."""
+    return (len(values) >= 2 and all(valid(v) for v in values)
+            and all(a < b for a, b in zip(values, values[1:])))
 
 
 @dataclass(frozen=True)
@@ -198,10 +214,9 @@ class StudyConfig:
         if self.design not in ("grid", "iid-uniform"):
             bad.append("design")
         needs_schedule = self.kind in ("stat-rate", "det-rate")
-        if needs_schedule and (self.schedule_c is None
-                               or self.schedule_exponent is None
-                               or self.schedule_c <= 0
-                               or self.schedule_exponent <= 0):
+        schedule_ok = (_positive_finite(self.schedule_c)
+                       and _positive_finite(self.schedule_exponent))
+        if needs_schedule and not schedule_ok:
             bad.append("schedule")
         w_spec = self.problem.get("w_spec")
         if needs_schedule and isinstance(w_spec, str) and w_spec == "ones":
@@ -209,24 +224,25 @@ class StudyConfig:
             # element, so the rate theory does not apply to it
             bad.append("problem.w_spec")
         if self.kind == "stat-rate":
-            if len(self.n_grid) < 2 or any(np.diff(self.n_grid) <= 0):
+            if not _increasing(self.n_grid, _positive_int):
                 bad.append("n_grid")
             if self.sigma <= 0:
                 bad.append("sigma")
         elif self.kind == "det-rate":
-            if len(self.delta_grid) < 2 or any(np.diff(self.delta_grid) <= 0):
+            if not _increasing(self.delta_grid, _positive_finite):
                 bad.append("delta_grid")
             if self.theory not in ("classical", "converted"):
                 bad.append("theory")
             if self.perturbation not in ("random-unit", "fixed-mode",
                                          "filter-adversarial"):
                 bad.append("perturbation")
-            if self.perturbation == "fixed-mode" and not self.perturbation_index:
+            if (self.perturbation == "fixed-mode"
+                    and not _positive_int(self.perturbation_index)):
                 bad.append("perturbation_index")
         elif self.kind == "lemma-check":
-            if not self.n or self.n < 1:
+            if not _positive_int(self.n):
                 bad.append("n")
-            if self.lam is None or self.lam <= 0:
+            if not _positive_finite(self.lam):
                 bad.append("lambda")
             if self.sigma <= 0:
                 bad.append("sigma")
@@ -237,14 +253,14 @@ class StudyConfig:
             # be echoed in the report without being used
             if self.design != "grid":
                 bad.append("design")
-            if len(self.n_grid) < 2 or any(np.diff(self.n_grid) <= 0):
+            if not _increasing(self.n_grid, _positive_int):
                 bad.append("n_grid")
-            if self.lam is None or self.lam <= 0:
+            if not _positive_finite(self.lam):
                 bad.append("lambda")
         elif self.kind == "equivalence-check":
-            if not self.n or self.n < 1:
+            if not _positive_int(self.n):
                 bad.append("n")
-            if self.lam is None or self.lam <= 0:
+            if not _positive_finite(self.lam):
                 bad.append("lambda")
         if bad:
             raise ValidationError(
@@ -422,7 +438,7 @@ def _run_stat_rate(config, started):
     if len(medians) > 4:
         # consistency criterion: past the first two grid points the median
         # error must be decreasing in n
-        corr = spearman(config.n_grid[2:], medians[2:])
+        corr = _spearman(config.n_grid[2:], medians[2:])
         checks.append(_check("median-error-decreasing", corr, "<=", -0.9))
     return _finish(config, points, fit, theory, checks, started)
 
@@ -532,7 +548,7 @@ def _run_gamma_study(config, started):
                        "err_se": 0.0, "h1_dist": h1})
     hk_values = [p["err_mean"] for p in points]
     agreement = max(abs(p["err_mean"] - p["h1_dist"]) for p in points)
-    corr = spearman([p["x"] for p in points], hk_values)
+    corr = _spearman([p["x"] for p in points], hk_values)
     checks = [
         _check("error-decreasing", corr, "<=", -0.9),
         _check("final-error-below-tenth", hk_values[-1],
@@ -545,8 +561,7 @@ def _run_gamma_study(config, started):
                    started=started)
 
 
-def equivalence_deviations(problem, samples, lam, seed=0,
-                           erm_tol=1e-12, draws=100):
+def equivalence_deviations(problem, samples, lam, seed=0):
     """Maximal relative deviations of the four equivalence properties.
 
     ``representer_oracle`` compares g, not beta (unidentifiable where K is
@@ -557,7 +572,7 @@ def equivalence_deviations(problem, samples, lam, seed=0,
     rng = streams.generator(seed, streams.GENERIC_STREAM)
     iso_dev = 0.0
     pullback_dev = 0.0
-    for _ in range(draws):
+    for _ in range(_EQUIVALENCE_DRAWS):
         f = rng.standard_normal(problem.size)
         g = forward_data(problem, f)
         iso_dev = max(iso_dev,
@@ -580,7 +595,7 @@ def equivalence_deviations(problem, samples, lam, seed=0,
     norm_dev = (abs(rkhs_norm(problem, kernel_side.g_coeffs) - f_norm)
                 / max(f_norm, 1e-300))
     erm = erm_representer_solve(problem, samples, LossSpec(kind="square"),
-                                PenaltySpec(), lam, tol=erm_tol)
+                                lam, tol=_ERM_TOL)
     erm_dev = (float(np.linalg.norm(erm.g_coeffs - kernel_side.g_coeffs))
                / max(g_norm, 1e-300))
     return {"isometry": iso_dev, "pullback_roundtrip": pullback_dev,

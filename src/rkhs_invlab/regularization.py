@@ -141,27 +141,12 @@ class FilterSpec:
         """s_lambda(mu_j) over the problem spectrum, validating the model."""
         if self.kind == "landweber" and problem.mu[0] > 1.0 + 1e-12:
             raise ModelError("landweber requires mu_1 <= 1; rescale the "
-                             "problem (see rescale_for_landweber)")
+                             "problem")
         return self._evaluate(problem.mu)
 
     def response(self, problem):
         """s_lambda(mu_j) sigma_j: singular values of s(B) A*."""
         return self.on_spectrum(problem) * problem.sigma_sv
-
-
-def rescale_for_landweber(problem):
-    """Return (problem with mu_1 = 1, scale) so Landweber applies.
-
-    The eigenvalues are divided by mu_1; ``scale`` records the divisor.
-    """
-    from .spectral_model import SpectralProblem
-    scale = float(problem.mu[0])
-    if scale <= 1.0:
-        return problem, 1.0
-    rescaled = SpectralProblem(mu=problem.mu / scale,
-                               decay_b=problem.decay_b,
-                               decay_d=problem.decay_d / scale)
-    return rescaled, scale
 
 
 def certify_filter(kind, problem, n_lambda=50, n_t=10_000):
@@ -204,18 +189,12 @@ class Estimate:
     delta: float | None = None
 
     def __post_init__(self):
-        allowed = ("continuous", "noisy-delta", "paper-n", "learn-n",
-                   "kernel-tikhonov", "erm")
+        allowed = ("continuous", "noisy-delta", "paper-n", "learn-n")
         if self.provenance not in allowed:
             raise ParameterError(f"unknown provenance: {self.provenance!r}")
         arr = np.asarray(self.coeffs, dtype=float).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
-
-    def to_dict(self):
-        return {"provenance": self.provenance, "lambda": self.lam,
-                "n_or_delta": self.n if self.n is not None else self.delta,
-                "coeffs": [float(c) for c in self.coeffs]}
 
 
 @dataclass(frozen=True)
@@ -225,32 +204,22 @@ class LossSpec:
     square: (w - y)^2, strictly convex.
     absolute: |w - y|, convex; the solver differentiates its pseudo-Huber
         smoothing with parameter ``smooth``.
-    gaussian-nll: (w - y)^2 / (2 scale^2), the shifted Gaussian negative
-        log-likelihood with known scale, strictly convex.
-    ``lipschitz`` records the constant used in continuity arguments (exact
-    for the absolute loss, data-range dependent otherwise).
     """
 
     kind: str
-    lipschitz: float | None = None
-    scale: float = 1.0
     smooth: float = 1e-6
 
     def __post_init__(self):
-        if self.kind not in ("square", "absolute", "gaussian-nll"):
+        if self.kind not in ("square", "absolute"):
             raise ParameterError(f"unknown loss kind: {self.kind!r}")
-        if self.scale <= 0.0 or self.smooth <= 0.0:
-            raise ParameterError("scale and smooth must be positive")
-        if self.lipschitz is None and self.kind == "absolute":
-            object.__setattr__(self, "lipschitz", 1.0)
+        if self.smooth <= 0.0:
+            raise ParameterError("smooth must be positive")
 
     def value(self, y, w):
         res = np.asarray(w, dtype=float) - np.asarray(y, dtype=float)
         if self.kind == "square":
             return res ** 2
-        if self.kind == "absolute":
-            return np.abs(res)
-        return res ** 2 / (2.0 * self.scale ** 2)
+        return np.abs(res)
 
     def smoothed_value(self, y, w):
         if self.kind != "absolute":
@@ -263,31 +232,12 @@ class LossSpec:
         res = np.asarray(w, dtype=float) - np.asarray(y, dtype=float)
         if self.kind == "square":
             return 2.0 * res
-        if self.kind == "absolute":
-            return res / np.sqrt(res ** 2 + self.smooth ** 2)
-        return res / self.scale ** 2
+        return res / np.sqrt(res ** 2 + self.smooth ** 2)
 
     def curvature_bound(self):
         if self.kind == "square":
             return 2.0
-        if self.kind == "absolute":
-            return 1.0 / self.smooth
-        return 1.0 / self.scale ** 2
-
-
-@dataclass(frozen=True)
-class PenaltySpec:
-    """Penalty psi(||g||): continuous, convex, strictly increasing on [0, inf)."""
-
-    psi: str = "square"
-
-    def __post_init__(self):
-        if self.psi != "square":
-            raise ParameterError("only the square penalty psi(t) = t^2 is "
-                                 "implemented")
-
-    def value(self, t):
-        return np.asarray(t, dtype=float) ** 2
+        return 1.0 / self.smooth
 
 
 class KernelSolution(NamedTuple):
@@ -374,12 +324,13 @@ def kernel_tikhonov(problem, samples, lam):
     return KernelSolution(beta=beta, g_coeffs=g_coeffs)
 
 
-def erm_representer_solve(problem, samples, loss, penalty, lam,
-                          tol=1e-10, max_iter=100_000):
+def erm_representer_solve(problem, samples, loss, lam, tol=1e-10,
+                          max_iter=100_000):
     """Minimize the penalized empirical risk over span{K_{x_i}} in J-space.
 
-    Works on f with feature rows Phi = u diag(sigma), fitted values Phi f
-    and squared norm ||f||^2 = ||g||_K^2; returns g = sigma * f.  Descent:
+    The penalty is the square lambda ||g||_K^2.  Works on f with feature
+    rows Phi = u diag(sigma), fitted values Phi f and squared norm
+    ||f||^2 = ||g||_K^2; returns g = sigma * f.  Descent:
     Barzilai-Borwein steps guarded by a nonmonotone Armijo backtracking line
     search from f = 0, until the gradient norm falls below ``tol``; else it
     raises a diagnostic error carrying the iteration trace.
@@ -389,8 +340,6 @@ def erm_representer_solve(problem, samples, loss, penalty, lam,
     """
     if lam < 0.0:
         raise ParameterError("lambda must be nonnegative")
-    if penalty.psi != "square":
-        raise ParameterError("solver requires the square penalty")
     n = samples.size
     phi = basis_matrix(problem, samples.design) * problem.sigma_sv
     y = samples.outputs

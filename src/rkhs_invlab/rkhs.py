@@ -12,7 +12,6 @@ the correspondence between a range element g and its preimage f reduces to
 the componentwise division f_j = g_j / sigma_j.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,12 +85,3 @@ def correspondence_pullback(problem, g_coeffs):
     if g_coeffs.shape != (problem.size,):
         raise ShapeError("coefficient length does not match the problem")
     return g_coeffs / problem.sigma_sv
-
-
-def gram_to_csv(gram, path):
-    """Write a Gram matrix as CSV, row-major, header = point list."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"{p:.17g}" for p in gram.points])
-        for row in gram.entries:
-            writer.writerow([f"{v:.17g}" for v in row])

@@ -17,7 +17,6 @@ replicate), so identical seeds give bit-identical samples on any platform
 and a replicate's draws do not depend on which replicates came before it.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,17 +168,3 @@ def perturb_data(problem, y, spec, seed=0, index=0):
         direction[int(np.argmax(spec.filter.response(problem)))] = 1.0
     return DataFunction(coeffs=y.coeffs + spec.delta * direction,
                         kind="perturbed", delta=float(spec.delta))
-
-
-def adversarial_mode(problem, filt):
-    """1-based index of the mode maximizing the response s(mu_j) sigma_j."""
-    return int(np.argmax(filt.response(problem))) + 1
-
-
-def samples_to_csv(samples, path):
-    """Write a sample set as CSV with columns (i, x, y)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["i", "x", "y"])
-        for i, (x, y) in enumerate(zip(samples.design, samples.outputs), 1):
-            writer.writerow([i, f"{x:.17g}", f"{y:.17g}"])

@@ -41,14 +41,11 @@ class SpectralProblem:
     mu: np.ndarray
     decay_b: float
     decay_d: float
-    basis: str = "sine"
 
     def __post_init__(self):
         mu = _frozen_array(self.mu)
         if mu.ndim != 1 or mu.size == 0:
             raise ShapeError("mu must be a nonempty 1-d sequence")
-        if self.basis != "sine":
-            raise ParameterError(f"unsupported basis tag: {self.basis!r}")
         if not np.all(mu > 0):
             raise ParameterError("all eigenvalues must be positive")
         if np.any(np.diff(mu) > 0):
@@ -187,14 +184,12 @@ def basis_matrix(problem, x):
     return out.T
 
 
-def eval_function(problem, coeffs, space, x):
+def eval_function(problem, coeffs, x):
     """Evaluate sum_j coeffs_j u_j(x) for x in [0, 1].
 
-    ``space`` is "input" or "output"; both sides share the sine basis, the
-    tag only records which side the coefficients came from.
+    Input and output space share the sine basis, so one evaluation serves
+    coefficients from either side.
     """
-    if space not in ("input", "output"):
-        raise ParameterError(f"unknown space tag: {space!r}")
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (problem.size,):
         raise ShapeError("coefficient length does not match the problem")

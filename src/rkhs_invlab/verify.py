@@ -1,9 +1,11 @@
 """Built-in property suite behind the ``verify`` CLI subcommand.
 
-Each check exercises one documented invariant of the library at a desk
-scale small enough that the whole suite runs in well under a minute.
-Checks are deterministic given the seed; each returns its name, a pass
-flag and a one-line numeric detail.
+``ALL_CHECKS`` is the one home of the library's desk-scale invariants:
+each check states one documented identity or bound together with its
+set-up and tolerance, and the unit tests keep edge cases, worked values
+and error paths only.  The whole suite runs in about a second.  Checks
+are deterministic given the seed; each returns its name, a pass flag and
+a one-line numeric detail.
 """
 
 import math
@@ -17,7 +19,8 @@ from .rates import (RateLink, delta_of, epsilon_lambda, fit_rate, hs_norm,
 from .regularization import (FilterSpec, certify_filter, estimator_learn,
                              estimator_paper, kernel_tikhonov,
                              solve_continuous)
-from .rkhs import gram_matrix, kernel_eval, rkhs_norm
+from .rkhs import (correspondence_pullback, gram_matrix, kernel_eval,
+                   rkhs_norm)
 from .sampling import (NoiseModel, PerturbationSpec, perturb_data,
                        sample_design, sample_outputs)
 from .spectral_model import (DataFunction, basis_matrix,
@@ -70,9 +73,13 @@ def check_forward_linearity(seed):
     f, g = rng.standard_normal(60), rng.standard_normal(60)
     alpha = 1.3721
     lhs = forward_data(problem, alpha * f + g).coeffs
-    rhs = alpha * forward_data(problem, f).coeffs + forward_data(problem, g).coeffs
-    rel = float(np.max(np.abs(lhs - rhs)) / max(np.max(np.abs(rhs)), 1e-300))
-    return _result("forward-linearity", rel <= 1e-14, f"rel={rel:.2e}")
+    af = alpha * forward_data(problem, f).coeffs
+    ag = forward_data(problem, g).coeffs
+    # per element, so a small coordinate cannot hide behind a large one, and
+    # relative to the summands: where they cancel, rounding the sum alone
+    # exceeds 1e-14 of |af + ag| (1.5e-14 at seed 9)
+    rel = float(np.max(np.abs(lhs - (af + ag)) / (np.abs(af) + np.abs(ag))))
+    return _result("forward-linearity", rel <= 1e-14, f"max rel={rel:.2e}")
 
 
 def check_partial_isometry(seed):
@@ -94,7 +101,7 @@ def check_reproducing_property(seed):
     for _ in range(25):
         g = rng.standard_normal(50)
         x = float(rng.random())
-        direct = eval_function(problem, g, "output", x)
+        direct = eval_function(problem, g, x)
         u = basis_matrix(problem, x)[0]
         series = float(np.sum(g * u))
         pairing = float(np.sum(g * (problem.mu * u) / problem.mu))
@@ -108,30 +115,34 @@ def check_gram_psd(seed):
     problem = build_power_law_problem(40, 2.0, 1.0)
     rng = streams.generator(seed, streams.GENERIC_STREAM, 5)
     worst = np.inf
+    asymmetry = 0.0
     for _ in range(50):
         n = int(rng.integers(1, 21))
         gram = gram_matrix(problem, rng.random(n))
         eigs = np.linalg.eigvalsh(gram.entries)
         worst = min(worst, eigs[0] + 1e-10 * max(eigs[-1], 0.0))
-    return _result("gram-positive-semidefinite", worst >= 0.0,
-                   f"worst margin={worst:.2e}")
+        asymmetry = max(asymmetry,
+                        float(np.max(np.abs(gram.entries - gram.entries.T))))
+    return _result("gram-positive-semidefinite",
+                   worst >= 0.0 and asymmetry <= 1e-14,
+                   f"worst margin={worst:.2e}, asymmetry={asymmetry:.1e}")
 
 
 def check_unitary_invariance(seed):
     problem = build_power_law_problem(30, 2.0, 1.0)
     rng = streams.generator(seed, streams.GENERIC_STREAM, 6)
-    x, x2 = float(rng.random()), float(rng.random())
-    u = basis_matrix(problem, x)[0]
-    u2 = basis_matrix(problem, x2)[0]
-    phi = problem.sigma_sv * u
-    phi2 = problem.sigma_sv * u2
-    perm = rng.permutation(30)
-    signs = np.where(rng.random(30) < 0.5, -1.0, 1.0)
-    rotated = float(np.sum((signs * phi[perm]) * (signs * phi2[perm])))
-    direct = kernel_eval(problem, x, x2)
-    gap = abs(rotated - direct) / max(1.0, abs(direct))
+    gap = 0.0
+    for _ in range(10):
+        x, x2 = float(rng.random()), float(rng.random())
+        phi = problem.sigma_sv * basis_matrix(problem, x)[0]
+        phi2 = problem.sigma_sv * basis_matrix(problem, x2)[0]
+        perm = rng.permutation(30)
+        signs = np.where(rng.random(30) < 0.5, -1.0, 1.0)
+        rotated = float(np.sum((signs * phi[perm]) * (signs * phi2[perm])))
+        direct = kernel_eval(problem, x, x2)
+        gap = max(gap, abs(rotated - direct) / max(1.0, abs(direct)))
     return _result("feature-map-unitary-quotient", gap <= 1e-12,
-                   f"gap={gap:.2e}")
+                   f"max gap={gap:.2e}")
 
 
 def check_perturbation_norms(seed):
@@ -139,6 +150,7 @@ def check_perturbation_norms(seed):
     y = forward_data(problem, truth.coeffs)
     filt = FilterSpec.tikhonov(0.05)
     worst = 0.0
+    recorded = True
     for spec in (PerturbationSpec(delta=0.37, mode="random-unit"),
                  PerturbationSpec(delta=0.37, mode="fixed-mode", index=3),
                  PerturbationSpec(delta=0.37, mode="filter-adversarial",
@@ -146,8 +158,9 @@ def check_perturbation_norms(seed):
         y_delta = perturb_data(problem, y, spec, seed)
         worst = max(worst, abs(float(np.linalg.norm(y_delta.coeffs - y.coeffs))
                                - 0.37))
-    return _result("perturbation-norm-exact", worst <= 1e-14,
-                   f"max dev={worst:.2e}")
+        recorded = recorded and y_delta.delta == 0.37
+    return _result("perturbation-norm-exact", worst <= 1e-14 and recorded,
+                   f"max dev={worst:.2e}, delta recorded={recorded}")
 
 
 def check_reproducibility(seed):
@@ -171,7 +184,7 @@ def check_riemann_slope(seed):
     points = []
     for n in (4, 8, 16, 32):
         grid = sample_design("grid", n)
-        emp = float(np.mean(eval_function(problem, y.coeffs, "output", grid) ** 2))
+        emp = float(np.mean(eval_function(problem, y.coeffs, grid) ** 2))
         points.append((n, abs(emp - exact)))
     slope = fit_rate(points).slope
     return _result("grid-riemann-order", -2.6 <= slope <= -1.6,
@@ -182,7 +195,7 @@ def check_filter_certificates(seed):
     problem = build_power_law_problem(100, 2.0, 1.0)
     worst = np.inf
     for kind in ("tikhonov", "cutoff", "landweber"):
-        margins = certify_filter(kind, problem, n_lambda=20, n_t=2000)
+        margins = certify_filter(kind, problem, n_lambda=25, n_t=2500)
         worst = min(worst, min(margins.values()))
     return _result("filter-certificates", worst >= -1e-12,
                    f"worst margin={worst:.2e}")
@@ -204,11 +217,14 @@ def check_methods_equivalence(seed):
         learn = estimator_learn(problem, FilterSpec.tikhonov(lam), samples)
         kernel_side = kernel_tikhonov(problem, samples, lam)
         push = forward_data(problem, learn.coeffs).coeffs
+        pulled = correspondence_pullback(problem, kernel_side.g_coeffs)
+        f_norm = float(np.linalg.norm(learn.coeffs))
         worst = max(worst, float(np.linalg.norm(push - kernel_side.g_coeffs))
                     / float(np.linalg.norm(kernel_side.g_coeffs)))
+        worst = max(worst, float(np.linalg.norm(pulled - learn.coeffs))
+                    / f_norm)
         worst = max(worst, abs(rkhs_norm(problem, kernel_side.g_coeffs)
-                               - float(np.linalg.norm(learn.coeffs)))
-                    / float(np.linalg.norm(learn.coeffs)))
+                               - f_norm) / f_norm)
     return _result("kernel-vs-parameter-tikhonov", worst <= 1e-10,
                    f"max rel={worst:.2e}")
 
@@ -244,23 +260,27 @@ def check_representer_limit(seed):
 
 def check_rate_identities(seed):
     rng = streams.generator(seed, streams.GENERIC_STREAM, 10)
-    ns = np.arange(1, 10_001)
+    # five random links and one with sigma/eps = 1/60, where Delta(n) must
+    # be the rationalised quotient: sqrt(v + eps^2) - eps cancels, and
+    # N(Delta(n)) then misses n by up to 8e-9 relative on n <= 10^4
+    links = [RateLink(sigma=float(rng.uniform(0.05, 2.0)),
+                      epsilon=float(rng.uniform(0.0, 2.0)), lam=1.0)
+             for _ in range(5)]
+    links.append(RateLink(sigma=0.05, epsilon=3.0, lam=1.0))
     worst_conj = 0.0
     worst_inv = 0.0
-    for _ in range(50):
-        link = RateLink(sigma=float(rng.uniform(0.05, 2.0)),
-                        epsilon=float(rng.uniform(0.0, 2.0)),
-                        lam=1.0)
-        v = link.sigma ** 2 / ns
-        delta = v / (np.sqrt(v + link.epsilon ** 2) + link.epsilon)
-        conj = np.sqrt(v + link.epsilon ** 2) - link.epsilon
-        worst_conj = max(worst_conj, float(np.max(np.abs(delta - conj)
-                                                  / np.maximum(1.0, v))))
-        back = link.sigma ** 2 / (delta ** 2 + 2 * delta * link.epsilon)
-        worst_inv = max(worst_inv, float(np.max(np.abs(back - ns) / ns)))
-    single = delta_of(100, RateLink(sigma=0.5, epsilon=0.25, lam=0.1))
-    n_back, _ = n_of(single, RateLink(sigma=0.5, epsilon=0.25, lam=0.1))
-    ok = worst_conj <= 1e-12 and worst_inv <= 1e-9 and abs(n_back - 100) <= 1e-7
+    floors = True
+    for link in links:
+        sigma2, eps = link.sigma ** 2, link.epsilon
+        for n in range(1, 10_001):
+            delta = delta_of(n, link)
+            v = sigma2 / n
+            worst_conj = max(worst_conj, abs(delta - (math.sqrt(v + eps * eps)
+                                                      - eps)) / max(1.0, v))
+            back, floor = n_of(delta, link)
+            worst_inv = max(worst_inv, abs(back - n) / n)
+            floors = floors and floor in (n - 1, n)
+    ok = worst_conj <= 1e-12 and worst_inv <= 1e-9 and floors
     return _result("sample-noise-bridge-identities", ok,
                    f"conj={worst_conj:.1e}, inverse={worst_inv:.1e}")
 
@@ -268,7 +288,7 @@ def check_rate_identities(seed):
 def check_loss_factors(seed):
     taus = [(r, b, loss_factor_tau(r, b, "general"),
              loss_factor_tau(r, b, "tikhonov"))
-            for r in (0.5, 1.0, 2.0) for b in (1.5, 2.0, 4.0)]
+            for r in (0.5, 1.0, 2.0, 3.0) for b in (1.1, 1.5, 2.0, 4.0, 10.0)]
     bounded = all(1.0 < tg < 2.0 and 1.0 < tt < 3.0 for _, _, tg, tt in taus)
     asymptote = abs(loss_factor_tau(1.0, 1e3, "general") - 1.0) <= 1e-3
     return _result("loss-factor-bounds", bounded and asymptote,

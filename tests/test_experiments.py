@@ -273,6 +273,25 @@ BAD_FIELDS = {
                            ("null", None))},
     "tolerances-number": (dict(det_rate_raw("tikhonov"), tolerances=5),
                           "tolerances"),
+    # a value of the wrong type is named, not compared into a TypeError
+    "lambda-string": (dict(KERNEL_STUDIES["equivalence-check"],
+                           **{"lambda": "abc"}), "lambda"),
+    "n-string": (dict(KERNEL_STUDIES["equivalence-check"], n="ten"), "n"),
+    "n-bool": (dict(KERNEL_STUDIES["equivalence-check"], n=True), "n"),
+    "n_grid-strings": (dict(KERNEL_STUDIES["gamma-study"],
+                            n_grid=["a", "b"]), "n_grid"),
+    "delta_grid-strings": (dict(det_rate_raw("tikhonov"),
+                                delta_grid=["a", "b"]), "delta_grid"),
+    "schedule-c-string": (dict(det_rate_raw("tikhonov"),
+                               schedule={"c": "x", "exponent": 0.5}),
+                          "schedule"),
+    "schedule-exponent-string": (dict(det_rate_raw("tikhonov"),
+                                      schedule={"c": 1.0, "exponent": "x"}),
+                                 "schedule"),
+    "perturbation_index-string": (dict(det_rate_raw("tikhonov"),
+                                       perturbation="fixed-mode",
+                                       perturbation_index="abc"),
+                                  "perturbation_index"),
 }
 
 

@@ -1,4 +1,9 @@
-"""Filters, the four solution objects, kernel solves and the descent solver."""
+"""Filters, the four solution objects, kernel solves and the descent solver.
+
+A test named after an invariant of ``verify.ALL_CHECKS`` only runs that
+check, at a second seed where the check draws random inputs; the check
+holds the invariant's set-up and tolerance.
+"""
 
 import math
 
@@ -7,15 +12,13 @@ import numpy.testing as npt
 import pytest
 
 from rkhs_invlab import (ConvergenceError, DomainError, FilterSpec, LossSpec,
-                         ModelError, NoiseModel, ParameterError, PenaltySpec,
+                         ModelError, NoiseModel, ParameterError,
                          PerturbationSpec, SampleSet, basis_matrix,
-                         build_power_law_problem, certify_filter,
-                         correspondence_pullback, erm_representer_solve,
+                         build_power_law_problem, erm_representer_solve,
                          estimator_learn, estimator_paper, fit_rate,
                          forward_data, gram_matrix, kernel_tikhonov,
-                         make_source_solution, perturb_data,
-                         rescale_for_landweber, rkhs_norm, sample_design,
-                         sample_outputs, solve_continuous)
+                         make_source_solution, perturb_data, sample_design,
+                         sample_outputs, solve_continuous, verify)
 
 
 def clean_samples(problem, truth, design, scheme="iid-uniform"):
@@ -48,6 +51,9 @@ class TestFilterValue:
             FilterSpec.tikhonov(1.0).value(0.0)
         with pytest.raises(ModelError):
             FilterSpec.landweber(3).value(1.5)
+        with pytest.raises(ModelError):
+            FilterSpec.landweber(3).on_spectrum(
+                build_power_law_problem(10, 2.0, 4.0))
         with pytest.raises(ParameterError):
             FilterSpec.tikhonov(0.0)
         with pytest.raises(ParameterError):
@@ -61,22 +67,11 @@ class TestFilterValue:
                 direct = sum((1.0 - t) ** k for k in range(m))
                 assert filt.value(float(t)) == pytest.approx(direct, rel=1e-10)
 
-    def test_rescale_helper(self):
-        problem = build_power_law_problem(10, 2.0, 4.0)
-        rescaled, scale = rescale_for_landweber(problem)
-        assert scale == 4.0
-        assert rescaled.mu[0] == pytest.approx(1.0)
-        small = build_power_law_problem(10, 2.0, 0.5)
-        same, one = rescale_for_landweber(small)
-        assert one == 1.0 and same is small
-
 
 class TestFilterCertificates:
     def test_all_kinds_certify(self):
-        problem = build_power_law_problem(100, 2.0, 1.0)
-        for kind in ("tikhonov", "cutoff", "landweber"):
-            margins = certify_filter(kind, problem, n_lambda=25, n_t=2500)
-            assert min(margins.values()) >= -1e-12, (kind, margins)
+        result = verify.check_filter_certificates(0)
+        assert result.passed, result.detail
 
 
 class TestSolveContinuous:
@@ -279,20 +274,8 @@ class TestKernelTikhonov:
         npt.assert_allclose(solution.beta, [math.sqrt(2.0) / 3.0], rtol=1e-14)
 
     def test_pullback_matches_estimator_learn(self):
-        problem = build_power_law_problem(40, 2.0, 1.0)
-        truth = make_source_solution(problem, 1.0,
-                                     np.arange(1, 41, dtype=float) ** -1.0)
-        rng = np.random.default_rng(43)
-        design = rng.random(15)
-        samples = clean_samples(problem, truth, design)
-        lam = 0.2
-        solution = kernel_tikhonov(problem, samples, lam)
-        learn = estimator_learn(problem, FilterSpec.tikhonov(lam), samples)
-        pulled = correspondence_pullback(problem, solution.g_coeffs)
-        scale = float(np.linalg.norm(learn.coeffs))
-        assert np.linalg.norm(pulled - learn.coeffs) <= 1e-10 * scale
-        # range norm of g agrees with the parameter-space norm of the pullback
-        assert abs(rkhs_norm(problem, solution.g_coeffs) - scale) <= 1e-10 * scale
+        result = verify.check_methods_equivalence(43)
+        assert result.passed, result.detail
 
     def test_rejects_nonpositive_lambda(self, two_mode):
         problem, truth = two_mode
@@ -302,35 +285,12 @@ class TestKernelTikhonov:
             kernel_tikhonov(problem, samples, 0.0)
 
     def test_interpolation_limit(self):
-        # lambda -> 0 drives the fitted values onto the data
-        problem = build_power_law_problem(60, 1.5, 1.0)
-        truth = make_source_solution(problem, 1.0,
-                                     np.arange(1, 61, dtype=float) ** -1.0)
-        rng = np.random.default_rng(47)
-        n = 12
-        design = (np.arange(1, n + 1) - 0.5) / n + rng.uniform(-0.2, 0.2, n) / n
-        samples = clean_samples(problem, truth, design)
-        gram = gram_matrix(problem, design)
-        scale = float(np.trace(gram.entries)) / n
-        solution = kernel_tikhonov(problem, samples, 1e-10 * scale)
-        residual = np.max(np.abs(samples.outputs
-                                 - gram.entries @ solution.beta))
-        assert residual <= 1e-6
+        result = verify.check_representer_limit(47)
+        assert result.passed, result.detail
 
     def test_small_lambda_cauchy(self):
-        problem = build_power_law_problem(50, 1.5, 1.0)
-        truth = make_source_solution(problem, 1.0,
-                                     np.arange(1, 51, dtype=float) ** -1.0)
-        rng = np.random.default_rng(53)
-        n = 10
-        design = (np.arange(1, n + 1) - 0.5) / n + rng.uniform(-0.2, 0.2, n) / n
-        samples = clean_samples(problem, truth, design)
-        scale = float(np.trace(gram_matrix(problem, design).entries)) / n
-        lams = [1e-2 * scale, 1e-4 * scale, 1e-6 * scale, 1e-8 * scale]
-        betas = [kernel_tikhonov(problem, samples, lam).beta for lam in lams]
-        gaps = [float(np.linalg.norm(b2 - b1))
-                for b1, b2 in zip(betas, betas[1:])]
-        assert all(g2 <= g1 for g1, g2 in zip(gaps, gaps[1:]))
+        result = verify.check_representer_limit(53)
+        assert result.passed, result.detail
 
 
 class TestErmRepresenterSolve:
@@ -346,7 +306,7 @@ class TestErmRepresenterSolve:
                                  seed=59, scheme="iid-uniform")
         lam = 0.15
         solution = erm_representer_solve(problem, samples, LossSpec("square"),
-                                         PenaltySpec(), lam, tol=1e-12)
+                                         lam, tol=1e-12)
         oracle = kernel_tikhonov(problem, samples, lam)
         rel = (np.linalg.norm(solution.g_coeffs - oracle.g_coeffs)
                / np.linalg.norm(oracle.g_coeffs))
@@ -359,7 +319,7 @@ class TestErmRepresenterSolve:
                             outputs=np.zeros(3), scheme="iid-uniform",
                             noise=NoiseModel(), seed=0)
         solution = erm_representer_solve(problem, samples, LossSpec("square"),
-                                         PenaltySpec(), 0.3)
+                                         0.3)
         npt.assert_array_equal(solution.g_coeffs, np.zeros(10))
         assert solution.diagnostics["iterations"] == 0
 
@@ -379,8 +339,8 @@ class TestErmRepresenterSolve:
         target = grid[int(np.argmin(scan))]
         assert abs(target - 1.0) <= 1e-3  # median of (1, 1, 5)
         solution = erm_representer_solve(problem, samples,
-                                         LossSpec("absolute"), PenaltySpec(),
-                                         lam, tol=1e-9, max_iter=200_000)
+                                         LossSpec("absolute"), lam, tol=1e-9,
+                                         max_iter=200_000)
         fitted = basis_matrix(problem, design) @ solution.g_coeffs
         assert abs(fitted[0] - target) <= 1e-3
 
@@ -391,26 +351,10 @@ class TestErmRepresenterSolve:
         samples = SampleSet(design=design, outputs=outputs,
                             scheme="iid-uniform", noise=NoiseModel(), seed=0)
         solution = erm_representer_solve(problem, samples,
-                                         LossSpec("absolute"), PenaltySpec(),
-                                         1e-10, tol=1e-9, max_iter=400_000)
+                                         LossSpec("absolute"), 1e-10,
+                                         tol=1e-9, max_iter=400_000)
         fitted = basis_matrix(problem, design) @ solution.g_coeffs
         npt.assert_allclose(fitted, outputs, atol=2e-3)
-
-    def test_gaussian_nll_matches_square(self):
-        # (w - y)^2 / (2 s^2) has the same minimizer as the square loss at
-        # penalty lambda' = lambda * 2 s^2
-        problem = build_power_law_problem(15, 2.0, 1.0)
-        truth = make_source_solution(problem, 1.0,
-                                     np.arange(1, 16, dtype=float) ** -1.0)
-        design = np.array([0.15, 0.4, 0.65, 0.9])
-        samples = clean_samples(problem, truth, design)
-        scale = 0.7
-        lam = 0.05
-        nll = erm_representer_solve(problem, samples,
-                                    LossSpec("gaussian-nll", scale=scale),
-                                    PenaltySpec(), lam, tol=1e-12)
-        oracle = kernel_tikhonov(problem, samples, lam * 2.0 * scale ** 2)
-        npt.assert_allclose(nll.g_coeffs, oracle.g_coeffs, rtol=1e-6)
 
     def test_grid_solve_converges_in_few_iterations(self):
         # the J-space objective is 2 lambda-strongly convex, so the descent
@@ -422,7 +366,7 @@ class TestErmRepresenterSolve:
         samples = clean_samples(problem, truth, sample_design("grid", 400),
                                 scheme="grid")
         solution = erm_representer_solve(problem, samples, LossSpec("square"),
-                                         PenaltySpec(), 1e-3, tol=1e-12)
+                                         1e-3, tol=1e-12)
         assert solution.diagnostics["iterations"] < 1_000
         oracle = kernel_tikhonov(problem, samples, 1e-3)
         rel = (np.linalg.norm(solution.g_coeffs - oracle.g_coeffs)
@@ -436,7 +380,7 @@ class TestErmRepresenterSolve:
                             scheme="iid-uniform", noise=NoiseModel(), seed=0)
         with pytest.raises(ConvergenceError) as info:
             erm_representer_solve(problem, samples, LossSpec("square"),
-                                  PenaltySpec(), 0.1, tol=1e-30, max_iter=3)
+                                  0.1, tol=1e-30, max_iter=3)
         assert len(info.value.trace) >= 1
 
     def test_rejects_negative_lambda(self):
@@ -444,15 +388,14 @@ class TestErmRepresenterSolve:
         samples = SampleSet(design=np.array([0.3]), outputs=np.array([1.0]),
                             scheme="iid-uniform", noise=NoiseModel(), seed=0)
         with pytest.raises(ParameterError):
-            erm_representer_solve(problem, samples, LossSpec("square"),
-                                  PenaltySpec(), -0.1)
+            erm_representer_solve(problem, samples, LossSpec("square"), -0.1)
 
 
 class TestLossAndPenaltySpecs:
     def test_losses_vanish_on_diagonal(self):
         rng = np.random.default_rng(61)
         y = rng.standard_normal(50)
-        for kind in ("square", "absolute", "gaussian-nll"):
+        for kind in ("square", "absolute"):
             loss = LossSpec(kind)
             npt.assert_allclose(loss.value(y, y), np.zeros(50), atol=1e-15)
             assert np.all(loss.value(y, y + rng.standard_normal(50)) >= 0.0)
@@ -460,8 +403,7 @@ class TestLossAndPenaltySpecs:
     def test_convexity_midpoint(self):
         rng = np.random.default_rng(67)
         y = 0.3
-        for kind, strict in (("square", True), ("absolute", False),
-                             ("gaussian-nll", True)):
+        for kind, strict in (("square", True), ("absolute", False)):
             loss = LossSpec(kind)
             for _ in range(100):
                 w1, w2 = rng.uniform(-5, 5, 2)
@@ -470,12 +412,6 @@ class TestLossAndPenaltySpecs:
                 assert mid <= chord + 1e-12
                 if strict and abs(w1 - w2) > 1e-6:
                     assert mid < chord + 1e-12
-
-    def test_penalty_square_only(self):
-        penalty = PenaltySpec()
-        assert penalty.value(3.0) == 9.0
-        with pytest.raises(ParameterError):
-            PenaltySpec(psi="absolute")
 
     def test_unknown_loss(self):
         with pytest.raises(ParameterError):

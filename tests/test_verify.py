@@ -1,4 +1,11 @@
-"""The built-in property suite and the command line, run from pytest."""
+"""The built-in property suite and the command line, run from pytest.
+
+``verify.ALL_CHECKS`` is the one home of the desk-scale invariants, and
+``test_check_passes`` runs each of them at the ``verify`` seed.  Unit tests
+elsewhere keep edge cases, worked values and error paths; one named after
+an invariant only runs its check, at a second seed where the check draws
+random inputs.
+"""
 
 import os
 import subprocess
