@@ -10,16 +10,15 @@ noise-level rates can be verified by slope-fitted Monte-Carlo studies.
 from .errors import (ConvergenceError, DomainError, InvlabError, ModelError,
                      NumericalError, ParameterError, ShapeError,
                      ValidationError)
-from .spectral_model import (DataFunction, GroundTruth, SpectralProblem,
-                             basis_matrix, build_power_law_problem,
-                             eval_function, forward_data,
-                             make_source_solution, problem_from_descriptor,
-                             problem_to_descriptor, resolve_w_spec)
+from .spectral_model import (SpectralProblem, basis_matrix,
+                             build_power_law_problem, eval_function,
+                             forward_data, make_source_solution,
+                             problem_from_descriptor, resolve_w_spec)
 from .rkhs import (GramMatrix, correspondence_pullback, gram_matrix,
                    kernel_eval, rkhs_norm)
 from .sampling import (NoiseModel, PerturbationSpec, SampleSet, perturb_data,
                        sample_design, sample_outputs)
-from .regularization import (Estimate, FilterSpec, KernelSolution, LossSpec,
+from .regularization import (FilterSpec, KernelSolution, LossSpec,
                              certify_filter, erm_representer_solve,
                              estimator_learn, estimator_paper,
                              kernel_tikhonov, solve_continuous)

@@ -27,6 +27,18 @@ from .regularization import FilterSpec
 from .spectral_model import build_power_law_problem
 
 
+def _positive_count(text):
+    """argparse type of a count >= 1; anything else exits 2 at parsing."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got "
+                                         f"{text!r}")
+    return value
+
+
 def _parse_override(raw):
     if "=" not in raw:
         raise ValueError(f"override {raw!r} is not KEY=VALUE")
@@ -185,7 +197,7 @@ def build_parser():
     info_p.add_argument("--J", type=int, default=100)
     info_p.add_argument("--b", type=float, default=2.0)
     info_p.add_argument("--d", type=float, default=1.0)
-    info_p.add_argument("--lambda-points", type=int, default=9)
+    info_p.add_argument("--lambda-points", type=_positive_count, default=9)
     info_p.set_defaults(handler=_cmd_info)
     return parser
 

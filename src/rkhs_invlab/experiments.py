@@ -61,6 +61,11 @@ from .spectral_model import (basis_matrix, forward_data,
 
 _KINDS = ("stat-rate", "det-rate", "lemma-check", "gamma-study",
           "equivalence-check")
+_FILTERS = ("tikhonov", "cutoff", "landweber")
+
+# Config entries converted with dict() or tuple(), and the types they need.
+_CONTAINERS = {"problem": dict, "schedule": dict, "tolerances": dict,
+               "n_grid": (list, tuple), "delta_grid": (list, tuple)}
 
 # Basis entries (points times modes) one iid batch evaluates at once.  At
 # J = 200 on a 2-core Xeon, basis_matrix costs 7-10 ns per entry at 400
@@ -104,10 +109,21 @@ def _positive_finite(value):
             and math.isfinite(value) and value > 0)
 
 
+def _is_int(value):
+    """True for an integer; booleans, floats and strings are refused."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _positive_int(value):
     """True for an integer >= 1; booleans, floats and strings are refused."""
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and value >= 1)
+    return _is_int(value) and value >= 1
+
+
+def _invalid(fields):
+    """The ValidationError naming each of ``fields`` once, sorted."""
+    fields = sorted(set(fields))
+    return ValidationError(
+        f"invalid study config, offending fields: {fields}", fields)
 
 
 def _increasing(values, valid):
@@ -141,6 +157,9 @@ class StudyConfig:
 
     @staticmethod
     def from_dict(raw):
+        if not isinstance(raw, dict):
+            raise ValidationError("a study config must be a JSON object",
+                                  ["config"])
         known = {
             "kind", "problem", "filter", "design", "sigma", "n_grid",
             "delta_grid", "schedule", "lambda", "n", "perturbation",
@@ -150,17 +169,26 @@ class StudyConfig:
         bad = sorted(set(raw) - known)
         if bad:
             raise ValidationError(f"unknown config keys: {bad}", bad)
+        # types are checked before anything is converted, so a value of the
+        # wrong type is named instead of raising out of float() or dict()
+        bad = [key for key, kind in _CONTAINERS.items()
+               if raw.get(key) is not None and not isinstance(raw[key], kind)]
+        sigma = raw.get("sigma", 0.0)
+        if not isinstance(sigma, (int, float)) or isinstance(sigma, bool):
+            bad.append("sigma")
+        if not _positive_int(raw.get("replicates", 1)):
+            bad.append("replicates")
+        if not _is_int(raw.get("seed", 0)):
+            bad.append("seed")
+        if bad:
+            raise _invalid(bad)
         schedule = raw.get("schedule") or {}
-        tolerances = raw.get("tolerances") or {}
-        if not isinstance(tolerances, dict):
-            raise ValidationError("tolerances must be an object of "
-                                  "name: number", ["tolerances"])
         config = StudyConfig(
             kind=raw.get("kind", ""),
             problem=dict(raw.get("problem") or {}),
             filter_kind=raw.get("filter", "tikhonov"),
             design=raw.get("design", "grid"),
-            sigma=float(raw.get("sigma", 0.0)),
+            sigma=float(sigma),
             n_grid=tuple(raw.get("n_grid") or ()),
             delta_grid=tuple(raw.get("delta_grid") or ()),
             schedule_c=schedule.get("c"),
@@ -171,9 +199,9 @@ class StudyConfig:
             perturbation_index=raw.get("perturbation_index"),
             theory=raw.get("theory", "classical"),
             gamma=raw.get("gamma"),
-            replicates=int(raw.get("replicates", 1)),
-            seed=int(raw.get("seed", 0)),
-            tolerances=dict(tolerances),
+            replicates=raw.get("replicates", 1),
+            seed=raw.get("seed", 0),
+            tolerances=dict(raw.get("tolerances") or {}),
         )
         config.validate()
         return config
@@ -204,11 +232,18 @@ class StudyConfig:
         bad = []
         if self.kind not in _KINDS:
             bad.append("kind")
-        for key in ("J", "b", "d", "r", "w_spec"):
-            if key not in self.problem:
+        for key, valid in (("J", _positive_int), ("b", _positive_finite),
+                           ("d", _positive_finite), ("r", _positive_finite),
+                           ("w_spec",
+                            lambda v: isinstance(v, (str, list, tuple)))):
+            if not valid(self.problem.get(key)):
                 bad.append(f"problem.{key}")
-        if self.replicates < 1:
+        if self.gamma is not None and not _positive_finite(self.gamma):
+            bad.append("gamma")
+        if not _positive_int(self.replicates):
             bad.append("replicates")
+        if self.filter_kind not in _FILTERS:
+            bad.append("filter")
         if not all(_positive_finite(v) for v in self.tolerances.values()):
             bad.append("tolerances")
         if self.design not in ("grid", "iid-uniform"):
@@ -226,7 +261,7 @@ class StudyConfig:
         if self.kind == "stat-rate":
             if not _increasing(self.n_grid, _positive_int):
                 bad.append("n_grid")
-            if self.sigma <= 0:
+            if not _positive_finite(self.sigma):
                 bad.append("sigma")
         elif self.kind == "det-rate":
             if not _increasing(self.delta_grid, _positive_finite):
@@ -244,9 +279,9 @@ class StudyConfig:
                 bad.append("n")
             if not _positive_finite(self.lam):
                 bad.append("lambda")
-            if self.sigma <= 0:
+            if not _positive_finite(self.sigma):
                 bad.append("sigma")
-            if self.replicates < 2:
+            if not (_positive_int(self.replicates) and self.replicates >= 2):
                 bad.append("replicates")
         elif self.kind == "gamma-study":
             # the study samples the midpoint grid; any other design would
@@ -263,9 +298,7 @@ class StudyConfig:
             if not _positive_finite(self.lam):
                 bad.append("lambda")
         if bad:
-            raise ValidationError(
-                f"invalid study config, offending fields: {sorted(set(bad))}",
-                sorted(set(bad)))
+            raise _invalid(bad)
 
 
 @dataclass
@@ -328,13 +361,12 @@ def _check(name, value, op, threshold):
 
 
 def _filter_for(kind, lam):
+    """The filter of a validated config: ``kind`` is one of _FILTERS."""
     if kind == "tikhonov":
         return FilterSpec.tikhonov(lam)
     if kind == "cutoff":
         return FilterSpec.cutoff(lam)
-    if kind == "landweber":
-        return FilterSpec.landweber(max(1, round(1.0 / lam)))
-    raise ValidationError(f"unknown filter kind: {kind!r}", ["filter"])
+    return FilterSpec.landweber(max(1, round(1.0 / lam)))
 
 
 def _problem_of(config):
@@ -370,7 +402,7 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
     designs as fit in _BATCH_CELLS basis entries, at least one.
     """
     noise = NoiseModel(kind="gaussian", sigma=config.sigma)
-    y = forward_data(problem, truth.coeffs).coeffs
+    y = forward_data(problem, truth)
     response = filt.response(problem)
     out = np.empty((len(indices), problem.size))
 
@@ -418,7 +450,7 @@ def _run_stat_rate(config, started):
         # the heap and raise the peak resident memory of the next point
         sq_err = _replicate_coeffs(config, problem, truth, filt, n,
                                    range(first, first + replicates))
-        sq_err -= truth.coeffs
+        sq_err -= truth
         sq_err **= 2
         errors = sq_err.sum(axis=1)
         points.append({
@@ -445,7 +477,7 @@ def _run_stat_rate(config, started):
 
 def _run_det_rate(config, started):
     problem, truth = _problem_of(config)
-    y_clean = forward_data(problem, truth.coeffs)
+    y_clean = forward_data(problem, truth)
     points = []
     for point_idx, delta in enumerate(config.delta_grid):
         lam = lambda_schedule("by-delta", config.schedule_c,
@@ -456,7 +488,7 @@ def _run_det_rate(config, started):
         y_delta = perturb_data(problem, y_clean, spec, config.seed,
                                index=point_idx)
         estimate = solve_continuous(problem, filt, y_delta)
-        err2 = float(np.sum((estimate.coeffs - truth.coeffs) ** 2))
+        err2 = float(np.sum((estimate - truth) ** 2))
         points.append({"x": float(delta), "lambda": filt.lam,
                        "err_mean": err2, "err_se": 0.0})
     fit = fit_rate([(p["x"], p["err_mean"]) for p in points])
@@ -480,35 +512,32 @@ def _run_lemma_check(config, started):
     replicates = config.replicates
     coeff_rows = _replicate_coeffs(config, problem, truth, filt, n,
                                    range(replicates))
-    err2 = np.sum((coeff_rows - truth.coeffs) ** 2, axis=1)
+    err2 = np.sum((coeff_rows - truth) ** 2, axis=1)
     mc_mean = float(err2.mean())
     mc_se = float(err2.std(ddof=1) / math.sqrt(replicates))
     mean_coeffs = coeff_rows.mean(axis=0)
-    mc_bias2 = float(np.sum((mean_coeffs - truth.coeffs) ** 2))
+    mc_bias2 = float(np.sum((mean_coeffs - truth) ** 2))
     mc_var = float(np.mean(np.sum((coeff_rows - mean_coeffs) ** 2, axis=1)))
 
-    f_lam = solve_continuous(problem, filt,
-                             forward_data(problem, truth.coeffs))
-    bias2 = float(np.sum((f_lam.coeffs - truth.coeffs) ** 2))
+    y_clean = forward_data(problem, truth)
+    f_lam = solve_continuous(problem, filt, y_clean)
+    bias2 = float(np.sum((f_lam - truth) ** 2))
     hs = hs_norm(problem, filt)
     lower = config.sigma ** 2 / n * hs ** 2 + bias2
 
     comp_se = coeff_rows.std(axis=0, ddof=1) / math.sqrt(replicates)
-    z = np.abs(mean_coeffs - f_lam.coeffs) / np.where(comp_se > 0, comp_se,
-                                                      np.inf)
+    z = np.abs(mean_coeffs - f_lam) / np.where(comp_se > 0, comp_se, np.inf)
     identity_gap = abs(mc_mean - (mc_bias2 + mc_var)) / max(1.0, mc_mean)
 
     link = RateLink.from_problem(problem, filt, truth, config.sigma)
     dmax = delta_of(n, link)
-    y_clean = forward_data(problem, truth.coeffs)
     det_worst = -np.inf
     for mode, idx in (("random-unit", None), ("fixed-mode", 1),
                       ("filter-adversarial", None)):
         spec = PerturbationSpec(delta=dmax, mode=mode, index=idx, filter=filt)
         y_delta = perturb_data(problem, y_clean, spec, config.seed)
         det_err2 = float(np.sum(
-            (solve_continuous(problem, filt, y_delta).coeffs
-             - truth.coeffs) ** 2))
+            (solve_continuous(problem, filt, y_delta) - truth) ** 2))
         det_worst = max(det_worst, det_err2)
 
     points = [{"x": n, "lambda": filt.lam, "err_mean": mc_mean,
@@ -533,13 +562,12 @@ def _run_lemma_check(config, started):
 def _run_gamma_study(config, started):
     problem, truth = _problem_of(config)
     lam = float(config.lam)
-    y = forward_data(problem, truth.coeffs)
-    g_cont = problem.mu * y.coeffs / (problem.mu + lam)
+    g_cont = problem.mu * forward_data(problem, truth) / (problem.mu + lam)
     points = []
     for n in config.n_grid:
         design = sample_design("grid", int(n))
         samples = sample_outputs(problem, truth, design, NoiseModel(),
-                                 config.seed, scheme="grid")
+                                 config.seed)
         solution = kernel_tikhonov(problem, samples, lam)
         diff = solution.g_coeffs - g_cont
         hk = rkhs_norm(problem, diff)
@@ -566,32 +594,29 @@ def equivalence_deviations(problem, samples, lam, seed=0):
 
     ``representer_oracle`` compares g, not beta (unidentifiable where K is
     near-singular), of the descent solver and of ``kernel_tikhonov``.
-    Depends only on the realized sample points and outputs, never on the
-    scheme tag of ``samples``.
     """
     rng = streams.generator(seed, streams.GENERIC_STREAM)
     iso_dev = 0.0
     pullback_dev = 0.0
     for _ in range(_EQUIVALENCE_DRAWS):
         f = rng.standard_normal(problem.size)
-        g = forward_data(problem, f)
         iso_dev = max(iso_dev,
-                      abs(rkhs_norm(problem, g.coeffs)
+                      abs(rkhs_norm(problem, forward_data(problem, f))
                           - float(np.linalg.norm(f)))
                       / float(np.linalg.norm(f)))
         g2 = rng.standard_normal(problem.size)
-        roundtrip = forward_data(
-            problem, correspondence_pullback(problem, g2)).coeffs
+        roundtrip = forward_data(problem,
+                                 correspondence_pullback(problem, g2))
         pullback_dev = max(pullback_dev,
                            float(np.linalg.norm(roundtrip - g2))
                            / float(np.linalg.norm(g2)))
     learn = estimator_learn(problem, FilterSpec.tikhonov(lam), samples)
     kernel_side = kernel_tikhonov(problem, samples, lam)
     g_norm = float(np.linalg.norm(kernel_side.g_coeffs))
-    forward_learn = forward_data(problem, learn.coeffs).coeffs
+    forward_learn = forward_data(problem, learn)
     methods_dev = (float(np.linalg.norm(forward_learn - kernel_side.g_coeffs))
                    / max(g_norm, 1e-300))
-    f_norm = float(np.linalg.norm(learn.coeffs))
+    f_norm = float(np.linalg.norm(learn))
     norm_dev = (abs(rkhs_norm(problem, kernel_side.g_coeffs) - f_norm)
                 / max(f_norm, 1e-300))
     erm = erm_representer_solve(problem, samples, LossSpec(kind="square"),
@@ -607,7 +632,7 @@ def _run_equivalence_check(config, started):
     problem, truth = _problem_of(config)
     design = sample_design(config.design, int(config.n), config.seed)
     samples = sample_outputs(problem, truth, design, NoiseModel(),
-                             config.seed, scheme=config.design)
+                             config.seed)
     deviations = equivalence_deviations(problem, samples, float(config.lam),
                                         seed=config.seed)
     tolerances = {"isometry": 1e-10, "pullback_roundtrip": 1e-12,

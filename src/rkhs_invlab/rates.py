@@ -61,8 +61,8 @@ def epsilon_lambda(problem, filt, f_true):
     if hs == 0.0:
         raise ModelError("filter annihilates the whole spectrum; the "
                          "bias-to-HS ratio is undefined")
-    f_lam = solve_continuous(problem, filt, forward_data(problem, f_true.coeffs))
-    bias = float(np.linalg.norm(f_lam.coeffs - f_true.coeffs))
+    f_lam = solve_continuous(problem, filt, forward_data(problem, f_true))
+    bias = float(np.linalg.norm(f_lam - f_true))
     return bias / hs
 
 
@@ -120,16 +120,13 @@ class RateExponents:
     ``alpha`` is the squared-error rate exponent, ``p`` the sample-count
     schedule exponent (lambda_n ~ n^-p), ``p_star`` the noise-level
     schedule exponent (lambda_delta ~ delta^p_star), ``gamma`` the bias
-    ratio exponent (eps ~ lambda^gamma).  ``r`` and ``b`` record the source
-    parameters when known.
+    ratio exponent (eps ~ lambda^gamma).
     """
 
     alpha: float
     gamma: float
     p: float | None = None
     p_star: float | None = None
-    r: float | None = None
-    b: float | None = None
 
     def __post_init__(self):
         for name in ("alpha", "gamma", "p", "p_star"):
@@ -220,8 +217,7 @@ def statistical_exponents(r, b, gamma=None):
     denom = 2.0 * r + 1.0 + 1.0 / b
     return RateExponents(alpha=2.0 * r / denom, p=1.0 / denom,
                          p_star=2.0 / (2.0 * r + 1.0),
-                         gamma=(r + 0.5) if gamma is None else float(gamma),
-                         r=float(r), b=float(b))
+                         gamma=(r + 0.5) if gamma is None else float(gamma))
 
 
 @dataclass(frozen=True)

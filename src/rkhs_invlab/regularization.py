@@ -1,7 +1,8 @@
-"""Spectral filters and the four regularized solution objects.
+"""Spectral filters and the four regularized reconstructions.
 
 A filter family s_lambda defines the regularized reconstruction in four
-guises, all computed here:
+guises, all computed here, each returned as the (J,) array of its
+coordinates in the sine basis:
 
   continuous     f_lam   : coeffs_j = s(mu_j) sigma_j y_j        (full data)
   noisy-delta    f_lam_d : same formula applied to perturbed data
@@ -179,25 +180,6 @@ def certify_filter(kind, problem, n_lambda=50, n_t=10_000):
 
 
 @dataclass(frozen=True)
-class Estimate:
-    """A reconstruction in parameter-space coordinates with its provenance."""
-
-    coeffs: np.ndarray
-    provenance: str
-    lam: float
-    n: int | None = None
-    delta: float | None = None
-
-    def __post_init__(self):
-        allowed = ("continuous", "noisy-delta", "paper-n", "learn-n")
-        if self.provenance not in allowed:
-            raise ParameterError(f"unknown provenance: {self.provenance!r}")
-        arr = np.asarray(self.coeffs, dtype=float).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-
-@dataclass(frozen=True)
 class LossSpec:
     """Pointwise loss V(y, w), nonnegative with V(y, y) = 0.
 
@@ -254,13 +236,10 @@ class ErmSolution(NamedTuple):
 
 def solve_continuous(problem, filt, y):
     """f = s(B) A* y in coordinates: coeffs_j = s(mu_j) sigma_j y_j."""
-    if y.coeffs.size != problem.size:
+    y = np.asarray(y, dtype=float)
+    if y.shape != (problem.size,):
         raise ShapeError("data length does not match the problem")
-    coeffs = filt.response(problem) * y.coeffs
-    if y.kind == "clean":
-        return Estimate(coeffs=coeffs, provenance="continuous", lam=filt.lam)
-    return Estimate(coeffs=coeffs, provenance="noisy-delta", lam=filt.lam,
-                    delta=y.delta)
+    return filt.response(problem) * y
 
 
 def estimator_paper(problem, filt, samples):
@@ -268,10 +247,9 @@ def estimator_paper(problem, filt, samples):
 
     coeffs_j = s(mu_j) sigma_j (1/n) sum_i Y_i u_j(X_i).
     """
-    u = basis_matrix(problem, samples.design)
-    return Estimate(coeffs=_paper_coeffs(filt.response(problem), u,
-                                         samples.outputs),
-                    provenance="paper-n", lam=filt.lam, n=samples.size)
+    return _paper_coeffs(filt.response(problem),
+                         basis_matrix(problem, samples.design),
+                         samples.outputs)
 
 
 def _paper_coeffs(response, u, outputs):
@@ -298,8 +276,7 @@ def estimator_learn(problem, filt, samples):
     phi = basis_matrix(problem, samples.design) * problem.sigma_sv
     eigs, vecs = np.linalg.eigh(phi.T @ phi / n)
     moment = phi.T @ samples.outputs / n
-    coeffs = vecs @ (filt.at_eigenvalues(eigs) * (vecs.T @ moment))
-    return Estimate(coeffs=coeffs, provenance="learn-n", lam=filt.lam, n=n)
+    return vecs @ (filt.at_eigenvalues(eigs) * (vecs.T @ moment))
 
 
 def kernel_tikhonov(problem, samples, lam):

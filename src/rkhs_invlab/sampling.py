@@ -23,9 +23,7 @@ import numpy as np
 
 from . import streams
 from .errors import ParameterError, ShapeError
-from .spectral_model import DataFunction, basis_matrix, forward_data
-
-_SCHEMES = ("grid", "iid-uniform")
+from .spectral_model import basis_matrix, forward_data
 
 
 @dataclass(frozen=True)
@@ -46,13 +44,14 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """n design points with outputs, tagged by scheme, noise model and seed."""
+    """n design points x_i and their outputs Y_i, as read-only arrays.
+
+    The estimators depend only on these two arrays, never on how the
+    points or the outputs were drawn.
+    """
 
     design: np.ndarray
     outputs: np.ndarray
-    scheme: str
-    noise: NoiseModel
-    seed: int
 
     def __post_init__(self):
         design = np.asarray(self.design, dtype=float).copy()
@@ -61,13 +60,6 @@ class SampleSet:
             raise ShapeError("design must be a nonempty 1-d sequence")
         if outputs.shape != design.shape:
             raise ShapeError("outputs must match the design in length")
-        if self.scheme not in _SCHEMES:
-            raise ParameterError(f"unknown design scheme: {self.scheme!r}")
-        if self.scheme == "grid":
-            n = design.size
-            expected = (np.arange(1, n + 1) - 0.5) / n
-            if not np.array_equal(design, expected):
-                raise ShapeError("grid scheme requires midpoints (i - 1/2)/n")
         design.setflags(write=False)
         outputs.setflags(write=False)
         object.__setattr__(self, "design", design)
@@ -119,8 +111,7 @@ def sample_design(scheme, n, seed=0, index=0):
     raise ParameterError(f"unknown design scheme: {scheme!r}")
 
 
-def sample_outputs(problem, f_true, design, noise, seed=0, scheme="grid",
-                   index=0):
+def sample_outputs(problem, f_true, design, noise, seed=0, index=0):
     """Sample Y_i = y(x_i) + zeta_i with y = A f_true and zeta i.i.d. noise.
 
     The conditional mean of Y_i given x_i is exactly y(x_i); with noise kind
@@ -130,11 +121,9 @@ def sample_outputs(problem, f_true, design, noise, seed=0, scheme="grid",
     design = np.asarray(design, dtype=float)
     if design.ndim != 1 or design.size == 0:
         raise ShapeError("design must be a nonempty 1-d sequence")
-    y = forward_data(problem, f_true.coeffs)
-    values = _add_noise(basis_matrix(problem, design) @ y.coeffs, noise,
-                        seed, index)
-    return SampleSet(design=design, outputs=values, scheme=scheme,
-                     noise=noise, seed=int(seed))
+    values = _add_noise(basis_matrix(problem, design)
+                        @ forward_data(problem, f_true), noise, seed, index)
+    return SampleSet(design=design, outputs=values)
 
 
 def _add_noise(clean, noise, seed, index):
@@ -151,10 +140,11 @@ def _add_noise(clean, noise, seed, index):
 
 def perturb_data(problem, y, spec, seed=0, index=0):
     """Return y + delta*e with ||e|| = 1 exactly (coefficient 2-norm)."""
-    if y.coeffs.size != problem.size:
+    y = np.asarray(y, dtype=float)
+    if y.shape != (problem.size,):
         raise ShapeError("data length does not match the problem")
     if spec.delta == 0.0:
-        return DataFunction(coeffs=y.coeffs, kind="perturbed", delta=0.0)
+        return y.copy()
     direction = np.zeros(problem.size)
     if spec.mode == "random-unit":
         rng = streams.generator(seed, streams.PERTURBATION_STREAM, index)
@@ -166,5 +156,4 @@ def perturb_data(problem, y, spec, seed=0, index=0):
         direction[spec.index - 1] = 1.0
     else:  # filter-adversarial
         direction[int(np.argmax(spec.filter.response(problem)))] = 1.0
-    return DataFunction(coeffs=y.coeffs + spec.delta * direction,
-                        kind="perturbed", delta=float(spec.delta))
+    return y + spec.delta * direction

@@ -11,8 +11,10 @@ every norm, bias and filter quantity has a closed form.  Solutions with a
 prescribed smoothness are built through the source construction
 f_j = mu_j**r w_j with a square-summable source element w.
 
-All objects are immutable after construction and every operation is a pure
-function, so values can be shared freely across threads.
+The truth f, the data y = Af and every regularized solution are plain
+float arrays of shape (J,): their coordinates in the shared sine basis.
+``SpectralProblem`` is immutable after construction and every operation is
+a pure function.
 """
 
 from dataclasses import dataclass
@@ -21,12 +23,6 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, ShapeError
 from . import streams
-
-
-def _frozen_array(values, dtype=float):
-    arr = np.asarray(values, dtype=dtype).copy()
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -43,7 +39,8 @@ class SpectralProblem:
     decay_d: float
 
     def __post_init__(self):
-        mu = _frozen_array(self.mu)
+        mu = np.asarray(self.mu, dtype=float).copy()
+        mu.setflags(write=False)
         if mu.ndim != 1 or mu.size == 0:
             raise ShapeError("mu must be a nonempty 1-d sequence")
         if not np.all(mu > 0):
@@ -76,36 +73,6 @@ class SpectralProblem:
         return 2.0 * float(np.sum(self.mu))
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """Source-condition solution f_j = mu_j**r w_j with radius R = ||w||."""
-
-    coeffs: np.ndarray
-    r: float
-    source_radius: float
-    w: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _frozen_array(self.coeffs))
-        object.__setattr__(self, "w", _frozen_array(self.w))
-
-
-@dataclass(frozen=True)
-class DataFunction:
-    """Right-hand side y in the output basis; ``delta`` is 0 for clean data."""
-
-    coeffs: np.ndarray
-    kind: str = "clean"
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("clean", "perturbed"):
-            raise ParameterError(f"unknown data kind: {self.kind!r}")
-        if self.delta < 0.0:
-            raise ParameterError("delta must be nonnegative")
-        object.__setattr__(self, "coeffs", _frozen_array(self.coeffs))
-
-
 def build_power_law_problem(size, b, d):
     """Construct the problem with mu_j = d j**(-b), j = 1..size.
 
@@ -122,24 +89,22 @@ def build_power_law_problem(size, b, d):
 
 
 def make_source_solution(problem, r, w):
-    """Build f with coordinates mu_j**r w_j; records R = ||w||."""
+    """The source-condition solution f with coordinates mu_j**r w_j."""
     if r <= 0.0:
         raise ParameterError("smoothness r must be positive")
     w = np.asarray(w, dtype=float)
     if w.shape != (problem.size,):
         raise ShapeError(f"w has length {w.size}, problem has {problem.size} modes")
-    coeffs = problem.mu ** r * w
-    return GroundTruth(coeffs=coeffs, r=float(r),
-                       source_radius=float(np.linalg.norm(w)), w=w)
+    return problem.mu ** r * w
 
 
 def forward_data(problem, f_coeffs):
-    """Apply A: y_j = sigma_j f_j.  Returns clean data."""
+    """Apply A: the clean data y_j = sigma_j f_j."""
     f_coeffs = np.asarray(f_coeffs, dtype=float)
     if f_coeffs.shape != (problem.size,):
         raise ShapeError(f"coefficients have length {f_coeffs.size}, "
                          f"problem has {problem.size} modes")
-    return DataFunction(coeffs=problem.sigma_sv * f_coeffs)
+    return problem.sigma_sv * f_coeffs
 
 
 def basis_matrix(problem, x):
@@ -221,7 +186,7 @@ def resolve_w_spec(w_spec, size, seed=0):
 
 
 def problem_from_descriptor(descriptor):
-    """Build (problem, truth) from a JSON-style descriptor.
+    """Build (problem, f) from a JSON-style descriptor, f = mu**r w.
 
     Expected keys: J, b, d, r, w_spec, seed.
     """
@@ -238,14 +203,3 @@ def problem_from_descriptor(descriptor):
     truth = make_source_solution(problem, r, resolve_w_spec(w_spec, size, seed))
     return problem, truth
 
-
-def problem_to_descriptor(problem, truth, w_spec=None, seed=0):
-    """Inverse of :func:`problem_from_descriptor` (explicit w unless given)."""
-    return {
-        "J": problem.size,
-        "b": problem.decay_b,
-        "d": problem.decay_d,
-        "r": truth.r,
-        "w_spec": list(map(float, truth.w)) if w_spec is None else w_spec,
-        "seed": int(seed),
-    }

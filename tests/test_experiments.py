@@ -51,8 +51,8 @@ def public_coeffs(design, n, filt, index):
     points = sample_design(design, n, SEED, index=index)
     samples = sample_outputs(MODEL, TRUTH, points,
                              NoiseModel(kind="gaussian", sigma=SIGMA),
-                             SEED, scheme=design, index=index)
-    return estimator_paper(MODEL, filt, samples).coeffs
+                             SEED, index=index)
+    return estimator_paper(MODEL, filt, samples)
 
 
 # The module constant that sizes the replicate groups of each design: basis
@@ -103,7 +103,7 @@ def test_stat_rate_matches_public_path(design, budget, monkeypatch):
         errors = np.array([
             float(np.sum((public_coeffs(design, n, filt,
                                         point_idx * REPLICATES + rep)
-                          - TRUTH.coeffs) ** 2))
+                          - TRUTH) ** 2))
             for rep in range(REPLICATES)])
         assert point["lambda"] == lam
         assert_matches_public(design, point["err_mean"],
@@ -127,7 +127,7 @@ def test_lemma_check_matches_public_path(design, budget, monkeypatch):
     mean = rows.mean(axis=0)
     point = report.points[0]
     assert_matches_public(design, point["mc_bias2"],
-                          float(np.sum((mean - TRUTH.coeffs) ** 2)))
+                          float(np.sum((mean - TRUTH) ** 2)))
     assert_matches_public(design, point["mc_var"],
                           float(np.mean(np.sum((rows - mean) ** 2,
                                                axis=1))))
@@ -292,6 +292,41 @@ BAD_FIELDS = {
                                        perturbation="fixed-mode",
                                        perturbation_index="abc"),
                                   "perturbation_index"),
+    # types are checked before float(), int(), tuple() or dict() runs
+    "config-number": (5, "config"),
+    "config-null": (None, "config"),
+    "sigma-list": (dict(det_rate_raw("tikhonov"), sigma=[1]), "sigma"),
+    "replicates-list": (dict(det_rate_raw("tikhonov"), replicates=[1]),
+                        "replicates"),
+    "seed-list": (dict(det_rate_raw("tikhonov"), seed=[1]), "seed"),
+    "n_grid-number": (dict(KERNEL_STUDIES["gamma-study"], n_grid=5),
+                      "n_grid"),
+    "delta_grid-number": (dict(det_rate_raw("tikhonov"), delta_grid=5),
+                          "delta_grid"),
+    "problem-number": (dict(det_rate_raw("tikhonov"), problem=5), "problem"),
+    "schedule-number": (dict(det_rate_raw("tikhonov"), schedule=5),
+                        "schedule"),
+    "problem-J-list": (dict(det_rate_raw("tikhonov"),
+                            problem=dict(KERNEL_PROBLEM, J=[KERNEL_J])),
+                       "problem.J"),
+    "gamma-list": (dict(det_rate_raw("tikhonov"), theory="converted",
+                        gamma=[1.75]), "gamma"),
+    "sigma-nan": (dict(lemma_check_config("grid").to_dict(),
+                       sigma=math.nan), "sigma"),
+    # values refused instead of silently coerced
+    "replicates-float": (dict(det_rate_raw("tikhonov"), replicates=2.5),
+                         "replicates"),
+    "replicates-string": (dict(det_rate_raw("tikhonov"), replicates="3"),
+                          "replicates"),
+    "replicates-bool": (dict(det_rate_raw("tikhonov"), replicates=True),
+                        "replicates"),
+    "seed-bool": (dict(det_rate_raw("tikhonov"), seed=True), "seed"),
+    # only the three filter families exist; none is echoed unchecked
+    **{f"filter-{name}": (dict(raw, filter="bogus"), "filter")
+       for name, raw in (("gamma-study", KERNEL_STUDIES["gamma-study"]),
+                         ("equivalence-check",
+                          KERNEL_STUDIES["equivalence-check"]),
+                         ("det-rate", det_rate_raw("tikhonov")))},
 }
 
 
@@ -344,6 +379,14 @@ def test_cli_run_exit_two_on_malformed_input(case, tmp_path):
         code = run_cli(tmp_path, raw, "--set", f"tolerances.slope={value}")
     assert code == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_cli_info_refuses_lambda_points_below_one(count, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["info", "--lambda-points", count])
+    assert info.value.code == 2
+    assert "--lambda-points" in capsys.readouterr().err
 
 
 def test_cli_run_exit_three_on_numerical_failure(tmp_path, monkeypatch,

@@ -258,8 +258,7 @@ def mc_setup():
     rows = np.array([
         estimator_paper(problem, filt,
                         sample_outputs(problem, truth, design, noise,
-                                       seed=11, scheme="grid",
-                                       index=rep)).coeffs
+                                       seed=11, index=rep))
         for rep in range(replicates)])
     return problem, truth, filt, sigma, n, rows
 
@@ -273,35 +272,34 @@ class TestMonteCarloRateProperties:
 
     def test_mean_matches_continuous(self, mc_setup):
         problem, truth, filt, sigma, n, rows = mc_setup
-        f_lam = solve_continuous(problem, filt,
-                                 forward_data(problem, truth.coeffs))
+        f_lam = solve_continuous(problem, filt, forward_data(problem, truth))
         comp_se = rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])
-        z = np.abs(rows.mean(axis=0) - f_lam.coeffs) / np.where(
+        z = np.abs(rows.mean(axis=0) - f_lam) / np.where(
             comp_se > 0, comp_se, np.inf)
         assert np.max(z) <= 3.0
 
     def test_sample_bias_variance_identity(self, mc_setup):
         problem, truth, filt, sigma, n, rows = mc_setup
-        err2 = np.sum((rows - truth.coeffs) ** 2, axis=1)
+        err2 = np.sum((rows - truth) ** 2, axis=1)
         mean_coeffs = rows.mean(axis=0)
-        bias2 = float(np.sum((mean_coeffs - truth.coeffs) ** 2))
+        bias2 = float(np.sum((mean_coeffs - truth) ** 2))
         variance = float(np.mean(np.sum((rows - mean_coeffs) ** 2, axis=1)))
         assert abs(err2.mean() - (bias2 + variance)) <= 1e-10 * err2.mean()
 
     def test_perturbed_error_below_sampled_risk(self, mc_setup):
         problem, truth, filt, sigma, n, rows = mc_setup
-        err2 = np.sum((rows - truth.coeffs) ** 2, axis=1)
+        err2 = np.sum((rows - truth) ** 2, axis=1)
         se = err2.std(ddof=1) / math.sqrt(err2.size)
         link = RateLink.from_problem(problem, filt, truth, sigma)
         dmax = delta_of(n, link)
-        y = forward_data(problem, truth.coeffs)
+        y = forward_data(problem, truth)
         for spec in (PerturbationSpec(delta=dmax, mode="random-unit"),
                      PerturbationSpec(delta=dmax, mode="fixed-mode", index=1),
                      PerturbationSpec(delta=dmax, mode="filter-adversarial",
                                       filter=filt)):
             y_delta = perturb_data(problem, y, spec, seed=79)
             det = solve_continuous(problem, filt, y_delta)
-            det_err2 = float(np.sum((det.coeffs - truth.coeffs) ** 2))
+            det_err2 = float(np.sum((det - truth) ** 2))
             assert det_err2 <= err2.mean() + 3.0 * se
 
     def test_variance_sweep_slope_bound(self, mc_setup):

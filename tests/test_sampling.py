@@ -52,17 +52,15 @@ class TestSampleOutputs:
         # y = (1, 0.25); y(0.25) = 1 + 0.25 sqrt(2), y(0.75) = 1 - 0.25 sqrt(2)
         problem, truth = two_mode_truth
         samples = sample_outputs(problem, truth, sample_design("grid", 2),
-                                 NoiseModel(), seed=0, scheme="grid")
+                                 NoiseModel(), seed=0)
         expected = [1.0 + 0.25 * math.sqrt(2.0), 1.0 - 0.25 * math.sqrt(2.0)]
         npt.assert_allclose(samples.outputs, expected, rtol=1e-12)
 
     def test_noiseless_equals_evaluation(self, two_mode_truth):
         problem, truth = two_mode_truth
         design = sample_design("iid-uniform", 50, seed=3)
-        samples = sample_outputs(problem, truth, design, NoiseModel(),
-                                 seed=3, scheme="iid-uniform")
-        y = forward_data(problem, truth.coeffs)
-        exact = eval_function(problem, y.coeffs, design)
+        samples = sample_outputs(problem, truth, design, NoiseModel(), seed=3)
+        exact = eval_function(problem, forward_data(problem, truth), design)
         npt.assert_allclose(samples.outputs, exact, rtol=1e-14)
 
     def test_noise_mean_clt(self):
@@ -76,16 +74,10 @@ class TestSampleOutputs:
         total = 0.0
         for rep in range(replicates):
             samples = sample_outputs(problem, truth, design, noise, seed=21,
-                                     scheme="iid-uniform", index=rep)
+                                     index=rep)
             total += samples.outputs[0]
         target = math.sqrt(2.0)  # y(0.5) = sigma_1 f_1 u_1(0.5)
         assert abs(total / replicates - target) <= 3.0 * 0.1 / 100.0
-
-    def test_grid_tag_validated(self, two_mode_truth):
-        problem, truth = two_mode_truth
-        with pytest.raises(ShapeError):
-            sample_outputs(problem, truth, np.array([0.1, 0.9]), NoiseModel(),
-                           scheme="grid")
 
     def test_reproducible_bit_identical(self):
         result = verify.check_reproducibility(9)
@@ -95,28 +87,27 @@ class TestSampleOutputs:
 class TestPerturbData:
     def test_zero_delta_unchanged(self, two_mode_truth):
         problem, truth = two_mode_truth
-        y = forward_data(problem, truth.coeffs)
+        y = forward_data(problem, truth)
         y_delta = perturb_data(problem, y,
                                PerturbationSpec(delta=0.0, mode="random-unit"))
-        npt.assert_array_equal(y_delta.coeffs, y.coeffs)
-        assert y_delta.kind == "perturbed"
+        npt.assert_array_equal(y_delta, y)
 
     def test_adversarial_mode_selection(self, two_mode_truth):
         # Tikhonov lambda = 1: responses s(mu) sigma = (0.5, 0.4), so the
         # perturbation lands on mode 1
         problem, truth = two_mode_truth
-        y = forward_data(problem, truth.coeffs)  # (1, 0.25)
+        y = forward_data(problem, truth)  # (1, 0.25)
         spec = PerturbationSpec(delta=0.3, mode="filter-adversarial",
                                 filter=FilterSpec.tikhonov(1.0))
-        npt.assert_allclose(perturb_data(problem, y, spec).coeffs,
+        npt.assert_allclose(perturb_data(problem, y, spec),
                             [1.3, 0.25], rtol=1e-15)
 
     def test_fixed_mode_addition(self, two_mode_truth):
         problem, truth = two_mode_truth
-        y = forward_data(problem, truth.coeffs)  # (1, 0.25)
+        y = forward_data(problem, truth)  # (1, 0.25)
         spec = PerturbationSpec(delta=0.3, mode="fixed-mode", index=2)
         y_delta = perturb_data(problem, y, spec)
-        npt.assert_allclose(y_delta.coeffs, [1.0, 0.55], rtol=1e-14)
+        npt.assert_allclose(y_delta, [1.0, 0.55], rtol=1e-14)
 
     def test_norm_exact_all_modes(self):
         result = verify.check_perturbation_norms(31)
@@ -124,7 +115,7 @@ class TestPerturbData:
 
     def test_parameter_errors(self, two_mode_truth):
         problem, truth = two_mode_truth
-        y = forward_data(problem, truth.coeffs)
+        y = forward_data(problem, truth)
         with pytest.raises(ParameterError):
             PerturbationSpec(delta=-0.1, mode="random-unit")
         with pytest.raises(ShapeError):
@@ -140,15 +131,9 @@ class TestGridRiemannProperty:
 
 
 class TestSampleSetValidation:
-    def test_grid_midpoints_enforced(self):
-        with pytest.raises(ShapeError):
-            SampleSet(design=np.array([0.1, 0.9]), outputs=np.zeros(2),
-                      scheme="grid", noise=NoiseModel(), seed=0)
-
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            SampleSet(design=np.array([0.5]), outputs=np.zeros(2),
-                      scheme="iid-uniform", noise=NoiseModel(), seed=0)
+            SampleSet(design=np.array([0.5]), outputs=np.zeros(2))
 
     def test_noise_model_validation(self):
         with pytest.raises(ParameterError):
