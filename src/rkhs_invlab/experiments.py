@@ -24,10 +24,14 @@ equivalence-check  Maximal deviations of the isometry, the pullback
 
 Every study prints one machine-readable line "STUDY <kind> <pass|fail>".
 Replicates use counter-based substreams keyed by their index, so a
-replicate's numbers do not depend on the others.  The Monte-Carlo studies
+replicate's numbers do not depend on the others; the replicate loops hold
+one generator per stream and rekey it to each replicate's substream, which
+draws exactly what a new generator would.  The Monte-Carlo studies
 evaluate the sine basis once per design, so all replicates on a midpoint
-grid share one basis matrix; their outputs are the columns of a few
-n-by-w chunks, and one GEMM per chunk forms the estimates.  Grid estimates
+grid share one basis matrix; their outputs are the columns of n-by-16
+chunks, and one GEMM per chunk forms the estimates.  A fixed width of 16
+columns keeps every chunk out of OpenBLAS's slow narrow-panel code (below
+8 columns) at any n, for 16 / J of the basis's memory.  Grid estimates
 therefore agree with the single-replicate public path (sample_design ->
 sample_outputs -> estimator_paper) to about 1e-14 relative, not bit for
 bit; the tests hold them to 1e-12.  The designs of consecutive iid
@@ -42,7 +46,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -55,7 +59,8 @@ from .regularization import (FilterSpec, LossSpec, erm_representer_solve,
                              solve_continuous, _paper_coeffs)
 from .rkhs import correspondence_pullback, rkhs_norm
 from .sampling import (NoiseModel, PerturbationSpec, perturb_data,
-                       sample_design, sample_outputs, _add_noise)
+                       sample_design, sample_outputs, _add_noise,
+                       _uniform_design)
 from .spectral_model import (basis_matrix, forward_data,
                              problem_from_descriptor)
 
@@ -67,6 +72,37 @@ _FILTERS = ("tikhonov", "cutoff", "landweber")
 _CONTAINERS = {"problem": dict, "schedule": dict, "tolerances": dict,
                "n_grid": (list, tuple), "delta_grid": (list, tuple)}
 
+# Optional config entries each kind reads, besides the seed: any other must
+# keep its default, so a report never echoes a setting that had no effect.
+# det-rate reads ``gamma`` only under the converted theory and
+# ``perturbation_index`` only for a fixed-mode perturbation.
+_READS = {
+    "stat-rate": {"filter", "design", "sigma", "n_grid", "schedule",
+                  "replicates"},
+    "det-rate": {"filter", "delta_grid", "schedule", "perturbation",
+                 "perturbation_index", "theory", "gamma"},
+    "lemma-check": {"filter", "design", "sigma", "n", "lambda",
+                    "replicates"},
+    "gamma-study": {"n_grid", "lambda"},  # always on the midpoint grid
+    "equivalence-check": {"design", "n", "lambda"},
+}
+
+# Config entry names of the StudyConfig fields named otherwise.
+_CONFIG_NAMES = {"filter_kind": "filter", "lam": "lambda",
+                 "schedule_c": "schedule", "schedule_exponent": "schedule"}
+
+# The tolerances each kind reads, with their defaults; a config may set
+# any of them and no other.
+_TOLERANCES = {
+    "stat-rate": {"slope": 0.12},
+    "det-rate": {"slope": 0.15},
+    "lemma-check": {"z_max": 3.0, "identity": 1e-10},
+    "gamma-study": {"norm_equality": 1e-10},
+    "equivalence-check": {"isometry": 1e-10, "pullback_roundtrip": 1e-12,
+                          "methods_equivalence": 1e-10,
+                          "representer_oracle": 1e-6},
+}
+
 # Basis entries (points times modes) one iid batch evaluates at once.  At
 # J = 200 on a 2-core Xeon, basis_matrix costs 7-10 ns per entry at 400
 # points, 4.5-6 ns at 1,600 and 2.5-4.5 ns from 3,200 points on, where it
@@ -74,16 +110,18 @@ _CONTAINERS = {"problem": dict, "schedule": dict, "tolerances": dict,
 # adds no memory over the largest single design of the Monte-Carlo studies.
 _BATCH_CELLS = 640_000
 
-# Output entries (points times replicates) of one grid chunk.  The noisy
-# outputs of consecutive replicates form the columns of one n-by-w matrix,
-# so one GEMM reads the shared basis once per chunk instead of once per
-# replicate.  At J = 200 on a 2-core Xeon with one BLAS thread, 200
-# replicates at n = 3200 take 84 ms as GEMVs and 58 / 41 / 35 / 33 ms in
-# chunks of 5 / 10 / 20 / 32 columns; at n = 100, where the basis stays in
-# cache, 7.6 ms against 6.3-6.6 ms for any width.  Wider chunks touch more
-# of OpenBLAS's packing buffers and temporaries: mc-grid's peak RSS rises
-# by about 0.3 MB at 8,192 entries, 0.5 MB at 16,384 and 1.5 MB at 32,768.
-_CHUNK_CELLS = 16_384
+# Replicates of one grid chunk.  The noisy outputs of consecutive replicates
+# form the columns of one n-by-16 matrix, so one GEMM reads the shared basis
+# once per chunk instead of once per replicate.  At J = 200 on a 2-core Xeon
+# with one BLAS thread (_paper_coeffs alone, best of 15), 200 replicates at
+# n = 3200 take 34 / 18 / 12 / 9.6 ms in chunks of 5 / 8 / 16 / 32 columns
+# (below 8 columns OpenBLAS's dgemm runs its narrow-panel code); at
+# n = 1600, 9.8 ms at 10 columns and 6.2 ms at 16; at n <= 800, 16 columns
+# are within 0.25 ms of chunks of 20 to 163.  A chunk holds 16 n entries,
+# 16 / J of the n-by-J basis the grid path already keeps (8% at J = 200),
+# so its memory stays bounded by the basis at every n; 32 columns would
+# save 2.4 ms more at n = 3200 for twice that memory.
+_CHUNK_WIDTH = 16
 
 # equivalence_deviations: gradient-norm tolerance of the descent solver, and
 # the number of random draws for the isometry and pullback round trips.
@@ -248,6 +286,10 @@ class StudyConfig:
             bad.append("tolerances")
         if self.design not in ("grid", "iid-uniform"):
             bad.append("design")
+        if self.kind in _KINDS:
+            bad += self._unread_entries()
+            if not set(self.tolerances) <= set(_TOLERANCES[self.kind]):
+                bad.append("tolerances")
         needs_schedule = self.kind in ("stat-rate", "det-rate")
         schedule_ok = (_positive_finite(self.schedule_c)
                        and _positive_finite(self.schedule_exponent))
@@ -284,10 +326,6 @@ class StudyConfig:
             if not (_positive_int(self.replicates) and self.replicates >= 2):
                 bad.append("replicates")
         elif self.kind == "gamma-study":
-            # the study samples the midpoint grid; any other design would
-            # be echoed in the report without being used
-            if self.design != "grid":
-                bad.append("design")
             if not _increasing(self.n_grid, _positive_int):
                 bad.append("n_grid")
             if not _positive_finite(self.lam):
@@ -299,6 +337,24 @@ class StudyConfig:
                 bad.append("lambda")
         if bad:
             raise _invalid(bad)
+
+    def _unread_entries(self):
+        """Config entries set away from their default that the kind does
+        not read."""
+        reads = {"seed", *_READS[self.kind]}
+        if self.theory != "converted":
+            reads.discard("gamma")
+        if self.perturbation != "fixed-mode":
+            reads.discard("perturbation_index")
+        return [_CONFIG_NAMES.get(f.name, f.name) for f in fields(self)
+                if f.default is not MISSING
+                and _CONFIG_NAMES.get(f.name, f.name) not in reads
+                and getattr(self, f.name) != f.default]
+
+
+def _tolerances(config):
+    """The kind's default tolerances, updated with the config's own."""
+    return {**_TOLERANCES[config.kind], **config.tolerances}
 
 
 @dataclass
@@ -390,46 +446,55 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
 
     Replicate ``index`` draws its noise (and an iid design) from its own
     (seed, stream, index) substream, as sample_design -> sample_outputs ->
-    estimator_paper does.  A grid design is shared, so all replicates use
-    one basis, and the outputs of consecutive replicates form the columns
-    of one n-by-w chunk of at most _CHUNK_CELLS entries (at least one
-    column): one GEMM per chunk instead of one GEMV per replicate.  That
-    changes the summation order, so grid estimates agree with the public
-    path to about 1e-14 relative, not bit for bit.  iid designs go in
-    batches of consecutive replicates: one basis_matrix call evaluates the
-    batch's designs end to end, and each replicate takes its own n rows of
-    it, bit for bit as the public path.  A batch holds as many whole
-    designs as fit in _BATCH_CELLS basis entries, at least one.
+    estimator_paper does; one generator per stream is rekeyed to each
+    replicate's substream (``streams.rekey``) instead of built anew.  A
+    grid design is shared, so all replicates use one basis, and the outputs
+    of consecutive replicates form the columns of one n-by-_CHUNK_WIDTH
+    chunk (the last may be narrower): one GEMM per chunk instead of one
+    GEMV per replicate.  That changes the summation order, so grid
+    estimates agree with the public path to about 1e-14 relative, not bit
+    for bit.  iid designs go in batches of consecutive replicates: one
+    basis_matrix call evaluates the batch's designs end to end, and each
+    replicate takes its own n rows of it, bit for bit as the public path.
+    A batch holds as many whole designs as fit in _BATCH_CELLS basis
+    entries, at least one.
     """
+    seed = config.seed
     noise = NoiseModel(kind="gaussian", sigma=config.sigma)
+    noise_rng = streams.generator(seed, streams.NOISE_STREAM)
     y = forward_data(problem, truth)
     response = filt.response(problem)
     out = np.empty((len(indices), problem.size))
 
+    def noisy(clean, index):
+        return _add_noise(clean, noise, streams.rekey(
+            noise_rng, seed, streams.NOISE_STREAM, index))
+
     if config.design == "grid":
         u = basis_matrix(problem, sample_design("grid", n))
         clean = u @ y
-        width = max(1, _CHUNK_CELLS // n)
-        outputs = np.empty((n, min(width, len(indices))), order="F")
-        for first in range(0, len(indices), width):
-            chunk = indices[first:first + width]
+        outputs = np.empty((n, min(_CHUNK_WIDTH, len(indices))), order="F")
+        for first in range(0, len(indices), _CHUNK_WIDTH):
+            chunk = indices[first:first + _CHUNK_WIDTH]
             for k, index in enumerate(chunk):
-                outputs[:, k] = _add_noise(clean, noise, config.seed, index)
+                outputs[:, k] = noisy(clean, index)
             out[first:first + len(chunk)] = _paper_coeffs(
                 response, u, outputs[:, :len(chunk)])
         return out
+
+    design_rng = streams.generator(seed, streams.DESIGN_STREAM)
 
     def fill_batch(first_row, batch):
         # The batch basis is local to this call, so it is freed before the
         # next batch's is built and peak memory stays at one batch.
         u = basis_matrix(problem, np.concatenate([
-            sample_design(config.design, n, config.seed, index=index)
+            _uniform_design(n, streams.rekey(
+                design_rng, seed, streams.DESIGN_STREAM, index))
             for index in batch]))
         for k, index in enumerate(batch):
             block = u[k * n:(k + 1) * n]
-            out[first_row + k] = _paper_coeffs(
-                response, block,
-                _add_noise(block @ y, noise, config.seed, index))
+            out[first_row + k] = _paper_coeffs(response, block,
+                                               noisy(block @ y, index))
 
     per_batch = max(1, _BATCH_CELLS // (n * problem.size))
     for first_row in range(0, len(indices), per_batch):
@@ -464,7 +529,7 @@ def _run_stat_rate(config, started):
     r, b = float(config.problem["r"]), float(config.problem["b"])
     alpha = statistical_exponents(r, b).alpha
     theory = {"alpha": alpha}
-    tol = config.tolerances.get("slope", 0.12)
+    tol = _tolerances(config)["slope"]
     checks = [_check("slope-matches-theory", abs(fit.slope - alpha), "<=", tol)]
     medians = [p["err_median"] for p in points]
     if len(medians) > 4:
@@ -499,7 +564,7 @@ def _run_det_rate(config, started):
         exponents = statistical_exponents(r, b, gamma=config.gamma)
         exponent = convert_upper(exponents).exponent
     theory = {"delta_exponent": exponent, "branch": config.theory}
-    tol = config.tolerances.get("slope", 0.15)
+    tol = _tolerances(config)["slope"]
     checks = [_check("slope-matches-theory", abs(fit.slope - exponent),
                      "<=", tol)]
     return _finish(config, points, fit, theory, checks, started)
@@ -529,6 +594,7 @@ def _run_lemma_check(config, started):
     z = np.abs(mean_coeffs - f_lam) / np.where(comp_se > 0, comp_se, np.inf)
     identity_gap = abs(mc_mean - (mc_bias2 + mc_var)) / max(1.0, mc_mean)
 
+    tolerances = _tolerances(config)
     link = RateLink.from_problem(problem, filt, truth, config.sigma)
     dmax = delta_of(n, link)
     det_worst = -np.inf
@@ -549,9 +615,9 @@ def _run_lemma_check(config, started):
         _check("risk-above-lower-bound", mc_mean - (lower - 3.0 * mc_se),
                ">=", 0.0),
         _check("mean-matches-continuous", float(np.max(z)), "<=",
-               config.tolerances.get("z_max", 3.0)),
+               tolerances["z_max"]),
         _check("bias-variance-identity", identity_gap, "<=",
-               config.tolerances.get("identity", 1e-10)),
+               tolerances["identity"]),
         _check("perturbed-error-below-risk",
                det_worst - (mc_mean + 3.0 * mc_se), "<=", 0.0),
     ]
@@ -582,7 +648,7 @@ def _run_gamma_study(config, started):
         _check("final-error-below-tenth", hk_values[-1],
                "<=", hk_values[0] / 10.0),
         _check("kernel-vs-parameter-norm", agreement, "<=",
-               config.tolerances.get("norm_equality", 1e-10)),
+               _tolerances(config)["norm_equality"]),
     ]
     theory = {"lambda": lam, "continuous_norm": rkhs_norm(problem, g_cont)}
     return _finish(config, points, fit=None, theory=theory, checks=checks,
@@ -635,9 +701,7 @@ def _run_equivalence_check(config, started):
                              config.seed)
     deviations = equivalence_deviations(problem, samples, float(config.lam),
                                         seed=config.seed)
-    tolerances = {"isometry": 1e-10, "pullback_roundtrip": 1e-12,
-                  "methods_equivalence": 1e-10, "representer_oracle": 1e-6}
-    tolerances.update(config.tolerances)
+    tolerances = _tolerances(config)
     checks = [_check(name, deviations[name], "<=", tolerances[name])
               for name in sorted(deviations)]
     points = [{"x": float(i), "lambda": float(config.lam),

@@ -106,8 +106,8 @@ def sample_design(scheme, n, seed=0, index=0):
     if scheme == "grid":
         return (np.arange(1, n + 1) - 0.5) / n
     if scheme == "iid-uniform":
-        rng = streams.generator(seed, streams.DESIGN_STREAM, index)
-        return rng.random(n)
+        return _uniform_design(
+            n, streams.generator(seed, streams.DESIGN_STREAM, index))
     raise ParameterError(f"unknown design scheme: {scheme!r}")
 
 
@@ -121,21 +121,25 @@ def sample_outputs(problem, f_true, design, noise, seed=0, index=0):
     design = np.asarray(design, dtype=float)
     if design.ndim != 1 or design.size == 0:
         raise ShapeError("design must be a nonempty 1-d sequence")
-    values = _add_noise(basis_matrix(problem, design)
-                        @ forward_data(problem, f_true), noise, seed, index)
+    values = basis_matrix(problem, design) @ forward_data(problem, f_true)
+    if noise.sigma > 0.0:  # NoiseModel allows sigma > 0 only if gaussian
+        values = _add_noise(values, noise, streams.generator(
+            seed, streams.NOISE_STREAM, index))
     return SampleSet(design=design, outputs=values)
 
 
-def _add_noise(clean, noise, seed, index):
-    """Clean evaluations plus the noise of replicate ``index``.
+def _uniform_design(n, rng):
+    """n i.i.d. Uniform[0,1) design points drawn from ``rng``."""
+    return rng.random(n)
 
-    The noise comes from the (seed, NOISE_STREAM, index) substream; with
-    noise kind "none" (or sigma = 0) ``clean`` is returned unchanged.
+
+def _add_noise(clean, noise, rng):
+    """Clean evaluations plus Gaussian noise of std ``noise.sigma``.
+
+    ``rng`` is the generator of the replicate's (seed, NOISE_STREAM, index)
+    substream, fresh or rekeyed (``streams.rekey``) to its start.
     """
-    if noise.kind == "gaussian" and noise.sigma > 0.0:
-        rng = streams.generator(seed, streams.NOISE_STREAM, index)
-        return clean + noise.sigma * rng.standard_normal(clean.size)
-    return clean
+    return clean + noise.sigma * rng.standard_normal(clean.size)
 
 
 def perturb_data(problem, y, spec, seed=0, index=0):

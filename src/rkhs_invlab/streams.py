@@ -7,6 +7,13 @@ and the same key reproduces the same stream bit-for-bit on every platform.
 Monte-Carlo replicates therefore do not depend on the order in which they
 are computed: replicate ``i`` always draws from the stream keyed by its own
 index.
+
+``rekey`` moves an existing generator to the start of another key's stream:
+it sets the same key as ``generator`` would, a zero counter and an empty
+buffer, so the draws that follow are those of a new generator with that
+key.  Rekeying keeps the (seed, stream, index) layout bit for bit; a loop
+over replicates holds one generator per stream instead of building one per
+replicate.
 """
 
 import numpy as np
@@ -22,15 +29,37 @@ GENERIC_STREAM = 5
 _INDEX_BITS = 40  # replicate indices fit in 40 bits, stream ids in the rest
 
 
+def _key(seed, stream, index):
+    """The two 64-bit Philox key words of (seed, stream, index)."""
+    if index < 0 or index >= (1 << _INDEX_BITS):
+        raise ValueError(f"stream index out of range: {index}")
+    word = (int(stream) << _INDEX_BITS) | int(index)
+    return np.array([np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF),
+                     np.uint64(word & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
+
+
 def generator(seed, stream=GENERIC_STREAM, index=0):
     """Return a ``numpy.random.Generator`` keyed by (seed, stream, index).
 
     ``seed`` is any 64-bit integer (negative values are wrapped), ``stream``
     one of the module constants, ``index`` typically a replicate number.
     """
-    if index < 0 or index >= (1 << _INDEX_BITS):
-        raise ValueError(f"stream index out of range: {index}")
-    word = (int(stream) << _INDEX_BITS) | int(index)
-    key = np.array([np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF),
-                    np.uint64(word & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, stream, index)))
+
+
+def rekey(rng, seed, stream, index):
+    """Restart the Philox generator ``rng`` on the (seed, stream, index)
+    stream and return it.
+
+    Its next draws equal those of ``generator(seed, stream, index)``: the
+    state is set to that key with a zero counter, an empty 4-word buffer
+    and no pending 32-bit half, as ``Philox(key=...)`` leaves it.
+    """
+    buffer = np.zeros(4, dtype=np.uint64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": _key(seed, stream, index)},
+        "buffer": buffer, "buffer_pos": buffer.size,
+        "has_uint32": 0, "uinteger": 0}
+    return rng

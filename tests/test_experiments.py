@@ -56,19 +56,20 @@ def public_coeffs(design, n, filt, index):
 
 
 # The module constant that sizes the replicate groups of each design: basis
-# entries per iid batch, output entries per grid chunk.
-BUDGETS = {"grid": "_CHUNK_CELLS", "iid-uniform": "_BATCH_CELLS"}
+# entries per iid batch, replicates (output columns) per grid chunk.
+GROUP_SIZES = {"grid": "_CHUNK_WIDTH", "iid-uniform": "_BATCH_CELLS"}
 
 
-def budget_cases(iid_budgets, grid_budgets):
-    """(design, budget) cases: the default budgets on both designs, then
+def group_cases(iid_budgets, grid_widths):
+    """(design, size) cases: the default group sizes on both designs, then
     iid runs under ``iid_budgets`` basis entries per batch and grid runs
-    under ``grid_budgets`` output entries per chunk."""
+    in chunks of ``grid_widths`` replicates."""
     return ([pytest.param(design, None, id=design) for design in DESIGNS]
-            + [pytest.param(design, cells, id=f"{design}-budget{cells}")
-               for design, budgets in (("iid-uniform", iid_budgets),
-                                       ("grid", grid_budgets))
-               for cells in budgets])
+            + [pytest.param("iid-uniform", cells,
+                            id=f"iid-uniform-budget{cells}")
+               for cells in iid_budgets]
+            + [pytest.param("grid", width, id=f"grid-width{width}")
+               for width in grid_widths])
 
 
 def assert_matches_public(design, value, expected):
@@ -85,14 +86,12 @@ def assert_matches_public(design, value, expected):
 # 200), 3,000 entries give 7 batches of 3 designs with a last one of 2 at
 # n = 50, and a design larger than the budget at n = 200.  For lemma-check
 # (n = 100), 6,000 give a last batch of 2 and 1,500 one over the budget.
-# A grid chunk of n-point outputs holds budget // n columns: 350 entries
-# give chunks of 7 with a last one of 6 at n = 50, chunks of 3 with a last
-# one of 2 at n = 100 and one column at n = 200; for lemma-check, 700 give
-# chunks of 7 with a last one of 6 and 60 (less than one column) give one.
-@pytest.mark.parametrize("design, budget", budget_cases([3000], [350]))
-def test_stat_rate_matches_public_path(design, budget, monkeypatch):
-    if budget is not None:
-        monkeypatch.setattr(experiments, BUDGETS[design], budget)
+# The 20 grid replicates go in chunks of 16 and 4 by default; in 7, 7 and 6
+# at width 7, one at a time at width 1, and in one chunk of 20 at width 32.
+@pytest.mark.parametrize("design, size", group_cases([3000], [7]))
+def test_stat_rate_matches_public_path(design, size, monkeypatch):
+    if size is not None:
+        monkeypatch.setattr(experiments, GROUP_SIZES[design], size)
     config = stat_rate_config(design)
     report = run_study(config)
     assert [p["x"] for p in report.points] == list(config.n_grid)
@@ -115,11 +114,11 @@ def test_stat_rate_matches_public_path(design, budget, monkeypatch):
                               float(np.median(errors)))
 
 
-@pytest.mark.parametrize("design, budget",
-                         budget_cases([6000, 1500], [700, 60]))
-def test_lemma_check_matches_public_path(design, budget, monkeypatch):
-    if budget is not None:
-        monkeypatch.setattr(experiments, BUDGETS[design], budget)
+@pytest.mark.parametrize("design, size",
+                         group_cases([6000, 1500], [32, 1]))
+def test_lemma_check_matches_public_path(design, size, monkeypatch):
+    if size is not None:
+        monkeypatch.setattr(experiments, GROUP_SIZES[design], size)
     report = run_study(lemma_check_config(design))
     filt = FilterSpec.tikhonov(0.05)
     rows = np.array([public_coeffs(design, 100, filt, rep)
@@ -182,12 +181,12 @@ def test_iid_batch_peak_memory_is_one_batch():
 
 def test_grid_chunk_peak_memory_is_basis_and_one_chunk():
     # 64 replicates at n = 3200 share one 5.1 MB basis, and their outputs
-    # pass through chunks of _CHUNK_CELLS entries: all 64 output vectors at
+    # pass through chunks of _CHUNK_WIDTH columns: all 64 output vectors at
     # once (1.6 MB) would exceed the 10% margin
     n = 3200
-    assert 1 < experiments._CHUNK_CELLS // n < 64
+    assert 1 < experiments._CHUNK_WIDTH < 64
     rows, peak = replicate_peak("grid", n, 64)
-    assert peak <= (1.1 * (n * 200 + experiments._CHUNK_CELLS) * 8
+    assert peak <= (1.1 * (n * 200 + experiments._CHUNK_WIDTH * n) * 8
                     + rows.nbytes)
 
 
@@ -229,6 +228,79 @@ KERNEL_STUDIES = {
     **{f"det-rate-{kind}": det_rate_raw(kind)
        for kind in ("tikhonov", "cutoff", "landweber")},
 }
+
+
+# One valid config of each kind, setting as few entries as it can.
+BASE_RAW = {"stat-rate": stat_rate_config("grid").to_dict(),
+            "det-rate": det_rate_raw("tikhonov"),
+            "lemma-check": lemma_check_config("grid").to_dict(),
+            "gamma-study": KERNEL_STUDIES["gamma-study"],
+            "equivalence-check": KERNEL_STUDIES["equivalence-check"]}
+
+# Entries each kind never reads, each with a valid non-default value.
+# det-rate reads gamma only under the converted theory and
+# perturbation_index only for a fixed-mode perturbation.
+UNREAD = {
+    "stat-rate": {"delta_grid": [0.1, 0.2], "lambda": 0.3, "n": 7,
+                  "perturbation": "random-unit", "perturbation_index": 2,
+                  "theory": "converted", "gamma": 1.75},
+    "det-rate": {"design": "iid-uniform", "sigma": 5.0, "replicates": 1000,
+                 "lambda": 0.3, "n": 7, "n_grid": [10, 20], "gamma": 1.75,
+                 "perturbation_index": 2},
+    "lemma-check": {"n_grid": [10, 20], "delta_grid": [0.1, 0.2],
+                    "schedule": {"c": 1.0, "exponent": 0.5},
+                    "perturbation": "random-unit", "theory": "converted"},
+    "gamma-study": {"sigma": 0.1, "replicates": 10, "filter": "cutoff",
+                    "n": 7, "delta_grid": [0.1, 0.2],
+                    "schedule": {"c": 1.0, "exponent": 0.5}},
+    "equivalence-check": {"sigma": 0.1, "replicates": 10,
+                          "filter": "cutoff", "n_grid": [10, 20],
+                          "schedule": {"c": 1.0, "exponent": 0.5}},
+}
+
+# The tolerances each kind reads, and the check each one bounds.
+TOLERANCE_CHECKS = {
+    "stat-rate": {"slope": "slope-matches-theory"},
+    "det-rate": {"slope": "slope-matches-theory"},
+    "lemma-check": {"z_max": "mean-matches-continuous",
+                    "identity": "bias-variance-identity"},
+    "gamma-study": {"norm_equality": "kernel-vs-parameter-norm"},
+    "equivalence-check": {name: name for name in (
+        "isometry", "pullback_roundtrip", "methods_equivalence",
+        "representer_oracle")},
+}
+
+# A config of each kind that sets every entry the kind reads away from its
+# default.
+FULL_RAW = {
+    "stat-rate": dict(BASE_RAW["stat-rate"], filter="cutoff",
+                      design="iid-uniform", replicates=3),
+    "det-rate": dict(BASE_RAW["det-rate"], filter="landweber",
+                     perturbation="fixed-mode", perturbation_index=2,
+                     theory="converted", gamma=1.75),
+    "lemma-check": dict(BASE_RAW["lemma-check"], filter="cutoff",
+                        design="iid-uniform"),
+    "gamma-study": BASE_RAW["gamma-study"],
+    "equivalence-check": dict(BASE_RAW["equivalence-check"],
+                              design="iid-uniform"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FULL_RAW))
+def test_read_entries_are_accepted_and_round_trip(kind):
+    config = StudyConfig.from_dict(FULL_RAW[kind])
+    assert StudyConfig.from_dict(config.to_dict()) == config
+
+
+@pytest.mark.parametrize("kind", sorted(TOLERANCE_CHECKS))
+def test_every_known_tolerance_sets_its_check(kind):
+    names = TOLERANCE_CHECKS[kind]
+    # distinct values, so each check shows which tolerance bounded it
+    values = {name: 0.5 + i for i, name in enumerate(sorted(names))}
+    report = run_study(StudyConfig.from_dict(
+        dict(BASE_RAW[kind], tolerances=values)))
+    thresholds = {c["name"]: c["threshold"] for c in report.checks}
+    assert {name: thresholds[check] for name, check in names.items()} == values
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_STUDIES))
@@ -327,6 +399,19 @@ BAD_FIELDS = {
                          ("equivalence-check",
                           KERNEL_STUDIES["equivalence-check"]),
                          ("det-rate", det_rate_raw("tikhonov")))},
+    # a tolerance the kind does not read would be ignored, not applied
+    **{f"tolerance-name-{kind}": (dict(BASE_RAW[kind],
+                                       tolerances={name: 1e-12}),
+                                  "tolerances")
+       for kind, name in (("stat-rate", "slpoe"), ("det-rate", "slpoe"),
+                          ("lemma-check", "slope"),
+                          ("gamma-study", "identity"),
+                          ("equivalence-check", "norm_equality"))},
+    # an entry the kind does not read would be echoed without effect
+    **{f"unread-{kind}-{entry}": (dict(BASE_RAW[kind], **{entry: value}),
+                                  entry)
+       for kind, entries in UNREAD.items()
+       for entry, value in entries.items()},
 }
 
 
