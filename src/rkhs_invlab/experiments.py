@@ -26,20 +26,21 @@ Every study prints one machine-readable line "STUDY <kind> <pass|fail>".
 Replicates use counter-based substreams keyed by their index, so a
 replicate's numbers do not depend on the others; the replicate loops hold
 one generator per stream and rekey it to each replicate's substream, which
-draws exactly what a new generator would.  The Monte-Carlo studies
-evaluate the sine basis once per design, so all replicates on a midpoint
+draws exactly what a new generator would.  All replicates on a midpoint
 grid share one basis matrix; their outputs are the columns of n-by-16
 chunks, and one GEMM per chunk forms the estimates.  A fixed width of 16
 columns keeps every chunk out of OpenBLAS's slow narrow-panel code (below
-8 columns) at any n, for 16 / J of the basis's memory.  Grid estimates
-therefore agree with the single-replicate public path (sample_design ->
-sample_outputs -> estimator_paper) to about 1e-14 relative, not bit for
-bit; the tests hold them to 1e-12.  The designs of consecutive iid
-replicates are evaluated together in one ``basis_matrix`` call per batch,
-each replicate reading its own rows, so the per-call overhead of the basis
-recurrence is paid once per batch rather than once per replicate; iid
-estimates match the public path bit for bit.  The evaluation costs two
-sines per point, not one per basis entry (see ``basis_matrix``).
+8 columns) at any n, for 16 / J of the basis's memory.  Each iid replicate
+draws its own design, so no basis is shared, and none is built: the
+designs of consecutive replicates go through one ``_sine_factor_tables``
+call per batch, sines and cosines at two factor angles of every mode (64
+entries per point at J = 200 instead of 200), and small per-design GEMMs
+against the tables form the clean outputs and each replicate's moments by
+angle addition.  Both paths sum in another order than the single-replicate
+public path (sample_design -> sample_outputs -> estimator_paper), so their
+estimates agree with it to about 1e-15 relative, not bit for bit; the
+tests hold them to 1e-12.  Neither depends on how the replicates are
+grouped into chunks or batches.
 """
 
 import csv
@@ -61,8 +62,8 @@ from .rkhs import correspondence_pullback, rkhs_norm
 from .sampling import (NoiseModel, PerturbationSpec, perturb_data,
                        sample_design, sample_outputs, _add_noise,
                        _uniform_design)
-from .spectral_model import (basis_matrix, forward_data,
-                             problem_from_descriptor)
+from .spectral_model import (_FACTOR_WIDTH, basis_matrix, forward_data,
+                             problem_from_descriptor, _sine_factor_tables)
 
 _KINDS = ("stat-rate", "det-rate", "lemma-check", "gamma-study",
           "equivalence-check")
@@ -103,11 +104,15 @@ _TOLERANCES = {
                           "representer_oracle": 1e-6},
 }
 
-# Basis entries (points times modes) one iid batch evaluates at once.  At
-# J = 200 on a 2-core Xeon, basis_matrix costs 7-10 ns per entry at 400
-# points, 4.5-6 ns at 1,600 and 2.5-4.5 ns from 3,200 points on, where it
-# levels off.  640,000 entries (5.1 MB) is one n = 3200 design, so batching
-# adds no memory over the largest single design of the Monte-Carlo studies.
+# Basis entries (points times modes) the designs of one iid batch would
+# fill.  A batch builds no basis, only its factor tables: 4 max(16,
+# J // 16 + 1) entries per point.  At J = 200 on a 2-core Xeon with one
+# BLAS thread (best of 20), _sine_factor_tables costs 1.5 us per point at
+# 100 points, 0.41 us at 800 and 0.32-0.41 us from 1,600 to 12,800 points,
+# where basis_matrix costs 1.0-1.7 us; 400 replicates at n = 800 took
+# 173-192 ms in batches of 800 to 6,400 points and 250 ms at 12,800.
+# 640,000 entries is 3,200 points at J = 200, one n = 3200 design: 1.6 MB
+# of tables against the 5.1 MB basis of that design.
 _BATCH_CELLS = 640_000
 
 # Replicates of one grid chunk.  The noisy outputs of consecutive replicates
@@ -141,10 +146,15 @@ def _spearman(xs, ys):
     return float(rx @ ry) / denom if denom > 0 else 0.0
 
 
+def _finite(value):
+    """True for a finite number; booleans and strings are refused."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _positive_finite(value):
     """True for a finite number > 0; booleans and strings are refused."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0)
+    return _finite(value) and value > 0
 
 
 def _is_int(value):
@@ -272,8 +282,7 @@ class StudyConfig:
             bad.append("kind")
         for key, valid in (("J", _positive_int), ("b", _positive_finite),
                            ("d", _positive_finite), ("r", _positive_finite),
-                           ("w_spec",
-                            lambda v: isinstance(v, (str, list, tuple)))):
+                           ("w_spec", self._valid_w_spec)):
             if not valid(self.problem.get(key)):
                 bad.append(f"problem.{key}")
         if self.gamma is not None and not _positive_finite(self.gamma):
@@ -337,6 +346,16 @@ class StudyConfig:
                 bad.append("lambda")
         if bad:
             raise _invalid(bad)
+
+    def _valid_w_spec(self, w_spec):
+        """A name, or J finite numbers (booleans refused); the length is
+        not judged against a J that is itself invalid."""
+        if isinstance(w_spec, str):
+            return True
+        size = self.problem.get("J")
+        return (isinstance(w_spec, (list, tuple))
+                and (not _positive_int(size) or len(w_spec) == size)
+                and all(_finite(v) for v in w_spec))
 
     def _unread_entries(self):
         """Config entries set away from their default that the kind does
@@ -454,8 +473,12 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
     GEMV per replicate.  That changes the summation order, so grid
     estimates agree with the public path to about 1e-14 relative, not bit
     for bit.  iid designs go in batches of consecutive replicates: one
-    basis_matrix call evaluates the batch's designs end to end, and each
-    replicate takes its own n rows of it, bit for bit as the public path.
+    _sine_factor_tables call covers the batch's designs end to end, and
+    every product against the tables runs per design.  The clean outputs
+    are coeff_table @ (cos_lo, sin_lo), contracted with (sin_hi, cos_hi);
+    a replicate's moments are (v sin_hi)' cos_lo + (v cos_hi)' sin_lo for
+    its noisy outputs v.  So an iid estimate is the same bit for bit at any
+    batch size, and agrees with the public path to about 1e-15 relative.
     A batch holds as many whole designs as fit in _BATCH_CELLS basis
     entries, at least one.
     """
@@ -483,18 +506,37 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
         return out
 
     design_rng = streams.generator(seed, streams.DESIGN_STREAM)
+    # sqrt(2) y_j at [a, c] for j = _FACTOR_WIDTH a + c; j = 0 and j > J are 0
+    highs = problem.size // _FACTOR_WIDTH + 1
+    coeff_table = np.zeros(highs * _FACTOR_WIDTH)
+    coeff_table[1:problem.size + 1] = np.sqrt(2.0) * y
+    coeff_table = coeff_table.reshape(highs, _FACTOR_WIDTH)
+    scale = response * (np.sqrt(2.0) / n)
 
     def fill_batch(first_row, batch):
-        # The batch basis is local to this call, so it is freed before the
-        # next batch's is built and peak memory stays at one batch.
-        u = basis_matrix(problem, np.concatenate([
+        # The batch tables are local to this call, so they are freed before
+        # the next batch's are built and peak memory stays at one batch.
+        table = _sine_factor_tables(problem, np.concatenate([
             _uniform_design(n, streams.rekey(
                 design_rng, seed, streams.DESIGN_STREAM, index))
             for index in batch]))
+        count = len(batch)
+        # per design: (2, count, _FACTOR_WIDTH, n) cos_lo, sin_lo and
+        # (2, count, highs, n) sin_hi, cos_hi
+        low = table[:_FACTOR_WIDTH, :2].reshape(
+            _FACTOR_WIDTH, 2, count, n).transpose(1, 2, 0, 3)
+        high = table[:highs, 2:].reshape(highs, 2, count, n).transpose(
+            1, 2, 0, 3)
+        outputs = coeff_table @ low
+        outputs *= high
+        outputs = outputs.sum(axis=(0, 2))
         for k, index in enumerate(batch):
-            block = u[k * n:(k + 1) * n]
-            out[first_row + k] = _paper_coeffs(response, block,
-                                               noisy(block @ y, index))
+            outputs[k] = noisy(outputs[k], index)
+        # (v sin_hi)' cos_lo + (v cos_hi)' sin_lo for each replicate's v
+        moments = ((high * outputs[:, None]) @ low.transpose(0, 1, 3, 2)).sum(
+            axis=0)
+        out[first_row:first_row + count] = scale * moments.reshape(
+            count, -1)[:, 1:problem.size + 1]
 
     per_batch = max(1, _BATCH_CELLS // (n * problem.size))
     for first_row in range(0, len(indices), per_batch):

@@ -20,6 +20,7 @@ from rkhs_invlab import (ConvergenceError, FilterSpec, NoiseModel,
                          problem_from_descriptor, run_study, sample_design,
                          sample_outputs, write_report)
 from rkhs_invlab.cli import main
+from rkhs_invlab.spectral_model import _FACTOR_WIDTH
 
 J = 20
 SEED = 314
@@ -72,14 +73,11 @@ def group_cases(iid_budgets, grid_widths):
                for width in grid_widths])
 
 
-def assert_matches_public(design, value, expected):
-    # a grid chunk's GEMM sums in another order than the public path's GEMV
-    # (gaps up to 2.1e-15 relative on these inputs); iid replicates run the
-    # public path's own arithmetic
-    if design == "grid":
-        np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0)
-    else:
-        assert value == expected
+def assert_matches_public(value, expected):
+    # a grid chunk's GEMM and an iid batch's factor tables sum in another
+    # order than the public path's GEMV (gaps up to 2.1e-15 relative on the
+    # grid and 9.1e-16 on iid designs, on these inputs)
+    np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0)
 
 
 # At J = 20 one n-point design is 20 n entries.  For stat-rate (n = 50, 100,
@@ -105,13 +103,11 @@ def test_stat_rate_matches_public_path(design, size, monkeypatch):
                           - TRUTH) ** 2))
             for rep in range(REPLICATES)])
         assert point["lambda"] == lam
-        assert_matches_public(design, point["err_mean"],
-                              float(errors.mean()))
-        assert_matches_public(design, point["err_se"],
+        assert_matches_public(point["err_mean"], float(errors.mean()))
+        assert_matches_public(point["err_se"],
                               float(errors.std(ddof=1)
                                     / math.sqrt(REPLICATES)))
-        assert_matches_public(design, point["err_median"],
-                              float(np.median(errors)))
+        assert_matches_public(point["err_median"], float(np.median(errors)))
 
 
 @pytest.mark.parametrize("design, size",
@@ -125,11 +121,10 @@ def test_lemma_check_matches_public_path(design, size, monkeypatch):
                      for rep in range(REPLICATES)])
     mean = rows.mean(axis=0)
     point = report.points[0]
-    assert_matches_public(design, point["mc_bias2"],
+    assert_matches_public(point["mc_bias2"],
                           float(np.sum((mean - TRUTH) ** 2)))
-    assert_matches_public(design, point["mc_var"],
-                          float(np.mean(np.sum((rows - mean) ** 2,
-                                               axis=1))))
+    assert_matches_public(point["mc_var"],
+                          float(np.mean(np.sum((rows - mean) ** 2, axis=1))))
 
 
 @pytest.mark.parametrize("design", DESIGNS)
@@ -142,10 +137,8 @@ def test_repeated_runs_are_identical(make_config, design):
     assert run_study(config).canonical_dict() == first
 
 
-def replicate_peak(design, n, replicates):
-    """Rows and ``tracemalloc`` peak of one _replicate_coeffs call at
-    J = 200, after a warm-up call that keeps the lazy ``numpy.random``
-    import out of the peak."""
+def replicate_run(design, n, replicates):
+    """A call of _replicate_coeffs for a lemma-check at J = 200."""
     size = 200
     raw = {"kind": "lemma-check", "design": design, "sigma": SIGMA,
            "problem": {"J": size, "b": 2.0, "d": 1.0, "r": 1.0,
@@ -154,11 +147,27 @@ def replicate_peak(design, n, replicates):
     config = StudyConfig.from_dict(raw)
     problem, truth = problem_from_descriptor(dict(raw["problem"], seed=SEED))
     filt = FilterSpec.tikhonov(0.05)
+    return lambda: experiments._replicate_coeffs(config, problem, truth,
+                                                 filt, n, range(replicates))
 
-    def run():
-        return experiments._replicate_coeffs(config, problem, truth, filt, n,
-                                             range(replicates))
 
+@pytest.mark.parametrize("cells", [1000, 10_000_000])
+def test_iid_rows_do_not_depend_on_the_batch_budget(cells, monkeypatch):
+    # 37 replicates of 100 points at J = 200 go in batches of 32 and 5 by
+    # default, one design at a time under 1,000 entries and all in one
+    # batch under 10^7.  The factor tables are per point and every product
+    # is per design, so each row is the same bit for bit.
+    run = replicate_run("iid-uniform", 100, 37)
+    default = run()
+    monkeypatch.setattr(experiments, "_BATCH_CELLS", cells)
+    assert np.array_equal(run(), default)
+
+
+def replicate_peak(design, n, replicates):
+    """Rows and ``tracemalloc`` peak of one _replicate_coeffs call at
+    J = 200, after a warm-up call that keeps the lazy ``numpy.random``
+    import out of the peak."""
+    run = replicate_run(design, n, replicates)
     run()
     tracemalloc.start()
     try:
@@ -166,17 +175,21 @@ def replicate_peak(design, n, replicates):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rows.shape == (replicates, size)
+    assert rows.shape == (replicates, 200)
     return rows, peak
 
 
 def test_iid_batch_peak_memory_is_one_batch():
     # 12 replicates of 800 points at J = 200 are three batches of four
-    # designs; the basis of a finished batch must be freed before the next
-    # one is built
+    # designs.  A batch holds its factor tables (4 x 16 entries per point)
+    # and one product of the high table (2 x 13 per point) with the
+    # outputs, 90 entries per point against the 200 of its basis; the
+    # tables of a finished batch must be freed before the next are built
     assert experiments._BATCH_CELLS // (800 * 200) == 4
+    highs = 200 // _FACTOR_WIDTH + 1
     rows, peak = replicate_peak("iid-uniform", 800, 12)
-    assert peak <= 1.1 * experiments._BATCH_CELLS * 8 + rows.nbytes
+    assert peak <= (1.1 * (4 * _FACTOR_WIDTH + 2 * highs) * 4 * 800 * 8
+                    + rows.nbytes)
 
 
 def test_grid_chunk_peak_memory_is_basis_and_one_chunk():
@@ -383,6 +396,17 @@ BAD_FIELDS = {
                        "problem.J"),
     "gamma-list": (dict(det_rate_raw("tikhonov"), theory="converted",
                         gamma=[1.75]), "gamma"),
+    # an explicit source element is J finite numbers, not NaN in a report,
+    # an unnamed conversion error or booleans read as 1.0 and 0.0
+    **{f"w_spec-{name}": (dict(det_rate_raw("tikhonov"),
+                               problem=dict(KERNEL_PROBLEM, w_spec=w_spec)),
+                          "problem.w_spec")
+       for name, w_spec in (
+           ("null", [1.0, None] + [0.0] * (KERNEL_J - 2)),
+           ("string", ["a"] * KERNEL_J),
+           ("bool", [True, False] * (KERNEL_J // 2)),
+           ("inf", [math.inf] + [0.0] * (KERNEL_J - 1)),
+           ("length", [1.0] * (KERNEL_J - 1)))},
     "sigma-nan": (dict(lemma_check_config("grid").to_dict(),
                        sigma=math.nan), "sigma"),
     # values refused instead of silently coerced

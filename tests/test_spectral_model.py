@@ -21,6 +21,7 @@ from rkhs_invlab import (DomainError, FilterSpec, ParameterError,
                          make_source_solution, perturb_data,
                          problem_from_descriptor, resolve_w_spec,
                          solve_continuous, verify)
+from rkhs_invlab.spectral_model import _FACTOR_WIDTH, _sine_factor_tables
 
 
 class TestBuildPowerLawProblem:
@@ -203,6 +204,45 @@ class TestBasisMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * x.size * problem.size * 8
+
+
+def factor_basis(x, size):
+    """u_j(x) rebuilt from the sine factor tables by angle addition."""
+    table = _sine_factor_tables(build_power_law_problem(size, 2.0, 1.0),
+                                np.asarray(x, dtype=float))
+    high, low = np.divmod(np.arange(1, size + 1), _FACTOR_WIDTH)
+    return math.sqrt(2.0) * (table[high, 2] * table[low, 0]
+                             + table[high, 3] * table[low, 1]).T
+
+
+# Where the reduction of 16 pi x changes branch: 16 x mod 2 wraps at
+# x = m/8, folds at odd m/16 and reflects at odd m/32; one ulp either side.
+REDUCTION_POINTS = ([m / 32 for m in range(33)]
+                    + [np.nextafter(m / 16, side) for m in range(17)
+                       for side in (0.0, 1.0)])
+
+
+class TestSineFactorTables:
+    def factor_errors(self, x, size):
+        """Max abs error of the rebuilt basis and of basis_matrix at x."""
+        exact = exact_basis(x, size)
+        basis = basis_matrix(build_power_law_problem(size, 2.0, 1.0), x)
+        return (float(np.max(np.abs(factor_basis(x, size) - exact))),
+                float(np.max(np.abs(basis - exact))))
+
+    def test_error_bound_at_j200(self):
+        x = np.concatenate([np.random.default_rng(8).random(240),
+                            EDGE_POINTS, REDUCTION_POINTS])
+        err, basis_err = self.factor_errors(x, 200)
+        assert err <= 1.5e-13
+        assert err <= basis_err
+
+    def test_no_worse_than_basis_matrix_at_j1000(self):
+        # 1000 // 16 + 1 = 63 high rows, more than the 16 low ones
+        x = np.concatenate([np.random.default_rng(9).random(53),
+                            EDGE_POINTS, REDUCTION_POINTS])
+        err, basis_err = self.factor_errors(x, 1000)
+        assert err <= basis_err
 
 
 class TestEvalFunction:
