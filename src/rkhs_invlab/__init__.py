@@ -7,9 +7,8 @@ generated reproducibly, and the conversion between sample-count rates and
 noise-level rates can be verified by slope-fitted Monte-Carlo studies.
 """
 
-from .errors import (ConvergenceError, DomainError, InvlabError, ModelError,
-                     NumericalError, ParameterError, ShapeError,
-                     ValidationError)
+from .errors import (DomainError, InvlabError, ModelError, NumericalError,
+                     ParameterError, ShapeError, ValidationError)
 from .spectral_model import (SpectralProblem, basis_matrix,
                              build_power_law_problem, eval_function,
                              forward_data, make_source_solution,
@@ -18,8 +17,7 @@ from .rkhs import (GramMatrix, correspondence_pullback, gram_matrix,
                    kernel_eval, rkhs_norm)
 from .sampling import (NoiseModel, PerturbationSpec, SampleSet, perturb_data,
                        sample_design, sample_outputs)
-from .regularization import (FilterSpec, KernelSolution, LossSpec,
-                             certify_filter, erm_representer_solve,
+from .regularization import (FilterSpec, KernelSolution, certify_filter,
                              estimator_learn, estimator_paper,
                              kernel_tikhonov, solve_continuous)
 from .rates import (ConvertedRate, RateExponents, RateFit, RateLink,

@@ -83,9 +83,6 @@ def _cmd_run(args):
         report = run_study(config)
     except NumericalError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
-        for iteration, objective, measure in getattr(exc, "trace", [])[-1:]:
-            print(f"trace tail: iteration {iteration}, objective "
-                  f"{objective:.6e}, measure {measure:.3e}", file=sys.stderr)
         return 3
     except (InvlabError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

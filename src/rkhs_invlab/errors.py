@@ -34,6 +34,9 @@ class NumericalError(InvlabError, RuntimeError):
 class ConvergenceError(NumericalError):
     """Iterative solver did not reach its tolerance.
 
+    No library routine raises it; it stays for ``studybench/tracer.py``,
+    which imports it.
+
     Carries the iteration trace so the failure can be diagnosed: a list of
     ``(iteration, objective, optimality_measure)`` snapshots.
     """

@@ -14,24 +14,14 @@ coordinates in the sine basis:
                            empirical moment (1/n) Phi' y.
 
 The dense n-by-n Tikhonov solve (K + lambda n I) beta = y is
-``kernel_tikhonov``, the one n-by-n solve and the kernel-side reference
-that learn-n and the penalized ERM solver are checked against.
+``kernel_tikhonov``, the one n-by-n solve: the kernel-side reference that
+learn-n is checked against, and whose first-order optimality for the
+penalized empirical risk equivalence-check measures.
 
 Filter families implemented: Tikhonov s(t) = 1/(t + lambda) with
 qualification 1; spectral cutoff s(t) = 1/t for t >= lambda (qualification
 unbounded, tabulated to 8); Landweber with m iterations, lambda = 1/m,
 s(t) = sum_{k<m} (1-t)^k, valid on spectra bounded by 1.
-
-The generic penalized empirical risk solver works on f in R^J.  Every
-g = sum_i beta_i K_{x_i} is A f with f = Phi' beta, ||g||_K = ||f|| and
-fitted values Phi f, and by the representer theorem the minimizer over R^J
-lies in that span.  It minimizes the 2 lambda-strongly convex
-
-    (1/n) sum_i V(Y_i, (Phi f)_i) + lambda * ||f||^2
-
-with a Barzilai-Borwein descent under a nonmonotone Armijo line search; at
-lambda = 0 it returns the minimum-norm minimizer in f.  For the square loss
-it must and does reproduce the g of the closed form (K + lambda n I)^{-1} y.
 """
 
 import math
@@ -40,8 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConvergenceError, DomainError, ModelError,
-                     NumericalError, ParameterError, ShapeError)
+from .errors import (DomainError, ModelError, NumericalError, ParameterError,
+                     ShapeError)
 from .rkhs import _gram_entries
 from .spectral_model import basis_matrix
 
@@ -179,59 +169,9 @@ def certify_filter(kind, problem, n_lambda=50, n_t=10_000):
             "qualification": float(margin_q)}
 
 
-@dataclass(frozen=True)
-class LossSpec:
-    """Pointwise loss V(y, w), nonnegative with V(y, y) = 0.
-
-    square: (w - y)^2, strictly convex.
-    absolute: |w - y|, convex; the solver differentiates its pseudo-Huber
-        smoothing with parameter ``smooth``.
-    """
-
-    kind: str
-    smooth: float = 1e-6
-
-    def __post_init__(self):
-        if self.kind not in ("square", "absolute"):
-            raise ParameterError(f"unknown loss kind: {self.kind!r}")
-        if self.smooth <= 0.0:
-            raise ParameterError("smooth must be positive")
-
-    def value(self, y, w):
-        res = np.asarray(w, dtype=float) - np.asarray(y, dtype=float)
-        if self.kind == "square":
-            return res ** 2
-        return np.abs(res)
-
-    def smoothed_value(self, y, w):
-        if self.kind != "absolute":
-            return self.value(y, w)
-        res = np.asarray(w, dtype=float) - np.asarray(y, dtype=float)
-        return np.sqrt(res ** 2 + self.smooth ** 2) - self.smooth
-
-    def derivative(self, y, w):
-        """d/dw of the (smoothed) loss."""
-        res = np.asarray(w, dtype=float) - np.asarray(y, dtype=float)
-        if self.kind == "square":
-            return 2.0 * res
-        return res / np.sqrt(res ** 2 + self.smooth ** 2)
-
-    def curvature_bound(self):
-        if self.kind == "square":
-            return 2.0
-        return 1.0 / self.smooth
-
-
 class KernelSolution(NamedTuple):
     beta: np.ndarray
     g_coeffs: np.ndarray
-
-
-class ErmSolution(NamedTuple):
-    """g = sigma * f of the J-space ERM minimizer f, and the diagnostics."""
-
-    g_coeffs: np.ndarray
-    diagnostics: dict
 
 
 def solve_continuous(problem, filt, y):
@@ -300,79 +240,3 @@ def kernel_tikhonov(problem, samples, lam):
     g_coeffs = problem.mu * (u.T @ beta)
     return KernelSolution(beta=beta, g_coeffs=g_coeffs)
 
-
-def erm_representer_solve(problem, samples, loss, lam, tol=1e-10,
-                          max_iter=100_000):
-    """Minimize the penalized empirical risk over span{K_{x_i}} in J-space.
-
-    The penalty is the square lambda ||g||_K^2.  Works on f with feature
-    rows Phi = u diag(sigma), fitted values Phi f and squared norm
-    ||f||^2 = ||g||_K^2; returns g = sigma * f.  Descent:
-    Barzilai-Borwein steps guarded by a nonmonotone Armijo backtracking line
-    search from f = 0, until the gradient norm falls below ``tol``; else it
-    raises a diagnostic error carrying the iteration trace.
-
-    The iterates stay in the row space of Phi, so with lambda = 0 the
-    returned f is the minimum-norm minimizer.
-    """
-    if lam < 0.0:
-        raise ParameterError("lambda must be nonnegative")
-    n = samples.size
-    phi = basis_matrix(problem, samples.design) * problem.sigma_sv
-    y = samples.outputs
-
-    def objective(f, fitted):
-        data_term = float(np.mean(loss.smoothed_value(y, fitted)))
-        return data_term + lam * float(f @ f)
-
-    def gradient(f, fitted):
-        return phi.T @ (loss.derivative(y, fitted) / n) + 2.0 * lam * f
-
-    # ||Phi||_F^2 bounds the squared spectral norm at O(nJ) cost.
-    lipschitz = (loss.curvature_bound() * float(np.sum(phi * phi)) / n
-                 + 2.0 * lam + 1e-300)
-    f = np.zeros(problem.size)
-    fitted = phi @ f
-    f_val = objective(f, fitted)
-    grad = gradient(f, fitted)
-    history = [f_val]
-    trace = []
-    step = 1.0 / lipschitz
-    prev_f = prev_grad = None
-    measure = float(np.linalg.norm(grad))
-    iteration = 0
-    for iteration in range(max_iter):
-        if iteration % 50 == 0:
-            trace.append((iteration, f_val, measure))
-        if measure <= tol:
-            break
-        if prev_f is not None:
-            diff_f = f - prev_f
-            diff_g = grad - prev_grad
-            denom = float(diff_f @ diff_g)
-            step = float(diff_f @ diff_f) / denom if denom > 0 else 1.0 / lipschitz
-        reference = max(history[-10:])
-        t = step
-        for _ in range(60):
-            candidate = f - t * grad
-            cand_fitted = phi @ candidate
-            cand_val = objective(candidate, cand_fitted)
-            if cand_val <= reference - 1e-4 * t * measure ** 2:
-                break
-            t *= 0.5
-        else:
-            break  # objective at its floating-point floor
-        prev_f, prev_grad = f, grad
-        f, fitted, f_val = candidate, cand_fitted, cand_val
-        history.append(f_val)
-        grad = gradient(f, fitted)
-        measure = float(np.linalg.norm(grad))
-    if measure <= tol:
-        return ErmSolution(g_coeffs=problem.sigma_sv * f,
-                           diagnostics={"iterations": iteration,
-                                        "measure": measure,
-                                        "objective": f_val, "converged": True})
-    trace.append((iteration, f_val, measure))
-    raise ConvergenceError(
-        f"descent stopped at gradient norm {measure:.3e} > tol {tol:.1e}",
-        trace)

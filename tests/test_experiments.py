@@ -14,11 +14,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rkhs_invlab import (ConvergenceError, FilterSpec, NoiseModel,
+from rkhs_invlab import (FilterSpec, NoiseModel, NumericalError,
                          StudyConfig, StudyReport, ValidationError,
-                         estimator_paper, experiments, lambda_schedule,
-                         problem_from_descriptor, run_study, sample_design,
-                         sample_outputs, write_report)
+                         equivalence_deviations, estimator_paper, experiments,
+                         lambda_schedule, problem_from_descriptor, run_study,
+                         sample_design, sample_outputs, write_report)
 from rkhs_invlab.cli import main
 from rkhs_invlab.spectral_model import _FACTOR_WIDTH
 
@@ -500,16 +500,14 @@ def test_cli_info_refuses_lambda_points_below_one(count, capsys):
 
 def test_cli_run_exit_three_on_numerical_failure(tmp_path, monkeypatch,
                                                  capsys):
-    def diverge(*args, **kwargs):
-        raise ConvergenceError("descent stopped",
-                               [(0, 1.5, 2.0), (50, 0.25, 3.5e-11)])
+    def singular(*args, **kwargs):
+        raise NumericalError("kernel system is singular: Singular matrix")
 
-    monkeypatch.setattr(experiments, "erm_representer_solve", diverge)
+    monkeypatch.setattr(experiments, "kernel_tikhonov", singular)
     assert run_cli(tmp_path, KERNEL_STUDIES["equivalence-check"]) == 3
     assert not (tmp_path / "out").exists()
-    err = capsys.readouterr().err
-    assert "descent stopped" in err
-    assert "iteration 50, objective 2.500000e-01, measure 3.500e-11" in err
+    assert ("numerical failure: kernel system is singular"
+            in capsys.readouterr().err)
 
 
 IID_EQUIVALENCE = {"kind": "equivalence-check",
@@ -529,7 +527,7 @@ def test_iid_equivalence_check_passes(seed):
     config = StudyConfig.from_dict(dict(IID_EQUIVALENCE, seed=seed))
     report = run_study(config)
     assert report.verdict, report.checks
-    assert representer_oracle(report) <= 1e-6
+    assert representer_oracle(report) <= 1e-10
     assert run_study(config).canonical_dict() == report.canonical_dict()
 
 
@@ -537,4 +535,37 @@ def test_iid_equivalence_check_converges_at_n_equal_j():
     raw = dict(IID_EQUIVALENCE, n=100, seed=0)
     raw["problem"] = dict(raw["problem"], J=100)
     raw["lambda"] = 1e-3
-    assert representer_oracle(run_study(StudyConfig.from_dict(raw))) <= 1e-6
+    assert representer_oracle(run_study(StudyConfig.from_dict(raw))) <= 1e-10
+
+
+def test_equivalence_check_on_zero_truth():
+    # y = 0 gives g = 0: every deviation reads exactly 0.0, not NaN
+    raw = dict(KERNEL_STUDIES["equivalence-check"],
+               problem=dict(KERNEL_PROBLEM, w_spec=[0.0] * KERNEL_J))
+    report = run_study(StudyConfig.from_dict(raw))
+    assert report.verdict, report.checks
+    assert representer_oracle(report) == 0.0
+
+
+def representer_deviation(raw):
+    seed = raw.get("seed", 0)
+    problem, truth = problem_from_descriptor(dict(raw["problem"], seed=seed))
+    design = sample_design(raw["design"], raw["n"], seed)
+    samples = sample_outputs(problem, truth, design, NoiseModel(), seed)
+    return equivalence_deviations(problem, samples, raw["lambda"],
+                                  seed=seed)["representer_oracle"]
+
+
+@pytest.mark.parametrize("raw", [KERNEL_STUDIES["equivalence-check"],
+                                 dict(IID_EQUIVALENCE, seed=0)],
+                         ids=["grid", "iid"])
+def test_representer_oracle_catches_unscaled_lambda(raw, monkeypatch):
+    # solving at lambda / n puts lambda, not lambda n, on the kernel
+    # system's diagonal
+    assert representer_deviation(raw) <= 1e-10
+    solve = experiments.kernel_tikhonov
+    monkeypatch.setattr(
+        experiments, "kernel_tikhonov",
+        lambda problem, samples, lam: solve(problem, samples,
+                                            lam / samples.size))
+    assert representer_deviation(raw) >= 1e-4

@@ -1,4 +1,4 @@
-"""Filters, the four reconstructions, kernel solves and the descent solver.
+"""Filters, the four reconstructions and kernel solves.
 
 A test named after an invariant of ``verify.ALL_CHECKS`` only runs that
 check, at a second seed where the check draws random inputs; the check
@@ -11,13 +11,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rkhs_invlab import (ConvergenceError, DomainError, FilterSpec, LossSpec,
-                         ModelError, NoiseModel, ParameterError, SampleSet,
-                         basis_matrix, build_power_law_problem,
-                         erm_representer_solve, estimator_learn,
-                         estimator_paper, fit_rate, forward_data, gram_matrix,
-                         kernel_tikhonov, make_source_solution, sample_design,
-                         sample_outputs, solve_continuous, verify)
+from rkhs_invlab import (DomainError, FilterSpec, ModelError, NoiseModel,
+                         ParameterError, SampleSet, basis_matrix,
+                         build_power_law_problem, equivalence_deviations,
+                         estimator_learn, estimator_paper, fit_rate,
+                         forward_data, kernel_tikhonov, make_source_solution,
+                         sample_design, sample_outputs, solve_continuous,
+                         verify)
 
 
 def clean_samples(problem, truth, design):
@@ -255,8 +255,9 @@ class TestKernelTikhonov:
     def test_rejects_nonpositive_lambda(self, two_mode):
         problem, truth = two_mode
         samples = clean_samples(problem, truth, sample_design("grid", 2))
-        with pytest.raises(ParameterError):
-            kernel_tikhonov(problem, samples, 0.0)
+        for lam in (0.0, -0.1):
+            with pytest.raises(ParameterError):
+                kernel_tikhonov(problem, samples, lam)
 
     def test_interpolation_limit(self):
         result = verify.check_representer_limit(47)
@@ -267,8 +268,15 @@ class TestKernelTikhonov:
         assert result.passed, result.detail
 
 
-class TestErmRepresenterSolve:
-    def test_square_loss_matches_closed_form(self):
+def representer_residual(problem, samples, lam):
+    return equivalence_deviations(problem, samples, lam)["representer_oracle"]
+
+
+class TestRepresenterResidual:
+    """The closed-form Tikhonov solve zeroes the first-order residual of the
+    penalized empirical risk, to roundoff."""
+
+    def test_residual_vanishes_on_jittered_design(self):
         problem = build_power_law_problem(30, 2.0, 1.0)
         truth = make_source_solution(problem, 1.0,
                                      np.arange(1, 31, dtype=float) ** -1.0)
@@ -278,109 +286,22 @@ class TestErmRepresenterSolve:
         samples = sample_outputs(problem, truth, design,
                                  NoiseModel(kind="gaussian", sigma=0.2),
                                  seed=59)
-        lam = 0.15
-        solution = erm_representer_solve(problem, samples, LossSpec("square"),
-                                         lam, tol=1e-12)
-        oracle = kernel_tikhonov(problem, samples, lam)
-        rel = (np.linalg.norm(solution.g_coeffs - oracle.g_coeffs)
-               / np.linalg.norm(oracle.g_coeffs))
-        assert rel <= 1e-6
-        assert solution.diagnostics["converged"]
+        assert representer_residual(problem, samples, 0.15) <= 1e-10
 
-    def test_zero_outputs_short_circuit(self):
-        problem = build_power_law_problem(10, 2.0, 1.0)
-        samples = SampleSet(design=np.array([0.2, 0.5, 0.8]),
-                            outputs=np.zeros(3))
-        solution = erm_representer_solve(problem, samples, LossSpec("square"),
-                                         0.3)
-        npt.assert_array_equal(solution.g_coeffs, np.zeros(10))
-        assert solution.diagnostics["iterations"] == 0
-
-    def test_absolute_loss_repeated_point_median(self):
-        # all design points coincide: fitted value tends to the sample
-        # median as lambda -> 0; brute-force 1-d scan confirms the target
-        problem = build_power_law_problem(20, 2.0, 1.0)
-        design = np.full(3, 0.4)
-        outputs = np.array([1.0, 1.0, 5.0])
-        samples = SampleSet(design=design, outputs=outputs)
-        k00 = gram_matrix(problem, design).entries[0, 0]
-        lam = 1e-9
-        grid = np.linspace(0.0, 6.0, 60_001)
-        scan = (np.abs(grid[:, None] - outputs).mean(axis=1)
-                + lam * grid ** 2 / k00)
-        target = grid[int(np.argmin(scan))]
-        assert abs(target - 1.0) <= 1e-3  # median of (1, 1, 5)
-        solution = erm_representer_solve(problem, samples,
-                                         LossSpec("absolute"), lam, tol=1e-9,
-                                         max_iter=200_000)
-        fitted = basis_matrix(problem, design) @ solution.g_coeffs
-        assert abs(fitted[0] - target) <= 1e-3
-
-    def test_absolute_loss_distinct_points_interpolates(self):
-        problem = build_power_law_problem(20, 1.5, 1.0)
-        design = np.array([0.2, 0.5, 0.8])
-        outputs = np.array([1.0, 1.0, 5.0])
-        samples = SampleSet(design=design, outputs=outputs)
-        solution = erm_representer_solve(problem, samples,
-                                         LossSpec("absolute"), 1e-10,
-                                         tol=1e-9, max_iter=400_000)
-        fitted = basis_matrix(problem, design) @ solution.g_coeffs
-        npt.assert_allclose(fitted, outputs, atol=2e-3)
-
-    def test_grid_solve_converges_in_few_iterations(self):
-        # the J-space objective is 2 lambda-strongly convex, so the descent
-        # needs hundreds of steps, not the tens of thousands a descent on
-        # the unidentifiable beta directions would take
+    def test_residual_vanishes_on_grid(self):
         problem = build_power_law_problem(200, 2.0, 1.0)
         truth = make_source_solution(problem, 1.0,
                                      np.arange(1, 201, dtype=float) ** -1.0)
         samples = clean_samples(problem, truth, sample_design("grid", 400))
-        solution = erm_representer_solve(problem, samples, LossSpec("square"),
-                                         1e-3, tol=1e-12)
-        assert solution.diagnostics["iterations"] < 1_000
-        oracle = kernel_tikhonov(problem, samples, 1e-3)
-        rel = (np.linalg.norm(solution.g_coeffs - oracle.g_coeffs)
-               / np.linalg.norm(oracle.g_coeffs))
-        assert rel <= 1e-6
+        assert representer_residual(problem, samples, 1e-3) <= 1e-10
 
-    def test_nonconvergence_raises_with_trace(self):
-        problem = build_power_law_problem(5, 2.0, 1.0)
-        samples = SampleSet(design=np.array([0.3, 0.7]),
-                            outputs=np.array([1.0, -1.0]))
-        with pytest.raises(ConvergenceError) as info:
-            erm_representer_solve(problem, samples, LossSpec("square"),
-                                  0.1, tol=1e-30, max_iter=3)
-        assert len(info.value.trace) >= 1
+
+class TestErmRepresenterSolve:
+    """The square-loss ERM's representer solution is the closed-form kernel
+    Tikhonov solve, read through its first-order residual."""
 
     def test_rejects_negative_lambda(self):
         problem = build_power_law_problem(5, 2.0, 1.0)
         samples = SampleSet(design=np.array([0.3]), outputs=np.array([1.0]))
         with pytest.raises(ParameterError):
-            erm_representer_solve(problem, samples, LossSpec("square"), -0.1)
-
-
-class TestLossAndPenaltySpecs:
-    def test_losses_vanish_on_diagonal(self):
-        rng = np.random.default_rng(61)
-        y = rng.standard_normal(50)
-        for kind in ("square", "absolute"):
-            loss = LossSpec(kind)
-            npt.assert_allclose(loss.value(y, y), np.zeros(50), atol=1e-15)
-            assert np.all(loss.value(y, y + rng.standard_normal(50)) >= 0.0)
-
-    def test_convexity_midpoint(self):
-        rng = np.random.default_rng(67)
-        y = 0.3
-        for kind, strict in (("square", True), ("absolute", False)):
-            loss = LossSpec(kind)
-            for _ in range(100):
-                w1, w2 = rng.uniform(-5, 5, 2)
-                mid = loss.value(y, 0.5 * (w1 + w2))
-                chord = 0.5 * (loss.value(y, w1) + loss.value(y, w2))
-                assert mid <= chord + 1e-12
-                if strict and abs(w1 - w2) > 1e-6:
-                    assert mid < chord + 1e-12
-
-    def test_unknown_loss(self):
-        with pytest.raises(ParameterError):
-            LossSpec("hinge")
+            representer_residual(problem, samples, -0.1)
