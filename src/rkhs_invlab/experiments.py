@@ -14,10 +14,15 @@ lemma-check        At fixed (n, lambda): Monte-Carlo verification of the
                    the bounded-perturbation error by the sampled risk at
                    noise level Delta(n, lambda).
 gamma-study        Noiseless midpoint grids with fixed lambda: kernel-side
-                   distance between the empirical and continuous penalized
-                   fits, recorded both in the kernel norm and pulled back
-                   to parameter space (the two must agree), and required to
-                   decrease with n.
+                   distance between the empirical penalized fit (the
+                   J-space Tikhonov solve) and the continuous one, in the
+                   kernel norm and pulled back to parameter space (the two
+                   must agree).  Past n = J the midpoint rule integrates
+                   every product of two modes exactly, so there the
+                   distance must be exact: at most the floor ``exact``
+                   times the continuous norm.  Above the floor it must
+                   shrink at every step of the grid; distances at or below
+                   it are roundoff and are not ranked.
 equivalence-check  Maximal deviations of the isometry, the pullback
                    round-trip and the kernel-vs-parameter Tikhonov solves,
                    and the first-order optimality residual of the penalized
@@ -34,7 +39,7 @@ columns keeps every chunk out of OpenBLAS's slow narrow-panel code (below
 8 columns) at any n, for 16 / J of the basis's memory.  Each iid replicate
 draws its own design, so no basis is shared, and none is built: the
 designs of consecutive replicates go through one ``_sine_factor_tables``
-call per batch, sines and cosines at two factor angles of every mode (64
+call per batch, sines and cosines at two factor angles of every mode (58
 entries per point at J = 200 instead of 200), and small per-design GEMMs
 against the tables form the clean outputs and each replicate's moments by
 angle addition.  Both paths sum in another order than the single-replicate
@@ -47,6 +52,7 @@ grouped into chunks or batches.
 import csv
 import json
 import math
+import operator
 import time
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -97,12 +103,18 @@ _CONFIG_NAMES = {"filter_kind": "filter", "lam": "lambda",
 _TOLERANCES = {
     "stat-rate": {"slope": 0.12},
     "det-rate": {"slope": 0.15},
-    "lemma-check": {"z_max": 3.0, "identity": 1e-10},
-    "gamma-study": {"norm_equality": 1e-10},
+    # z_max None: the Sidak threshold of the J per-mode z-scores at family
+    # level _Z_FAMILY_LEVEL (_sidak_z)
+    "lemma-check": {"z_max": None, "identity": 1e-10},
+    "gamma-study": {"norm_equality": 1e-10, "exact": 1e-10},
     "equivalence-check": {"isometry": 1e-10, "pullback_roundtrip": 1e-12,
                           "methods_equivalence": 1e-10,
                           "representer_oracle": 1e-10},
 }
+
+# Probability that lemma-check's mean-matches-continuous fails under the
+# claim at the default z_max: the largest of J independent |z| exceeds it.
+_Z_FAMILY_LEVEL = 0.01
 
 # Basis entries (points times modes) the designs of one iid batch would
 # fill.  A batch builds no basis, only its factor tables: 4 max(16,
@@ -143,6 +155,22 @@ def _spearman(xs, ys):
     ry -= ry.mean()
     denom = math.sqrt(float(rx @ rx) * float(ry @ ry))
     return float(rx @ ry) / denom if denom > 0 else 0.0
+
+
+def _sidak_z(count, level):
+    """The z* at which the largest of ``count`` independent standard normal
+    |z| exceeds z* with probability ``level``: each |z| exceeds it with
+    probability 1 - (1 - level)**(1 / count) = erfc(z* / sqrt 2) (Sidak),
+    solved by bisection."""
+    per_mode = -math.expm1(math.log1p(-level) / count)
+    lo, hi = 0.0, 40.0
+    for _ in range(64):  # 40 / 2**64 is below one ulp of z*
+        mid = 0.5 * (lo + hi)
+        if math.erfc(mid / math.sqrt(2.0)) > per_mode:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _finite(value):
@@ -428,8 +456,12 @@ class StudyReport:
                 for c in self.checks]
 
 
+# The comparisons a check may make of its value with its threshold.
+_OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge}
+
+
 def _check(name, value, op, threshold):
-    passed = value <= threshold if op == "<=" else value >= threshold
+    passed = _OPS[op](value, threshold)
     return {"name": name, "value": float(value), "op": op,
             "threshold": float(threshold), "passed": bool(passed)}
 
@@ -515,17 +547,15 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
     def fill_batch(first_row, batch):
         # The batch tables are local to this call, so they are freed before
         # the next batch's are built and peak memory stays at one batch.
-        table = _sine_factor_tables(problem, np.concatenate([
+        low, high = _sine_factor_tables(problem, np.concatenate([
             _uniform_design(n, streams.rekey(
                 design_rng, seed, streams.DESIGN_STREAM, index))
             for index in batch]))
         count = len(batch)
         # per design: (2, count, _FACTOR_WIDTH, n) cos_lo, sin_lo and
         # (2, count, highs, n) sin_hi, cos_hi
-        low = table[:_FACTOR_WIDTH, :2].reshape(
-            _FACTOR_WIDTH, 2, count, n).transpose(1, 2, 0, 3)
-        high = table[:highs, 2:].reshape(highs, 2, count, n).transpose(
-            1, 2, 0, 3)
+        low = low.reshape(_FACTOR_WIDTH, 2, count, n).transpose(1, 2, 0, 3)
+        high = high.reshape(highs, 2, count, n).transpose(1, 2, 0, 3)
         outputs = coeff_table @ low
         outputs *= high
         outputs = outputs.sum(axis=(0, 2))
@@ -656,7 +686,8 @@ def _run_lemma_check(config, started):
         _check("risk-above-lower-bound", mc_mean - (lower - 3.0 * mc_se),
                ">=", 0.0),
         _check("mean-matches-continuous", float(np.max(z)), "<=",
-               tolerances["z_max"]),
+               tolerances["z_max"]
+               or _sidak_z(problem.size, _Z_FAMILY_LEVEL)),
         _check("bias-variance-identity", identity_gap, "<=",
                tolerances["identity"]),
         _check("perturbed-error-below-risk",
@@ -669,29 +700,44 @@ def _run_lemma_check(config, started):
 def _run_gamma_study(config, started):
     problem, truth = _problem_of(config)
     lam = float(config.lam)
+    filt = FilterSpec.tikhonov(lam)
     g_cont = problem.mu * forward_data(problem, truth) / (problem.mu + lam)
+    g_norm = rkhs_norm(problem, g_cont)
     points = []
     for n in config.n_grid:
         design = sample_design("grid", int(n))
         samples = sample_outputs(problem, truth, design, NoiseModel(),
                                  config.seed)
-        solution = kernel_tikhonov(problem, samples, lam)
-        diff = solution.g_coeffs - g_cont
+        # the kernel-side fit g = A f of the J-space Tikhonov solve, which
+        # equivalence-check holds to kernel_tikhonov's n-by-n solve
+        g = forward_data(problem, estimator_learn(problem, filt, samples))
+        diff = g - g_cont
         hk = rkhs_norm(problem, diff)
         h1 = float(np.linalg.norm(correspondence_pullback(problem, diff)))
         points.append({"x": int(n), "lambda": lam, "err_mean": hk,
                        "err_se": 0.0, "h1_dist": h1})
+    tolerances = _tolerances(config)
+    # a distance at or below the floor is exact up to roundoff, whose size
+    # and order depend on the solver and the BLAS, so it is never ranked
+    floor = tolerances["exact"] * g_norm
     hk_values = [p["err_mean"] for p in points]
+    worst_ratio = max((later / earlier for earlier, later
+                       in zip(hk_values, hk_values[1:]) if earlier > floor),
+                      default=0.0)
+    # past n = J the midpoint rule integrates every sine product exactly,
+    # so the empirical fit is the continuous one
+    beyond = max((p["err_mean"] for p in points if p["x"] > problem.size),
+                 default=0.0) / max(g_norm, 1e-300)
     agreement = max(abs(p["err_mean"] - p["h1_dist"]) for p in points)
-    corr = _spearman([p["x"] for p in points], hk_values)
     checks = [
-        _check("error-decreasing", corr, "<=", -0.9),
+        _check("error-decreasing", worst_ratio, "<", 1.0),
         _check("final-error-below-tenth", hk_values[-1],
                "<=", hk_values[0] / 10.0),
         _check("kernel-vs-parameter-norm", agreement, "<=",
-               _tolerances(config)["norm_equality"]),
+               tolerances["norm_equality"]),
+        _check("exact-for-n-above-J", beyond, "<=", tolerances["exact"]),
     ]
-    theory = {"lambda": lam, "continuous_norm": rkhs_norm(problem, g_cont)}
+    theory = {"lambda": lam, "continuous_norm": g_norm, "exact_floor": floor}
     return _finish(config, points, fit=None, theory=theory, checks=checks,
                    started=started)
 

@@ -14,9 +14,11 @@ coordinates in the sine basis:
                            empirical moment (1/n) Phi' y.
 
 The dense n-by-n Tikhonov solve (K + lambda n I) beta = y is
-``kernel_tikhonov``, the one n-by-n solve: the kernel-side reference that
-learn-n is checked against, and whose first-order optimality for the
-penalized empirical risk equivalence-check measures.
+``kernel_tikhonov``, the one n-by-n solve.  It serves only as the
+kernel-side reference of equivalence-check and ``verify``: they check
+learn-n against it and measure its first-order optimality for the
+penalized empirical risk.  Every study fit, gamma-study's included, runs
+in J-space.
 
 Filter families implemented: Tikhonov s(t) = 1/(t + lambda) with
 qualification 1; spectral cutoff s(t) = 1/t for t >= lambda (qualification

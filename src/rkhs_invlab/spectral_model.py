@@ -163,12 +163,13 @@ def _sine_factor_tables(problem, x):
 
         sin(j pi x) = sin(16 a pi x) cos(c pi x) + cos(16 a pi x) sin(c pi x),
 
-    so 4 max(16, J // 16 + 1) table entries per point (64 at J = 200)
-    stand in for the J basis entries.  The result T has shape
-    (steps, 4, n): T[c, 0] = cos(c pi x) and T[c, 1] = sin(c pi x) are the
-    low table, T[a, 2] = sin(16 a pi x) and T[a, 3] = cos(16 a pi x) the
-    high table, each block a length-n row over the points.  u_j(x) is
-    sqrt(2) (T[a, 2] T[c, 0] + T[a, 3] T[c, 1]).  Points must lie in [0, 1].
+    so 32 + 2 (J // 16 + 1) table entries per point (58 at J = 200) stand
+    in for the J basis entries.  The result is the pair (low, high):
+    low[c, 0] = cos(c pi x) and low[c, 1] = sin(c pi x) for c = 0..15,
+    high[a, 0] = sin(16 a pi x) and high[a, 1] = cos(16 a pi x) for
+    a = 0..J // 16, each entry a length-n row over the points.  u_j(x) is
+    sqrt(2) (high[a, 0] low[c, 0] + high[a, 1] low[c, 1]).  Points must lie
+    in [0, 1].
 
     Both angles are reduced exactly before any rounding.  The low angle
     reflects x > 1/2 to 1 - x as ``basis_matrix`` does.  For the high
@@ -177,20 +178,24 @@ def _sine_factor_tables(problem, x):
     than 16 x.  t > 1 folds to 2 - t (Sterbenz), negating the sines, and
     then t > 1/2 reflects to 1 - t like x.  A reflected step h gives
     sin(j (pi - h)) = (-1)**(j+1) sin(j h) and cos(j (pi - h)) =
-    (-1)**j cos(j h), so every step lies in [0, pi/2] and the signs are one
-    pass over the even and one over the odd rows at the end.
+    (-1)**j cos(j h), so every step lies in [0, pi/2] and the signs go on
+    the finished rows that need one, at the end.
 
-    All four blocks run one Reinsch recurrence (see ``basis_matrix``) on a
-    stacked 4n-wide row per step, the cosines from c_0 = 1 and
-    c_0 - c_{-1} = k / 2.  Against an exactly reduced reference, the
-    basis entries rebuilt from the tables measure below 1e-14 at J = 200
-    and 2.5e-14 at J = 1000, against 8e-14 and 4e-13 for ``basis_matrix``
-    (tested: at most 1.5e-13 at J = 200 and no worse than ``basis_matrix``
-    at both J).  Each table takes max(16, J // 16 + 1) steps of the
-    recurrence where ``basis_matrix`` takes J.
+    Both tables live in one (max(16, J // 16 + 1), 4, n) buffer, whose
+    row i holds step i of the four blocks cos_lo, sin_lo, sin_hi, cos_hi.
+    One Reinsch recurrence (see ``basis_matrix``) runs on the stacked
+    4n-wide rows while both tables grow, then on the contiguous 2n-wide
+    half of the longer table alone, the cosines from c_0 = 1 and
+    c_0 - c_{-1} = k / 2; the rows past the shorter table's end in the
+    other half are never written, and the returned views exclude them.
+    Against an exactly reduced reference, the basis entries rebuilt from
+    the tables measure below 1e-14 at J = 200 and 2.5e-14 at J = 1000,
+    against 8e-14 and 4e-13 for ``basis_matrix`` (tested: at most 1.5e-13
+    at J = 200 and no worse than ``basis_matrix`` at both J).
     """
     x = np.asarray(x, dtype=float)
     width = _FACTOR_WIDTH
+    highs = problem.size // width + 1
     t = width * x
     t -= 2.0 * np.floor(0.5 * t)
     folded = t > 1.0
@@ -207,20 +212,36 @@ def _sine_factor_tables(problem, x):
     # block order: cos_lo, sin_lo, sin_hi, cos_hi
     d = np.stack([0.5 * k[0], sines[0], sines[1], 0.5 * k[1]]).reshape(-1)
     k = k[[0, 0, 1, 1]].reshape(-1)
-    table = np.empty((max(width, problem.size // width + 1), 4, x.size))
+    table = np.empty((max(width, highs), 4, x.size))
     table[0] = np.array([1.0, 0.0, 0.0, 1.0])[:, None]
     rows = table.reshape(len(table), -1)
+    # all four blocks step together up to the shorter table's length, then
+    # the longer table's half of each row: the first 2n entries (low) or
+    # the last 2n (high)
+    shared = min(width, highs)
+    half_row = 2 * x.size
+    longer = slice(None, half_row) if width > highs else slice(half_row, None)
+    _reinsch_steps(rows[:shared], d, k)
+    _reinsch_steps(rows[shared - 1:, longer], d[longer], k[longer])
+    low, high = table[:width, :2], table[:highs, 2:]
+    low_sign, high_sign = np.where(reflected, -1.0, 1.0)
+    fold = np.where(folded, -1.0, 1.0)
+    low[1::2, 0] *= low_sign
+    low[0::2, 1] *= low_sign
+    high[0::2, 0] *= fold * high_sign
+    high[1::2, 0] *= fold
+    high[1::2, 1] *= high_sign
+    return low, high
+
+
+def _reinsch_steps(rows, d, k):
+    """Fill rows[1:] from rows[0] by the Reinsch recurrence, updating the
+    differences d in place: d -= k rows[i], then rows[i + 1] = rows[i] + d."""
     work = np.empty_like(d)
     for prev, row in zip(rows, rows[1:]):
         np.multiply(k, prev, out=work)
         d -= work
         np.add(prev, d, out=row)
-    low, high = np.where(reflected, -1.0, 1.0)
-    fold = np.where(folded, -1.0, 1.0)
-    ones = np.ones_like(x)
-    table[0::2] *= np.stack([ones, low, fold * high, ones])
-    table[1::2] *= np.stack([low, ones, fold, high])
-    return table
 
 
 def eval_function(problem, coeffs, x):

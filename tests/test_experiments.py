@@ -16,9 +16,11 @@ import pytest
 
 from rkhs_invlab import (FilterSpec, NoiseModel, NumericalError,
                          StudyConfig, StudyReport, ValidationError,
-                         equivalence_deviations, estimator_paper, experiments,
-                         lambda_schedule, problem_from_descriptor, run_study,
-                         sample_design, sample_outputs, write_report)
+                         equivalence_deviations, estimator_learn,
+                         estimator_paper, experiments, forward_data,
+                         kernel_tikhonov, lambda_schedule,
+                         problem_from_descriptor, run_study, sample_design,
+                         sample_outputs, write_report)
 from rkhs_invlab.cli import main
 from rkhs_invlab.spectral_model import _FACTOR_WIDTH
 
@@ -125,6 +127,23 @@ def test_lemma_check_matches_public_path(design, size, monkeypatch):
                           float(np.sum((mean - TRUTH) ** 2)))
     assert_matches_public(point["mc_var"],
                           float(np.mean(np.sum((rows - mean) ** 2, axis=1))))
+
+
+@pytest.mark.parametrize("count, level, expected", [
+    (200, 0.01, 4.0545), (200, 0.001, 4.5647), (1, 0.05, 1.9600)])
+def test_sidak_threshold(count, level, expected):
+    z = experiments._sidak_z(count, level)
+    assert z == pytest.approx(expected, abs=5e-5)
+    # the largest of count independent |z| exceeds z with probability level
+    family = 1.0 - (1.0 - math.erfc(z / math.sqrt(2.0))) ** count
+    assert family == pytest.approx(level, rel=1e-9)
+
+
+def test_lemma_check_default_z_max_is_family_wise():
+    report = run_study(lemma_check_config("grid"))
+    threshold = {c["name"]: c["threshold"] for c in report.checks}
+    assert threshold["mean-matches-continuous"] == experiments._sidak_z(
+        J, experiments._Z_FAMILY_LEVEL)
 
 
 @pytest.mark.parametrize("design", DESIGNS)
@@ -277,7 +296,8 @@ TOLERANCE_CHECKS = {
     "det-rate": {"slope": "slope-matches-theory"},
     "lemma-check": {"z_max": "mean-matches-continuous",
                     "identity": "bias-variance-identity"},
-    "gamma-study": {"norm_equality": "kernel-vs-parameter-norm"},
+    "gamma-study": {"norm_equality": "kernel-vs-parameter-norm",
+                    "exact": "exact-for-n-above-J"},
     "equivalence-check": {name: name for name in (
         "isometry", "pullback_roundtrip", "methods_equivalence",
         "representer_oracle")},
@@ -323,6 +343,90 @@ def test_kernel_side_study_passes_repeats_and_survives_json(name, tmp_path):
     assert report.verdict, report.checks
     assert run_study(config).canonical_dict() == report.canonical_dict()
     assert_survives_json(report, tmp_path)
+
+
+# gamma-study at the size above and at the benchmark's: J = 200 with
+# n = 25 ... 3200, where n = 400 and up are past J.
+GAMMA_STUDIES = {
+    "J40": KERNEL_STUDIES["gamma-study"],
+    "J200": dict(KERNEL_STUDIES["gamma-study"],
+                 problem={"J": 200, "b": 2.0, "d": 1.0, "r": 1.0,
+                          "w_spec": [1.0 / j for j in range(1, 201)]},
+                 n_grid=[25 * 2 ** k for k in range(8)]),
+}
+GAMMA_CHECKS = ("error-decreasing", "final-error-below-tenth",
+                "kernel-vs-parameter-norm", "exact-for-n-above-J")
+
+
+def kernel_solve_fit(problem, filt, samples):
+    """The gamma-study fit f = g / sigma from kernel_tikhonov's n-by-n
+    solve, a stand-in for the J-space estimator_learn."""
+    g = kernel_tikhonov(problem, samples, filt.lam).g_coeffs
+    return g / problem.sigma_sv
+
+
+def once_per_n(fit):
+    """``fit``, computed once per sample size and then reused."""
+    fits = {}
+
+    def cached(problem, filt, samples):
+        if samples.size not in fits:
+            fits[samples.size] = fit(problem, filt, samples)
+        return fits[samples.size]
+    return cached
+
+
+def gamma_flags(label, fit, monkeypatch):
+    """(name, passed) of every check of a gamma-study fitted by ``fit``."""
+    monkeypatch.setattr(experiments, "estimator_learn", fit)
+    report = run_study(StudyConfig.from_dict(GAMMA_STUDIES[label]))
+    return tuple((c["name"], c["passed"]) for c in report.checks)
+
+
+@pytest.mark.parametrize("label", sorted(GAMMA_STUDIES))
+def test_gamma_study_flags_do_not_depend_on_solver_or_roundoff(
+        label, monkeypatch):
+    # a relative change of 4e-16 per coefficient, about two ulps, moves
+    # the roundoff-level distances past n = J; the old rank-correlation
+    # check ranked them, and read -0.8 under the J-space fit at J = 40
+    flags = set()
+    for fit in (estimator_learn, kernel_solve_fit):
+        fit = once_per_n(fit)
+        flags.add(gamma_flags(label, fit, monkeypatch))
+        for draw in range(20):
+            rng = np.random.default_rng(draw)
+            flags.add(gamma_flags(
+                label, lambda p, filt, s, fit=fit, rng=rng: fit(p, filt, s)
+                * (1.0 + 4e-16 * rng.standard_normal(p.size)), monkeypatch))
+    assert flags == {tuple((name, True) for name in GAMMA_CHECKS)}
+
+
+@pytest.mark.parametrize("label", sorted(GAMMA_STUDIES))
+@pytest.mark.parametrize("scale", [
+    pytest.param(lambda n: 1.0 / n, id="lambda-for-lambda-n"),
+    pytest.param(lambda n: 1.1, id="1.1-lambda")])
+def test_gamma_study_fails_with_a_wrong_lambda(label, scale, monkeypatch):
+    # both leave a distance of 1.2e-4 to 1.2e-3 of the continuous norm at
+    # every n past J
+    flags = dict(gamma_flags(
+        label, lambda p, filt, s: estimator_learn(
+            p, FilterSpec.tikhonov(scale(s.size) * filt.lam), s),
+        monkeypatch))
+    assert not flags["exact-for-n-above-J"]
+
+
+def test_gamma_study_fit_matches_kernel_tikhonov():
+    raw = KERNEL_STUDIES["gamma-study"]
+    problem, truth = problem_from_descriptor(dict(raw["problem"],
+                                                  seed=raw["seed"]))
+    for n in raw["n_grid"]:
+        samples = sample_outputs(problem, truth, sample_design("grid", n),
+                                 NoiseModel(), raw["seed"])
+        g = forward_data(problem, estimator_learn(
+            problem, FilterSpec.tikhonov(raw["lambda"]), samples))
+        reference = kernel_tikhonov(problem, samples, raw["lambda"]).g_coeffs
+        assert (np.linalg.norm(g - reference)
+                <= 1e-10 * np.linalg.norm(reference)), n
 
 
 def test_landweber_det_rate_records_applied_lambda():

@@ -208,11 +208,41 @@ class TestBasisMatrix:
 
 def factor_basis(x, size):
     """u_j(x) rebuilt from the sine factor tables by angle addition."""
-    table = _sine_factor_tables(build_power_law_problem(size, 2.0, 1.0),
-                                np.asarray(x, dtype=float))
-    high, low = np.divmod(np.arange(1, size + 1), _FACTOR_WIDTH)
-    return math.sqrt(2.0) * (table[high, 2] * table[low, 0]
-                             + table[high, 3] * table[low, 1]).T
+    low, high = _sine_factor_tables(build_power_law_problem(size, 2.0, 1.0),
+                                    np.asarray(x, dtype=float))
+    a, c = np.divmod(np.arange(1, size + 1), _FACTOR_WIDTH)
+    return math.sqrt(2.0) * (high[a, 0] * low[c, 0]
+                             + high[a, 1] * low[c, 1]).T
+
+
+def stacked_factor_tables(size, x):
+    """The factor tables as one recurrence over all four blocks for
+    max(16, J // 16 + 1) steps each, every row sign-fixed: the loop that
+    _sine_factor_tables runs only as far as each table needs."""
+    width = _FACTOR_WIDTH
+    t = width * x
+    t -= 2.0 * np.floor(0.5 * t)
+    folded = t > 1.0
+    t[folded] = 2.0 - t[folded]
+    angle = np.stack([x, t])
+    reflected = angle > 0.5
+    angle[reflected] = 1.0 - angle[reflected]
+    half = np.sin(0.5 * np.pi * angle)
+    k = 4.0 * half * half
+    sines = 2.0 * half * np.sqrt(1.0 - half * half)
+    d = np.stack([0.5 * k[0], sines[0], sines[1], 0.5 * k[1]])
+    k = k[[0, 0, 1, 1]]
+    table = np.empty((max(width, size // width + 1), 4, x.size))
+    table[0] = np.array([1.0, 0.0, 0.0, 1.0])[:, None]
+    for step in range(1, len(table)):
+        d -= k * table[step - 1]
+        table[step] = table[step - 1] + d
+    low, high = np.where(reflected, -1.0, 1.0)
+    fold = np.where(folded, -1.0, 1.0)
+    ones = np.ones_like(x)
+    table[0::2] *= np.stack([ones, low, fold * high, ones])
+    table[1::2] *= np.stack([low, ones, fold, high])
+    return table
 
 
 # Where the reduction of 16 pi x changes branch: 16 x mod 2 wraps at
@@ -236,6 +266,21 @@ class TestSineFactorTables:
         err, basis_err = self.factor_errors(x, 200)
         assert err <= 1.5e-13
         assert err <= basis_err
+
+    @pytest.mark.parametrize("size", [200, 1000])
+    def test_rows_match_the_full_stacked_recurrence(self, size):
+        # at J = 200 the high table stops at 13 rows of the 16 the stacked
+        # loop runs, at J = 1000 the low table at 16 of 63; every row read
+        # is the same bit for bit
+        x = np.concatenate([np.random.default_rng(10).random(97),
+                            EDGE_POINTS, REDUCTION_POINTS])
+        low, high = _sine_factor_tables(
+            build_power_law_problem(size, 2.0, 1.0), x)
+        table = stacked_factor_tables(size, x)
+        assert low.shape == (_FACTOR_WIDTH, 2, x.size)
+        assert high.shape == (size // _FACTOR_WIDTH + 1, 2, x.size)
+        npt.assert_array_equal(low, table[:_FACTOR_WIDTH, :2])
+        npt.assert_array_equal(high, table[:len(high), 2:])
 
     def test_no_worse_than_basis_matrix_at_j1000(self):
         # 1000 // 16 + 1 = 63 high rows, more than the 16 low ones
