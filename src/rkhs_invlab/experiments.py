@@ -39,10 +39,14 @@ columns keeps every chunk out of OpenBLAS's slow narrow-panel code (below
 8 columns) at any n, for 16 / J of the basis's memory.  Each iid replicate
 draws its own design, so no basis is shared, and none is built: the
 designs of consecutive replicates go through one ``_sine_factor_tables``
-call per batch, sines and cosines at two factor angles of every mode (58
-entries per point at J = 200 instead of 200), and small per-design GEMMs
-against the tables form the clean outputs and each replicate's moments by
-angle addition.  Both paths sum in another order than the single-replicate
+call per batch, the unit powers at two factor angles of every mode
+(e^{i c pi x} for c < 16 and i conj(e^{i 16 a pi x}) for a <= J // 16, 29
+complex entries per point at J = 200 instead of 200 basis entries), filled
+by doubling into buffers allocated once per call and reused by every
+batch.  The tables' float views interleave (cos, sin) and (sin, cos) per
+point, so angle addition is a dot product over each point's pair: one GEMM
+per design forms the clean outputs, and one more each replicate's moments.
+Both paths sum in another order than the single-replicate
 public path (sample_design -> sample_outputs -> estimator_paper), so their
 estimates agree with it to about 1e-15 relative, not bit for bit; the
 tests hold them to 1e-12.  Neither depends on how the replicates are
@@ -117,14 +121,15 @@ _TOLERANCES = {
 _Z_FAMILY_LEVEL = 0.01
 
 # Basis entries (points times modes) the designs of one iid batch would
-# fill.  A batch builds no basis, only its factor tables: 4 max(16,
-# J // 16 + 1) entries per point.  At J = 200 on a 2-core Xeon with one
-# BLAS thread (best of 20), _sine_factor_tables costs 1.5 us per point at
-# 100 points, 0.41 us at 800 and 0.32-0.41 us from 1,600 to 12,800 points,
-# where basis_matrix costs 1.0-1.7 us; 400 replicates at n = 800 took
-# 173-192 ms in batches of 800 to 6,400 points and 250 ms at 12,800.
-# 640,000 entries is 3,200 points at J = 200, one n = 3200 design: 1.6 MB
-# of tables against the 5.1 MB basis of that design.
+# fill.  A batch builds no basis, only its factor tables: 16 + J // 16 + 1
+# complex entries per point (58 doubles at J = 200), in buffers reused by
+# every batch of a call.  At J = 200 on a 2-core Xeon with one BLAS thread
+# (best of 20), _sine_factor_tables costs 173 ns per point in batches of
+# 800 points, 129 at 1,600, 98 at 3,200, 96 at 6,400 and 84 at 12,800;
+# 400 replicates at n = 800 took 127-135 ms (medians of 9) at every batch
+# size from 800 to 12,800 points, and 96 ms (best) at 3,200.  640,000
+# entries is 3,200 points at J = 200, one n = 3200 design: 1.5 MB of tables
+# against the 5.1 MB basis of that design.
 _BATCH_CELLS = 640_000
 
 # Replicates of one grid chunk.  The noisy outputs of consecutive replicates
@@ -504,11 +509,15 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
     GEMV per replicate.  That changes the summation order, so grid
     estimates agree with the public path to about 1e-14 relative, not bit
     for bit.  iid designs go in batches of consecutive replicates: one
-    _sine_factor_tables call covers the batch's designs end to end, and
-    every product against the tables runs per design.  The clean outputs
-    are coeff_table @ (cos_lo, sin_lo), contracted with (sin_hi, cos_hi);
-    a replicate's moments are (v sin_hi)' cos_lo + (v cos_hi)' sin_lo for
-    its noisy outputs v.  So an iid estimate is the same bit for bit at any
+    _sine_factor_tables call covers the batch's designs end to end, into
+    tables allocated once per call and reused by every batch, and every
+    product against the tables runs per design.  On the tables' float
+    views, (cos, sin) pairs of the low angle and (sin, cos) pairs of the
+    high one, the clean outputs are the GEMM coeff_table @ low, dotted
+    with high down each column and summed over pairs; a replicate's
+    moments are the GEMM (high v) @ low' for its noisy outputs v, each
+    repeated for both entries of its pair.  So an iid estimate is the same
+    bit for bit at any
     batch size, and agrees with the public path to about 1e-15 relative.
     A batch holds as many whole designs as fit in _BATCH_CELLS basis
     entries, at least one.
@@ -544,32 +553,33 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
     coeff_table = coeff_table.reshape(highs, _FACTOR_WIDTH)
     scale = response * (np.sqrt(2.0) / n)
 
-    def fill_batch(first_row, batch):
-        # The batch tables are local to this call, so they are freed before
-        # the next batch's are built and peak memory stays at one batch.
-        low, high = _sine_factor_tables(problem, np.concatenate([
-            _uniform_design(n, streams.rekey(
-                design_rng, seed, streams.DESIGN_STREAM, index))
-            for index in batch]))
-        count = len(batch)
-        # per design: (2, count, _FACTOR_WIDTH, n) cos_lo, sin_lo and
-        # (2, count, highs, n) sin_hi, cos_hi
-        low = low.reshape(_FACTOR_WIDTH, 2, count, n).transpose(1, 2, 0, 3)
-        high = high.reshape(highs, 2, count, n).transpose(1, 2, 0, 3)
-        outputs = coeff_table @ low
-        outputs *= high
-        outputs = outputs.sum(axis=(0, 2))
-        for k, index in enumerate(batch):
-            outputs[k] = noisy(outputs[k], index)
-        # (v sin_hi)' cos_lo + (v cos_hi)' sin_lo for each replicate's v
-        moments = ((high * outputs[:, None]) @ low.transpose(0, 1, 3, 2)).sum(
-            axis=0)
-        out[first_row:first_row + count] = scale * moments.reshape(
-            count, -1)[:, 1:problem.size + 1]
-
-    per_batch = max(1, _BATCH_CELLS // (n * problem.size))
+    # One workspace for every batch: tables allocated afresh per batch took
+    # 73,000 minor page faults per mc-iid pass, against 4,000 this way.
+    per_batch = max(1, min(len(indices), _BATCH_CELLS // (n * problem.size)))
+    points = np.empty(per_batch * n)
+    low_buffer = np.empty(_FACTOR_WIDTH * per_batch * n, dtype=complex)
+    high_buffer = np.empty(highs * per_batch * n, dtype=complex)
+    product = np.empty((highs, 2 * n))
     for first_row in range(0, len(indices), per_batch):
-        fill_batch(first_row, indices[first_row:first_row + per_batch])
+        batch = indices[first_row:first_row + per_batch]
+        size = len(batch) * n
+        for k, index in enumerate(batch):
+            points[k * n:(k + 1) * n] = _uniform_design(n, streams.rekey(
+                design_rng, seed, streams.DESIGN_STREAM, index))
+        low, high = _sine_factor_tables(problem, points[:size], (
+            low_buffer[:_FACTOR_WIDTH * size].reshape(_FACTOR_WIDTH, size),
+            high_buffer[:highs * size].reshape(highs, size)))
+        low, high = low.view(float), high.view(float)
+        for k, index in enumerate(batch):
+            design = slice(2 * k * n, 2 * (k + 1) * n)
+            low_k, high_k = low[:, design], high[:, design]
+            np.matmul(coeff_table, low_k, out=product)
+            pair_sums = np.einsum("ij,ij->j", product, high_k)
+            outputs = noisy(pair_sums[0::2] + pair_sums[1::2], index)
+            np.multiply(high_k, np.repeat(outputs, 2), out=product)
+            moments = product @ low_k.T
+            out[first_row + k] = scale * moments.reshape(-1)[
+                1:problem.size + 1]
     return out
 
 

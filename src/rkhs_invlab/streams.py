@@ -29,13 +29,20 @@ GENERIC_STREAM = 5
 _INDEX_BITS = 40  # replicate indices fit in 40 bits, stream ids in the rest
 
 
+_WORD = (1 << 64) - 1
+
+# A new Philox's zero counter and empty 4-word buffer.  The state setter
+# reads these entry by entry, so plain tuples serve.
+_ZEROS = (0, 0, 0, 0)
+
+
 def _key(seed, stream, index):
-    """The two 64-bit Philox key words of (seed, stream, index)."""
+    """The two 64-bit Philox key words of (seed, stream, index), as Python
+    ints."""
     if index < 0 or index >= (1 << _INDEX_BITS):
         raise ValueError(f"stream index out of range: {index}")
     word = (int(stream) << _INDEX_BITS) | int(index)
-    return np.array([np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF),
-                     np.uint64(word & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
+    return int(seed) & _WORD, word & _WORD
 
 
 def generator(seed, stream=GENERIC_STREAM, index=0):
@@ -44,7 +51,8 @@ def generator(seed, stream=GENERIC_STREAM, index=0):
     ``seed`` is any 64-bit integer (negative values are wrapped), ``stream``
     one of the module constants, ``index`` typically a replicate number.
     """
-    return np.random.Generator(np.random.Philox(key=_key(seed, stream, index)))
+    key = np.array(_key(seed, stream, index), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def rekey(rng, seed, stream, index):
@@ -53,13 +61,12 @@ def rekey(rng, seed, stream, index):
 
     Its next draws equal those of ``generator(seed, stream, index)``: the
     state is set to that key with a zero counter, an empty 4-word buffer
-    and no pending 32-bit half, as ``Philox(key=...)`` leaves it.
+    and no pending 32-bit half, as ``Philox(key=...)`` leaves it.  The
+    key words stay Python ints: no array is built per call.
     """
-    buffer = np.zeros(4, dtype=np.uint64)
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": _key(seed, stream, index)},
-        "buffer": buffer, "buffer_pos": buffer.size,
+        "state": {"counter": _ZEROS, "key": _key(seed, stream, index)},
+        "buffer": _ZEROS, "buffer_pos": len(_ZEROS),
         "has_uint32": 0, "uinteger": 0}
     return rng

@@ -200,10 +200,13 @@ def replicate_peak(design, n, replicates):
 
 def test_iid_batch_peak_memory_is_one_batch():
     # 12 replicates of 800 points at J = 200 are three batches of four
-    # designs.  A batch holds its factor tables (4 x 16 entries per point)
-    # and one product of the high table (2 x 13 per point) with the
-    # outputs, 90 entries per point against the 200 of its basis; the
-    # tables of a finished batch must be freed before the next are built
+    # designs.  The call holds one batch's worth of factor tables (16 + 13
+    # complex entries, 58 doubles, per point), which every batch reuses,
+    # and one design's product with them (2 x 13 per point of the design,
+    # 6.5 per batch point); with the points and the angle reduction's
+    # temporaries that measures 82 entries per batch point, against the
+    # 200 of its basis.  The bound, 4 x 16 + 2 x 13 = 90 entries per point
+    # plus 10%, fails if a batch allocates tables of its own
     assert experiments._BATCH_CELLS // (800 * 200) == 4
     highs = 200 // _FACTOR_WIDTH + 1
     rows, peak = replicate_peak("iid-uniform", 800, 12)

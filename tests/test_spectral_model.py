@@ -211,38 +211,9 @@ def factor_basis(x, size):
     low, high = _sine_factor_tables(build_power_law_problem(size, 2.0, 1.0),
                                     np.asarray(x, dtype=float))
     a, c = np.divmod(np.arange(1, size + 1), _FACTOR_WIDTH)
-    return math.sqrt(2.0) * (high[a, 0] * low[c, 0]
-                             + high[a, 1] * low[c, 1]).T
-
-
-def stacked_factor_tables(size, x):
-    """The factor tables as one recurrence over all four blocks for
-    max(16, J // 16 + 1) steps each, every row sign-fixed: the loop that
-    _sine_factor_tables runs only as far as each table needs."""
-    width = _FACTOR_WIDTH
-    t = width * x
-    t -= 2.0 * np.floor(0.5 * t)
-    folded = t > 1.0
-    t[folded] = 2.0 - t[folded]
-    angle = np.stack([x, t])
-    reflected = angle > 0.5
-    angle[reflected] = 1.0 - angle[reflected]
-    half = np.sin(0.5 * np.pi * angle)
-    k = 4.0 * half * half
-    sines = 2.0 * half * np.sqrt(1.0 - half * half)
-    d = np.stack([0.5 * k[0], sines[0], sines[1], 0.5 * k[1]])
-    k = k[[0, 0, 1, 1]]
-    table = np.empty((max(width, size // width + 1), 4, x.size))
-    table[0] = np.array([1.0, 0.0, 0.0, 1.0])[:, None]
-    for step in range(1, len(table)):
-        d -= k * table[step - 1]
-        table[step] = table[step - 1] + d
-    low, high = np.where(reflected, -1.0, 1.0)
-    fold = np.where(folded, -1.0, 1.0)
-    ones = np.ones_like(x)
-    table[0::2] *= np.stack([ones, low, fold * high, ones])
-    table[1::2] *= np.stack([low, ones, fold, high])
-    return table
+    # high[a] = sin + i cos at 16 a pi x, low[c] = cos + i sin at c pi x
+    return math.sqrt(2.0) * (high[a].real * low[c].real
+                             + high[a].imag * low[c].imag).T
 
 
 # Where the reduction of 16 pi x changes branch: 16 x mod 2 wraps at
@@ -267,20 +238,41 @@ class TestSineFactorTables:
         assert err <= 1.5e-13
         assert err <= basis_err
 
-    @pytest.mark.parametrize("size", [200, 1000])
-    def test_rows_match_the_full_stacked_recurrence(self, size):
-        # at J = 200 the high table stops at 13 rows of the 16 the stacked
-        # loop runs, at J = 1000 the low table at 16 of 63; every row read
-        # is the same bit for bit
+    @pytest.mark.parametrize("size", [1, 15, 16, 255, 256, 1000])
+    def test_doubling_matches_sequential_powers(self, size):
+        # J = 1 and 15 have one high row, 16 two, 255 sixteen (as many as
+        # the low table), 256 seventeen and 1000 sixty-three: every
+        # doubling block, whole or cut short, against z**k by one multiply
+        # per row.  Both round about once per multiply, so row k may differ
+        # by k ulp of 1 (0.38 k measured); x = 0 and x = 1 give exact zeros
+        # for every mode
         x = np.concatenate([np.random.default_rng(10).random(97),
                             EDGE_POINTS, REDUCTION_POINTS])
         low, high = _sine_factor_tables(
             build_power_law_problem(size, 2.0, 1.0), x)
-        table = stacked_factor_tables(size, x)
-        assert low.shape == (_FACTOR_WIDTH, 2, x.size)
-        assert high.shape == (size // _FACTOR_WIDTH + 1, 2, x.size)
-        npt.assert_array_equal(low, table[:_FACTOR_WIDTH, :2])
-        npt.assert_array_equal(high, table[:len(high), 2:])
+        assert low.shape == (_FACTOR_WIDTH, x.size)
+        assert high.shape == (size // _FACTOR_WIDTH + 1, x.size)
+        for table, first in ((low, 1.0), (high, 1.0j)):
+            assert np.all(table[0] == first)
+            unit = table[1] / first if len(table) > 1 else None
+            power = table[0].copy()
+            for k, row in enumerate(table[1:], 1):
+                power *= unit
+                npt.assert_allclose(row, power, rtol=0, atol=k * 2.0 ** -52)
+        ends = factor_basis([0.0, 1.0], size)
+        assert ends.shape == (2, size)
+        assert np.all(ends == 0.0)
+
+    def test_fills_the_tables_it_is_given(self):
+        x = np.random.default_rng(11).random(50)
+        problem = build_power_law_problem(200, 2.0, 1.0)
+        out = (np.empty((_FACTOR_WIDTH, x.size), dtype=complex),
+               np.empty((200 // _FACTOR_WIDTH + 1, x.size), dtype=complex))
+        low, high = _sine_factor_tables(problem, x, out)
+        assert low is out[0] and high is out[1]
+        fresh = _sine_factor_tables(problem, x)
+        npt.assert_array_equal(low, fresh[0])
+        npt.assert_array_equal(high, fresh[1])
 
     def test_no_worse_than_basis_matrix_at_j1000(self):
         # 1000 // 16 + 1 = 63 high rows, more than the 16 low ones
