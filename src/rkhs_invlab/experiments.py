@@ -53,12 +53,15 @@ tests hold them to 1e-12.  Neither depends on how the replicates are
 grouped into chunks or batches.
 """
 
+import copy
 import csv
 import json
 import math
 import operator
+import statistics
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
+from types import NoneType
 
 import numpy as np
 
@@ -79,12 +82,18 @@ _KINDS = ("stat-rate", "det-rate", "lemma-check", "gamma-study",
           "equivalence-check")
 _FILTERS = ("tikhonov", "cutoff", "landweber")
 
-# Config entries converted with dict() or tuple(), and the types they need.
+# Config entries converted on parsing, and their converters.
 _CONTAINERS = {"problem": dict, "schedule": dict, "tolerances": dict,
-               "n_grid": (list, tuple), "delta_grid": (list, tuple)}
+               "n_grid": tuple, "delta_grid": tuple, "sigma": float}
 
-# Optional config entries each kind reads, besides the seed: any other must
-# keep its default, so a report never echoes a setting that had no effect.
+# The types each converter takes (booleans never): a null dict or grid
+# reads as empty, and sigma must be a number.
+_TAKES = {dict: (dict, NoneType), tuple: (list, tuple, NoneType),
+          float: (int, float)}
+
+# Optional config entries each kind reads, besides the problem, the seed and
+# the tolerances (judged by _TOLERANCES): any other must keep its default,
+# so a report never echoes a setting that had no effect.
 # det-rate reads ``gamma`` only under the converted theory and
 # ``perturbation_index`` only for a fixed-mode perturbation.
 _READS = {
@@ -97,10 +106,6 @@ _READS = {
     "gamma-study": {"n_grid", "lambda"},  # always on the midpoint grid
     "equivalence-check": {"design", "n", "lambda"},
 }
-
-# Config entry names of the StudyConfig fields named otherwise.
-_CONFIG_NAMES = {"filter_kind": "filter", "lam": "lambda",
-                 "schedule_c": "schedule", "schedule_exponent": "schedule"}
 
 # The tolerances each kind reads, with their defaults; a config may set
 # any of them and no other.
@@ -165,17 +170,9 @@ def _spearman(xs, ys):
 def _sidak_z(count, level):
     """The z* at which the largest of ``count`` independent standard normal
     |z| exceeds z* with probability ``level``: each |z| exceeds it with
-    probability 1 - (1 - level)**(1 / count) = erfc(z* / sqrt 2) (Sidak),
-    solved by bisection."""
+    probability 1 - (1 - level)**(1 / count) = erfc(z* / sqrt 2) (Sidak)."""
     per_mode = -math.expm1(math.log1p(-level) / count)
-    lo, hi = 0.0, 40.0
-    for _ in range(64):  # 40 / 2**64 is below one ulp of z*
-        mid = 0.5 * (lo + hi)
-        if math.erfc(mid / math.sqrt(2.0)) > per_mode:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return -statistics.NormalDist().inv_cdf(per_mode / 2.0)
 
 
 def _finite(value):
@@ -206,6 +203,11 @@ def _invalid(fields):
         f"invalid study config, offending fields: {fields}", fields)
 
 
+def _config_key(f):
+    """The config entry of the StudyConfig field ``f``."""
+    return f.metadata.get("key", f.name)
+
+
 def _increasing(values, valid):
     """True for at least two entries, each ``valid``, strictly increasing."""
     return (len(values) >= 2 and all(valid(v) for v in values)
@@ -214,18 +216,24 @@ def _increasing(values, valid):
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Declarative description of one study run."""
+    """Declarative description of one study run.
 
-    kind: str
-    problem: dict
-    filter_kind: str = "tikhonov"
+    Each field is the config entry of the same name, except ``lam``, the
+    entry ``lambda`` (a Python keyword).  ``from_dict`` reads, ``to_dict``
+    echoes and ``_unread_entries`` judges the entries from these fields, so
+    a new entry is a field, its line in ``_READS`` and, if its values need
+    one, a rule in ``validate``.
+    """
+
+    kind: str = ""
+    problem: dict = field(default_factory=dict)
+    filter: str = "tikhonov"
     design: str = "grid"
     sigma: float = 0.0
     n_grid: tuple = ()
     delta_grid: tuple = ()
-    schedule_c: float | None = None
-    schedule_exponent: float | None = None
-    lam: float | None = None
+    schedule: dict = field(default_factory=dict)  # {"c", "exponent"}
+    lam: float | None = field(default=None, metadata={"key": "lambda"})
     n: int | None = None
     perturbation: str = "filter-adversarial"
     perturbation_index: int | None = None
@@ -240,88 +248,57 @@ class StudyConfig:
         if not isinstance(raw, dict):
             raise ValidationError("a study config must be a JSON object",
                                   ["config"])
-        known = {
-            "kind", "problem", "filter", "design", "sigma", "n_grid",
-            "delta_grid", "schedule", "lambda", "n", "perturbation",
-            "perturbation_index", "theory", "gamma", "replicates", "seed",
-            "tolerances",
-        }
-        bad = sorted(set(raw) - known)
+        names = {_config_key(f): f.name for f in fields(StudyConfig)}
+        bad = sorted(set(raw) - set(names))
         if bad:
             raise ValidationError(f"unknown config keys: {bad}", bad)
         # types are checked before anything is converted, so a value of the
         # wrong type is named instead of raising out of float() or dict()
-        bad = [key for key, kind in _CONTAINERS.items()
-               if raw.get(key) is not None and not isinstance(raw[key], kind)]
-        sigma = raw.get("sigma", 0.0)
-        if not isinstance(sigma, (int, float)) or isinstance(sigma, bool):
-            bad.append("sigma")
-        if not _positive_int(raw.get("replicates", 1)):
-            bad.append("replicates")
-        if not _is_int(raw.get("seed", 0)):
-            bad.append("seed")
+        bad = [key for key, convert in _CONTAINERS.items() if key in raw
+               and (not isinstance(raw[key], _TAKES[convert])
+                    or isinstance(raw[key], bool))]
         if bad:
             raise _invalid(bad)
-        schedule = raw.get("schedule") or {}
-        config = StudyConfig(
-            kind=raw.get("kind", ""),
-            problem=dict(raw.get("problem") or {}),
-            filter_kind=raw.get("filter", "tikhonov"),
-            design=raw.get("design", "grid"),
-            sigma=float(sigma),
-            n_grid=tuple(raw.get("n_grid") or ()),
-            delta_grid=tuple(raw.get("delta_grid") or ()),
-            schedule_c=schedule.get("c"),
-            schedule_exponent=schedule.get("exponent"),
-            lam=raw.get("lambda"),
-            n=raw.get("n"),
-            perturbation=raw.get("perturbation", "filter-adversarial"),
-            perturbation_index=raw.get("perturbation_index"),
-            theory=raw.get("theory", "classical"),
-            gamma=raw.get("gamma"),
-            replicates=raw.get("replicates", 1),
-            seed=raw.get("seed", 0),
-            tolerances=dict(raw.get("tolerances") or {}),
-        )
+        config = StudyConfig(**{
+            names[key]: _CONTAINERS[key](value) if key in _CONTAINERS
+            else value
+            for key, value in raw.items()
+            if value is not None or key not in _CONTAINERS})
         config.validate()
         return config
 
     def to_dict(self):
-        out = {"kind": self.kind, "problem": dict(self.problem),
-               "filter": self.filter_kind, "design": self.design,
-               "sigma": self.sigma, "replicates": self.replicates,
-               "seed": self.seed, "tolerances": dict(self.tolerances)}
-        if self.n_grid:
-            out["n_grid"] = list(self.n_grid)
-        if self.delta_grid:
-            out["delta_grid"] = list(self.delta_grid)
-        if self.schedule_c is not None:
-            out["schedule"] = {"c": self.schedule_c,
-                               "exponent": self.schedule_exponent}
-        for key, value in (("lambda", self.lam), ("n", self.n),
-                           ("gamma", self.gamma),
-                           ("perturbation_index", self.perturbation_index)):
-            if value is not None:
-                out[key] = value
-        if self.kind == "det-rate":
-            out["perturbation"] = self.perturbation
-            out["theory"] = self.theory
+        """The config entries, leaving out None, empty grids, a schedule
+        without ``c`` and det-rate's own entries on the other kinds."""
+        skip = {"schedule"} if self.schedule.get("c") is None else set()
+        if self.kind != "det-rate":
+            skip |= {"perturbation", "theory"}
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in skip and value is not None and value != ():
+                out[_config_key(f)] = (list(value) if isinstance(value, tuple)
+                                       else copy.copy(value))
         return out
 
     def validate(self):
         bad = []
         if self.kind not in _KINDS:
             bad.append("kind")
+        problem = {"seed": 0, **self.problem}  # its seed is optional
         for key, valid in (("J", _positive_int), ("b", _positive_finite),
                            ("d", _positive_finite), ("r", _positive_finite),
-                           ("w_spec", self._valid_w_spec)):
-            if not valid(self.problem.get(key)):
+                           ("w_spec", self._valid_w_spec), ("seed", _is_int)):
+            if not valid(problem.pop(key, None)):
                 bad.append(f"problem.{key}")
+        bad += [f"problem.{key}" for key in problem]  # read by nothing
         if self.gamma is not None and not _positive_finite(self.gamma):
             bad.append("gamma")
         if not _positive_int(self.replicates):
             bad.append("replicates")
-        if self.filter_kind not in _FILTERS:
+        if not _is_int(self.seed):
+            bad.append("seed")
+        if self.filter not in _FILTERS:
             bad.append("filter")
         if not all(_positive_finite(v) for v in self.tolerances.values()):
             bad.append("tolerances")
@@ -332,8 +309,8 @@ class StudyConfig:
             if not set(self.tolerances) <= set(_TOLERANCES[self.kind]):
                 bad.append("tolerances")
         needs_schedule = self.kind in ("stat-rate", "det-rate")
-        schedule_ok = (_positive_finite(self.schedule_c)
-                       and _positive_finite(self.schedule_exponent))
+        schedule_ok = (set(self.schedule) == {"c", "exponent"} and all(
+            _positive_finite(v) for v in self.schedule.values()))
         if needs_schedule and not schedule_ok:
             bad.append("schedule")
         w_spec = self.problem.get("w_spec")
@@ -392,15 +369,15 @@ class StudyConfig:
     def _unread_entries(self):
         """Config entries set away from their default that the kind does
         not read."""
-        reads = {"seed", *_READS[self.kind]}
+        reads = {"kind", "problem", "seed", "tolerances", *_READS[self.kind]}
         if self.theory != "converted":
             reads.discard("gamma")
         if self.perturbation != "fixed-mode":
             reads.discard("perturbation_index")
-        return [_CONFIG_NAMES.get(f.name, f.name) for f in fields(self)
-                if f.default is not MISSING
-                and _CONFIG_NAMES.get(f.name, f.name) not in reads
-                and getattr(self, f.name) != f.default]
+        default = StudyConfig()
+        return [_config_key(f) for f in fields(self)
+                if _config_key(f) not in reads
+                and getattr(self, f.name) != getattr(default, f.name)]
 
 
 def _tolerances(config):
@@ -414,46 +391,34 @@ class StudyReport:
 
     kind: str
     points: list
-    fit: RateFit | None
     theory: dict
     checks: list
     verdict: bool
-    runtime_s: float
     config: dict
+    fit: RateFit | None = None
+    runtime_s: float = 0.0
 
     def canonical_dict(self):
         """Report content without the runtime (determinism comparisons)."""
-        out = {"kind": self.kind, "points": self.points,
-               "theory": self.theory, "checks": self.checks,
-               "verdict": self.verdict, "config": self.config}
-        if self.fit is not None:
-            out["fit"] = {"slope": self.fit.slope,
-                          "intercept": self.fit.intercept,
-                          "stderr": self.fit.stderr,
-                          "points": [list(p) for p in self.fit.points]}
-        else:
-            out["fit"] = None
+        out = self.to_dict()
+        del out["runtime_s"]
         return out
 
     def to_dict(self):
-        out = self.canonical_dict()
-        out["runtime_s"] = self.runtime_s
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.fit is not None:
+            out["fit"] = asdict(self.fit)
         return out
 
     @staticmethod
     def from_dict(raw):
-        fit = None
-        if raw.get("fit") is not None:
-            fdata = raw["fit"]
-            fit = RateFit(slope=fdata["slope"], intercept=fdata["intercept"],
-                          stderr=fdata["stderr"],
-                          points=tuple(tuple(p) for p in fdata["points"]))
-        return StudyReport(kind=raw["kind"], points=list(raw["points"]),
-                           fit=fit, theory=dict(raw["theory"]),
-                           checks=list(raw["checks"]),
-                           verdict=bool(raw["verdict"]),
-                           runtime_s=float(raw.get("runtime_s", 0.0)),
-                           config=dict(raw["config"]))
+        values = {f.name: raw[f.name] for f in fields(StudyReport)
+                  if f.name in raw}
+        fit = values.get("fit")
+        if fit is not None:
+            values["fit"] = RateFit(**dict(
+                fit, points=tuple(tuple(p) for p in fit["points"])))
+        return StudyReport(**values)
 
     def recompute_checks(self):
         """Re-derive pass flags from the stored numbers."""
@@ -588,9 +553,9 @@ def _run_stat_rate(config, started):
     points = []
     replicates = config.replicates
     for point_idx, n in enumerate(config.n_grid):
-        lam = lambda_schedule("by-n", config.schedule_c,
-                              config.schedule_exponent, n)
-        filt = _filter_for(config.filter_kind, lam)
+        lam = lambda_schedule("by-n", config.schedule["c"],
+                              config.schedule["exponent"], n)
+        filt = _filter_for(config.filter, lam)
         first = point_idx * replicates
         # squared errors formed in place: R-by-J temporaries would stay in
         # the heap and raise the peak resident memory of the next point
@@ -626,9 +591,9 @@ def _run_det_rate(config, started):
     y_clean = forward_data(problem, truth)
     points = []
     for point_idx, delta in enumerate(config.delta_grid):
-        lam = lambda_schedule("by-delta", config.schedule_c,
-                              config.schedule_exponent, delta)
-        filt = _filter_for(config.filter_kind, lam)
+        lam = lambda_schedule("by-delta", config.schedule["c"],
+                              config.schedule["exponent"], delta)
+        filt = _filter_for(config.filter, lam)
         spec = PerturbationSpec(delta=delta, mode=config.perturbation,
                                 index=config.perturbation_index, filter=filt)
         y_delta = perturb_data(problem, y_clean, spec, config.seed,
@@ -654,7 +619,7 @@ def _run_det_rate(config, started):
 def _run_lemma_check(config, started):
     problem, truth = _problem_of(config)
     n = int(config.n)
-    filt = _filter_for(config.filter_kind, config.lam)
+    filt = _filter_for(config.filter, config.lam)
     replicates = config.replicates
     coeff_rows = _replicate_coeffs(config, problem, truth, filt, n,
                                    range(replicates))

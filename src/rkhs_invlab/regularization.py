@@ -27,7 +27,7 @@ s(t) = sum_{k<m} (1-t)^k, valid on spectra bounded by 1.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -47,19 +47,11 @@ def _half_grid(q):
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """A spectral filter s_lambda with its certified constants.
-
-    ``bound_d`` dominates t*s(t), ``bound_e`` dominates lambda*s(t), and
-    ``c_nu[nu]`` dominates t^nu (1 - t s(t)) / lambda^nu for each Hoelder
-    exponent nu up to the qualification ``q``.
-    """
+    """A spectral filter s_lambda of one family; ``m`` is Landweber's
+    iteration count.  ``certify_filter`` checks the family's constants."""
 
     kind: str
     lam: float
-    q: float
-    bound_d: float = 1.0
-    bound_e: float = 1.0
-    c_nu: dict = field(default_factory=dict)
     m: int | None = None
 
     def __post_init__(self):
@@ -70,28 +62,23 @@ class FilterSpec:
 
     @staticmethod
     def tikhonov(lam):
-        """s(t) = 1/(t + lambda); D = E = 1, q = 1, C_0 = C_1 = 1."""
-        return FilterSpec(kind="tikhonov", lam=float(lam), q=1.0,
-                          c_nu={0.0: 1.0, 0.5: 0.5, 1.0: 1.0})
+        """s(t) = 1/(t + lambda)."""
+        return FilterSpec(kind="tikhonov", lam=float(lam))
 
     @staticmethod
     def cutoff(lam):
-        """s(t) = 1/t on t >= lambda, else 0; every C_nu = 1 (q capped at 8)."""
-        return FilterSpec(kind="cutoff", lam=float(lam), q=_QUALIFICATION_CAP,
-                          c_nu={nu: 1.0 for nu in _half_grid(_QUALIFICATION_CAP)})
+        """s(t) = 1/t on t >= lambda, else 0."""
+        return FilterSpec(kind="cutoff", lam=float(lam))
 
     @staticmethod
     def landweber(m):
-        """m-step Landweber, lambda = 1/m; C_nu = (nu/e)^nu (q capped at 8).
+        """m-step Landweber, lambda = 1/m.
 
         Valid only on spectra contained in (0, 1].
         """
         if m < 1:
             raise ParameterError("landweber needs at least one iteration")
-        c_nu = {nu: (nu / math.e) ** nu for nu in _half_grid(_QUALIFICATION_CAP)}
-        c_nu[0.0] = 1.0
-        return FilterSpec(kind="landweber", lam=1.0 / int(m),
-                          q=_QUALIFICATION_CAP, c_nu=c_nu, m=int(m))
+        return FilterSpec(kind="landweber", lam=1.0 / int(m), m=int(m))
 
     def value(self, t):
         """s_lambda(t) for t > 0 (scalar or array)."""
@@ -142,6 +129,19 @@ class FilterSpec:
         return self.on_spectrum(problem) * problem.sigma_sv
 
 
+# The certified constants C_nu of each family: C_nu lambda^nu dominates
+# t^nu (1 - t s(t)) for each Hoelder exponent nu on the half-integers up to
+# the qualification (1 for Tikhonov, capped at 8 for the others).  Every
+# family has D = E = 1: t s(t) <= 1 and lambda s(t) <= 1.
+_C_NU = {
+    "tikhonov": {0.0: 1.0, 0.5: 0.5, 1.0: 1.0},
+    "cutoff": {nu: 1.0 for nu in _half_grid(_QUALIFICATION_CAP)},
+    # (nu/e)^nu, which is 1 at nu = 0
+    "landweber": {nu: (nu / math.e) ** nu
+                  for nu in _half_grid(_QUALIFICATION_CAP)},
+}
+
+
 def certify_filter(kind, problem, n_lambda=50, n_t=10_000):
     """Numerically verify the three filter bounds on a log t-grid.
 
@@ -161,10 +161,10 @@ def certify_filter(kind, problem, n_lambda=50, n_t=10_000):
     margin_d = margin_e = margin_q = np.inf
     for filt in filters:
         s = filt.value(t)
-        margin_d = min(margin_d, filt.bound_d - np.max(np.abs(t * s)))
-        margin_e = min(margin_e, filt.bound_e - np.max(np.abs(filt.lam * s)))
+        margin_d = min(margin_d, 1.0 - np.max(np.abs(t * s)))
+        margin_e = min(margin_e, 1.0 - np.max(np.abs(filt.lam * s)))
         residual = np.abs(1.0 - t * s)
-        for nu, c in filt.c_nu.items():
+        for nu, c in _C_NU[kind].items():
             lhs = np.max(t ** nu * residual)
             margin_q = min(margin_q, c * filt.lam ** nu - lhs)
     return {"D": float(margin_d), "E": float(margin_e),

@@ -328,6 +328,42 @@ def test_read_entries_are_accepted_and_round_trip(kind):
     assert StudyConfig.from_dict(config.to_dict()) == config
 
 
+# The exact config echo of FULL_RAW's two rate studies: None, empty grids
+# and, off det-rate, det-rate's perturbation and theory are left out.
+FULL_ECHO = {
+    "stat-rate": {"kind": "stat-rate", "problem": PROBLEM,
+                  "filter": "cutoff", "design": "iid-uniform",
+                  "sigma": SIGMA, "n_grid": [50, 100, 200],
+                  "schedule": {"c": 1.0, "exponent": 1.0 / 3.5},
+                  "replicates": 3, "seed": SEED, "tolerances": {}},
+    "det-rate": {"kind": "det-rate", "problem": KERNEL_PROBLEM,
+                 "filter": "landweber", "design": "grid", "sigma": 0.0,
+                 "delta_grid": DELTAS,
+                 "schedule": {"c": 1.0, "exponent": 2.0 / 3.0},
+                 "perturbation": "fixed-mode", "perturbation_index": 2,
+                 "theory": "converted", "gamma": 1.75, "replicates": 1,
+                 "seed": SEED, "tolerances": {}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FULL_ECHO))
+def test_config_echo_is_pinned(kind):
+    assert StudyConfig.from_dict(FULL_RAW[kind]).to_dict() == FULL_ECHO[kind]
+
+
+@pytest.mark.parametrize("schedule", [{}, None], ids=["empty", "null"])
+def test_empty_schedule_is_accepted_where_unread(schedule):
+    raw = lemma_check_config("grid").to_dict()
+    assert (StudyConfig.from_dict(dict(raw, schedule=schedule))
+            == StudyConfig.from_dict(raw))
+
+
+def test_problem_seed_is_accepted_and_echoed():
+    raw = dict(KERNEL_STUDIES["equivalence-check"],
+               problem=dict(KERNEL_PROBLEM, seed=3))
+    assert StudyConfig.from_dict(raw).to_dict()["problem"]["seed"] == 3
+
+
 @pytest.mark.parametrize("kind", sorted(TOLERANCE_CHECKS))
 def test_every_known_tolerance_sets_its_check(kind):
     names = TOLERANCE_CHECKS[kind]
@@ -498,6 +534,20 @@ BAD_FIELDS = {
     "problem-number": (dict(det_rate_raw("tikhonov"), problem=5), "problem"),
     "schedule-number": (dict(det_rate_raw("tikhonov"), schedule=5),
                         "schedule"),
+    # a misspelt entry of a nested config is named, not dropped or echoed
+    "schedule-unknown-key": (dict(det_rate_raw("tikhonov"),
+                                  schedule={"c": 1.0, "exponent": 0.5,
+                                            "exponet": 0.9}), "schedule"),
+    "problem-unknown-key": (dict(det_rate_raw("tikhonov"),
+                                 problem=dict(KERNEL_PROBLEM, sede=3)),
+                            "problem.sede"),
+    # the problem's seed is an integer, not truncated, read as 1 or left
+    # to raise out of int()
+    **{f"problem-seed-{name}": (dict(det_rate_raw("tikhonov"),
+                                     problem=dict(KERNEL_PROBLEM, seed=seed)),
+                                "problem.seed")
+       for name, seed in (("float", 3.7), ("bool", True), ("string", "abc"),
+                          ("null", None))},
     "problem-J-list": (dict(det_rate_raw("tikhonov"),
                             problem=dict(KERNEL_PROBLEM, J=[KERNEL_J])),
                        "problem.J"),
