@@ -21,9 +21,10 @@ from .regularization import (FilterSpec, KernelSolution, certify_filter,
                              estimator_learn, estimator_paper,
                              kernel_tikhonov, solve_continuous)
 from .rates import (ConvertedRate, RateExponents, RateFit, RateLink,
-                    convert_lower, convert_upper, delta_of, epsilon_lambda,
-                    fit_rate, hs_norm, lambda_schedule, loss_factor_tau,
-                    n_of, operator_norm, statistical_exponents)
+                    classical_exponents, convert_lower, convert_upper,
+                    delta_of, epsilon_lambda, fit_rate, hs_norm,
+                    lambda_schedule, loss_factor_tau, n_of, operator_norm,
+                    statistical_exponents)
 from .experiments import (StudyConfig, StudyReport, equivalence_deviations,
                           run_study, write_report)
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import verify as verify_mod
 from .errors import InvlabError, NumericalError
 from .experiments import StudyConfig, run_study, write_report
-from .rates import (RateExponents, convert_lower, convert_upper,
+from .rates import (classical_exponents, convert_lower, convert_upper,
                     hs_norm, loss_factor_tau, statistical_exponents)
 from .regularization import FilterSpec
 from .spectral_model import build_power_law_problem
@@ -112,15 +112,12 @@ def _cmd_verify(args):
 
 def _cmd_rates(args):
     try:
-        gamma = args.gamma if args.gamma is not None else args.r + 0.5
-        stat = statistical_exponents(args.r, args.b, gamma=gamma)
+        stat = statistical_exponents(args.r, args.b, gamma=args.gamma)
         upper = convert_upper(stat)
-        classical = RateExponents(alpha=4.0 * args.r / (2.0 * args.r + 1.0),
-                                  gamma=gamma,
-                                  p_star=2.0 / (2.0 * args.r + 1.0))
-        lower = convert_lower(classical)
+        lower = convert_lower(classical_exponents(args.r, args.b,
+                                                  gamma=args.gamma))
         payload = {
-            "inputs": {"r": args.r, "b": args.b, "gamma": gamma,
+            "inputs": {"r": args.r, "b": args.b, "gamma": stat.gamma,
                        "variant": args.variant},
             "tau": loss_factor_tau(args.r, args.b, args.variant),
             "statistical": {"alpha": stat.alpha, "p": stat.p},

@@ -1,56 +1,11 @@
 """Verification studies: reproducible desk-scale rate and identity checks.
 
-Five study kinds are implemented.
-
-stat-rate          Monte-Carlo squared reconstruction error of the sampled
-                   estimator along a lambda schedule in n, slope-fitted
-                   against 1/n and compared to 2r/(2r+1+1/b).
-det-rate           Squared error of the perturbed-data reconstruction along
-                   a lambda schedule in delta, slope-fitted against delta.
-lemma-check        At fixed (n, lambda): Monte-Carlo verification of the
-                   variance-plus-bias lower bound, the matching of the mean
-                   estimate with the continuous reconstruction, the exact
-                   sample bias-variance decomposition, and the dominance of
-                   the bounded-perturbation error by the sampled risk at
-                   noise level Delta(n, lambda).
-gamma-study        Noiseless midpoint grids with fixed lambda: kernel-side
-                   distance between the empirical penalized fit (the
-                   J-space Tikhonov solve) and the continuous one, in the
-                   kernel norm and pulled back to parameter space (the two
-                   must agree).  Past n = J the midpoint rule integrates
-                   every product of two modes exactly, so there the
-                   distance must be exact: at most the floor ``exact``
-                   times the continuous norm.  Above the floor it must
-                   shrink at every step of the grid; distances at or below
-                   it are roundoff and are not ranked.
-equivalence-check  Maximal deviations of the isometry, the pullback
-                   round-trip and the kernel-vs-parameter Tikhonov solves,
-                   and the first-order optimality residual of the penalized
-                   empirical risk at the closed-form solve.
-
-Every study prints one machine-readable line "STUDY <kind> <pass|fail>".
-Replicates use counter-based substreams keyed by their index, so a
-replicate's numbers do not depend on the others; the replicate loops hold
-one generator per stream and rekey it to each replicate's substream, which
-draws exactly what a new generator would.  All replicates on a midpoint
-grid share one basis matrix; their outputs are the columns of n-by-16
-chunks, and one GEMM per chunk forms the estimates.  A fixed width of 16
-columns keeps every chunk out of OpenBLAS's slow narrow-panel code (below
-8 columns) at any n, for 16 / J of the basis's memory.  Each iid replicate
-draws its own design, so no basis is shared, and none is built: the
-designs of consecutive replicates go through one ``_sine_factor_tables``
-call per batch, the unit powers at two factor angles of every mode
-(e^{i c pi x} for c < 16 and i conj(e^{i 16 a pi x}) for a <= J // 16, 29
-complex entries per point at J = 200 instead of 200 basis entries), filled
-by doubling into buffers allocated once per call and reused by every
-batch.  The tables' float views interleave (cos, sin) and (sin, cos) per
-point, so angle addition is a dot product over each point's pair: one GEMM
-per design forms the clean outputs, and one more each replicate's moments.
-Both paths sum in another order than the single-replicate
-public path (sample_design -> sample_outputs -> estimator_paper), so their
-estimates agree with it to about 1e-15 relative, not bit for bit; the
-tests hold them to 1e-12.  Neither depends on how the replicates are
-grouped into chunks or batches.
+Each study kind is one row of ``_STUDIES``, at the foot of this module: its
+runner, whose docstring describes the study, the optional config entries
+it reads and its tolerances with their defaults.  Every study prints one
+machine-readable line "STUDY <kind> <pass|fail>".  The Monte-Carlo studies
+draw each replicate from its own substream, so a replicate's numbers do
+not depend on the others (``_replicate_coeffs``).
 """
 
 import copy
@@ -62,64 +17,35 @@ import statistics
 import time
 from dataclasses import asdict, dataclass, field, fields
 from types import NoneType
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import streams
 from .errors import ValidationError
-from .rates import (RateFit, RateLink, convert_upper, delta_of, fit_rate,
-                    lambda_schedule, statistical_exponents, hs_norm)
+from .rates import (RateFit, RateLink, classical_exponents, convert_upper,
+                    delta_of, fit_rate, lambda_schedule,
+                    statistical_exponents, hs_norm)
 from .regularization import (FilterSpec, estimator_learn, kernel_tikhonov,
                              solve_continuous, _paper_coeffs)
 from .rkhs import correspondence_pullback, rkhs_norm
 from .sampling import (NoiseModel, PerturbationSpec, perturb_data,
                        sample_design, sample_outputs, _add_noise,
                        _uniform_design)
-from .spectral_model import (_FACTOR_WIDTH, basis_matrix, forward_data,
-                             problem_from_descriptor, _sine_factor_tables)
+from .spectral_model import (_FACTOR_WIDTH, _W_SPECS, basis_matrix,
+                             forward_data, problem_from_descriptor,
+                             _sine_factor_tables)
 
-_KINDS = ("stat-rate", "det-rate", "lemma-check", "gamma-study",
-          "equivalence-check")
-_FILTERS = ("tikhonov", "cutoff", "landweber")
+# The filter each ``filter`` entry names, at a given lambda: Landweber runs
+# round(1 / lambda) iterations, at least one.
+_FILTER_SPECS = {"tikhonov": FilterSpec.tikhonov, "cutoff": FilterSpec.cutoff,
+                 "landweber": lambda lam: FilterSpec.landweber(
+                     max(1, round(1.0 / lam)))}
 
-# Config entries converted on parsing, and their converters.
-_CONTAINERS = {"problem": dict, "schedule": dict, "tolerances": dict,
-               "n_grid": tuple, "delta_grid": tuple, "sigma": float}
-
-# The types each converter takes (booleans never): a null dict or grid
-# reads as empty, and sigma must be a number.
+# The types each converter of a config entry takes (booleans never): a null
+# dict or grid reads as empty, and sigma must be a number.
 _TAKES = {dict: (dict, NoneType), tuple: (list, tuple, NoneType),
           float: (int, float)}
-
-# Optional config entries each kind reads, besides the problem, the seed and
-# the tolerances (judged by _TOLERANCES): any other must keep its default,
-# so a report never echoes a setting that had no effect.
-# det-rate reads ``gamma`` only under the converted theory and
-# ``perturbation_index`` only for a fixed-mode perturbation.
-_READS = {
-    "stat-rate": {"filter", "design", "sigma", "n_grid", "schedule",
-                  "replicates"},
-    "det-rate": {"filter", "delta_grid", "schedule", "perturbation",
-                 "perturbation_index", "theory", "gamma"},
-    "lemma-check": {"filter", "design", "sigma", "n", "lambda",
-                    "replicates"},
-    "gamma-study": {"n_grid", "lambda"},  # always on the midpoint grid
-    "equivalence-check": {"design", "n", "lambda"},
-}
-
-# The tolerances each kind reads, with their defaults; a config may set
-# any of them and no other.
-_TOLERANCES = {
-    "stat-rate": {"slope": 0.12},
-    "det-rate": {"slope": 0.15},
-    # z_max None: the Sidak threshold of the J per-mode z-scores at family
-    # level _Z_FAMILY_LEVEL (_sidak_z)
-    "lemma-check": {"z_max": None, "identity": 1e-10},
-    "gamma-study": {"norm_equality": 1e-10, "exact": 1e-10},
-    "equivalence-check": {"isometry": 1e-10, "pullback_roundtrip": 1e-12,
-                          "methods_equivalence": 1e-10,
-                          "representer_oracle": 1e-10},
-}
 
 # Probability that lemma-check's mean-matches-continuous fails under the
 # claim at the default z_max: the largest of J independent |z| exceeds it.
@@ -196,6 +122,48 @@ def _positive_int(value):
     return _is_int(value) and value >= 1
 
 
+def _increasing(valid):
+    """The rule of a grid: at least two entries, each ``valid``, strictly
+    increasing."""
+    return lambda values: (
+        len(values) >= 2 and all(valid(v) for v in values)
+        and all(a < b for a, b in zip(values, values[1:])))
+
+
+def _one_of(*names):
+    """The rule of an entry that names one of ``names``."""
+    return lambda value: value in names
+
+
+def _valid_schedule(schedule):
+    """True for the entries c and exponent, both finite numbers > 0."""
+    return set(schedule) == {"c", "exponent"} and all(
+        _positive_finite(v) for v in schedule.values())
+
+
+def _valid_w_spec(w_spec, size):
+    """A name of _W_SPECS, or ``size`` finite numbers (booleans refused);
+    the length is not judged against a ``size`` that is itself invalid."""
+    if isinstance(w_spec, str):
+        return w_spec in _W_SPECS
+    return (isinstance(w_spec, (list, tuple))
+            and (not _positive_int(size) or len(w_spec) == size)
+            and all(_finite(v) for v in w_spec))
+
+
+def _problem_faults(problem):
+    """The keys of a problem entry at fault: J, b, d, r and w_spec must
+    each pass their rule, the optional seed must be an integer, and any
+    other key is read by nothing."""
+    rest = {"seed": 0, **problem}
+    rules = {"J": _positive_int, "b": _positive_finite,
+             "d": _positive_finite, "r": _positive_finite,
+             "w_spec": lambda w: _valid_w_spec(w, problem.get("J")),
+             "seed": _is_int}
+    return ([key for key, valid in rules.items()
+             if not valid(rest.pop(key, None))] + list(rest))
+
+
 def _invalid(fields):
     """The ValidationError naming each of ``fields`` once, sorted."""
     fields = sorted(set(fields))
@@ -203,15 +171,21 @@ def _invalid(fields):
         f"invalid study config, offending fields: {fields}", fields)
 
 
+def _study_of(kind):
+    """The _STUDIES row of ``kind``, or None for anything else."""
+    return _STUDIES.get(kind) if isinstance(kind, str) else None
+
+
+def _rule(valid, convert=None, key=None):
+    """The metadata of a StudyConfig field: the value rule of its entry,
+    the converter the entry goes through on parsing (one of _TAKES) and
+    the entry's name where it is not the field's."""
+    return {"valid": valid, "convert": convert, "key": key}
+
+
 def _config_key(f):
     """The config entry of the StudyConfig field ``f``."""
-    return f.metadata.get("key", f.name)
-
-
-def _increasing(values, valid):
-    """True for at least two entries, each ``valid``, strictly increasing."""
-    return (len(values) >= 2 and all(valid(v) for v in values)
-            and all(a < b for a, b in zip(values, values[1:])))
+    return f.metadata["key"] or f.name
 
 
 @dataclass(frozen=True)
@@ -219,51 +193,66 @@ class StudyConfig:
     """Declarative description of one study run.
 
     Each field is the config entry of the same name, except ``lam``, the
-    entry ``lambda`` (a Python keyword).  ``from_dict`` reads, ``to_dict``
-    echoes and ``_unread_entries`` judges the entries from these fields, so
-    a new entry is a field, its line in ``_READS`` and, if its values need
-    one, a rule in ``validate``.
+    entry ``lambda`` (a Python keyword), and its metadata holds the entry's
+    value rule (``_rule``).  ``from_dict`` reads, ``to_dict`` echoes and
+    ``validate`` judges the entries from these fields, so a new entry is a
+    field with its rule, and each kind that reads it lists it in its
+    ``_STUDIES`` row.
     """
 
-    kind: str = ""
-    problem: dict = field(default_factory=dict)
-    filter: str = "tikhonov"
-    design: str = "grid"
-    sigma: float = 0.0
-    n_grid: tuple = ()
-    delta_grid: tuple = ()
-    schedule: dict = field(default_factory=dict)  # {"c", "exponent"}
-    lam: float | None = field(default=None, metadata={"key": "lambda"})
-    n: int | None = None
-    perturbation: str = "filter-adversarial"
-    perturbation_index: int | None = None
-    theory: str = "classical"
-    gamma: float | None = None
-    replicates: int = 1
-    seed: int = 0
-    tolerances: dict = field(default_factory=dict)
+    kind: str = field(default="",
+                      metadata=_rule(lambda v: _study_of(v) is not None))
+    # each key has its own rule, and is named problem.<key>: _problem_faults
+    problem: dict = field(default_factory=dict, metadata=_rule(None, dict))
+    filter: str = field(default="tikhonov",
+                        metadata=_rule(_one_of(*_FILTER_SPECS)))
+    design: str = field(default="grid",
+                        metadata=_rule(_one_of("grid", "iid-uniform")))
+    sigma: float = field(default=0.0, metadata=_rule(_positive_finite, float))
+    n_grid: tuple = field(default=(),
+                          metadata=_rule(_increasing(_positive_int), tuple))
+    delta_grid: tuple = field(
+        default=(), metadata=_rule(_increasing(_positive_finite), tuple))
+    schedule: dict = field(default_factory=dict,  # {"c", "exponent"}
+                           metadata=_rule(_valid_schedule, dict))
+    lam: float | None = field(default=None,
+                              metadata=_rule(_positive_finite, key="lambda"))
+    n: int | None = field(default=None, metadata=_rule(_positive_int))
+    perturbation: str = field(default="filter-adversarial", metadata=_rule(
+        _one_of("random-unit", "fixed-mode", "filter-adversarial")))
+    perturbation_index: int | None = field(default=None,
+                                           metadata=_rule(_positive_int))
+    theory: str = field(default="classical",
+                        metadata=_rule(_one_of("classical", "converted")))
+    # None under the converted theory: the nominal gamma of the rates
+    gamma: float | None = field(default=None, metadata=_rule(
+        lambda v: v is None or _positive_finite(v)))
+    replicates: int = field(default=1, metadata=_rule(_positive_int))
+    seed: int = field(default=0, metadata=_rule(_is_int))
+    tolerances: dict = field(default_factory=dict, metadata=_rule(
+        lambda t: all(_positive_finite(v) for v in t.values()), dict))
 
     @staticmethod
     def from_dict(raw):
         if not isinstance(raw, dict):
             raise ValidationError("a study config must be a JSON object",
                                   ["config"])
-        names = {_config_key(f): f.name for f in fields(StudyConfig)}
-        bad = sorted(set(raw) - set(names))
+        entries = {_config_key(f): f for f in fields(StudyConfig)}
+        bad = sorted(set(raw) - set(entries))
         if bad:
             raise ValidationError(f"unknown config keys: {bad}", bad)
+        converts = {key: entries[key].metadata["convert"] for key in raw}
         # types are checked before anything is converted, so a value of the
         # wrong type is named instead of raising out of float() or dict()
-        bad = [key for key, convert in _CONTAINERS.items() if key in raw
-               and (not isinstance(raw[key], _TAKES[convert])
-                    or isinstance(raw[key], bool))]
+        bad = [key for key, convert in converts.items() if convert and (
+            not isinstance(raw[key], _TAKES[convert])
+            or isinstance(raw[key], bool))]
         if bad:
             raise _invalid(bad)
         config = StudyConfig(**{
-            names[key]: _CONTAINERS[key](value) if key in _CONTAINERS
-            else value
-            for key, value in raw.items()
-            if value is not None or key not in _CONTAINERS})
+            entries[key].name: convert(raw[key]) if convert else raw[key]
+            for key, convert in converts.items()
+            if raw[key] is not None or not convert})
         config.validate()
         return config
 
@@ -282,107 +271,48 @@ class StudyConfig:
         return out
 
     def validate(self):
-        bad = []
-        if self.kind not in _KINDS:
-            bad.append("kind")
-        problem = {"seed": 0, **self.problem}  # its seed is optional
-        for key, valid in (("J", _positive_int), ("b", _positive_finite),
-                           ("d", _positive_finite), ("r", _positive_finite),
-                           ("w_spec", self._valid_w_spec), ("seed", _is_int)):
-            if not valid(problem.pop(key, None)):
-                bad.append(f"problem.{key}")
-        bad += [f"problem.{key}" for key in problem]  # read by nothing
-        if self.gamma is not None and not _positive_finite(self.gamma):
-            bad.append("gamma")
-        if not _positive_int(self.replicates):
-            bad.append("replicates")
-        if not _is_int(self.seed):
-            bad.append("seed")
-        if self.filter not in _FILTERS:
-            bad.append("filter")
-        if not all(_positive_finite(v) for v in self.tolerances.values()):
-            bad.append("tolerances")
-        if self.design not in ("grid", "iid-uniform"):
-            bad.append("design")
-        if self.kind in _KINDS:
-            bad += self._unread_entries()
-            if not set(self.tolerances) <= set(_TOLERANCES[self.kind]):
-                bad.append("tolerances")
-        needs_schedule = self.kind in ("stat-rate", "det-rate")
-        schedule_ok = (set(self.schedule) == {"c", "exponent"} and all(
-            _positive_finite(v) for v in self.schedule.values()))
-        if needs_schedule and not schedule_ok:
-            bad.append("schedule")
-        w_spec = self.problem.get("w_spec")
-        if needs_schedule and isinstance(w_spec, str) and w_spec == "ones":
-            # w = (1, ..., 1) has source radius sqrt(J), not a fixed source
-            # element, so the rate theory does not apply to it
-            bad.append("problem.w_spec")
-        if self.kind == "stat-rate":
-            if not _increasing(self.n_grid, _positive_int):
-                bad.append("n_grid")
-            if not _positive_finite(self.sigma):
-                bad.append("sigma")
-        elif self.kind == "det-rate":
-            if not _increasing(self.delta_grid, _positive_finite):
-                bad.append("delta_grid")
-            if self.theory not in ("classical", "converted"):
-                bad.append("theory")
-            if self.perturbation not in ("random-unit", "fixed-mode",
-                                         "filter-adversarial"):
-                bad.append("perturbation")
-            if (self.perturbation == "fixed-mode"
-                    and not _positive_int(self.perturbation_index)):
-                bad.append("perturbation_index")
-        elif self.kind == "lemma-check":
-            if not _positive_int(self.n):
-                bad.append("n")
-            if not _positive_finite(self.lam):
-                bad.append("lambda")
-            if not _positive_finite(self.sigma):
-                bad.append("sigma")
-            if not (_positive_int(self.replicates) and self.replicates >= 2):
-                bad.append("replicates")
-        elif self.kind == "gamma-study":
-            if not _increasing(self.n_grid, _positive_int):
-                bad.append("n_grid")
-            if not _positive_finite(self.lam):
-                bad.append("lambda")
-        elif self.kind == "equivalence-check":
-            if not _positive_int(self.n):
-                bad.append("n")
-            if not _positive_finite(self.lam):
-                bad.append("lambda")
-        if bad:
-            raise _invalid(bad)
-
-    def _valid_w_spec(self, w_spec):
-        """A name, or J finite numbers (booleans refused); the length is
-        not judged against a J that is itself invalid."""
-        if isinstance(w_spec, str):
-            return True
-        size = self.problem.get("J")
-        return (isinstance(w_spec, (list, tuple))
-                and (not _positive_int(size) or len(w_spec) == size)
-                and all(_finite(v) for v in w_spec))
-
-    def _unread_entries(self):
-        """Config entries set away from their default that the kind does
-        not read."""
-        reads = {"kind", "problem", "seed", "tolerances", *_READS[self.kind]}
+        """Name every entry at fault.  An entry the kind reads must pass
+        its rule.  Any other must keep its default, in value and type, so a
+        report never echoes a setting that had no effect; under an unknown
+        kind, which reads nothing, only one that breaks its rule is named."""
+        study = _study_of(self.kind)
+        reads = {"kind", "problem", "seed", "tolerances",
+                 *(study.reads if study else ())}
+        # det-rate reads gamma only under the converted theory and
+        # perturbation_index only for a fixed-mode perturbation
         if self.theory != "converted":
             reads.discard("gamma")
         if self.perturbation != "fixed-mode":
             reads.discard("perturbation_index")
-        default = StudyConfig()
-        return [_config_key(f) for f in fields(self)
-                if _config_key(f) not in reads
-                and getattr(self, f.name) != getattr(default, f.name)]
+        defaults = StudyConfig()
+        bad = [f"problem.{key}" for key in _problem_faults(self.problem)]
+        for f in fields(self):
+            key, value = _config_key(f), getattr(self, f.name)
+            default, valid = getattr(defaults, f.name), f.metadata["valid"]
+            if key in reads:
+                faulty = valid is not None and not valid(value)
+            else:
+                changed = type(value) is not type(default) or value != default
+                faulty = changed and (study is not None or not valid(value))
+            if faulty:
+                bad.append(key)
+        if study and not set(self.tolerances) <= set(study.tolerances):
+            bad.append("tolerances")
+        if self.kind == "lemma-check" and not (
+                _positive_int(self.replicates) and self.replicates >= 2):
+            bad.append("replicates")
+        w_spec = self.problem.get("w_spec")
+        if "schedule" in reads and isinstance(w_spec, str) and w_spec == "ones":
+            # w = (1, ..., 1) has source radius sqrt(J), not a fixed source
+            # element, so the rate theory does not apply to it
+            bad.append("problem.w_spec")
+        if bad:
+            raise _invalid(bad)
 
 
 def _tolerances(config):
     """The kind's default tolerances, updated with the config's own."""
-    return {**_TOLERANCES[config.kind], **config.tolerances}
+    return {**_STUDIES[config.kind].tolerances, **config.tolerances}
 
 
 @dataclass
@@ -436,15 +366,6 @@ def _check(name, value, op, threshold):
             "threshold": float(threshold), "passed": bool(passed)}
 
 
-def _filter_for(kind, lam):
-    """The filter of a validated config: ``kind`` is one of _FILTERS."""
-    if kind == "tikhonov":
-        return FilterSpec.tikhonov(lam)
-    if kind == "cutoff":
-        return FilterSpec.cutoff(lam)
-    return FilterSpec.landweber(max(1, round(1.0 / lam)))
-
-
 def _problem_of(config):
     descriptor = dict(config.problem)
     descriptor.setdefault("seed", config.seed)
@@ -467,25 +388,33 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
     Replicate ``index`` draws its noise (and an iid design) from its own
     (seed, stream, index) substream, as sample_design -> sample_outputs ->
     estimator_paper does; one generator per stream is rekeyed to each
-    replicate's substream (``streams.rekey``) instead of built anew.  A
-    grid design is shared, so all replicates use one basis, and the outputs
-    of consecutive replicates form the columns of one n-by-_CHUNK_WIDTH
-    chunk (the last may be narrower): one GEMM per chunk instead of one
-    GEMV per replicate.  That changes the summation order, so grid
-    estimates agree with the public path to about 1e-14 relative, not bit
-    for bit.  iid designs go in batches of consecutive replicates: one
-    _sine_factor_tables call covers the batch's designs end to end, into
-    tables allocated once per call and reused by every batch, and every
-    product against the tables runs per design.  On the tables' float
-    views, (cos, sin) pairs of the low angle and (sin, cos) pairs of the
-    high one, the clean outputs are the GEMM coeff_table @ low, dotted
-    with high down each column and summed over pairs; a replicate's
-    moments are the GEMM (high v) @ low' for its noisy outputs v, each
-    repeated for both entries of its pair.  So an iid estimate is the same
-    bit for bit at any
-    batch size, and agrees with the public path to about 1e-15 relative.
-    A batch holds as many whole designs as fit in _BATCH_CELLS basis
-    entries, at least one.
+    replicate's substream (``streams.rekey``), which draws exactly what a
+    new generator would.  So a replicate's draws depend neither on the
+    other replicates nor on how they are grouped.
+
+    A grid design is shared, so all replicates use one basis, and the
+    outputs of consecutive replicates form the columns of one
+    n-by-_CHUNK_WIDTH chunk (the last may be narrower): one GEMM per chunk
+    instead of one GEMV per replicate.
+
+    iid designs build no basis.  They go in batches of consecutive
+    replicates, as many whole designs as fit in _BATCH_CELLS basis
+    entries, at least one.  One _sine_factor_tables call covers the batch's
+    designs end to end: the unit powers at two factor angles of every mode
+    (e^{i c pi x} for c < 16 and i conj(e^{i 16 a pi x}) for a <= J // 16,
+    29 complex entries per point at J = 200 instead of 200 basis entries),
+    filled by doubling into tables allocated once per call and reused by
+    every batch.  Every product against the tables runs per design.  On the
+    tables' float views, (cos, sin) pairs of the low angle and (sin, cos)
+    pairs of the high one, the clean outputs are the GEMM coeff_table @
+    low, dotted with high down each column and summed over pairs; a
+    replicate's moments are the GEMM (high v) @ low' for its noisy outputs
+    v, each repeated for both entries of its pair.  So an iid estimate is
+    the same bit for bit at any batch size.
+
+    Both paths sum in another order than the public path, so their
+    estimates agree with it to about 1e-14 relative on the grid and 1e-15
+    on iid designs, not bit for bit; the tests hold them to 1e-12.
     """
     seed = config.seed
     noise = NoiseModel(kind="gaussian", sigma=config.sigma)
@@ -549,13 +478,16 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
 
 
 def _run_stat_rate(config, started):
+    """Monte-Carlo squared reconstruction error of the sampled estimator
+    along a lambda schedule in n, slope-fitted against 1/n and compared to
+    2r/(2r+1+1/b)."""
     problem, truth = _problem_of(config)
     points = []
     replicates = config.replicates
     for point_idx, n in enumerate(config.n_grid):
         lam = lambda_schedule("by-n", config.schedule["c"],
                               config.schedule["exponent"], n)
-        filt = _filter_for(config.filter, lam)
+        filt = _FILTER_SPECS[config.filter](lam)
         first = point_idx * replicates
         # squared errors formed in place: R-by-J temporaries would stay in
         # the heap and raise the peak resident memory of the next point
@@ -587,13 +519,17 @@ def _run_stat_rate(config, started):
 
 
 def _run_det_rate(config, started):
+    """Squared error of the perturbed-data reconstruction along a lambda
+    schedule in delta, slope-fitted against delta and compared to the
+    classical 4r/(2r+1) or, under the converted theory, to the n-rate
+    converted to delta (``convert_upper``)."""
     problem, truth = _problem_of(config)
     y_clean = forward_data(problem, truth)
     points = []
     for point_idx, delta in enumerate(config.delta_grid):
         lam = lambda_schedule("by-delta", config.schedule["c"],
                               config.schedule["exponent"], delta)
-        filt = _filter_for(config.filter, lam)
+        filt = _FILTER_SPECS[config.filter](lam)
         spec = PerturbationSpec(delta=delta, mode=config.perturbation,
                                 index=config.perturbation_index, filter=filt)
         y_delta = perturb_data(problem, y_clean, spec, config.seed,
@@ -605,7 +541,7 @@ def _run_det_rate(config, started):
     fit = fit_rate([(p["x"], p["err_mean"]) for p in points])
     r, b = float(config.problem["r"]), float(config.problem["b"])
     if config.theory == "classical":
-        exponent = 4.0 * r / (2.0 * r + 1.0)
+        exponent = classical_exponents(r, b).alpha
     else:
         exponents = statistical_exponents(r, b, gamma=config.gamma)
         exponent = convert_upper(exponents).exponent
@@ -617,9 +553,14 @@ def _run_det_rate(config, started):
 
 
 def _run_lemma_check(config, started):
+    """At fixed (n, lambda): Monte-Carlo verification of the
+    variance-plus-bias lower bound, the matching of the mean estimate with
+    the continuous reconstruction, the exact sample bias-variance
+    decomposition, and the dominance of the bounded-perturbation error by
+    the sampled risk at noise level Delta(n, lambda)."""
     problem, truth = _problem_of(config)
     n = int(config.n)
-    filt = _filter_for(config.filter, config.lam)
+    filt = _FILTER_SPECS[config.filter](config.lam)
     replicates = config.replicates
     coeff_rows = _replicate_coeffs(config, problem, truth, filt, n,
                                    range(replicates))
@@ -673,6 +614,14 @@ def _run_lemma_check(config, started):
 
 
 def _run_gamma_study(config, started):
+    """Noiseless midpoint grids with fixed lambda: kernel-side distance
+    between the empirical penalized fit (the J-space Tikhonov solve) and
+    the continuous one, in the kernel norm and pulled back to parameter
+    space (the two must agree).  Past n = J the midpoint rule integrates
+    every product of two modes exactly, so there the distance must be
+    exact: at most the floor ``exact`` times the continuous norm.  Above
+    the floor it must shrink at every step of the grid; distances at or
+    below it are roundoff and are not ranked."""
     problem, truth = _problem_of(config)
     lam = float(config.lam)
     filt = FilterSpec.tikhonov(lam)
@@ -762,6 +711,10 @@ def equivalence_deviations(problem, samples, lam, seed=0):
 
 
 def _run_equivalence_check(config, started):
+    """Maximal deviations of the isometry, the pullback round-trip and the
+    kernel-vs-parameter Tikhonov solves, and the first-order optimality
+    residual of the penalized empirical risk at the closed-form solve
+    (``equivalence_deviations``)."""
     problem, truth = _problem_of(config)
     design = sample_design(config.design, int(config.n), config.seed)
     samples = sample_outputs(problem, truth, design, NoiseModel(),
@@ -779,12 +732,40 @@ def _run_equivalence_check(config, started):
                    started=started)
 
 
-_RUNNERS = {
-    "stat-rate": _run_stat_rate,
-    "det-rate": _run_det_rate,
-    "lemma-check": _run_lemma_check,
-    "gamma-study": _run_gamma_study,
-    "equivalence-check": _run_equivalence_check,
+class _Study(NamedTuple):
+    """One study kind: its runner, the optional config entries it reads
+    besides kind, problem, seed and tolerances, and the tolerances it reads
+    with their defaults (a config may set any of them and no other)."""
+
+    run: Callable
+    reads: tuple
+    tolerances: dict
+
+
+_STUDIES = {
+    "stat-rate": _Study(
+        _run_stat_rate,
+        ("filter", "design", "sigma", "n_grid", "schedule", "replicates"),
+        {"slope": 0.12}),
+    "det-rate": _Study(
+        _run_det_rate,
+        ("filter", "delta_grid", "schedule", "perturbation",
+         "perturbation_index", "theory", "gamma"),
+        {"slope": 0.15}),
+    # z_max None: the Sidak threshold of the J per-mode z-scores at family
+    # level _Z_FAMILY_LEVEL (_sidak_z)
+    "lemma-check": _Study(
+        _run_lemma_check,
+        ("filter", "design", "sigma", "n", "lambda", "replicates"),
+        {"z_max": None, "identity": 1e-10}),
+    # always on the midpoint grid, so it does not read design
+    "gamma-study": _Study(
+        _run_gamma_study, ("n_grid", "lambda"),
+        {"norm_equality": 1e-10, "exact": 1e-10}),
+    "equivalence-check": _Study(
+        _run_equivalence_check, ("design", "n", "lambda"),
+        {"isometry": 1e-10, "pullback_roundtrip": 1e-12,
+         "methods_equivalence": 1e-10, "representer_oracle": 1e-10}),
 }
 
 
@@ -792,7 +773,7 @@ def run_study(config):
     """Execute a study and return its report."""
     config.validate()
     started = time.perf_counter()
-    return _RUNNERS[config.kind](config, started)
+    return _STUDIES[config.kind].run(config, started)
 
 
 def write_report(report, fmt, path):

@@ -220,6 +220,18 @@ def statistical_exponents(r, b, gamma=None):
                          gamma=(r + 0.5) if gamma is None else float(gamma))
 
 
+def classical_exponents(r, b, gamma=None):
+    """Exponent bundle of the classical noise-level rate.
+
+    alpha = 4r/(2r+1): the squared error ~ delta^alpha of the
+    noise-level-optimal schedule lambda_delta ~ delta^p_star, with p_star
+    and gamma as ``statistical_exponents`` gives them.
+    """
+    stat = statistical_exponents(r, b, gamma)
+    return RateExponents(alpha=4.0 * r / (2.0 * r + 1.0), gamma=stat.gamma,
+                         p_star=stat.p_star)
+
+
 @dataclass(frozen=True)
 class RateFit:
     """Ordinary least squares in log-log coordinates."""

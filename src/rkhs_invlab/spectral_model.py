@@ -254,6 +254,18 @@ def eval_function(problem, coeffs, x):
     return values
 
 
+def _unit_random(size, seed):
+    """i.i.d. signs scaled to unit norm, from the source stream of seed."""
+    rng = streams.generator(seed, streams.SOURCE_STREAM)
+    signs = np.where(rng.random(size) < 0.5, -1.0, 1.0)
+    return signs / np.sqrt(size)
+
+
+# The source elements a w_spec may name, each a function of (size, seed).
+_W_SPECS = {"ones": lambda size, seed: np.ones(size),
+            "unit-random": _unit_random}
+
+
 def resolve_w_spec(w_spec, size, seed=0):
     """Turn a source-element spec into a concrete vector.
 
@@ -262,13 +274,9 @@ def resolve_w_spec(w_spec, size, seed=0):
     a sequence is used as-is.
     """
     if isinstance(w_spec, str):
-        if w_spec == "ones":
-            return np.ones(size)
-        if w_spec == "unit-random":
-            rng = streams.generator(seed, streams.SOURCE_STREAM)
-            signs = np.where(rng.random(size) < 0.5, -1.0, 1.0)
-            return signs / np.sqrt(size)
-        raise ParameterError(f"unknown w_spec: {w_spec!r}")
+        if w_spec not in _W_SPECS:
+            raise ParameterError(f"unknown w_spec: {w_spec!r}")
+        return _W_SPECS[w_spec](size, seed)
     w = np.asarray(w_spec, dtype=float)
     if w.shape != (size,):
         raise ShapeError("explicit w_spec has wrong length")
@@ -278,18 +286,23 @@ def resolve_w_spec(w_spec, size, seed=0):
 def problem_from_descriptor(descriptor):
     """Build (problem, f) from a JSON-style descriptor, f = mu**r w.
 
-    Expected keys: J, b, d, r, w_spec, seed.
+    Expected keys: J, b, d, r, w_spec and, optionally, seed (default 0).
+    J and seed must be integers; a float or a boolean is refused, not
+    truncated or read as 0 or 1.
     """
     try:
-        size = int(descriptor["J"])
+        size = descriptor["J"]
         b = float(descriptor["b"])
         d = float(descriptor["d"])
         r = float(descriptor["r"])
         w_spec = descriptor["w_spec"]
-        seed = int(descriptor.get("seed", 0))
+        seed = descriptor.get("seed", 0)
     except KeyError as exc:
         raise ParameterError(f"descriptor is missing key {exc}") from exc
+    for key, value in (("J", size), ("seed", seed)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ParameterError(f"descriptor key {key!r} must be an integer, "
+                                 f"got {value!r}")
     problem = build_power_law_problem(size, b, d)
     truth = make_source_solution(problem, r, resolve_w_spec(w_spec, size, seed))
     return problem, truth
-

@@ -328,8 +328,8 @@ def test_read_entries_are_accepted_and_round_trip(kind):
     assert StudyConfig.from_dict(config.to_dict()) == config
 
 
-# The exact config echo of FULL_RAW's two rate studies: None, empty grids
-# and, off det-rate, det-rate's perturbation and theory are left out.
+# The exact config echo of FULL_RAW: None, empty grids and, off det-rate,
+# det-rate's perturbation and theory are left out.
 FULL_ECHO = {
     "stat-rate": {"kind": "stat-rate", "problem": PROBLEM,
                   "filter": "cutoff", "design": "iid-uniform",
@@ -343,12 +343,60 @@ FULL_ECHO = {
                  "perturbation": "fixed-mode", "perturbation_index": 2,
                  "theory": "converted", "gamma": 1.75, "replicates": 1,
                  "seed": SEED, "tolerances": {}},
+    "lemma-check": {"kind": "lemma-check", "problem": PROBLEM,
+                    "filter": "cutoff", "design": "iid-uniform",
+                    "sigma": SIGMA, "lambda": 0.05, "n": 100,
+                    "replicates": REPLICATES, "seed": SEED,
+                    "tolerances": {}},
+    "gamma-study": {"kind": "gamma-study", "problem": KERNEL_PROBLEM,
+                    "filter": "tikhonov", "design": "grid", "sigma": 0.0,
+                    "n_grid": [25, 50, 100, 200], "lambda": 1e-3,
+                    "replicates": 1, "seed": SEED, "tolerances": {}},
+    "equivalence-check": {"kind": "equivalence-check",
+                          "problem": KERNEL_PROBLEM, "filter": "tikhonov",
+                          "design": "iid-uniform", "sigma": 0.0,
+                          "lambda": 1e-3, "n": 60, "replicates": 1,
+                          "seed": SEED, "tolerances": {}},
 }
 
 
 @pytest.mark.parametrize("kind", sorted(FULL_ECHO))
 def test_config_echo_is_pinned(kind):
     assert StudyConfig.from_dict(FULL_RAW[kind]).to_dict() == FULL_ECHO[kind]
+
+
+# Each entry each kind reads, with a value its rule refuses.  det-rate
+# reads gamma under the converted theory and perturbation_index for a
+# fixed-mode perturbation, so those two cases set that entry as well.
+INVALID_READS = {
+    "stat-rate": {"filter": "bogus", "design": "bogus", "sigma": -0.1,
+                  "n_grid": [100, 50],
+                  "schedule": {"c": 1.0, "exponent": -0.5},
+                  "replicates": 0},
+    "det-rate": {"filter": "bogus", "delta_grid": [0.2, 0.1],
+                 "schedule": {"c": 0.0, "exponent": 0.5},
+                 "perturbation": "bogus", "perturbation_index": 0,
+                 "theory": "bogus", "gamma": -1.75},
+    "lemma-check": {"filter": "bogus", "design": "bogus", "sigma": -0.1,
+                    "n": 0, "lambda": -0.05, "replicates": 1},
+    "gamma-study": {"n_grid": [25, 25], "lambda": 0.0},
+    "equivalence-check": {"design": "bogus", "n": 0, "lambda": -1e-3},
+}
+READ_CONTEXT = {"gamma": {"theory": "converted"},
+                "perturbation_index": {"perturbation": "fixed-mode"}}
+
+
+@pytest.mark.parametrize("kind, entry", [
+    (kind, entry) for kind, entries in INVALID_READS.items()
+    for entry in entries])
+def test_invalid_read_entry_is_named_and_exits_two(kind, entry, tmp_path):
+    raw = dict(BASE_RAW[kind], **READ_CONTEXT.get(entry, {}),
+               **{entry: INVALID_READS[kind][entry]})
+    with pytest.raises(ValidationError) as info:
+        StudyConfig.from_dict(raw)
+    assert info.value.fields == (entry,)
+    assert run_cli(tmp_path, raw) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("schedule", [{}, None], ids=["empty", "null"])
@@ -563,7 +611,9 @@ BAD_FIELDS = {
            ("string", ["a"] * KERNEL_J),
            ("bool", [True, False] * (KERNEL_J // 2)),
            ("inf", [math.inf] + [0.0] * (KERNEL_J - 1)),
-           ("length", [1.0] * (KERNEL_J - 1)))},
+           ("length", [1.0] * (KERNEL_J - 1)),
+           # only the names resolve_w_spec resolves
+           ("unknown-name", "bogus"))},
     "sigma-nan": (dict(lemma_check_config("grid").to_dict(),
                        sigma=math.nan), "sigma"),
     # values refused instead of silently coerced

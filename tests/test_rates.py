@@ -5,6 +5,7 @@ check, at a second seed where the check draws random inputs; the check
 holds the invariant's set-up and tolerance.
 """
 
+import json
 import math
 
 import numpy as np
@@ -14,13 +15,14 @@ import pytest
 from rkhs_invlab import (DomainError, FilterSpec, ModelError, NoiseModel,
                          ParameterError, PerturbationSpec, RateExponents,
                          RateLink, ShapeError, build_power_law_problem,
-                         convert_lower, convert_upper, delta_of,
-                         epsilon_lambda, estimator_paper, fit_rate,
+                         classical_exponents, convert_lower, convert_upper,
+                         delta_of, epsilon_lambda, estimator_paper, fit_rate,
                          forward_data, hs_norm, lambda_schedule,
                          loss_factor_tau, make_source_solution, n_of,
                          operator_norm, perturb_data, sample_design,
                          sample_outputs, solve_continuous,
                          statistical_exponents, verify)
+from rkhs_invlab.cli import main
 
 
 def house_problem(size=60, b=2.0, d=1.0, r=1.0):
@@ -246,6 +248,51 @@ class TestStatisticalExponents:
         assert exps.p == pytest.approx(1 / 3.5, rel=1e-15)
         assert exps.p_star == pytest.approx(2 / 3, rel=1e-15)
         assert exps.gamma == pytest.approx(1.5)
+
+    def test_classical_rate_shares_p_star_and_gamma(self):
+        stat = statistical_exponents(1.0, 2.0, gamma=0.75)
+        classical = classical_exponents(1.0, 2.0, gamma=0.75)
+        assert classical.alpha == pytest.approx(4 / 3, rel=1e-15)
+        assert (classical.p_star, classical.gamma) == (stat.p_star, 0.75)
+
+
+# The JSON payload of ``rkhs-invlab rates --r 1 --b 2``, with the default
+# gamma = r + 1/2 and with --gamma 0.75, which moves the lower conversion
+# to its slow branch.
+RATES_PAYLOAD = {
+    "inputs": {"b": 2.0, "gamma": 1.5, "r": 1.0, "variant": "general"},
+    "lower_conversion": {"branch": "fast",
+                         "lambda_n_exponent": 0.3333333333333333,
+                         "n_exponent": 0.6666666666666666},
+    "statistical": {"alpha": 0.5714285714285714,
+                    "p": 0.2857142857142857},
+    "tau": 1.1666666666666667,
+    "upper_conversion": {"branch": "slow", "delta_exponent": 1.0,
+                         "lambda_delta_exponent": 0.5},
+}
+RATES_PAYLOAD_GAMMA = {
+    **RATES_PAYLOAD,
+    "inputs": dict(RATES_PAYLOAD["inputs"], gamma=0.75),
+    "lower_conversion": {"branch": "slow",
+                         "lambda_n_exponent": 0.4444444444444444,
+                         "n_exponent": 0.8888888888888888},
+    "upper_conversion": {"branch": "slow",
+                         "delta_exponent": 0.7272727272727273,
+                         "lambda_delta_exponent": 0.36363636363636365},
+}
+
+
+@pytest.mark.parametrize("extra, expected", [
+    ([], RATES_PAYLOAD), (["--gamma", "0.75"], RATES_PAYLOAD_GAMMA)],
+    ids=["default-gamma", "gamma-0.75"])
+def test_cli_rates_payload_is_pinned(extra, expected, capsys):
+    assert main(["rates", "--r", "1", "--b", "2", *extra]) == 0
+    assert json.loads(capsys.readouterr().out) == expected
+
+
+def test_cli_rates_exit_two_on_negative_r(capsys):
+    assert main(["rates", "--r", "-1", "--b", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.fixture(scope="module")

@@ -319,6 +319,16 @@ class TestDescriptors:
         with pytest.raises(ParameterError):
             problem_from_descriptor({"J": 3, "b": 2.0})
 
+    @pytest.mark.parametrize("key, value", [
+        ("J", 3.7), ("J", 3.0), ("J", True), ("J", "3"),
+        ("seed", 3.7), ("seed", True), ("seed", None)])
+    def test_non_integer_is_refused_by_name(self, key, value):
+        # not truncated to 3 or read as 1
+        descriptor = dict({"J": 3, "b": 2.0, "d": 1.0, "r": 1.0,
+                           "w_spec": "unit-random", "seed": 3}, **{key: value})
+        with pytest.raises(ParameterError, match=repr(key)):
+            problem_from_descriptor(descriptor)
+
 
 # Every model element is the (J,) array of its sine-basis coordinates.
 ELEMENTS = {
