@@ -29,9 +29,9 @@ from .rates import (RateFit, RateLink, classical_exponents, convert_upper,
 from .regularization import (FilterSpec, estimator_learn, kernel_tikhonov,
                              solve_continuous, _paper_coeffs)
 from .rkhs import correspondence_pullback, rkhs_norm
-from .sampling import (NoiseModel, PerturbationSpec, perturb_data,
-                       sample_design, sample_outputs, _add_noise,
-                       _uniform_design)
+from .sampling import (_DESIGNS, _PERTURBATION_MODES, NoiseModel,
+                       PerturbationSpec, perturb_data, sample_design,
+                       sample_outputs, _add_noise, _uniform_design)
 from .spectral_model import (_FACTOR_WIDTH, _W_SPECS, basis_matrix,
                              forward_data, problem_from_descriptor,
                              _sine_factor_tables)
@@ -207,7 +207,7 @@ class StudyConfig:
     filter: str = field(default="tikhonov",
                         metadata=_rule(_one_of(*_FILTER_SPECS)))
     design: str = field(default="grid",
-                        metadata=_rule(_one_of("grid", "iid-uniform")))
+                        metadata=_rule(_one_of(*_DESIGNS)))
     sigma: float = field(default=0.0, metadata=_rule(_positive_finite, float))
     n_grid: tuple = field(default=(),
                           metadata=_rule(_increasing(_positive_int), tuple))
@@ -218,8 +218,8 @@ class StudyConfig:
     lam: float | None = field(default=None,
                               metadata=_rule(_positive_finite, key="lambda"))
     n: int | None = field(default=None, metadata=_rule(_positive_int))
-    perturbation: str = field(default="filter-adversarial", metadata=_rule(
-        _one_of("random-unit", "fixed-mode", "filter-adversarial")))
+    perturbation: str = field(default="filter-adversarial",
+                              metadata=_rule(_one_of(*_PERTURBATION_MODES)))
     perturbation_index: int | None = field(default=None,
                                            metadata=_rule(_positive_int))
     theory: str = field(default="classical",

@@ -11,7 +11,8 @@ coordinates in the sine basis:
   learn-n        fhat_l  : s applied to the empirical covariance
                            (1/n) Phi' Phi, a J-by-J matrix since the kernel
                            K = Phi Phi' has rank at most J, then to the
-                           empirical moment (1/n) Phi' y.
+                           empirical moment (1/n) Phi' y: one linear solve
+                           for Tikhonov, an eigendecomposition otherwise.
 
 The dense n-by-n Tikhonov solve (K + lambda n I) beta = y is
 ``kernel_tikhonov``, the one n-by-n solve.  It serves only as the
@@ -210,14 +211,25 @@ def estimator_learn(problem, filt, samples):
     """Classical kernel estimator s(A_x* A_x) A_x* y, computed in J-space.
 
     With feature rows Phi = u diag(sigma), A_x* A_x is the J-by-J empirical
-    covariance Phi' Phi / n and A_x* y the moment Phi' y / n, so every filter
-    takes one eigendecomposition: f = V s(e) V' Phi' y / n.  The cost is
-    O(n J^2 + J^3); ``kernel_tikhonov`` is the dense n-by-n reference.
+    covariance C = Phi' Phi / n and A_x* y the moment m = Phi' y / n.
+    Tikhonov is one linear solve, f = (C + lambda I)^{-1} m; cutoff and
+    Landweber take the eigendecomposition C = V diag(e) V' and return
+    f = V s(e) V' m.  The cost is O(n J^2 + J^3); ``kernel_tikhonov`` is the
+    dense n-by-n reference.
     """
     n = samples.size
-    phi = basis_matrix(problem, samples.design) * problem.sigma_sv
-    eigs, vecs = np.linalg.eigh(phi.T @ phi / n)
+    phi = basis_matrix(problem, samples.design)
+    phi *= problem.sigma_sv
+    cov = phi.T @ phi / n
     moment = phi.T @ samples.outputs / n
+    if filt.kind == "tikhonov":
+        cov.flat[::problem.size + 1] += filt.lam
+        try:
+            return np.linalg.solve(cov, moment)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise NumericalError(
+                f"covariance system is singular: {exc}") from exc
+    eigs, vecs = np.linalg.eigh(cov)
     return vecs @ (filt.at_eigenvalues(eigs) * (vecs.T @ moment))
 
 

@@ -25,6 +25,10 @@ from . import streams
 from .errors import ParameterError, ShapeError
 from .spectral_model import basis_matrix, forward_data
 
+# The design schemes and the perturbation modes a study config may name.
+_DESIGNS = ("grid", "iid-uniform")
+_PERTURBATION_MODES = ("random-unit", "fixed-mode", "filter-adversarial")
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -88,7 +92,7 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.delta < 0.0:
             raise ParameterError("delta must be nonnegative")
-        if self.mode not in ("random-unit", "fixed-mode", "filter-adversarial"):
+        if self.mode not in _PERTURBATION_MODES:
             raise ParameterError(f"unknown perturbation mode: {self.mode!r}")
         if self.mode == "fixed-mode" and (self.index is None or self.index < 1):
             raise ParameterError("fixed-mode requires a 1-based mode index")
@@ -103,12 +107,12 @@ def sample_design(scheme, n, seed=0, index=0):
     """
     if n < 1:
         raise ShapeError("need at least one design point")
+    if scheme not in _DESIGNS:
+        raise ParameterError(f"unknown design scheme: {scheme!r}")
     if scheme == "grid":
         return (np.arange(1, n + 1) - 0.5) / n
-    if scheme == "iid-uniform":
-        return _uniform_design(
-            n, streams.generator(seed, streams.DESIGN_STREAM, index))
-    raise ParameterError(f"unknown design scheme: {scheme!r}")
+    return _uniform_design(
+        n, streams.generator(seed, streams.DESIGN_STREAM, index))
 
 
 def sample_outputs(problem, f_true, design, noise, seed=0, index=0):

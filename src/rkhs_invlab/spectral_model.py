@@ -288,21 +288,25 @@ def problem_from_descriptor(descriptor):
 
     Expected keys: J, b, d, r, w_spec and, optionally, seed (default 0).
     J and seed must be integers; a float or a boolean is refused, not
-    truncated or read as 0 or 1.
+    truncated or read as 0 or 1.  b, d and r must be numbers; a string, a
+    boolean or None is refused, not converted.
     """
     try:
         size = descriptor["J"]
-        b = float(descriptor["b"])
-        d = float(descriptor["d"])
-        r = float(descriptor["r"])
+        b, d, r = descriptor["b"], descriptor["d"], descriptor["r"]
         w_spec = descriptor["w_spec"]
         seed = descriptor.get("seed", 0)
     except KeyError as exc:
         raise ParameterError(f"descriptor is missing key {exc}") from exc
-    for key, value in (("J", size), ("seed", seed)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise ParameterError(f"descriptor key {key!r} must be an integer, "
+    integer, number = (int, np.integer), (int, float, np.integer, np.floating)
+    for key, value, types in (("J", size, integer), ("seed", seed, integer),
+                              ("b", b, number), ("d", d, number),
+                              ("r", r, number)):
+        if not isinstance(value, types) or isinstance(value, bool):
+            noun = "an integer" if types is integer else "a number"
+            raise ParameterError(f"descriptor key {key!r} must be {noun}, "
                                  f"got {value!r}")
-    problem = build_power_law_problem(size, b, d)
-    truth = make_source_solution(problem, r, resolve_w_spec(w_spec, size, seed))
+    problem = build_power_law_problem(size, float(b), float(d))
+    truth = make_source_solution(problem, float(r),
+                                 resolve_w_spec(w_spec, size, seed))
     return problem, truth

@@ -226,6 +226,72 @@ class TestEstimatorLearn:
             estimator_learn(problem, FilterSpec.landweber(10), samples)
 
 
+TIKHONOV_SOLVE_NS = (25, 199, 200, 201, 3200)
+
+
+def covariance_and_moment(problem, samples):
+    """C = Phi' Phi / n and m = Phi' y / n for the feature rows Phi."""
+    phi = basis_matrix(problem, samples.design) * problem.sigma_sv
+    n = samples.size
+    return phi.T @ phi / n, phi.T @ samples.outputs / n
+
+
+@pytest.fixture(scope="module")
+def j200_samples():
+    """Exact samples at J = 200 on both designs, keyed by (design, n)."""
+    problem = build_power_law_problem(200, 2.0, 1.0)
+    truth = make_source_solution(problem, 1.0,
+                                 np.arange(1, 201, dtype=float) ** -1.0)
+    samples = {(scheme, n): clean_samples(
+        problem, truth, sample_design(scheme, n, seed=n))
+        for scheme in ("grid", "iid-uniform") for n in TIKHONOV_SOLVE_NS}
+    return problem, samples
+
+
+class TestTikhonovSolve:
+    """learn-n's Tikhonov fit is one linear solve of (C + lambda I) f = m."""
+
+    @pytest.mark.parametrize("scheme", ["grid", "iid-uniform"])
+    @pytest.mark.parametrize("n", TIKHONOV_SOLVE_NS)
+    def test_tikhonov_solve_matches_eigendecomposition(self, j200_samples,
+                                                       scheme, n):
+        # f = V (e + lambda)^{-1} V' m, with (e, V) = eigh(C)
+        problem, samples = j200_samples
+        cov, moment = covariance_and_moment(problem, samples[scheme, n])
+        eigs, vecs = np.linalg.eigh(cov)
+        for lam in (1e-3, 0.3):
+            oracle = vecs @ ((vecs.T @ moment) / (eigs + lam))
+            estimate = estimator_learn(problem, FilterSpec.tikhonov(lam),
+                                       samples[scheme, n])
+            assert (np.linalg.norm(estimate - oracle)
+                    <= 1e-12 * np.linalg.norm(oracle)), lam
+
+    @pytest.mark.parametrize("scheme", ["grid", "iid-uniform"])
+    @pytest.mark.parametrize("n", TIKHONOV_SOLVE_NS)
+    def test_tikhonov_solve_residual_at_small_lambda(self, j200_samples,
+                                                     scheme, n):
+        # at lambda = 1e-6 the solve and the eigendecomposition part within
+        # the conditioning of C + lambda I, so hold the normal equations
+        problem, samples = j200_samples
+        cov, moment = covariance_and_moment(problem, samples[scheme, n])
+        lam = 1e-6
+        estimate = estimator_learn(problem, FilterSpec.tikhonov(lam),
+                                   samples[scheme, n])
+        residual = cov @ estimate + lam * estimate - moment
+        assert np.linalg.norm(residual) <= 1e-14 * np.linalg.norm(moment)
+
+    def test_tikhonov_solve_leaves_samples_unchanged(self, j200_samples):
+        problem, samples = j200_samples
+        for key in (("grid", 200), ("iid-uniform", 201)):
+            design = samples[key].design.copy()
+            outputs = samples[key].outputs.copy()
+            for filt in (FilterSpec.tikhonov(1e-3), FilterSpec.cutoff(1e-3),
+                         FilterSpec.landweber(100)):
+                estimator_learn(problem, filt, samples[key])
+            npt.assert_array_equal(samples[key].design, design)
+            npt.assert_array_equal(samples[key].outputs, outputs)
+
+
 class TestKernelTikhonov:
     def test_two_point_worked_example(self, two_mode):
         problem, truth = two_mode

@@ -329,6 +329,22 @@ class TestDescriptors:
         with pytest.raises(ParameterError, match=repr(key)):
             problem_from_descriptor(descriptor)
 
+    @pytest.mark.parametrize("key", ["b", "d", "r"])
+    @pytest.mark.parametrize("value", ["2", True, None])
+    def test_non_number_is_refused_by_name(self, key, value):
+        # not converted to 2.0 or read as 1.0
+        descriptor = dict({"J": 3, "b": 2.0, "d": 1.0, "r": 1.0,
+                           "w_spec": "ones"}, **{key: value})
+        with pytest.raises(ParameterError, match=repr(key)):
+            problem_from_descriptor(descriptor)
+
+    @pytest.mark.parametrize("b", [2, 2.0, np.int64(2), np.float64(2.0)])
+    def test_numbers_of_any_type_are_read(self, b):
+        problem, truth = problem_from_descriptor(
+            {"J": 3, "b": b, "d": np.float32(0.5), "r": 1, "w_spec": "ones"})
+        npt.assert_array_equal(problem.mu, 0.5 * np.arange(1.0, 4.0) ** -2.0)
+        npt.assert_array_equal(truth, problem.mu)
+
 
 # Every model element is the (J,) array of its sine-basis coordinates.
 ELEMENTS = {
