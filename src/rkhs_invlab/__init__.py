@@ -15,16 +15,15 @@ from .spectral_model import (SpectralProblem, basis_matrix,
                              problem_from_descriptor, resolve_w_spec)
 from .rkhs import (GramMatrix, correspondence_pullback, gram_matrix,
                    kernel_eval, rkhs_norm)
-from .sampling import (NoiseModel, PerturbationSpec, SampleSet, perturb_data,
+from .sampling import (PerturbationSpec, SampleSet, perturb_data,
                        sample_design, sample_outputs)
 from .regularization import (FilterSpec, KernelSolution, certify_filter,
                              estimator_learn, estimator_paper,
                              kernel_tikhonov, solve_continuous)
-from .rates import (ConvertedRate, RateExponents, RateFit, RateLink,
-                    classical_exponents, convert_lower, convert_upper,
-                    delta_of, epsilon_lambda, fit_rate, hs_norm,
-                    lambda_schedule, loss_factor_tau, n_of, operator_norm,
-                    statistical_exponents)
+from .rates import (ConvertedRate, RateExponents, RateFit, classical_exponents,
+                    convert_lower, convert_upper, delta_of, epsilon_lambda,
+                    fit_rate, hs_norm, lambda_schedule, loss_factor_tau, n_of,
+                    operator_norm, statistical_exponents)
 from .experiments import (StudyConfig, StudyReport, equivalence_deviations,
                           run_study, write_report)
 

@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success / all verdicts pass, 1 a verdict or check failed,
 2 malformed input (bad flags, missing or invalid config), 3 numerical
-failure such as a solver that did not converge (no report is written).
+failure such as a singular linear solve (``NumericalError``; no report is
+written).
 """
 
 import argparse

@@ -23,15 +23,15 @@ import numpy as np
 
 from . import streams
 from .errors import ValidationError
-from .rates import (RateFit, RateLink, classical_exponents, convert_upper,
-                    delta_of, fit_rate, lambda_schedule,
+from .rates import (RateFit, classical_exponents, convert_upper, delta_of,
+                    epsilon_lambda, fit_rate, lambda_schedule,
                     statistical_exponents, hs_norm)
 from .regularization import (FilterSpec, estimator_learn, kernel_tikhonov,
                              solve_continuous, _paper_coeffs)
 from .rkhs import correspondence_pullback, rkhs_norm
-from .sampling import (_DESIGNS, _PERTURBATION_MODES, NoiseModel,
-                       PerturbationSpec, perturb_data, sample_design,
-                       sample_outputs, _add_noise, _uniform_design)
+from .sampling import (_DESIGNS, _PERTURBATION_MODES, PerturbationSpec,
+                       perturb_data, sample_design, sample_outputs,
+                       _add_noise, _uniform_design)
 from .spectral_model import (_FACTOR_WIDTH, _W_SPECS, basis_matrix,
                              forward_data, problem_from_descriptor,
                              _sine_factor_tables)
@@ -153,10 +153,10 @@ def _valid_w_spec(w_spec, size):
 
 def _problem_faults(problem):
     """The keys of a problem entry at fault: J, b, d, r and w_spec must
-    each pass their rule, the optional seed must be an integer, and any
-    other key is read by nothing."""
+    each pass their rule (the decay exponent b must exceed 1), the optional
+    seed must be an integer, and any other key is read by nothing."""
     rest = {"seed": 0, **problem}
-    rules = {"J": _positive_int, "b": _positive_finite,
+    rules = {"J": _positive_int, "b": lambda b: _finite(b) and b > 1,
              "d": _positive_finite, "r": _positive_finite,
              "w_spec": lambda w: _valid_w_spec(w, problem.get("J")),
              "seed": _is_int}
@@ -417,14 +417,13 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
     on iid designs, not bit for bit; the tests hold them to 1e-12.
     """
     seed = config.seed
-    noise = NoiseModel(kind="gaussian", sigma=config.sigma)
     noise_rng = streams.generator(seed, streams.NOISE_STREAM)
     y = forward_data(problem, truth)
     response = filt.response(problem)
     out = np.empty((len(indices), problem.size))
 
     def noisy(clean, index):
-        return _add_noise(clean, noise, streams.rekey(
+        return _add_noise(clean, config.sigma, streams.rekey(
             noise_rng, seed, streams.NOISE_STREAM, index))
 
     if config.design == "grid":
@@ -582,8 +581,7 @@ def _run_lemma_check(config, started):
     identity_gap = abs(mc_mean - (mc_bias2 + mc_var)) / max(1.0, mc_mean)
 
     tolerances = _tolerances(config)
-    link = RateLink.from_problem(problem, filt, truth, config.sigma)
-    dmax = delta_of(n, link)
+    dmax = delta_of(n, config.sigma, epsilon_lambda(problem, filt, truth))
     det_worst = -np.inf
     for mode, idx in (("random-unit", None), ("fixed-mode", 1),
                       ("filter-adversarial", None)):
@@ -630,8 +628,7 @@ def _run_gamma_study(config, started):
     points = []
     for n in config.n_grid:
         design = sample_design("grid", int(n))
-        samples = sample_outputs(problem, truth, design, NoiseModel(),
-                                 config.seed)
+        samples = sample_outputs(problem, truth, design, seed=config.seed)
         # the kernel-side fit g = A f of the J-space Tikhonov solve, which
         # equivalence-check holds to kernel_tikhonov's n-by-n solve
         g = forward_data(problem, estimator_learn(problem, filt, samples))
@@ -717,8 +714,7 @@ def _run_equivalence_check(config, started):
     (``equivalence_deviations``)."""
     problem, truth = _problem_of(config)
     design = sample_design(config.design, int(config.n), config.seed)
-    samples = sample_outputs(problem, truth, design, NoiseModel(),
-                             config.seed)
+    samples = sample_outputs(problem, truth, design, seed=config.seed)
     deviations = equivalence_deviations(problem, samples, float(config.lam),
                                         seed=config.seed)
     tolerances = _tolerances(config)

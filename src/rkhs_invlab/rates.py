@@ -66,50 +66,37 @@ def epsilon_lambda(problem, filt, f_true):
     return bias / hs
 
 
-@dataclass(frozen=True)
-class RateLink:
-    """Ties a noise std sigma and a bias ratio eps to a filter parameter."""
-
-    sigma: float
-    epsilon: float
-    lam: float
-
-    def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ParameterError("sigma must be positive")
-        if self.epsilon < 0.0:
-            raise ParameterError("epsilon must be nonnegative")
-        if self.lam <= 0.0:
-            raise ParameterError("lambda must be positive")
-
-    @staticmethod
-    def from_problem(problem, filt, f_true, sigma):
-        return RateLink(sigma=float(sigma),
-                        epsilon=epsilon_lambda(problem, filt, f_true),
-                        lam=filt.lam)
+def _check_bridge(sigma, epsilon):
+    """Refuse a noise std that is not positive or a negative or NaN eps."""
+    if not sigma > 0.0:
+        raise ParameterError(f"sigma must be positive, got {sigma!r}")
+    if not epsilon >= 0.0:
+        raise ParameterError(f"epsilon must be nonnegative, got {epsilon!r}")
 
 
-def delta_of(n, link):
+def delta_of(n, sigma, epsilon):
     """Largest noise level whose error is dominated by the n-sample risk.
 
     Delta(n) = (sigma^2/n) / (sqrt(sigma^2/n + eps^2) + eps); equals
     sqrt(sigma^2/n + eps^2) - eps by conjugate rationalization.
     """
+    _check_bridge(sigma, epsilon)
     if n < 1:
         raise DomainError("n must be a positive integer")
-    v = link.sigma ** 2 / float(n)
-    return v / (math.sqrt(v + link.epsilon ** 2) + link.epsilon)
+    v = sigma ** 2 / float(n)
+    return v / (math.sqrt(v + epsilon ** 2) + epsilon)
 
 
-def n_of(delta, link):
+def n_of(delta, sigma, epsilon):
     """Largest sample count dominated by noise level delta; also its floor.
 
     N(delta) = sigma^2 / (delta^2 + 2 delta eps); exact inverse of
     :func:`delta_of`.
     """
+    _check_bridge(sigma, epsilon)
     if delta <= 0.0:
         raise DomainError("delta must be positive")
-    value = link.sigma ** 2 / (delta ** 2 + 2.0 * delta * link.epsilon)
+    value = sigma ** 2 / (delta ** 2 + 2.0 * delta * epsilon)
     return value, int(math.floor(value))
 
 

@@ -86,20 +86,20 @@ class FilterSpec:
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr <= 0.0):
             raise DomainError("filter argument t must be positive")
-        if self.kind == "landweber" and np.any(t_arr > 1.0 + 1e-12):
-            raise ModelError("landweber requires a spectrum bounded by 1; "
-                             "rescale the problem so mu_1 <= 1")
         out = self._evaluate(t_arr)
         return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
     def _evaluate(self, t):
+        """s_lambda on a float array of t >= 0; Landweber refuses t > 1."""
         if self.kind == "tikhonov":
             return 1.0 / (t + self.lam)
         if self.kind == "cutoff":
             return np.where(t >= self.lam, 1.0 / np.where(t > 0, t, 1.0), 0.0)
+        if np.any(t > 1.0 + 1e-12):
+            raise ModelError("landweber requires a spectrum bounded by 1; "
+                             "rescale the problem so mu_1 <= 1")
         # Landweber geometric sum (1 - (1-t)^m)/t, stable via expm1/log1p;
         # the t -> 0 limit is m, at t = 1 the value is 1.
-        t = np.asarray(t, dtype=float)
         out = np.full_like(t, float(self.m))
         pos = t > 0
         with np.errstate(divide="ignore"):
@@ -112,17 +112,11 @@ class FilterSpec:
         Uses the analytic limits at t = 0 (Tikhonov 1/lambda, cutoff 0,
         Landweber m), needed when s acts on rank-deficient matrices.
         """
-        eigs = np.clip(np.asarray(eigs, dtype=float), 0.0, None)
-        if self.kind == "landweber" and np.any(eigs > 1.0 + 1e-12):
-            raise ModelError("landweber requires an empirical spectrum "
-                             "bounded by 1; rescale the problem")
-        return self._evaluate(eigs)
+        return self._evaluate(np.clip(np.asarray(eigs, dtype=float), 0.0,
+                                      None))
 
     def on_spectrum(self, problem):
         """s_lambda(mu_j) over the problem spectrum, validating the model."""
-        if self.kind == "landweber" and problem.mu[0] > 1.0 + 1e-12:
-            raise ModelError("landweber requires mu_1 <= 1; rescale the "
-                             "problem")
         return self._evaluate(problem.mu)
 
     def response(self, problem):

@@ -1,10 +1,10 @@
 """Discretization of the data function into n samples.
 
 Two design schemes are supported: the deterministic midpoint grid
-x_i = (i - 1/2)/n and i.i.d. Uniform[0,1] draws.  Outputs are either exact
-evaluations Y_i = y(x_i) (a Dirac conditional law) or carry additive i.i.d.
-Gaussian noise with constant conditional variance, so the conditional mean
-of Y given X = x is always the clean data value y(x).
+x_i = (i - 1/2)/n and i.i.d. Uniform[0,1] draws.  Outputs carry additive
+i.i.d. Gaussian noise of one std sigma, so the conditional mean of Y given
+X = x is always the clean data value y(x); at sigma = 0 the outputs are the
+exact evaluations Y_i = y(x_i).
 
 Bounded perturbations of the full data function are produced separately:
 y_delta = y + delta * e with a unit-norm direction e that is either uniform
@@ -28,22 +28,6 @@ from .spectral_model import basis_matrix, forward_data
 # The design schemes and the perturbation modes a study config may name.
 _DESIGNS = ("grid", "iid-uniform")
 _PERTURBATION_MODES = ("random-unit", "fixed-mode", "filter-adversarial")
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Conditional law of Y given X: exact ("none") or Gaussian with std sigma."""
-
-    kind: str = "none"
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "gaussian"):
-            raise ParameterError(f"unknown noise kind: {self.kind!r}")
-        if self.kind == "none" and self.sigma != 0.0:
-            raise ParameterError("noise kind 'none' requires sigma = 0")
-        if self.sigma < 0.0:
-            raise ParameterError("sigma must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -115,19 +99,22 @@ def sample_design(scheme, n, seed=0, index=0):
         n, streams.generator(seed, streams.DESIGN_STREAM, index))
 
 
-def sample_outputs(problem, f_true, design, noise, seed=0, index=0):
-    """Sample Y_i = y(x_i) + zeta_i with y = A f_true and zeta i.i.d. noise.
+def sample_outputs(problem, f_true, design, sigma=0.0, seed=0, index=0):
+    """Sample Y_i = y(x_i) + sigma zeta_i with y = A f_true, zeta i.i.d.
+    standard Gaussian.
 
-    The conditional mean of Y_i given x_i is exactly y(x_i); with noise kind
-    "none" the outputs are the exact evaluations.  ``index`` selects the
-    replicate substream for the noise draw.
+    The conditional mean of Y_i given x_i is exactly y(x_i); at sigma = 0
+    the outputs are the exact evaluations and no noise is drawn.
+    ``index`` selects the replicate substream for the noise draw.
     """
+    if not sigma >= 0.0:
+        raise ParameterError(f"sigma must be nonnegative, got {sigma!r}")
     design = np.asarray(design, dtype=float)
     if design.ndim != 1 or design.size == 0:
         raise ShapeError("design must be a nonempty 1-d sequence")
     values = basis_matrix(problem, design) @ forward_data(problem, f_true)
-    if noise.sigma > 0.0:  # NoiseModel allows sigma > 0 only if gaussian
-        values = _add_noise(values, noise, streams.generator(
+    if sigma > 0.0:
+        values = _add_noise(values, sigma, streams.generator(
             seed, streams.NOISE_STREAM, index))
     return SampleSet(design=design, outputs=values)
 
@@ -137,13 +124,13 @@ def _uniform_design(n, rng):
     return rng.random(n)
 
 
-def _add_noise(clean, noise, rng):
-    """Clean evaluations plus Gaussian noise of std ``noise.sigma``.
+def _add_noise(clean, sigma, rng):
+    """Clean evaluations plus i.i.d. Gaussian noise of std ``sigma``.
 
     ``rng`` is the generator of the replicate's (seed, NOISE_STREAM, index)
     substream, fresh or rekeyed (``streams.rekey``) to its start.
     """
-    return clean + noise.sigma * rng.standard_normal(clean.size)
+    return clean + sigma * rng.standard_normal(clean.size)
 
 
 def perturb_data(problem, y, spec, seed=0, index=0):

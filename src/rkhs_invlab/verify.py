@@ -14,15 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .rates import (RateLink, delta_of, epsilon_lambda, fit_rate, hs_norm,
+from .rates import (delta_of, epsilon_lambda, fit_rate, hs_norm,
                     loss_factor_tau, n_of)
 from .regularization import (FilterSpec, certify_filter, estimator_learn,
                              estimator_paper, kernel_tikhonov,
                              solve_continuous)
 from .rkhs import (correspondence_pullback, gram_matrix, kernel_eval,
                    rkhs_norm)
-from .sampling import (NoiseModel, PerturbationSpec, perturb_data,
-                       sample_design, sample_outputs)
+from .sampling import (PerturbationSpec, perturb_data, sample_design,
+                       sample_outputs)
 from .spectral_model import (basis_matrix, build_power_law_problem,
                              eval_function, forward_data,
                              make_source_solution)
@@ -162,10 +162,9 @@ def check_perturbation_norms(seed):
 
 def check_reproducibility(seed):
     problem, truth = _house_problem(40)
-    noise = NoiseModel(kind="gaussian", sigma=0.3)
     design = sample_design("iid-uniform", 64, seed, index=7)
-    first = sample_outputs(problem, truth, design, noise, seed, index=7)
-    second = sample_outputs(problem, truth, design, noise, seed, index=7)
+    first = sample_outputs(problem, truth, design, 0.3, seed, index=7)
+    second = sample_outputs(problem, truth, design, 0.3, seed, index=7)
     same = (np.array_equal(first.design, second.design)
             and np.array_equal(first.outputs, second.outputs))
     return _result("seeded-streams-bit-identical", same, "bit-identical")
@@ -206,7 +205,7 @@ def check_methods_equivalence(seed):
         truth = make_source_solution(problem, 1.0, rng.standard_normal(size))
         n = int(rng.integers(5, 31))
         design = sample_design("iid-uniform", n, seed, index=int(rng.integers(1 << 20)))
-        samples = sample_outputs(problem, truth, design, NoiseModel(), seed)
+        samples = sample_outputs(problem, truth, design, seed=seed)
         lam = float(rng.uniform(0.05, 0.5))
         learn = estimator_learn(problem, FilterSpec.tikhonov(lam), samples)
         kernel_side = kernel_tikhonov(problem, samples, lam)
@@ -230,7 +229,7 @@ def check_representer_limit(seed):
     n = 12
     design = np.clip((np.arange(1, n + 1) - 0.5) / n
                      + rng.uniform(-0.2, 0.2, n) / n, 0.0, 1.0)
-    samples = sample_outputs(problem, truth, design, NoiseModel(), seed)
+    samples = sample_outputs(problem, truth, design, seed=seed)
     u = basis_matrix(problem, design)
     # trace(K) / n with K = u diag(mu) u'
     scale = float(np.sum(problem.mu * (u * u).sum(axis=0))) / n
@@ -255,21 +254,20 @@ def check_rate_identities(seed):
     # five random links and one with sigma/eps = 1/60, where Delta(n) must
     # be the rationalised quotient: sqrt(v + eps^2) - eps cancels, and
     # N(Delta(n)) then misses n by up to 8e-9 relative on n <= 10^4
-    links = [RateLink(sigma=float(rng.uniform(0.05, 2.0)),
-                      epsilon=float(rng.uniform(0.0, 2.0)), lam=1.0)
+    links = [(float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.0, 2.0)))
              for _ in range(5)]
-    links.append(RateLink(sigma=0.05, epsilon=3.0, lam=1.0))
+    links.append((0.05, 3.0))
     worst_conj = 0.0
     worst_inv = 0.0
     floors = True
-    for link in links:
-        sigma2, eps = link.sigma ** 2, link.epsilon
+    for sigma, eps in links:
+        sigma2 = sigma ** 2
         for n in range(1, 10_001):
-            delta = delta_of(n, link)
+            delta = delta_of(n, sigma, eps)
             v = sigma2 / n
             worst_conj = max(worst_conj, abs(delta - (math.sqrt(v + eps * eps)
                                                       - eps)) / max(1.0, v))
-            back, floor = n_of(delta, link)
+            back, floor = n_of(delta, sigma, eps)
             worst_inv = max(worst_inv, abs(back - n) / n)
             floors = floors and floor in (n - 1, n)
     ok = worst_conj <= 1e-12 and worst_inv <= 1e-9 and floors
@@ -303,11 +301,10 @@ def check_mini_monte_carlo(seed):
     problem, truth = _house_problem(50)
     filt = FilterSpec.tikhonov(0.05)
     sigma, n, reps = 0.1, 100, 400
-    noise = NoiseModel(kind="gaussian", sigma=sigma)
     design = sample_design("grid", n)
     rows = []
     for rep in range(reps):
-        samples = sample_outputs(problem, truth, design, noise, seed,
+        samples = sample_outputs(problem, truth, design, sigma, seed,
                                  index=rep)
         rows.append(estimator_paper(problem, filt, samples))
     rows = np.array(rows)

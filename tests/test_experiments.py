@@ -14,11 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rkhs_invlab import (FilterSpec, NoiseModel, NumericalError,
-                         StudyConfig, StudyReport, ValidationError,
-                         equivalence_deviations, estimator_learn,
-                         estimator_paper, experiments, forward_data,
-                         kernel_tikhonov, lambda_schedule,
+from rkhs_invlab import (FilterSpec, NumericalError, StudyConfig,
+                         StudyReport, ValidationError, equivalence_deviations,
+                         estimator_learn, estimator_paper, experiments,
+                         forward_data, kernel_tikhonov, lambda_schedule,
                          problem_from_descriptor, run_study, sample_design,
                          sample_outputs, write_report)
 from rkhs_invlab.cli import main
@@ -52,9 +51,7 @@ def lemma_check_config(design):
 def public_coeffs(design, n, filt, index):
     """One replicate through sample_design -> sample_outputs -> estimator."""
     points = sample_design(design, n, SEED, index=index)
-    samples = sample_outputs(MODEL, TRUTH, points,
-                             NoiseModel(kind="gaussian", sigma=SIGMA),
-                             SEED, index=index)
+    samples = sample_outputs(MODEL, TRUTH, points, SIGMA, SEED, index=index)
     return estimator_paper(MODEL, filt, samples)
 
 
@@ -508,7 +505,7 @@ def test_gamma_study_fit_matches_kernel_tikhonov():
                                                   seed=raw["seed"]))
     for n in raw["n_grid"]:
         samples = sample_outputs(problem, truth, sample_design("grid", n),
-                                 NoiseModel(), raw["seed"])
+                                 seed=raw["seed"])
         g = forward_data(problem, estimator_learn(
             problem, FilterSpec.tikhonov(raw["lambda"]), samples))
         reference = kernel_tikhonov(problem, samples, raw["lambda"]).g_coeffs
@@ -596,6 +593,11 @@ BAD_FIELDS = {
                                 "problem.seed")
        for name, seed in (("float", 3.7), ("bool", True), ("string", "abc"),
                           ("null", None))},
+    # the decay exponent must exceed 1, not fail later inside run_study
+    **{f"problem-b-{b}": (dict(det_rate_raw("tikhonov"),
+                               problem=dict(KERNEL_PROBLEM, b=b)),
+                          "problem.b")
+       for b in (1.0, 0.5)},
     "problem-J-list": (dict(det_rate_raw("tikhonov"),
                             problem=dict(KERNEL_PROBLEM, J=[KERNEL_J])),
                        "problem.J"),
@@ -758,7 +760,7 @@ def representer_deviation(raw):
     seed = raw.get("seed", 0)
     problem, truth = problem_from_descriptor(dict(raw["problem"], seed=seed))
     design = sample_design(raw["design"], raw["n"], seed)
-    samples = sample_outputs(problem, truth, design, NoiseModel(), seed)
+    samples = sample_outputs(problem, truth, design, seed=seed)
     return equivalence_deviations(problem, samples, raw["lambda"],
                                   seed=seed)["representer_oracle"]
 

@@ -12,11 +12,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rkhs_invlab import (DomainError, FilterSpec, ModelError, NoiseModel,
-                         ParameterError, PerturbationSpec, RateExponents,
-                         RateLink, ShapeError, build_power_law_problem,
-                         classical_exponents, convert_lower, convert_upper,
-                         delta_of, epsilon_lambda, estimator_paper, fit_rate,
+from rkhs_invlab import (DomainError, FilterSpec, ModelError, ParameterError,
+                         PerturbationSpec, RateExponents, ShapeError,
+                         build_power_law_problem, classical_exponents,
+                         convert_lower, convert_upper, delta_of,
+                         epsilon_lambda, estimator_paper, fit_rate,
                          forward_data, hs_norm, lambda_schedule,
                          loss_factor_tau, make_source_solution, n_of,
                          operator_norm, perturb_data, sample_design,
@@ -79,23 +79,32 @@ class TestEpsilonLambda:
 
 class TestBridge:
     def test_delta_examples(self):
-        assert delta_of(1, RateLink(1.0, 0.0, 0.1)) == pytest.approx(1.0)
-        assert delta_of(4, RateLink(1.0, 0.0, 0.1)) == pytest.approx(0.5)
-        assert delta_of(1, RateLink(1.0, 1.0, 0.1)) == pytest.approx(
+        assert delta_of(1, 1.0, 0.0) == pytest.approx(1.0)
+        assert delta_of(4, 1.0, 0.0) == pytest.approx(0.5)
+        assert delta_of(1, 1.0, 1.0) == pytest.approx(
             math.sqrt(2.0) - 1.0, rel=1e-14)
 
     def test_n_examples(self):
-        value, floor = n_of(1.0, RateLink(1.0, 0.0, 0.1))
+        value, floor = n_of(1.0, 1.0, 0.0)
         assert value == pytest.approx(1.0) and floor == 1
-        value, floor = n_of(0.1, RateLink(1.0, 1.0, 0.1))
+        value, floor = n_of(0.1, 1.0, 1.0)
         assert value == pytest.approx(1.0 / 0.21, rel=1e-12) and floor == 4
 
     def test_domain_errors(self):
-        link = RateLink(1.0, 0.5, 0.1)
         with pytest.raises(DomainError):
-            delta_of(0, link)
+            delta_of(0, 1.0, 0.5)
         with pytest.raises(DomainError):
-            n_of(0.0, link)
+            n_of(0.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("sigma, epsilon", [
+        (0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5),
+        (1.0, -0.5), (1.0, math.nan)])
+    def test_parameter_errors(self, sigma, epsilon):
+        # sigma must be positive and eps nonnegative; NaN is neither
+        with pytest.raises(ParameterError):
+            delta_of(4, sigma, epsilon)
+        with pytest.raises(ParameterError):
+            n_of(0.5, sigma, epsilon)
 
     def test_conjugate_identity_randomized(self):
         result = verify.check_rate_identities(71)
@@ -300,11 +309,10 @@ def mc_setup():
     problem, truth = house_problem(size=30, b=2.0, d=1.0, r=1.0)
     filt = FilterSpec.tikhonov(0.08)
     sigma, n, replicates = 0.1, 60, 2000
-    noise = NoiseModel(kind="gaussian", sigma=sigma)
     design = sample_design("grid", n)
     rows = np.array([
         estimator_paper(problem, filt,
-                        sample_outputs(problem, truth, design, noise,
+                        sample_outputs(problem, truth, design, sigma,
                                        seed=11, index=rep))
         for rep in range(replicates)])
     return problem, truth, filt, sigma, n, rows
@@ -337,8 +345,7 @@ class TestMonteCarloRateProperties:
         problem, truth, filt, sigma, n, rows = mc_setup
         err2 = np.sum((rows - truth) ** 2, axis=1)
         se = err2.std(ddof=1) / math.sqrt(err2.size)
-        link = RateLink.from_problem(problem, filt, truth, sigma)
-        dmax = delta_of(n, link)
+        dmax = delta_of(n, sigma, epsilon_lambda(problem, filt, truth))
         y = forward_data(problem, truth)
         for spec in (PerturbationSpec(delta=dmax, mode="random-unit"),
                      PerturbationSpec(delta=dmax, mode="fixed-mode", index=1),

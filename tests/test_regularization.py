@@ -11,18 +11,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rkhs_invlab import (DomainError, FilterSpec, ModelError, NoiseModel,
-                         ParameterError, SampleSet, basis_matrix,
-                         build_power_law_problem, equivalence_deviations,
-                         estimator_learn, estimator_paper, fit_rate,
-                         forward_data, kernel_tikhonov, make_source_solution,
-                         sample_design, sample_outputs, solve_continuous,
-                         verify)
+from rkhs_invlab import (DomainError, FilterSpec, ModelError, ParameterError,
+                         SampleSet, basis_matrix, build_power_law_problem,
+                         equivalence_deviations, estimator_learn,
+                         estimator_paper, fit_rate, forward_data,
+                         kernel_tikhonov, make_source_solution, sample_design,
+                         sample_outputs, solve_continuous, verify)
 
 
 def clean_samples(problem, truth, design):
     return sample_outputs(problem, truth, np.asarray(design, dtype=float),
-                          NoiseModel(), seed=0)
+                          seed=0)
 
 
 @pytest.fixture
@@ -205,8 +204,7 @@ class TestEstimatorLearn:
         truth = make_source_solution(problem, 1.0,
                                      np.arange(1, 51, dtype=float) ** -1.0)
         samples = sample_outputs(problem, truth, sample_design("grid", 5000),
-                                 NoiseModel(kind="gaussian", sigma=0.1),
-                                 seed=3)
+                                 0.1, seed=3)
         # 0.003 lies strictly between mu_18 and mu_19, so the cutoff keeps
         # the same modes on both sides
         for filt in (FilterSpec.tikhonov(0.003), FilterSpec.cutoff(0.003)):
@@ -349,9 +347,7 @@ class TestRepresenterResidual:
         rng = np.random.default_rng(59)
         n = 8
         design = (np.arange(1, n + 1) - 0.5) / n + rng.uniform(-0.2, 0.2, n) / n
-        samples = sample_outputs(problem, truth, design,
-                                 NoiseModel(kind="gaussian", sigma=0.2),
-                                 seed=59)
+        samples = sample_outputs(problem, truth, design, 0.2, seed=59)
         assert representer_residual(problem, samples, 0.15) <= 1e-10
 
     def test_residual_vanishes_on_grid(self):

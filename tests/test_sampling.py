@@ -11,11 +11,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rkhs_invlab import (FilterSpec, NoiseModel, ParameterError,
-                         PerturbationSpec, SampleSet, ShapeError,
-                         build_power_law_problem, eval_function, forward_data,
-                         make_source_solution, perturb_data, sample_design,
-                         sample_outputs, verify)
+from rkhs_invlab import (FilterSpec, ParameterError, PerturbationSpec,
+                         SampleSet, ShapeError, build_power_law_problem,
+                         eval_function, forward_data, make_source_solution,
+                         perturb_data, sample_design, sample_outputs, verify)
 
 
 @pytest.fixture
@@ -52,14 +51,14 @@ class TestSampleOutputs:
         # y = (1, 0.25); y(0.25) = 1 + 0.25 sqrt(2), y(0.75) = 1 - 0.25 sqrt(2)
         problem, truth = two_mode_truth
         samples = sample_outputs(problem, truth, sample_design("grid", 2),
-                                 NoiseModel(), seed=0)
+                                 seed=0)
         expected = [1.0 + 0.25 * math.sqrt(2.0), 1.0 - 0.25 * math.sqrt(2.0)]
         npt.assert_allclose(samples.outputs, expected, rtol=1e-12)
 
     def test_noiseless_equals_evaluation(self, two_mode_truth):
         problem, truth = two_mode_truth
         design = sample_design("iid-uniform", 50, seed=3)
-        samples = sample_outputs(problem, truth, design, NoiseModel(), seed=3)
+        samples = sample_outputs(problem, truth, design, seed=3)
         exact = eval_function(problem, forward_data(problem, truth), design)
         npt.assert_allclose(samples.outputs, exact, rtol=1e-14)
 
@@ -68,12 +67,11 @@ class TestSampleOutputs:
         # mean must sit within 3 sigma / sqrt(replicates) of y(0.5)
         problem = build_power_law_problem(1, 2.0, 1.0)
         truth = make_source_solution(problem, 1.0, [1.0])
-        noise = NoiseModel(kind="gaussian", sigma=0.1)
         design = np.array([0.5])
         replicates = 10_000
         total = 0.0
         for rep in range(replicates):
-            samples = sample_outputs(problem, truth, design, noise, seed=21,
+            samples = sample_outputs(problem, truth, design, 0.1, seed=21,
                                      index=rep)
             total += samples.outputs[0]
         target = math.sqrt(2.0)  # y(0.5) = sigma_1 f_1 u_1(0.5)
@@ -135,8 +133,10 @@ class TestSampleSetValidation:
         with pytest.raises(ShapeError):
             SampleSet(design=np.array([0.5]), outputs=np.zeros(2))
 
-    def test_noise_model_validation(self):
-        with pytest.raises(ParameterError):
-            NoiseModel(kind="none", sigma=0.2)
-        with pytest.raises(ParameterError):
-            NoiseModel(kind="gaussian", sigma=-0.2)
+    def test_noise_model_validation(self, two_mode_truth):
+        # a negative or NaN sigma is refused, not read as noiseless
+        problem, truth = two_mode_truth
+        design = sample_design("grid", 2)
+        for sigma in (-0.2, math.nan):
+            with pytest.raises(ParameterError):
+                sample_outputs(problem, truth, design, sigma)
