@@ -27,7 +27,7 @@ from .rates import (RateFit, classical_exponents, convert_upper, delta_of,
                     epsilon_lambda, fit_rate, lambda_schedule,
                     statistical_exponents, hs_norm)
 from .regularization import (FilterSpec, estimator_learn, kernel_tikhonov,
-                             solve_continuous, _paper_coeffs)
+                             solve_continuous)
 from .rkhs import correspondence_pullback, rkhs_norm
 from .sampling import (_DESIGNS, _PERTURBATION_MODES, PerturbationSpec,
                        perturb_data, sample_design, sample_outputs,
@@ -64,16 +64,19 @@ _Z_FAMILY_LEVEL = 0.01
 _BATCH_CELLS = 640_000
 
 # Replicates of one grid chunk.  The noisy outputs of consecutive replicates
-# form the columns of one n-by-16 matrix, so one GEMM reads the shared basis
-# once per chunk instead of once per replicate.  At J = 200 on a 2-core Xeon
-# with one BLAS thread (_paper_coeffs alone, best of 15), 200 replicates at
-# n = 3200 take 34 / 18 / 12 / 9.6 ms in chunks of 5 / 8 / 16 / 32 columns
-# (below 8 columns OpenBLAS's dgemm runs its narrow-panel code); at
-# n = 1600, 9.8 ms at 10 columns and 6.2 ms at 16; at n <= 800, 16 columns
-# are within 0.25 ms of chunks of 20 to 163.  A chunk holds 16 n entries,
-# 16 / J of the n-by-J basis the grid path already keeps (8% at J = 200),
-# so its memory stays bounded by the basis at every n; 32 columns would
-# save 2.4 ms more at n = 3200 for twice that memory.
+# form the columns of one n-by-16 matrix, folded into two (n/2)-by-16
+# matrices of mirror-pair sums and differences, so two half-size GEMMs read
+# the shared half basis once per chunk instead of once per replicate.  At
+# J = 200 on a 2-core Xeon with one BLAS thread (the two GEMMs alone, 200
+# replicates, best of 120), chunks of 8 / 16 / 32 columns take 1.2 / 1.5 /
+# 1.3 ms at n = 800, 2.0 / 2.7 / 2.0 ms at n = 1600 and 9.4 / 6.0 / 5.1 ms
+# at n = 3200 (OpenBLAS's dgemm changes kernels with the shape).  Whole
+# mc-grid passes (seed 51) took 0.160-0.168 / 0.158-0.160 / 0.162-0.165 s
+# at a peak RSS of 41.6 / 42.0 / 43.0 MB: 32 columns save no wall time and
+# hold 0.8 MB more at n = 3200, 8 columns save 0.4 MB and lose GEMM time
+# at n = 3200.  The chunk and its fold hold 2 x 16 n entries, 64 / J of
+# the half basis (32% at J = 200), so memory stays bounded by the basis at
+# every n.
 _CHUNK_WIDTH = 16
 
 # equivalence_deviations: the number of random draws for the isometry and
@@ -394,8 +397,16 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
 
     A grid design is shared, so all replicates use one basis, and the
     outputs of consecutive replicates form the columns of one
-    n-by-_CHUNK_WIDTH chunk (the last may be narrower): one GEMM per chunk
-    instead of one GEMV per replicate.
+    n-by-_CHUNK_WIDTH chunk (the last may be narrower): GEMMs per chunk
+    instead of one GEMV per replicate.  The midpoint grid is symmetric
+    about 1/2, and u_j(1 - x) = (-1)**(j + 1) u_j(x), so the basis is
+    evaluated only on the h = ceil(n/2) points x <= 1/2 and split into its
+    odd modes (j = 1, 3, ...) and even modes.  With p and q the clean
+    outputs of the two, the first h clean outputs are p + q and the last
+    n // 2, mirrored, p - q.  Each chunk folds its outputs into the sums and
+    the differences of mirror pairs, the unpaired middle point of odd n in
+    both; the odd modes' moments are odd' sums and the even modes' even'
+    diffs.  Two GEMMs of half the size, on half the basis.
 
     iid designs build no basis.  They go in batches of consecutive
     replicates, as many whole designs as fit in _BATCH_CELLS basis
@@ -413,8 +424,10 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
     the same bit for bit at any batch size.
 
     Both paths sum in another order than the public path, so their
-    estimates agree with it to about 1e-14 relative on the grid and 1e-15
-    on iid designs, not bit for bit; the tests hold them to 1e-12.
+    estimates agree with it to about 1e-15 of each row's largest entry, not
+    bit for bit; the tests hold grid rows to 1e-13 of that entry (modes
+    aliased to roundoff are judged against the row) and the study numbers
+    to 1e-12 relative.
     """
     seed = config.seed
     noise_rng = streams.generator(seed, streams.NOISE_STREAM)
@@ -427,15 +440,33 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
             noise_rng, seed, streams.NOISE_STREAM, index))
 
     if config.design == "grid":
-        u = basis_matrix(problem, sample_design("grid", n))
-        clean = u @ y
-        outputs = np.empty((n, min(_CHUNK_WIDTH, len(indices))), order="F")
+        # the basis on the h points x <= 1/2, whose mirrors are the last m
+        h, m = (n + 1) // 2, n // 2
+        u = basis_matrix(problem, sample_design("grid", n)[:h])
+        odd, even = u[:, 0::2], u[:, 1::2]
+        p, q = odd @ y[0::2], even @ y[1::2]
+        clean = np.empty(n)
+        clean[:h] = p + q
+        clean[n - m:] = (p - q)[:m][::-1]
+        scale = response / n
+        width = min(_CHUNK_WIDTH, len(indices))
+        outputs = np.empty((n, width), order="F")
+        sums = np.empty((h, width), order="F")
+        diffs = np.empty_like(sums)
         for first in range(0, len(indices), _CHUNK_WIDTH):
             chunk = indices[first:first + _CHUNK_WIDTH]
+            w = len(chunk)
             for k, index in enumerate(chunk):
                 outputs[:, k] = noisy(clean, index)
-            out[first:first + len(chunk)] = _paper_coeffs(
-                response, u, outputs[:, :len(chunk)])
+            # each point paired with its mirror; the middle point of odd n
+            # has none and stays in both
+            top, bottom = outputs[:m, :w], outputs[n - m:, :w][::-1]
+            np.add(top, bottom, out=sums[:m, :w])
+            np.subtract(top, bottom, out=diffs[:m, :w])
+            sums[m:, :w] = diffs[m:, :w] = outputs[m:h, :w]
+            rows = out[first:first + w]
+            rows[:, 0::2] = scale[0::2] * (odd.T @ sums[:, :w]).T
+            rows[:, 1::2] = scale[1::2] * (even.T @ diffs[:, :w]).T
         return out
 
     design_rng = streams.generator(seed, streams.DESIGN_STREAM)

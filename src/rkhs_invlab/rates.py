@@ -81,8 +81,8 @@ def delta_of(n, sigma, epsilon):
     sqrt(sigma^2/n + eps^2) - eps by conjugate rationalization.
     """
     _check_bridge(sigma, epsilon)
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    if not n >= 1:  # NaN included
+        raise DomainError(f"n must be at least 1, got {n!r}")
     v = sigma ** 2 / float(n)
     return v / (math.sqrt(v + epsilon ** 2) + epsilon)
 
@@ -94,8 +94,8 @@ def n_of(delta, sigma, epsilon):
     :func:`delta_of`.
     """
     _check_bridge(sigma, epsilon)
-    if delta <= 0.0:
-        raise DomainError("delta must be positive")
+    if not delta > 0.0:  # NaN included
+        raise DomainError(f"delta must be positive, got {delta!r}")
     value = sigma ** 2 / (delta ** 2 + 2.0 * delta * epsilon)
     return value, int(math.floor(value))
 

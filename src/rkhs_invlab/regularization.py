@@ -184,21 +184,8 @@ def estimator_paper(problem, filt, samples):
 
     coeffs_j = s(mu_j) sigma_j (1/n) sum_i Y_i u_j(X_i).
     """
-    return _paper_coeffs(filt.response(problem),
-                         basis_matrix(problem, samples.design),
-                         samples.outputs)
-
-
-def _paper_coeffs(response, u, outputs):
-    """response_j (u^T Y / n)_j for the basis u = basis_matrix(design).
-
-    ``response`` is ``filt.response(problem)``, so callers that apply one
-    filter to many replicates compute it once.  ``outputs`` is one output
-    vector of length n, or an n-by-w matrix whose columns are the outputs
-    of w replicates on one design, which gives a w-by-J array with one row
-    per replicate.
-    """
-    return response * (u.T @ outputs / len(u)).T
+    u = basis_matrix(problem, samples.design)
+    return filt.response(problem) * (u.T @ samples.outputs / samples.size)
 
 
 def estimator_learn(problem, filt, samples):

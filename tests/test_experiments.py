@@ -1,10 +1,11 @@
 """Study runs and the ``run`` command.
 
 Monte-Carlo studies are checked against the public single-replicate path
-(also across iid batch and grid chunk boundaries), for determinism, for the
-JSON round trip and for the peak memory of one iid batch or grid chunk;
-the kernel-side study kinds for verdict, determinism and the JSON round
-trip; config validation and ``rkhs-invlab run`` for their exit codes.
+(also across iid batch and grid chunk boundaries, and row by row for the
+folded grid path), for determinism, for the JSON round trip and for the
+peak memory of one iid batch or grid chunk; the kernel-side study kinds
+for verdict, determinism and the JSON round trip; config validation and
+``rkhs-invlab run`` for their exit codes.
 """
 
 import json
@@ -73,9 +74,10 @@ def group_cases(iid_budgets, grid_widths):
 
 
 def assert_matches_public(value, expected):
-    # a grid chunk's GEMM and an iid batch's factor tables sum in another
-    # order than the public path's GEMV (gaps up to 2.1e-15 relative on the
-    # grid and 9.1e-16 on iid designs, on these inputs)
+    # a grid chunk's folded GEMMs and an iid batch's factor tables sum in
+    # another order than the public path's GEMV (gaps up to 1.1e-14
+    # relative on the grid, in err_se, a spread of nearly equal errors, and
+    # 8.6e-16 on iid designs, on these inputs)
     np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0)
 
 
@@ -124,6 +126,27 @@ def test_lemma_check_matches_public_path(design, size, monkeypatch):
                           float(np.sum((mean - TRUTH) ** 2)))
     assert_matches_public(point["mc_var"],
                           float(np.mean(np.sum((rows - mean) ** 2, axis=1))))
+
+
+# n = 1 has no mirror pair, and odd n an unpaired middle point x = 1/2.
+# The 20 replicates go in chunks of 16 and 4 by default and 7, 7 and 6 at
+# width 7.
+@pytest.mark.parametrize("width", [None, 7], ids=["default-width", "width7"])
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 51])
+def test_folded_grid_rows_match_public_path(n, width, monkeypatch):
+    # the grid path pairs each point with its mirror 1 - x, so it sums in
+    # another order than the public path.  Aliased modes sit at roundoff,
+    # so each row is held to its largest entry, not entry by entry (gaps up
+    # to 1.3e-15 measured).
+    if width is not None:
+        monkeypatch.setattr(experiments, "_CHUNK_WIDTH", width)
+    filt = FilterSpec.tikhonov(0.05)
+    rows = experiments._replicate_coeffs(lemma_check_config("grid"), MODEL,
+                                         TRUTH, filt, n, range(REPLICATES))
+    for index, row in enumerate(rows):
+        expected = public_coeffs("grid", n, filt, index)
+        assert (np.max(np.abs(row - expected))
+                <= 1e-13 * np.max(np.abs(expected)))
 
 
 @pytest.mark.parametrize("count, level, expected", [
@@ -212,13 +235,15 @@ def test_iid_batch_peak_memory_is_one_batch():
 
 
 def test_grid_chunk_peak_memory_is_basis_and_one_chunk():
-    # 64 replicates at n = 3200 share one 5.1 MB basis, and their outputs
-    # pass through chunks of _CHUNK_WIDTH columns: all 64 output vectors at
-    # once (1.6 MB) would exceed the 10% margin
-    n = 3200
-    assert 1 < experiments._CHUNK_WIDTH < 64
+    # 64 replicates at n = 3200 share the 2.6 MB basis of the 1,600 grid
+    # points x <= 1/2, and their outputs pass through chunks of
+    # _CHUNK_WIDTH columns, folded into as many sums and differences of
+    # mirror pairs.  The 5.1 MB basis of all n points, or all 64 output
+    # vectors at once (1.6 MB), would exceed the 10% margin
+    n, width = 3200, experiments._CHUNK_WIDTH
+    assert 1 < width < 64
     rows, peak = replicate_peak("grid", n, 64)
-    assert peak <= (1.1 * (n * 200 + experiments._CHUNK_WIDTH * n) * 8
+    assert peak <= (1.1 * ((n + 1) // 2 * 200 + 2 * width * n) * 8
                     + rows.nbytes)
 
 

@@ -91,10 +91,12 @@ class TestBridge:
         assert value == pytest.approx(1.0 / 0.21, rel=1e-12) and floor == 4
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            delta_of(0, 1.0, 0.5)
-        with pytest.raises(DomainError):
-            n_of(0.0, 1.0, 0.5)
+        # n must be at least 1 and delta positive; NaN is neither
+        for bad in (0, math.nan):
+            with pytest.raises(DomainError):
+                delta_of(bad, 1.0, 0.5)
+            with pytest.raises(DomainError):
+                n_of(bad, 1.0, 0.5)
 
     @pytest.mark.parametrize("sigma, epsilon", [
         (0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5),
