@@ -31,7 +31,7 @@ from .regularization import (FilterSpec, estimator_learn, kernel_tikhonov,
 from .rkhs import correspondence_pullback, rkhs_norm
 from .sampling import (_DESIGNS, _PERTURBATION_MODES, PerturbationSpec,
                        perturb_data, sample_design, sample_outputs,
-                       _add_noise, _uniform_design)
+                       _uniform_design)
 from .spectral_model import (_FACTOR_WIDTH, _W_SPECS, basis_matrix,
                              forward_data, problem_from_descriptor,
                              _sine_factor_tables)
@@ -102,6 +102,21 @@ def _sidak_z(count, level):
     probability 1 - (1 - level)**(1 / count) = erfc(z* / sqrt 2) (Sidak)."""
     per_mode = -math.expm1(math.log1p(-level) / count)
     return -statistics.NormalDist().inv_cdf(per_mode / 2.0)
+
+
+def _median(values):
+    """The median of a 1-d float array, equal to ``np.median`` bit for bit:
+    the middle value, (a + b) / 2 of the two middle values for an even
+    count, and NaN when any entry is NaN.  ``np.median`` imports numpy.ma
+    on first use (numpy >= 2): 16-17 ms and 1.3 MB of peak RSS in a fresh
+    process on a 2-core Xeon with numpy 2.4."""
+    ordered = np.sort(values)
+    if np.isnan(ordered[-1]):  # sort puts NaN last
+        return math.nan
+    mid = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2)
 
 
 def _finite(value):
@@ -393,7 +408,11 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
     estimator_paper does; one generator per stream is rekeyed to each
     replicate's substream (``streams.rekey``), which draws exactly what a
     new generator would.  So a replicate's draws depend neither on the
-    other replicates nor on how they are grouped.
+    other replicates nor on how they are grouped.  The normals are drawn
+    in place, into the replicate's chunk column on the grid or into one
+    n-vector reused by every iid replicate, then scaled by sigma and
+    shifted by the clean outputs there: clean + sigma z bit for bit, with
+    no temporary per draw.
 
     A grid design is shared, so all replicates use one basis, and the
     outputs of consecutive replicates form the columns of one
@@ -435,9 +454,12 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
     response = filt.response(problem)
     out = np.empty((len(indices), problem.size))
 
-    def noisy(clean, index):
-        return _add_noise(clean, config.sigma, streams.rekey(
-            noise_rng, seed, streams.NOISE_STREAM, index))
+    def draw_noisy(outputs, clean, index):
+        # outputs = clean + sigma z of replicate index, formed in outputs
+        streams.rekey(noise_rng, seed, streams.NOISE_STREAM,
+                      index).standard_normal(out=outputs)
+        outputs *= config.sigma
+        outputs += clean
 
     if config.design == "grid":
         # the basis on the h points x <= 1/2, whose mirrors are the last m
@@ -457,7 +479,9 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
             chunk = indices[first:first + _CHUNK_WIDTH]
             w = len(chunk)
             for k, index in enumerate(chunk):
-                outputs[:, k] = noisy(clean, index)
+                # one contiguous column at a time: a broadcast add over
+                # the chunk runs numpy's buffered iterator
+                draw_noisy(outputs[:, k], clean, index)
             # each point paired with its mirror; the middle point of odd n
             # has none and stays in both
             top, bottom = outputs[:m, :w], outputs[n - m:, :w][::-1]
@@ -484,6 +508,7 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
     low_buffer = np.empty(_FACTOR_WIDTH * per_batch * n, dtype=complex)
     high_buffer = np.empty(highs * per_batch * n, dtype=complex)
     product = np.empty((highs, 2 * n))
+    outputs = np.empty(n)
     for first_row in range(0, len(indices), per_batch):
         batch = indices[first_row:first_row + per_batch]
         size = len(batch) * n
@@ -499,7 +524,7 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
             low_k, high_k = low[:, design], high[:, design]
             np.matmul(coeff_table, low_k, out=product)
             pair_sums = np.einsum("ij,ij->j", product, high_k)
-            outputs = noisy(pair_sums[0::2] + pair_sums[1::2], index)
+            draw_noisy(outputs, pair_sums[0::2] + pair_sums[1::2], index)
             np.multiply(high_k, np.repeat(outputs, 2), out=product)
             moments = product @ low_k.T
             out[first_row + k] = scale * moments.reshape(-1)[
@@ -531,7 +556,7 @@ def _run_stat_rate(config, started):
             "err_mean": float(errors.mean()),
             "err_se": float(errors.std(ddof=1) / math.sqrt(replicates))
             if replicates > 1 else 0.0,
-            "err_median": float(np.median(errors)),
+            "err_median": _median(errors),
         })
     fit = fit_rate([(1.0 / p["x"], p["err_mean"]) for p in points])
     r, b = float(config.problem["r"]), float(config.problem["b"])

@@ -230,12 +230,14 @@ class RateFit:
 
 
 def fit_rate(points):
-    """Fit log y = slope * log x + intercept; needs >= 2 distinct x > 0."""
+    """Fit log y = slope * log x + intercept; needs >= 2 distinct x and
+    finite coordinates > 0."""
     pts = [(float(x), float(y)) for x, y in points]
     if len({x for x, _ in pts}) < 2:
         raise ShapeError("rate fit needs at least two distinct x values")
-    if any(x <= 0.0 or y <= 0.0 for x, y in pts):
-        raise DomainError("rate fit needs strictly positive coordinates")
+    if not all(0.0 < v < math.inf for pt in pts for v in pt):  # NaN included
+        raise DomainError("rate fit needs finite, strictly positive "
+                          "coordinates")
     lx = np.log([x for x, _ in pts])
     ly = np.log([y for _, y in pts])
     n = lx.size

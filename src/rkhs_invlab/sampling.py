@@ -114,23 +114,14 @@ def sample_outputs(problem, f_true, design, sigma=0.0, seed=0, index=0):
         raise ShapeError("design must be a nonempty 1-d sequence")
     values = basis_matrix(problem, design) @ forward_data(problem, f_true)
     if sigma > 0.0:
-        values = _add_noise(values, sigma, streams.generator(
-            seed, streams.NOISE_STREAM, index))
+        values += sigma * streams.generator(
+            seed, streams.NOISE_STREAM, index).standard_normal(values.size)
     return SampleSet(design=design, outputs=values)
 
 
 def _uniform_design(n, rng):
     """n i.i.d. Uniform[0,1) design points drawn from ``rng``."""
     return rng.random(n)
-
-
-def _add_noise(clean, sigma, rng):
-    """Clean evaluations plus i.i.d. Gaussian noise of std ``sigma``.
-
-    ``rng`` is the generator of the replicate's (seed, NOISE_STREAM, index)
-    substream, fresh or rekeyed (``streams.rekey``) to its start.
-    """
-    return clean + sigma * rng.standard_normal(clean.size)
 
 
 def perturb_data(problem, y, spec, seed=0, index=0):

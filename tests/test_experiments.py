@@ -3,14 +3,19 @@
 Monte-Carlo studies are checked against the public single-replicate path
 (also across iid batch and grid chunk boundaries, and row by row for the
 folded grid path), for determinism, for the JSON round trip and for the
-peak memory of one iid batch or grid chunk; the kernel-side study kinds
-for verdict, determinism and the JSON round trip; config validation and
-``rkhs-invlab run`` for their exit codes.
+peak memory of one iid batch or grid chunk; stat-rate's median against
+``np.median`` and for the numpy.ma import it avoids; the kernel-side study
+kinds for verdict, determinism and the JSON round trip; config validation
+and ``rkhs-invlab run`` for their exit codes.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +169,55 @@ def test_lemma_check_default_z_max_is_family_wise():
     threshold = {c["name"]: c["threshold"] for c in report.checks}
     assert threshold["mean-matches-continuous"] == experiments._sidak_z(
         J, experiments._Z_FAMILY_LEVEL)
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+def test_median_equals_numpy_median(design):
+    # the squared errors of a 200-replicate stat-rate point at n = 50
+    config = StudyConfig.from_dict(dict(stat_rate_config(design).to_dict(),
+                                        replicates=200))
+    filt = FilterSpec.tikhonov(lambda_schedule("by-n", 1.0, 1.0 / 3.5, 50))
+    rows = experiments._replicate_coeffs(config, MODEL, TRUTH, filt, 50,
+                                         range(200))
+    errors = np.sum((rows - TRUTH) ** 2, axis=1)
+    rng = np.random.default_rng(5)
+    # the 200 errors of a stat-rate point and their first 199, then odd and
+    # even counts with ties and a single entry
+    for values in (errors, errors[:199], rng.random(7), rng.random(8),
+                   rng.integers(0, 3, 10).astype(float),
+                   rng.integers(0, 3, 11).astype(float), np.array([2.5])):
+        median = experiments._median(values)
+        assert type(median) is float
+        assert median == float(np.median(values))
+
+
+def test_median_is_nan_when_any_entry_is_nan():
+    for values in ([math.nan, 1.0, 2.0], [1.0, math.nan], [0.5, 1.0, math.nan],
+                   [math.nan]):
+        assert math.isnan(experiments._median(np.array(values)))
+
+
+def test_stat_rate_imports_no_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on first use (numpy >= 2), 16-17 ms of a
+    # fresh process; stat-rate's median must not
+    probe = ("import json, sys\n"
+             "import numpy\n"
+             "before = 'numpy.ma' in sys.modules\n"
+             "from rkhs_invlab import StudyConfig, run_study\n"
+             "for raw in json.loads(sys.argv[1]):\n"
+             "    run_study(StudyConfig.from_dict(raw))\n"
+             "print(json.dumps([before, 'numpy.ma' in sys.modules]))\n")
+    configs = [stat_rate_config(design).to_dict() for design in DESIGNS]
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(configs)],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120, check=True)
+    before, after = json.loads(done.stdout.splitlines()[-1])
+    if before:
+        pytest.skip("import numpy already loads numpy.ma (numpy < 2)")
+    assert not after
 
 
 @pytest.mark.parametrize("design", DESIGNS)

@@ -223,6 +223,15 @@ class TestFitRate:
         with pytest.raises(ShapeError):
             fit_rate([(2.0, 1.0), (2.0, 3.0)])
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("coord", ["x", "y"])
+    def test_nonpositive_or_nonfinite_rejected(self, bad, coord):
+        # a NaN passes x <= 0, and an infinite y gave a NaN slope
+        points = [(1.0, 1.0), (2.0, 4.0), (4.0, 16.0)]
+        points[1] = (bad, 4.0) if coord == "x" else (2.0, bad)
+        with pytest.raises(DomainError):
+            fit_rate(points)
+
     def test_two_points_zero_stderr(self):
         fit = fit_rate([(1.0, 1.0), (2.0, 4.0)])
         assert fit.stderr == 0.0

@@ -14,7 +14,8 @@ import pytest
 from rkhs_invlab import (FilterSpec, ParameterError, PerturbationSpec,
                          SampleSet, ShapeError, build_power_law_problem,
                          eval_function, forward_data, make_source_solution,
-                         perturb_data, sample_design, sample_outputs, verify)
+                         perturb_data, sample_design, sample_outputs, streams,
+                         verify)
 
 
 @pytest.fixture
@@ -61,6 +62,15 @@ class TestSampleOutputs:
         samples = sample_outputs(problem, truth, design, seed=3)
         exact = eval_function(problem, forward_data(problem, truth), design)
         npt.assert_allclose(samples.outputs, exact, rtol=1e-14)
+
+    def test_noise_is_clean_plus_sigma_z(self, two_mode_truth):
+        # the replicate's (seed, NOISE_STREAM, index) normals, bit for bit
+        problem, truth = two_mode_truth
+        design = sample_design("iid-uniform", 50, seed=3)
+        clean = sample_outputs(problem, truth, design).outputs
+        z = streams.generator(3, streams.NOISE_STREAM, 4).standard_normal(50)
+        samples = sample_outputs(problem, truth, design, 0.3, seed=3, index=4)
+        npt.assert_array_equal(samples.outputs, clean + 0.3 * z)
 
     def test_noise_mean_clt(self):
         # 1e4 replicates of a single noisy sample at x = 0.5; the sample
