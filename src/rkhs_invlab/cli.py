@@ -144,7 +144,7 @@ def _cmd_info(args):
         hs = {f"{lam:.6g}": hs_norm(problem, FilterSpec.tikhonov(lam))
               for lam in lams}
         payload = {
-            "J": problem.size, "b": problem.decay_b, "d": problem.decay_d,
+            "J": problem.size, "b": args.b, "d": args.d,
             "mu_head": [float(m) for m in problem.mu[:8]],
             "mu_tail": float(problem.mu[-1]),
             "kernel_bound_sq": problem.kernel_bound_sq,

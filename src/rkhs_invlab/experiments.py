@@ -5,7 +5,11 @@ runner, whose docstring describes the study, the optional config entries
 it reads and its tolerances with their defaults.  Every study prints one
 machine-readable line "STUDY <kind> <pass|fail>".  The Monte-Carlo studies
 draw each replicate from its own substream, so a replicate's numbers do
-not depend on the others (``_replicate_coeffs``).
+not depend on the others (``_replicate_coeffs``): on iid designs its design
+and noisy outputs, as the public sampling path does, and on the midpoint
+grid its moment u'Y / n straight from that moment's exact Gaussian law.
+An overflow or an invalid operation inside a study is a numerical failure
+(``NumericalError``), not a verdict.
 """
 
 import copy
@@ -22,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import streams
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .rates import (RateFit, classical_exponents, convert_upper, delta_of,
                     epsilon_lambda, fit_rate, lambda_schedule,
                     statistical_exponents, hs_norm)
@@ -33,8 +37,8 @@ from .sampling import (_DESIGNS, _PERTURBATION_MODES, PerturbationSpec,
                        perturb_data, sample_design, sample_outputs,
                        _uniform_design)
 from .spectral_model import (_FACTOR_WIDTH, _W_SPECS, basis_matrix,
-                             forward_data, problem_from_descriptor,
-                             _sine_factor_tables)
+                             forward_data, grid_aliasing,
+                             problem_from_descriptor, _sine_factor_tables)
 
 # The filter each ``filter`` entry names, at a given lambda: Landweber runs
 # round(1 / lambda) iterations, at least one.
@@ -62,22 +66,6 @@ _Z_FAMILY_LEVEL = 0.01
 # entries is 3,200 points at J = 200, one n = 3200 design: 1.5 MB of tables
 # against the 5.1 MB basis of that design.
 _BATCH_CELLS = 640_000
-
-# Replicates of one grid chunk.  The noisy outputs of consecutive replicates
-# form the columns of one n-by-16 matrix, folded into two (n/2)-by-16
-# matrices of mirror-pair sums and differences, so two half-size GEMMs read
-# the shared half basis once per chunk instead of once per replicate.  At
-# J = 200 on a 2-core Xeon with one BLAS thread (the two GEMMs alone, 200
-# replicates, best of 120), chunks of 8 / 16 / 32 columns take 1.2 / 1.5 /
-# 1.3 ms at n = 800, 2.0 / 2.7 / 2.0 ms at n = 1600 and 9.4 / 6.0 / 5.1 ms
-# at n = 3200 (OpenBLAS's dgemm changes kernels with the shape).  Whole
-# mc-grid passes (seed 51) took 0.160-0.168 / 0.158-0.160 / 0.162-0.165 s
-# at a peak RSS of 41.6 / 42.0 / 43.0 MB: 32 columns save no wall time and
-# hold 0.8 MB more at n = 3200, 8 columns save 0.4 MB and lose GEMM time
-# at n = 3200.  The chunk and its fold hold 2 x 16 n entries, 64 / J of
-# the half basis (32% at J = 200), so memory stays bounded by the basis at
-# every n.
-_CHUNK_WIDTH = 16
 
 # equivalence_deviations: the number of random draws for the isometry and
 # pullback round trips.
@@ -404,30 +392,21 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
     """Paper-n estimates of the replicates ``indices`` at sample size n.
 
     Replicate ``index`` draws its noise (and an iid design) from its own
-    (seed, stream, index) substream, as sample_design -> sample_outputs ->
-    estimator_paper does; one generator per stream is rekeyed to each
-    replicate's substream (``streams.rekey``), which draws exactly what a
-    new generator would.  So a replicate's draws depend neither on the
-    other replicates nor on how they are grouped.  The normals are drawn
-    in place, into the replicate's chunk column on the grid or into one
-    n-vector reused by every iid replicate, then scaled by sigma and
-    shifted by the clean outputs there: clean + sigma z bit for bit, with
-    no temporary per draw.
+    (seed, stream, index) substream; one generator per stream is rekeyed to
+    each replicate's substream (``streams.rekey``), which draws exactly
+    what a new generator would.  So a replicate's draws depend neither on
+    the other replicates nor on how they are grouped.
 
-    A grid design is shared, so all replicates use one basis, and the
-    outputs of consecutive replicates form the columns of one
-    n-by-_CHUNK_WIDTH chunk (the last may be narrower): GEMMs per chunk
-    instead of one GEMV per replicate.  The midpoint grid is symmetric
-    about 1/2, and u_j(1 - x) = (-1)**(j + 1) u_j(x), so the basis is
-    evaluated only on the h = ceil(n/2) points x <= 1/2 and split into its
-    odd modes (j = 1, 3, ...) and even modes.  With p and q the clean
-    outputs of the two, the first h clean outputs are p + q and the last
-    n // 2, mirrored, p - q.  Each chunk folds its outputs into the sums and
-    the differences of mirror pairs, the unpaired middle point of odd n in
-    both; the odd modes' moments are odd' sums and the even modes' even'
-    diffs.  Two GEMMs of half the size, on half the basis.
+    On the midpoint grid the estimate reads the data only through the
+    moment u'Y / n, whose law is N(M y, sigma**2 / n M) with the grid Gram
+    matrix M of ``grid_aliasing``: mode j of class m and sign e_j has the
+    moment e_j (D_m sum_{i in class m} e_i y_i + sigma sqrt(D_m / n) xi_m),
+    with one standard normal xi_m per class m = 1..min(n, J), and modes of
+    class 0 are 0.  So each grid replicate draws min(n, J) normals and no
+    basis is built; for n > J the moment is y + sigma / sqrt(n) xi.  These
+    are draws from the public path's law, not its point-sample draws.
 
-    iid designs build no basis.  They go in batches of consecutive
+    iid designs build no basis either.  They go in batches of consecutive
     replicates, as many whole designs as fit in _BATCH_CELLS basis
     entries, at least one.  One _sine_factor_tables call covers the batch's
     designs end to end: the unit powers at two factor angles of every mode
@@ -439,13 +418,12 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
     pairs of the high one, the clean outputs are the GEMM coeff_table @
     low, dotted with high down each column and summed over pairs; a
     replicate's moments are the GEMM (high v) @ low' for its noisy outputs
-    v, each repeated for both entries of its pair.  So an iid estimate is
-    the same bit for bit at any batch size.
-
-    Both paths sum in another order than the public path, so their
-    estimates agree with it to about 1e-15 of each row's largest entry, not
-    bit for bit; the tests hold grid rows to 1e-13 of that entry (modes
-    aliased to roundoff are judged against the row) and the study numbers
+    v = clean + sigma z, formed in place in one n-vector reused by every
+    replicate, each moment repeated for both entries of its pair.  So an
+    iid estimate is the same bit for bit at any batch size.  It draws what
+    sample_design -> sample_outputs -> estimator_paper draws, but sums in
+    another order, so it agrees with that path to about 1e-15 of each
+    row's largest entry, not bit for bit; the tests hold the study numbers
     to 1e-12 relative.
     """
     seed = config.seed
@@ -454,43 +432,20 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
     response = filt.response(problem)
     out = np.empty((len(indices), problem.size))
 
-    def draw_noisy(outputs, clean, index):
-        # outputs = clean + sigma z of replicate index, formed in outputs
-        streams.rekey(noise_rng, seed, streams.NOISE_STREAM,
-                      index).standard_normal(out=outputs)
-        outputs *= config.sigma
-        outputs += clean
-
     if config.design == "grid":
-        # the basis on the h points x <= 1/2, whose mirrors are the last m
-        h, m = (n + 1) // 2, n // 2
-        u = basis_matrix(problem, sample_design("grid", n)[:h])
-        odd, even = u[:, 0::2], u[:, 1::2]
-        p, q = odd @ y[0::2], even @ y[1::2]
-        clean = np.empty(n)
-        clean[:h] = p + q
-        clean[n - m:] = (p - q)[:m][::-1]
-        scale = response / n
-        width = min(_CHUNK_WIDTH, len(indices))
-        outputs = np.empty((n, width), order="F")
-        sums = np.empty((h, width), order="F")
-        diffs = np.empty_like(sums)
-        for first in range(0, len(indices), _CHUNK_WIDTH):
-            chunk = indices[first:first + _CHUNK_WIDTH]
-            w = len(chunk)
-            for k, index in enumerate(chunk):
-                # one contiguous column at a time: a broadcast add over
-                # the chunk runs numpy's buffered iterator
-                draw_noisy(outputs[:, k], clean, index)
-            # each point paired with its mirror; the middle point of odd n
-            # has none and stays in both
-            top, bottom = outputs[:m, :w], outputs[n - m:, :w][::-1]
-            np.add(top, bottom, out=sums[:m, :w])
-            np.subtract(top, bottom, out=diffs[:m, :w])
-            sums[m:, :w] = diffs[m:, :w] = outputs[m:h, :w]
-            rows = out[first:first + w]
-            rows[:, 0::2] = scale[0::2] * (odd.T @ sums[:, :w]).T
-            rows[:, 1::2] = scale[1::2] * (even.T @ diffs[:, :w]).T
+        classes, signs, weights = grid_aliasing(problem, n)
+        # M y: each class sums its modes' signed data, one bincount
+        clean = signs * weights * np.bincount(classes, signs * y)[classes]
+        scale = config.sigma * signs * np.sqrt(weights / n)
+        normals = np.empty((len(indices), min(n, problem.size)))
+        for row, index in zip(normals, indices):
+            streams.rekey(noise_rng, seed, streams.NOISE_STREAM,
+                          index).standard_normal(out=row)
+        # class m reads normal m - 1; class 0 reads the last, times 0
+        np.take(normals, classes - 1, axis=1, out=out)
+        out *= scale
+        out += clean
+        out *= response
         return out
 
     design_rng = streams.generator(seed, streams.DESIGN_STREAM)
@@ -524,7 +479,10 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
             low_k, high_k = low[:, design], high[:, design]
             np.matmul(coeff_table, low_k, out=product)
             pair_sums = np.einsum("ij,ij->j", product, high_k)
-            draw_noisy(outputs, pair_sums[0::2] + pair_sums[1::2], index)
+            streams.rekey(noise_rng, seed, streams.NOISE_STREAM,
+                          index).standard_normal(out=outputs)
+            outputs *= config.sigma
+            outputs += pair_sums[0::2] + pair_sums[1::2]
             np.multiply(high_k, np.repeat(outputs, 2), out=product)
             moments = product @ low_k.T
             out[first_row + k] = scale * moments.reshape(-1)[
@@ -825,7 +783,11 @@ def run_study(config):
     """Execute a study and return its report."""
     config.validate()
     started = time.perf_counter()
-    return _STUDIES[config.kind].run(config, started)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _STUDIES[config.kind].run(config, started)
+    except (FloatingPointError, OverflowError) as exc:
+        raise NumericalError(f"{config.kind} overflowed: {exc}") from exc
 
 
 def write_report(report, fmt, path):

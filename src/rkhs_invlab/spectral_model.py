@@ -29,14 +29,12 @@ from . import streams
 class SpectralProblem:
     """Diagonal model: eigenvalues of B = A*A in the fixed sine basis.
 
-    ``mu`` must be positive and nonincreasing, dominated by d j**(-b).
-    ``kernel_bound_sq`` is the finite constant 2 sum(mu) that dominates
-    K(x, x) uniformly in x (the squared evaluation-functional bound).
+    ``mu`` must be positive and nonincreasing.  ``kernel_bound_sq`` is the
+    finite constant 2 sum(mu) that dominates K(x, x) uniformly in x (the
+    squared evaluation-functional bound).
     """
 
     mu: np.ndarray
-    decay_b: float
-    decay_d: float
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float).copy()
@@ -47,14 +45,6 @@ class SpectralProblem:
             raise ParameterError("all eigenvalues must be positive")
         if np.any(np.diff(mu) > 0):
             raise ParameterError("eigenvalues must be nonincreasing")
-        j = np.arange(1, mu.size + 1, dtype=float)
-        bound = self.decay_d * j ** (-self.decay_b)
-        if self.decay_b <= 1.0:
-            raise ParameterError("decay exponent b must exceed 1")
-        if self.decay_d <= 0.0:
-            raise ParameterError("decay constant d must be positive")
-        if np.any(mu > bound * (1.0 + 1e-12)):
-            raise ParameterError("eigenvalues violate the decay bound d/j^b")
         object.__setattr__(self, "mu", mu)
 
     @property
@@ -85,7 +75,7 @@ def build_power_law_problem(size, b, d):
     if d <= 0.0:
         raise ParameterError("decay constant d must be positive")
     j = np.arange(1, size + 1, dtype=float)
-    return SpectralProblem(mu=d * j ** (-b), decay_b=float(b), decay_d=float(d))
+    return SpectralProblem(mu=d * j ** (-b))
 
 
 def make_source_solution(problem, r, w):
@@ -147,6 +137,25 @@ def basis_matrix(problem, x):
     out[0::2] *= root2
     out[1::2] *= np.where(reflected, -root2, root2)
     return out.T
+
+
+def grid_aliasing(problem, n):
+    """The alias map of the n-point midpoint grid x_i = (i - 1/2) / n.
+
+    Write j = 2 k n + m' with 0 <= m' < 2n.  On the grid, u_j is (-1)**k
+    times u_m, where m = m' for m' <= n and m = 2n - m' otherwise (the
+    reflection adds no sign), and u_0 = 0.  The modes 1..n are orthogonal
+    there, with (1/n) sum_i u_m(x_i)**2 = D_m: 1 for 0 < m < n, 2 at m = n
+    (u_n = +-sqrt 2 at every point) and 0 at m = 0.  So the grid Gram matrix
+    is M = u'u / n = D_m sign_j sign_k where j and k share the class m, and
+    0 elsewhere.  Returns the per-mode arrays (m, sign, D_m), in O(J) and
+    with no basis.
+    """
+    k, classes = np.divmod(np.arange(1, problem.size + 1), 2 * n)
+    np.minimum(classes, 2 * n - classes, out=classes)
+    signs = 1.0 - 2.0 * (k % 2)
+    weights = (classes > 0) + (classes == n).astype(float)
+    return classes, signs, weights
 
 
 # Width of the low factor table: mode j = _FACTOR_WIDTH a + c splits into a

@@ -1,12 +1,15 @@
 """Study runs and the ``run`` command.
 
-Monte-Carlo studies are checked against the public single-replicate path
-(also across iid batch and grid chunk boundaries, and row by row for the
-folded grid path), for determinism, for the JSON round trip and for the
-peak memory of one iid batch or grid chunk; stat-rate's median against
-``np.median`` and for the numpy.ma import it avoids; the kernel-side study
-kinds for verdict, determinism and the JSON round trip; config validation
-and ``rkhs-invlab run`` for their exit codes.
+Monte-Carlo studies are checked, on iid designs, against the public
+single-replicate path (also across batch boundaries) and for the peak
+memory of one batch; on the midpoint grid, for the law of their moment
+draws (mean, variance and correlation against the grid Gram matrix), for
+rows that do not depend on the other replicates and for building no basis;
+on both, for determinism and the JSON round trip; stat-rate's median
+against ``np.median`` and for the numpy.ma import it avoids; the
+kernel-side study kinds for verdict, determinism and the JSON round trip;
+config validation and ``rkhs-invlab run`` for their exit codes, overflow
+included.
 """
 
 import json
@@ -15,17 +18,19 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rkhs_invlab import (FilterSpec, NumericalError, StudyConfig,
-                         StudyReport, ValidationError, equivalence_deviations,
-                         estimator_learn, estimator_paper, experiments,
-                         forward_data, kernel_tikhonov, lambda_schedule,
+                         StudyReport, ValidationError, basis_matrix,
+                         equivalence_deviations, estimator_learn,
+                         estimator_paper, experiments, forward_data,
+                         kernel_tikhonov, lambda_schedule,
                          problem_from_descriptor, run_study, sample_design,
-                         sample_outputs, write_report)
+                         sample_outputs, spectral_model, write_report)
 from rkhs_invlab.cli import main
 from rkhs_invlab.spectral_model import _FACTOR_WIDTH
 
@@ -61,28 +66,17 @@ def public_coeffs(design, n, filt, index):
     return estimator_paper(MODEL, filt, samples)
 
 
-# The module constant that sizes the replicate groups of each design: basis
-# entries per iid batch, replicates (output columns) per grid chunk.
-GROUP_SIZES = {"grid": "_CHUNK_WIDTH", "iid-uniform": "_BATCH_CELLS"}
-
-
-def group_cases(iid_budgets, grid_widths):
-    """(design, size) cases: the default group sizes on both designs, then
-    iid runs under ``iid_budgets`` basis entries per batch and grid runs
-    in chunks of ``grid_widths`` replicates."""
-    return ([pytest.param(design, None, id=design) for design in DESIGNS]
-            + [pytest.param("iid-uniform", cells,
-                            id=f"iid-uniform-budget{cells}")
-               for cells in iid_budgets]
-            + [pytest.param("grid", width, id=f"grid-width{width}")
-               for width in grid_widths])
+def budget_cases(budgets):
+    """iid runs at the default batch budget, then under each of
+    ``budgets`` basis entries per batch."""
+    return ([pytest.param(None, id="iid-uniform")]
+            + [pytest.param(cells, id=f"iid-uniform-budget{cells}")
+               for cells in budgets])
 
 
 def assert_matches_public(value, expected):
-    # a grid chunk's folded GEMMs and an iid batch's factor tables sum in
-    # another order than the public path's GEMV (gaps up to 1.1e-14
-    # relative on the grid, in err_se, a spread of nearly equal errors, and
-    # 8.6e-16 on iid designs, on these inputs)
+    # an iid batch's factor tables sum in another order than the public
+    # path's GEMV (gaps up to 8.6e-16 relative on these inputs)
     np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0)
 
 
@@ -90,13 +84,11 @@ def assert_matches_public(value, expected):
 # 200), 3,000 entries give 7 batches of 3 designs with a last one of 2 at
 # n = 50, and a design larger than the budget at n = 200.  For lemma-check
 # (n = 100), 6,000 give a last batch of 2 and 1,500 one over the budget.
-# The 20 grid replicates go in chunks of 16 and 4 by default; in 7, 7 and 6
-# at width 7, one at a time at width 1, and in one chunk of 20 at width 32.
-@pytest.mark.parametrize("design, size", group_cases([3000], [7]))
-def test_stat_rate_matches_public_path(design, size, monkeypatch):
-    if size is not None:
-        monkeypatch.setattr(experiments, GROUP_SIZES[design], size)
-    config = stat_rate_config(design)
+@pytest.mark.parametrize("cells", budget_cases([3000]))
+def test_stat_rate_matches_public_path(cells, monkeypatch):
+    if cells is not None:
+        monkeypatch.setattr(experiments, "_BATCH_CELLS", cells)
+    config = stat_rate_config("iid-uniform")
     report = run_study(config)
     assert [p["x"] for p in report.points] == list(config.n_grid)
     for point_idx, (n, point) in enumerate(zip(config.n_grid,
@@ -104,7 +96,7 @@ def test_stat_rate_matches_public_path(design, size, monkeypatch):
         lam = lambda_schedule("by-n", 1.0, 1.0 / 3.5, n)
         filt = FilterSpec.tikhonov(lam)
         errors = np.array([
-            float(np.sum((public_coeffs(design, n, filt,
+            float(np.sum((public_coeffs("iid-uniform", n, filt,
                                         point_idx * REPLICATES + rep)
                           - TRUTH) ** 2))
             for rep in range(REPLICATES)])
@@ -116,14 +108,13 @@ def test_stat_rate_matches_public_path(design, size, monkeypatch):
         assert_matches_public(point["err_median"], float(np.median(errors)))
 
 
-@pytest.mark.parametrize("design, size",
-                         group_cases([6000, 1500], [32, 1]))
-def test_lemma_check_matches_public_path(design, size, monkeypatch):
-    if size is not None:
-        monkeypatch.setattr(experiments, GROUP_SIZES[design], size)
-    report = run_study(lemma_check_config(design))
+@pytest.mark.parametrize("cells", budget_cases([6000, 1500]))
+def test_lemma_check_matches_public_path(cells, monkeypatch):
+    if cells is not None:
+        monkeypatch.setattr(experiments, "_BATCH_CELLS", cells)
+    report = run_study(lemma_check_config("iid-uniform"))
     filt = FilterSpec.tikhonov(0.05)
-    rows = np.array([public_coeffs(design, 100, filt, rep)
+    rows = np.array([public_coeffs("iid-uniform", 100, filt, rep)
                      for rep in range(REPLICATES)])
     mean = rows.mean(axis=0)
     point = report.points[0]
@@ -133,25 +124,80 @@ def test_lemma_check_matches_public_path(design, size, monkeypatch):
                           float(np.mean(np.sum((rows - mean) ** 2, axis=1))))
 
 
-# n = 1 has no mirror pair, and odd n an unpaired middle point x = 1/2.
-# The 20 replicates go in chunks of 16 and 4 by default and 7, 7 and 6 at
-# width 7.
-@pytest.mark.parametrize("width", [None, 7], ids=["default-width", "width7"])
-@pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 51])
-def test_folded_grid_rows_match_public_path(n, width, monkeypatch):
-    # the grid path pairs each point with its mirror 1 - x, so it sums in
-    # another order than the public path.  Aliased modes sit at roundoff,
-    # so each row is held to its largest entry, not entry by entry (gaps up
-    # to 1.3e-15 measured).
-    if width is not None:
-        monkeypatch.setattr(experiments, "_CHUNK_WIDTH", width)
+# Grid replicates draw the moment u'Y / n from its law N(M y, sigma^2 / n M),
+# M = u'u / n, instead of point samples, so they are held to that law at a
+# fixed seed: 4,000 draws at J = 40, with odd and even n below, at and above
+# J.  The oracle M is the basis product, not the alias map the path uses.
+# w_j = j^3 makes the data y_j = j^-1 j^-2 w_j = 1 on every mode, so a wrong
+# class sum, sign or weight moves a mean by many standard errors.
+LAW_J, LAW_DRAWS = 40, 4000
+LAW_PROBLEM = {"J": LAW_J, "b": 2.0, "d": 1.0, "r": 1.0,
+               "w_spec": [float(j) ** 3 for j in range(1, LAW_J + 1)]}
+LAW_MODEL, LAW_TRUTH = problem_from_descriptor(dict(LAW_PROBLEM, seed=SEED))
+
+
+def chi2_quantile(dof, z):
+    """The chi-square quantile with ``dof`` degrees of freedom at the
+    standard normal quantile z (Wilson and Hilferty)."""
+    c = 2.0 / (9.0 * dof)
+    return dof * (1.0 - c + z * math.sqrt(c)) ** 3
+
+
+@pytest.mark.parametrize("n", [7, 25, 40, 41, 80, 81])
+def test_grid_replicates_follow_the_moment_law(n):
     filt = FilterSpec.tikhonov(0.05)
-    rows = experiments._replicate_coeffs(lemma_check_config("grid"), MODEL,
-                                         TRUTH, filt, n, range(REPLICATES))
-    for index, row in enumerate(rows):
-        expected = public_coeffs("grid", n, filt, index)
-        assert (np.max(np.abs(row - expected))
-                <= 1e-13 * np.max(np.abs(expected)))
+    config = StudyConfig.from_dict(dict(lemma_check_config("grid").to_dict(),
+                                        problem=LAW_PROBLEM,
+                                        replicates=LAW_DRAWS, n=n))
+    rows = experiments._replicate_coeffs(config, LAW_MODEL, LAW_TRUTH, filt,
+                                         n, range(LAW_DRAWS))
+    u = basis_matrix(LAW_MODEL, sample_design("grid", n))
+    gram = u.T @ u / n
+    response = filt.response(LAW_MODEL)
+    mean = response * (gram @ forward_data(LAW_MODEL, LAW_TRUTH))
+    var = response ** 2 * SIGMA ** 2 / n * np.diag(gram)
+    # one independent normal per alias class: min(n, J) of them, family
+    # level 1% for the means and 1% for the variances
+    z_max = experiments._sidak_z(min(n, LAW_J), 0.01)
+    live = np.diag(gram) > 0.5  # D_m is 1 or 2 there and 0 elsewhere
+    assert np.all(rows[:, ~live] == 0.0)
+    z = (rows.mean(axis=0) - mean)[live] / np.sqrt(var[live] / LAW_DRAWS)
+    assert np.max(np.abs(z)) <= z_max
+    # (R - 1) s^2 / var is chi-square with R - 1 degrees of freedom
+    dof = LAW_DRAWS - 1
+    ratio = rows.var(axis=0, ddof=1)[live] / var[live]
+    assert np.min(ratio) >= chi2_quantile(dof, -z_max) / dof  # 0.92-0.93
+    assert np.max(ratio) <= chi2_quantile(dof, z_max) / dof   # 1.07-1.08
+    # the modes of one class share their normal: correlation +-1, the sign
+    # of their Gram entry
+    for j, k in zip(*np.nonzero(np.triu(np.abs(gram) > 0.5, 1))):
+        corr = np.corrcoef(rows[:, j], rows[:, k])[0, 1]
+        assert corr == pytest.approx(np.sign(gram[j, k]), abs=1e-12)
+
+
+def test_grid_row_does_not_depend_on_the_other_replicates():
+    filt = FilterSpec.tikhonov(0.05)
+    config = lemma_check_config("grid")
+    rows = experiments._replicate_coeffs(config, MODEL, TRUTH, filt, 7,
+                                         range(REPLICATES))
+    for index in (0, 5, REPLICATES - 1):
+        alone = experiments._replicate_coeffs(config, MODEL, TRUTH, filt, 7,
+                                              [index])
+        assert np.array_equal(alone[0], rows[index])
+    assert np.array_equal(experiments._replicate_coeffs(
+        config, MODEL, TRUTH, filt, 7, range(5, 12)), rows[5:12])
+
+
+@pytest.mark.parametrize("make_config", [stat_rate_config,
+                                         lemma_check_config],
+                         ids=["stat-rate", "lemma-check"])
+def test_grid_studies_build_no_basis(make_config, monkeypatch):
+    def no_basis(*args, **kwargs):
+        raise AssertionError("the grid replicate path evaluated the basis")
+
+    monkeypatch.setattr(experiments, "basis_matrix", no_basis)
+    monkeypatch.setattr(spectral_model, "basis_matrix", no_basis)
+    run_study(make_config("grid"))
 
 
 @pytest.mark.parametrize("count, level, expected", [
@@ -230,10 +276,10 @@ def test_repeated_runs_are_identical(make_config, design):
     assert run_study(config).canonical_dict() == first
 
 
-def replicate_run(design, n, replicates):
-    """A call of _replicate_coeffs for a lemma-check at J = 200."""
+def replicate_run(n, replicates):
+    """A call of _replicate_coeffs for an iid lemma-check at J = 200."""
     size = 200
-    raw = {"kind": "lemma-check", "design": design, "sigma": SIGMA,
+    raw = {"kind": "lemma-check", "design": "iid-uniform", "sigma": SIGMA,
            "problem": {"J": size, "b": 2.0, "d": 1.0, "r": 1.0,
                        "w_spec": [1.0 / j for j in range(1, size + 1)]},
            "n": n, "lambda": 0.05, "replicates": replicates, "seed": SEED}
@@ -250,17 +296,17 @@ def test_iid_rows_do_not_depend_on_the_batch_budget(cells, monkeypatch):
     # default, one design at a time under 1,000 entries and all in one
     # batch under 10^7.  The factor tables are per point and every product
     # is per design, so each row is the same bit for bit.
-    run = replicate_run("iid-uniform", 100, 37)
+    run = replicate_run(100, 37)
     default = run()
     monkeypatch.setattr(experiments, "_BATCH_CELLS", cells)
     assert np.array_equal(run(), default)
 
 
-def replicate_peak(design, n, replicates):
+def replicate_peak(n, replicates):
     """Rows and ``tracemalloc`` peak of one _replicate_coeffs call at
     J = 200, after a warm-up call that keeps the lazy ``numpy.random``
     import out of the peak."""
-    run = replicate_run(design, n, replicates)
+    run = replicate_run(n, replicates)
     run()
     tracemalloc.start()
     try:
@@ -283,21 +329,8 @@ def test_iid_batch_peak_memory_is_one_batch():
     # plus 10%, fails if a batch allocates tables of its own
     assert experiments._BATCH_CELLS // (800 * 200) == 4
     highs = 200 // _FACTOR_WIDTH + 1
-    rows, peak = replicate_peak("iid-uniform", 800, 12)
+    rows, peak = replicate_peak(800, 12)
     assert peak <= (1.1 * (4 * _FACTOR_WIDTH + 2 * highs) * 4 * 800 * 8
-                    + rows.nbytes)
-
-
-def test_grid_chunk_peak_memory_is_basis_and_one_chunk():
-    # 64 replicates at n = 3200 share the 2.6 MB basis of the 1,600 grid
-    # points x <= 1/2, and their outputs pass through chunks of
-    # _CHUNK_WIDTH columns, folded into as many sums and differences of
-    # mirror pairs.  The 5.1 MB basis of all n points, or all 64 output
-    # vectors at once (1.6 MB), would exceed the 10% margin
-    n, width = 3200, experiments._CHUNK_WIDTH
-    assert 1 < width < 64
-    rows, peak = replicate_peak("grid", n, 64)
-    assert peak <= (1.1 * ((n + 1) // 2 * 200 + 2 * width * n) * 8
                     + rows.nbytes)
 
 
@@ -796,6 +829,25 @@ def test_cli_run_exit_three_on_numerical_failure(tmp_path, monkeypatch,
     assert not (tmp_path / "out").exists()
     assert ("numerical failure: kernel system is singular"
             in capsys.readouterr().err)
+
+
+# A finite sigma passes validation but can overflow a study's squared
+# errors: before, stat-rate then exited 2 from its rate fit, and
+# lemma-check raised OverflowError out of sigma ** 2 and exited 1.
+OVERFLOWS = {
+    "stat-rate-1e200": dict(stat_rate_config("grid").to_dict(), sigma=1e200),
+    "lemma-check-1e160": dict(lemma_check_config("grid").to_dict(),
+                              sigma=1e160),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWS))
+def test_cli_run_exit_three_on_overflow(name, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning may escape
+        assert run_cli(tmp_path, OVERFLOWS[name]) == 3
+    assert not (tmp_path / "out").exists()
+    assert "numerical failure" in capsys.readouterr().err
 
 
 IID_EQUIVALENCE = {"kind": "equivalence-check",

@@ -315,9 +315,13 @@ def test_cli_rates_exit_two_on_negative_r(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# The decay exponent b of the Monte-Carlo set-up's eigenvalues d j**(-b).
+MC_DECAY = 2.0
+
+
 @pytest.fixture(scope="module")
 def mc_setup():
-    problem, truth = house_problem(size=30, b=2.0, d=1.0, r=1.0)
+    problem, truth = house_problem(size=30, b=MC_DECAY, d=1.0, r=1.0)
     filt = FilterSpec.tikhonov(0.08)
     sigma, n, replicates = 0.1, 60, 2000
     design = sample_design("grid", n)
@@ -383,7 +387,7 @@ class TestMonteCarloRateProperties:
             variances.append(float(np.mean(np.sum((coeffs - center) ** 2,
                                                   axis=1))))
         slope = fit_rate(list(zip(lams, variances))).slope
-        assert slope >= -(1.0 + 1.0 / problem.decay_b) - 0.15
+        assert slope >= -(1.0 + 1.0 / MC_DECAY) - 0.15
 
     def test_epsilon_scaling_report(self):
         result = verify.check_epsilon_report(0)

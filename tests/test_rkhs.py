@@ -74,7 +74,7 @@ class TestRangeNorm:
         assert rkhs_norm(two_mode, [0.0, 0.0]) == 0.0
 
     def test_eigenvalue_four(self):
-        problem = SpectralProblem(mu=np.array([4.0]), decay_b=2.0, decay_d=4.0)
+        problem = SpectralProblem(mu=np.array([4.0]))
         assert rkhs_norm(problem, [2.0]) == pytest.approx(1.0, rel=1e-15)
 
     def test_partial_isometry(self):

@@ -21,7 +21,8 @@ from rkhs_invlab import (DomainError, FilterSpec, ParameterError,
                          make_source_solution, perturb_data,
                          problem_from_descriptor, resolve_w_spec,
                          solve_continuous, verify)
-from rkhs_invlab.spectral_model import _FACTOR_WIDTH, _sine_factor_tables
+from rkhs_invlab.spectral_model import (_FACTOR_WIDTH, _sine_factor_tables,
+                                       grid_aliasing)
 
 
 class TestBuildPowerLawProblem:
@@ -62,7 +63,7 @@ class TestBuildPowerLawProblem:
 
     def test_direct_construction_validates_monotonicity(self):
         with pytest.raises(ParameterError):
-            SpectralProblem(mu=np.array([0.25, 1.0]), decay_b=2.0, decay_d=1.0)
+            SpectralProblem(mu=np.array([0.25, 1.0]))
 
 
 class TestMakeSourceSolution:
@@ -204,6 +205,24 @@ class TestBasisMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * x.size * problem.size * 8
+
+
+class TestGridAliasing:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 25, 50, 100, 199, 200, 201,
+                                   400, 801])
+    def test_matches_basis_product(self, n):
+        # M = u'u / n on the midpoint grid: D_m sign_j sign_k where modes j
+        # and k share the alias class m, 0 elsewhere (gaps up to 8.9e-14,
+        # at n = 1).  n = 1..7 alias every mode, 199..201 a few past n = J,
+        # and 400 and 801 none.
+        problem = build_power_law_problem(200, 2.0, 1.0)
+        u = basis_matrix(problem, (np.arange(1, n + 1) - 0.5) / n)
+        classes, signs, weights = grid_aliasing(problem, n)
+        same = classes[:, None] == classes[None, :]
+        gram = same * np.outer(signs, signs) * weights[:, None]
+        npt.assert_allclose(gram, u.T @ u / n, rtol=0, atol=1e-12)
+        assert set(weights) <= {0.0, 1.0, 2.0}
+        assert np.all((weights == 0) == (classes == 0))
 
 
 def factor_basis(x, size):
