@@ -8,8 +8,8 @@ Subcommands:
 
 Exit codes: 0 success / all verdicts pass, 1 a verdict or check failed,
 2 malformed input (bad flags, missing or invalid config), 3 numerical
-failure such as a singular linear solve (``NumericalError``; no report is
-written).
+failure such as a singular linear solve (``NumericalError``) or a valid
+config that runs out of memory (``MemoryError``); no report is written.
 """
 
 import argparse
@@ -84,6 +84,9 @@ def _cmd_run(args):
         report = run_study(config)
     except NumericalError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     except (InvlabError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,6 @@ import operator
 import statistics
 import time
 from dataclasses import asdict, dataclass, field, fields
-from types import NoneType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,26 +29,23 @@ from .errors import NumericalError, ValidationError
 from .rates import (RateFit, classical_exponents, convert_upper, delta_of,
                     epsilon_lambda, fit_rate, lambda_schedule,
                     statistical_exponents, hs_norm)
-from .regularization import (FilterSpec, estimator_learn, kernel_tikhonov,
-                             solve_continuous)
+from .regularization import (_FILTER_SPECS, FilterSpec, estimator_learn,
+                             kernel_tikhonov, solve_continuous)
 from .rkhs import correspondence_pullback, rkhs_norm
 from .sampling import (_DESIGNS, _PERTURBATION_MODES, PerturbationSpec,
                        perturb_data, sample_design, sample_outputs,
                        _uniform_design)
-from .spectral_model import (_FACTOR_WIDTH, _W_SPECS, basis_matrix,
-                             forward_data, grid_aliasing,
-                             problem_from_descriptor, _sine_factor_tables)
+from .spectral_model import (_FACTOR_WIDTH, _finite_number, _integer,
+                             _positive_integer, _positive_number,
+                             _sine_factor_tables, basis_matrix,
+                             descriptor_faults, forward_data, grid_aliasing,
+                             problem_from_descriptor)
 
-# The filter each ``filter`` entry names, at a given lambda: Landweber runs
-# round(1 / lambda) iterations, at least one.
-_FILTER_SPECS = {"tikhonov": FilterSpec.tikhonov, "cutoff": FilterSpec.cutoff,
-                 "landweber": lambda lam: FilterSpec.landweber(
-                     max(1, round(1.0 / lam)))}
-
-# The types each converter of a config entry takes (booleans never): a null
-# dict or grid reads as empty, and sigma must be a number.
-_TAKES = {dict: (dict, NoneType), tuple: (list, tuple, NoneType),
-          float: (int, float)}
+# The values each converter of a config entry takes: a null dict or grid
+# reads as empty, and sigma is a number that float() holds finitely.
+_TAKES = {dict: lambda v: isinstance(v, (dict, type(None))),
+          tuple: lambda v: isinstance(v, (list, tuple, type(None))),
+          float: _finite_number}
 
 # Probability that lemma-check's mean-matches-continuous fails under the
 # claim at the default z_max: the largest of J independent |z| exceeds it.
@@ -107,25 +103,9 @@ def _median(values):
     return float((ordered[mid - 1] + ordered[mid]) / 2)
 
 
-def _finite(value):
-    """True for a finite number; booleans and strings are refused."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _positive_finite(value):
-    """True for a finite number > 0; booleans and strings are refused."""
-    return _finite(value) and value > 0
-
-
-def _is_int(value):
-    """True for an integer; booleans, floats and strings are refused."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _positive_int(value):
-    """True for an integer >= 1; booleans, floats and strings are refused."""
-    return _is_int(value) and value >= 1
+def _sample_count(value):
+    """True for an integer 1 <= n <= 2**53, each held exactly by float(n)."""
+    return _positive_integer(value) and value <= 2 ** 53
 
 
 def _increasing(valid):
@@ -144,30 +124,7 @@ def _one_of(*names):
 def _valid_schedule(schedule):
     """True for the entries c and exponent, both finite numbers > 0."""
     return set(schedule) == {"c", "exponent"} and all(
-        _positive_finite(v) for v in schedule.values())
-
-
-def _valid_w_spec(w_spec, size):
-    """A name of _W_SPECS, or ``size`` finite numbers (booleans refused);
-    the length is not judged against a ``size`` that is itself invalid."""
-    if isinstance(w_spec, str):
-        return w_spec in _W_SPECS
-    return (isinstance(w_spec, (list, tuple))
-            and (not _positive_int(size) or len(w_spec) == size)
-            and all(_finite(v) for v in w_spec))
-
-
-def _problem_faults(problem):
-    """The keys of a problem entry at fault: J, b, d, r and w_spec must
-    each pass their rule (the decay exponent b must exceed 1), the optional
-    seed must be an integer, and any other key is read by nothing."""
-    rest = {"seed": 0, **problem}
-    rules = {"J": _positive_int, "b": lambda b: _finite(b) and b > 1,
-             "d": _positive_finite, "r": _positive_finite,
-             "w_spec": lambda w: _valid_w_spec(w, problem.get("J")),
-             "seed": _is_int}
-    return ([key for key, valid in rules.items()
-             if not valid(rest.pop(key, None))] + list(rest))
+        _positive_number(v) for v in schedule.values())
 
 
 def _invalid(fields):
@@ -200,43 +157,44 @@ class StudyConfig:
 
     Each field is the config entry of the same name, except ``lam``, the
     entry ``lambda`` (a Python keyword), and its metadata holds the entry's
-    value rule (``_rule``).  ``from_dict`` reads, ``to_dict`` echoes and
-    ``validate`` judges the entries from these fields, so a new entry is a
-    field with its rule, and each kind that reads it lists it in its
-    ``_STUDIES`` row.
+    value rule (``_rule``).  ``from_dict`` reads and ``validate`` judges the
+    entries from these fields, and ``to_dict`` echoes those the kind reads
+    (``_reads``).  So a new entry is a field with its rule, and each kind
+    that reads it lists it in its ``_STUDIES`` row.  The ``problem`` keys'
+    rules sit beside their builder (``spectral_model.descriptor_faults``).
     """
 
     kind: str = field(default="",
                       metadata=_rule(lambda v: _study_of(v) is not None))
-    # each key has its own rule, and is named problem.<key>: _problem_faults
+    # each key has its own rule, and is named problem.<key>: descriptor_faults
     problem: dict = field(default_factory=dict, metadata=_rule(None, dict))
     filter: str = field(default="tikhonov",
                         metadata=_rule(_one_of(*_FILTER_SPECS)))
     design: str = field(default="grid",
                         metadata=_rule(_one_of(*_DESIGNS)))
-    sigma: float = field(default=0.0, metadata=_rule(_positive_finite, float))
+    sigma: float = field(default=0.0, metadata=_rule(_positive_number, float))
     n_grid: tuple = field(default=(),
-                          metadata=_rule(_increasing(_positive_int), tuple))
+                          metadata=_rule(_increasing(_sample_count), tuple))
     delta_grid: tuple = field(
-        default=(), metadata=_rule(_increasing(_positive_finite), tuple))
+        default=(), metadata=_rule(_increasing(_positive_number), tuple))
     schedule: dict = field(default_factory=dict,  # {"c", "exponent"}
                            metadata=_rule(_valid_schedule, dict))
     lam: float | None = field(default=None,
-                              metadata=_rule(_positive_finite, key="lambda"))
-    n: int | None = field(default=None, metadata=_rule(_positive_int))
+                              metadata=_rule(_positive_number, key="lambda"))
+    n: int | None = field(default=None, metadata=_rule(_sample_count))
     perturbation: str = field(default="filter-adversarial",
                               metadata=_rule(_one_of(*_PERTURBATION_MODES)))
     perturbation_index: int | None = field(default=None,
-                                           metadata=_rule(_positive_int))
+                                           metadata=_rule(_positive_integer))
     theory: str = field(default="classical",
                         metadata=_rule(_one_of("classical", "converted")))
     # None under the converted theory: the nominal gamma of the rates
     gamma: float | None = field(default=None, metadata=_rule(
-        lambda v: v is None or _positive_finite(v)))
-    replicates: int = field(default=1, metadata=_rule(_positive_int))
-    seed: int = field(default=0, metadata=_rule(_is_int))
+        lambda v: v is None or _positive_number(v)))
+    replicates: int = field(default=1, metadata=_rule(_positive_integer))
+    seed: int = field(default=0, metadata=_rule(_integer))
     tolerances: dict = field(default_factory=dict, metadata=_rule(
-        lambda t: all(_positive_finite(v) for v in t.values()), dict))
+        lambda t: all(_positive_number(v) for v in t.values()), dict))
 
     @staticmethod
     def from_dict(raw):
@@ -248,11 +206,10 @@ class StudyConfig:
         if bad:
             raise ValidationError(f"unknown config keys: {bad}", bad)
         converts = {key: entries[key].metadata["convert"] for key in raw}
-        # types are checked before anything is converted, so a value of the
-        # wrong type is named instead of raising out of float() or dict()
-        bad = [key for key, convert in converts.items() if convert and (
-            not isinstance(raw[key], _TAKES[convert])
-            or isinstance(raw[key], bool))]
+        # values are checked before anything is converted, so a value of
+        # the wrong type is named instead of raising out of float() or dict()
+        bad = [key for key, convert in converts.items()
+               if convert and not _TAKES[convert](raw[key])]
         if bad:
             raise _invalid(bad)
         config = StudyConfig(**{
@@ -262,36 +219,37 @@ class StudyConfig:
         config.validate()
         return config
 
-    def to_dict(self):
-        """The config entries, leaving out None, empty grids, a schedule
-        without ``c`` and det-rate's own entries on the other kinds."""
-        skip = {"schedule"} if self.schedule.get("c") is None else set()
-        if self.kind != "det-rate":
-            skip |= {"perturbation", "theory"}
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name not in skip and value is not None and value != ():
-                out[_config_key(f)] = (list(value) if isinstance(value, tuple)
-                                       else copy.copy(value))
-        return out
-
-    def validate(self):
-        """Name every entry at fault.  An entry the kind reads must pass
-        its rule.  Any other must keep its default, in value and type, so a
-        report never echoes a setting that had no effect; under an unknown
-        kind, which reads nothing, only one that breaks its rule is named."""
+    def _reads(self):
+        """The entries the kind reads: kind, problem, seed, tolerances and
+        its _STUDIES row, where det-rate reads gamma only under the converted
+        theory and perturbation_index only for a fixed-mode perturbation."""
         study = _study_of(self.kind)
         reads = {"kind", "problem", "seed", "tolerances",
                  *(study.reads if study else ())}
-        # det-rate reads gamma only under the converted theory and
-        # perturbation_index only for a fixed-mode perturbation
         if self.theory != "converted":
             reads.discard("gamma")
         if self.perturbation != "fixed-mode":
             reads.discard("perturbation_index")
+        return reads
+
+    def to_dict(self):
+        """The entries the kind reads (``_reads``), leaving out None."""
+        reads = self._reads()
+        values = {_config_key(f): getattr(self, f.name) for f in fields(self)}
+        return {key: list(v) if isinstance(v, tuple) else copy.copy(v)
+                for key, v in values.items()
+                if key in reads and v is not None}
+
+    def validate(self):
+        """Name every entry at fault.  An entry the kind reads (``_reads``)
+        must pass its rule, and the problem entry each rule of
+        ``descriptor_faults``, its keys named ``problem.<key>``.  Any other
+        entry must keep its default, in value and type, so a report never
+        echoes a setting that had no effect; under an unknown kind, which
+        reads nothing, only one that breaks its rule is named."""
+        study, reads = _study_of(self.kind), self._reads()
         defaults = StudyConfig()
-        bad = [f"problem.{key}" for key in _problem_faults(self.problem)]
+        bad = [f"problem.{key}" for key in descriptor_faults(self.problem)]
         for f in fields(self):
             key, value = _config_key(f), getattr(self, f.name)
             default, valid = getattr(defaults, f.name), f.metadata["valid"]
@@ -305,7 +263,7 @@ class StudyConfig:
         if study and not set(self.tolerances) <= set(study.tolerances):
             bad.append("tolerances")
         if self.kind == "lemma-check" and not (
-                _positive_int(self.replicates) and self.replicates >= 2):
+                _positive_integer(self.replicates) and self.replicates >= 2):
             bad.append("replicates")
         w_spec = self.problem.get("w_spec")
         if "schedule" in reads and isinstance(w_spec, str) and w_spec == "ones":
@@ -373,9 +331,7 @@ def _check(name, value, op, threshold):
 
 
 def _problem_of(config):
-    descriptor = dict(config.problem)
-    descriptor.setdefault("seed", config.seed)
-    return problem_from_descriptor(descriptor)
+    return problem_from_descriptor({"seed": config.seed, **config.problem})
 
 
 def _finish(config, points, fit, theory, checks, started):

@@ -48,15 +48,16 @@ def _half_grid(q):
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """A spectral filter s_lambda of one family; ``m`` is Landweber's
-    iteration count.  ``certify_filter`` checks the family's constants."""
+    """A spectral filter s_lambda of the family ``kind``, a name of
+    ``_FILTER_SPECS``; ``m`` is Landweber's iteration count.
+    ``certify_filter`` checks the family's constants."""
 
     kind: str
     lam: float
     m: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("tikhonov", "cutoff", "landweber"):
+        if self.kind not in _FILTER_SPECS:
             raise ParameterError(f"unknown filter kind: {self.kind!r}")
         if self.lam <= 0.0:
             raise ParameterError("lambda must be positive")
@@ -124,6 +125,13 @@ class FilterSpec:
         return self.on_spectrum(problem) * problem.sigma_sv
 
 
+# The filter each family name gives at a given lambda: Landweber runs
+# round(1 / lambda) iterations, at least one.
+_FILTER_SPECS = {"tikhonov": FilterSpec.tikhonov, "cutoff": FilterSpec.cutoff,
+                 "landweber": lambda lam: FilterSpec.landweber(
+                     max(1, round(1.0 / lam)))}
+
+
 # The certified constants C_nu of each family: C_nu lambda^nu dominates
 # t^nu (1 - t s(t)) for each Hoelder exponent nu on the half-integers up to
 # the qualification (1 for Tikhonov, capped at 8 for the others).  Every
@@ -146,13 +154,12 @@ def certify_filter(kind, problem, n_lambda=50, n_t=10_000):
     """
     t = np.exp(np.linspace(np.log(problem.mu[-1]), np.log(problem.mu[0]), n_t))
     if kind == "landweber":
-        ms = np.unique(np.geomspace(1, 10_000, n_lambda).astype(int))
-        filters = [FilterSpec.landweber(int(m)) for m in ms]
+        # lambda = 1/m gives back m iterations, m <= 10,000
+        lams = 1.0 / np.unique(np.geomspace(1, 10_000, n_lambda).astype(int))
     else:
         lams = np.exp(np.linspace(np.log(problem.mu[-1]),
                                   np.log(problem.mu[0]), n_lambda))
-        maker = FilterSpec.tikhonov if kind == "tikhonov" else FilterSpec.cutoff
-        filters = [maker(l) for l in lams]
+    filters = [_FILTER_SPECS[kind](lam) for lam in lams]
     margin_d = margin_e = margin_q = np.inf
     for filt in filters:
         s = filt.value(t)

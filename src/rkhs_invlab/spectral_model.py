@@ -17,6 +17,7 @@ float arrays of shape (J,): their coordinates in the shared sine basis.
 a pure function.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,46 +277,76 @@ _W_SPECS = {"ones": lambda size, seed: np.ones(size),
 
 
 def resolve_w_spec(w_spec, size, seed=0):
-    """Turn a source-element spec into a concrete vector.
+    """Turn a source-element spec, valid under ``descriptor_faults``, into
+    a concrete vector.
 
     "ones" gives (1, ..., 1); "unit-random" gives i.i.d. signs scaled to
     unit norm (drawn from the counter-based source stream of ``seed``);
     a sequence is used as-is.
     """
     if isinstance(w_spec, str):
-        if w_spec not in _W_SPECS:
-            raise ParameterError(f"unknown w_spec: {w_spec!r}")
         return _W_SPECS[w_spec](size, seed)
-    w = np.asarray(w_spec, dtype=float)
-    if w.shape != (size,):
-        raise ShapeError("explicit w_spec has wrong length")
-    return w
+    return np.asarray(w_spec, dtype=float)
+
+
+def _integer(value):
+    """True for an integer of any type but bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _positive_integer(value):
+    """True for an integer >= 1."""
+    return _integer(value) and value >= 1
+
+
+def _finite_number(value):
+    """True for a finite number of any type; booleans, strings and an
+    integer beyond the float range are refused."""
+    try:
+        return (isinstance(value, (int, float, np.integer, np.floating))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # math.isfinite of an integer beyond 2**1024
+        return False
+
+
+def _positive_number(value):
+    """True for a finite number > 0."""
+    return _finite_number(value) and value > 0
+
+
+def descriptor_faults(descriptor):
+    """The keys of a problem descriptor at fault, in rule order: J must be
+    an integer >= 1, b a finite number > 1, d and r finite numbers > 0,
+    w_spec a name of _W_SPECS or J finite numbers (its length is judged
+    only against a valid J) and the optional seed an integer.  Any other key
+    is read by nothing."""
+    size = descriptor.get("J")
+    rules = {"J": _positive_integer,
+             "b": lambda b: _finite_number(b) and b > 1,
+             "d": _positive_number, "r": _positive_number,
+             "w_spec": lambda w: w in _W_SPECS if isinstance(w, str) else (
+                 isinstance(w, (list, tuple))
+                 and (not _positive_integer(size) or len(w) == size)
+                 and all(_finite_number(v) for v in w)),
+             "seed": _integer}
+    rest = {"seed": 0, **descriptor}
+    return ([key for key, valid in rules.items()
+             if not valid(rest.pop(key, None))] + list(rest))
 
 
 def problem_from_descriptor(descriptor):
     """Build (problem, f) from a JSON-style descriptor, f = mu**r w.
 
-    Expected keys: J, b, d, r, w_spec and, optionally, seed (default 0).
-    J and seed must be integers; a float or a boolean is refused, not
-    truncated or read as 0 or 1.  b, d and r must be numbers; a string, a
-    boolean or None is refused, not converted.
+    The keys and their rules are those of ``descriptor_faults``, seed
+    defaulting to 0; a ``ParameterError`` names every key at fault.  No value
+    is converted to pass: a float J is not truncated, a boolean is not read
+    as 0 or 1 and a string is not parsed.
     """
-    try:
-        size = descriptor["J"]
-        b, d, r = descriptor["b"], descriptor["d"], descriptor["r"]
-        w_spec = descriptor["w_spec"]
-        seed = descriptor.get("seed", 0)
-    except KeyError as exc:
-        raise ParameterError(f"descriptor is missing key {exc}") from exc
-    integer, number = (int, np.integer), (int, float, np.integer, np.floating)
-    for key, value, types in (("J", size, integer), ("seed", seed, integer),
-                              ("b", b, number), ("d", d, number),
-                              ("r", r, number)):
-        if not isinstance(value, types) or isinstance(value, bool):
-            noun = "an integer" if types is integer else "a number"
-            raise ParameterError(f"descriptor key {key!r} must be {noun}, "
-                                 f"got {value!r}")
-    problem = build_power_law_problem(size, float(b), float(d))
-    truth = make_source_solution(problem, float(r),
-                                 resolve_w_spec(w_spec, size, seed))
-    return problem, truth
+    faults = descriptor_faults(descriptor)
+    if faults:
+        raise ParameterError(f"problem descriptor keys at fault: {faults}")
+    size = int(descriptor["J"])
+    problem = build_power_law_problem(size, float(descriptor["b"]),
+                                      float(descriptor["d"]))
+    w = resolve_w_spec(descriptor["w_spec"], size, descriptor.get("seed", 0))
+    return problem, make_source_solution(problem, float(descriptor["r"]), w)

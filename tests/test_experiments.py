@@ -8,13 +8,15 @@ rows that do not depend on the other replicates and for building no basis;
 on both, for determinism and the JSON round trip; stat-rate's median
 against ``np.median`` and for the numpy.ma import it avoids; the
 kernel-side study kinds for verdict, determinism and the JSON round trip;
-config validation and ``rkhs-invlab run`` for their exit codes, overflow
-included.
+config validation, the problem builder's agreement with it and the config
+echo; ``rkhs-invlab run`` for its exit codes, overflow and running out of
+memory included.
 """
 
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -24,8 +26,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rkhs_invlab import (FilterSpec, NumericalError, StudyConfig,
-                         StudyReport, ValidationError, basis_matrix,
+from rkhs_invlab import (FilterSpec, NumericalError, ParameterError,
+                         StudyConfig, StudyReport, ValidationError,
+                         basis_matrix,
                          equivalence_deviations, estimator_learn,
                          estimator_paper, experiments, forward_data,
                          kernel_tikhonov, lambda_schedule,
@@ -437,8 +440,9 @@ def test_read_entries_are_accepted_and_round_trip(kind):
     assert StudyConfig.from_dict(config.to_dict()) == config
 
 
-# The exact config echo of FULL_RAW: None, empty grids and, off det-rate,
-# det-rate's perturbation and theory are left out.
+# The exact config echo of FULL_RAW: the entries each kind reads, so
+# det-rate echoes no design, sigma or replicates, and gamma-study and
+# equivalence-check no filter, sigma or replicates.
 FULL_ECHO = {
     "stat-rate": {"kind": "stat-rate", "problem": PROBLEM,
                   "filter": "cutoff", "design": "iid-uniform",
@@ -446,32 +450,52 @@ FULL_ECHO = {
                   "schedule": {"c": 1.0, "exponent": 1.0 / 3.5},
                   "replicates": 3, "seed": SEED, "tolerances": {}},
     "det-rate": {"kind": "det-rate", "problem": KERNEL_PROBLEM,
-                 "filter": "landweber", "design": "grid", "sigma": 0.0,
-                 "delta_grid": DELTAS,
+                 "filter": "landweber", "delta_grid": DELTAS,
                  "schedule": {"c": 1.0, "exponent": 2.0 / 3.0},
                  "perturbation": "fixed-mode", "perturbation_index": 2,
-                 "theory": "converted", "gamma": 1.75, "replicates": 1,
-                 "seed": SEED, "tolerances": {}},
+                 "theory": "converted", "gamma": 1.75, "seed": SEED,
+                 "tolerances": {}},
     "lemma-check": {"kind": "lemma-check", "problem": PROBLEM,
                     "filter": "cutoff", "design": "iid-uniform",
                     "sigma": SIGMA, "lambda": 0.05, "n": 100,
                     "replicates": REPLICATES, "seed": SEED,
                     "tolerances": {}},
     "gamma-study": {"kind": "gamma-study", "problem": KERNEL_PROBLEM,
-                    "filter": "tikhonov", "design": "grid", "sigma": 0.0,
                     "n_grid": [25, 50, 100, 200], "lambda": 1e-3,
-                    "replicates": 1, "seed": SEED, "tolerances": {}},
+                    "seed": SEED, "tolerances": {}},
     "equivalence-check": {"kind": "equivalence-check",
-                          "problem": KERNEL_PROBLEM, "filter": "tikhonov",
-                          "design": "iid-uniform", "sigma": 0.0,
-                          "lambda": 1e-3, "n": 60, "replicates": 1,
-                          "seed": SEED, "tolerances": {}},
+                          "problem": KERNEL_PROBLEM, "design": "iid-uniform",
+                          "lambda": 1e-3, "n": 60, "seed": SEED,
+                          "tolerances": {}},
 }
 
 
 @pytest.mark.parametrize("kind", sorted(FULL_ECHO))
 def test_config_echo_is_pinned(kind):
     assert StudyConfig.from_dict(FULL_RAW[kind]).to_dict() == FULL_ECHO[kind]
+
+
+# det-rate under each theory and perturbation mode: gamma is read under the
+# converted theory and perturbation_index for a fixed-mode perturbation.
+ECHO_CASES = FULL_RAW | {
+    f"det-rate-{theory}-{mode}": dict(
+        BASE_RAW["det-rate"], theory=theory, perturbation=mode,
+        **({"gamma": 1.75} if theory == "converted" else {}),
+        **({"perturbation_index": 2} if mode == "fixed-mode" else {}))
+    for theory in ("classical", "converted")
+    for mode in ("filter-adversarial", "random-unit", "fixed-mode")}
+
+
+@pytest.mark.parametrize("name", sorted(ECHO_CASES))
+def test_config_echo_is_what_the_kind_reads(name):
+    raw = ECHO_CASES[name]
+    reads = {"kind", "problem", "seed", "tolerances",
+             *experiments._STUDIES[raw["kind"]].reads}
+    if raw.get("theory") != "converted":
+        reads.discard("gamma")
+    if raw.get("perturbation") != "fixed-mode":
+        reads.discard("perturbation_index")
+    assert set(StudyConfig.from_dict(raw).to_dict()) == reads
 
 
 # Each entry each kind reads, with a value its rule refuses.  det-rate
@@ -710,6 +734,16 @@ BAD_FIELDS = {
                                problem=dict(KERNEL_PROBLEM, b=b)),
                           "problem.b")
        for b in (1.0, 0.5)},
+    # d and r are finite, not NaN or infinite numbers that build a problem
+    # of NaN or infinite eigenvalues and truths; b is no integer beyond the
+    # float range, which float() and math.isfinite raise on
+    **{f"problem-{key}-{name}": (dict(det_rate_raw("tikhonov"),
+                                      problem=dict(KERNEL_PROBLEM,
+                                                   **{key: value})),
+                                 f"problem.{key}")
+       for key, name, value in (("r", "nan", math.nan), ("r", "inf", math.inf),
+                                ("d", "inf", math.inf),
+                                ("b", "1e400", 10 ** 400))},
     "problem-J-list": (dict(det_rate_raw("tikhonov"),
                             problem=dict(KERNEL_PROBLEM, J=[KERNEL_J])),
                        "problem.J"),
@@ -725,11 +759,25 @@ BAD_FIELDS = {
            ("string", ["a"] * KERNEL_J),
            ("bool", [True, False] * (KERNEL_J // 2)),
            ("inf", [math.inf] + [0.0] * (KERNEL_J - 1)),
+           ("1e400", [10 ** 400] + [0.0] * (KERNEL_J - 1)),
            ("length", [1.0] * (KERNEL_J - 1)),
            # only the names resolve_w_spec resolves
            ("unknown-name", "bogus"))},
     "sigma-nan": (dict(lemma_check_config("grid").to_dict(),
                        sigma=math.nan), "sigma"),
+    # an integer float() cannot hold is named, not an OverflowError
+    "sigma-1e400": (dict(lemma_check_config("grid").to_dict(),
+                         sigma=10 ** 400), "sigma"),
+    "lambda-1e400": (dict(lemma_check_config("grid").to_dict(),
+                          **{"lambda": 10 ** 400}), "lambda"),
+    # a sample count is at most 2**53, which float(n) holds exactly: grid
+    # studies raised out of grid_aliasing at n = 2**62 and beyond
+    **{f"n-{name}": (dict(lemma_check_config("grid").to_dict(), n=n), "n")
+       for name, n in (("2**53+1", 2 ** 53 + 1), ("2**62", 2 ** 62),
+                       ("1e30", 10 ** 30))},
+    **{f"n_grid-{name}": (dict(stat_rate_config("grid").to_dict(),
+                               n_grid=[100, n]), "n_grid")
+       for name, n in (("2**53+1", 2 ** 53 + 1), ("1e30", 10 ** 30))},
     # values refused instead of silently coerced
     "replicates-float": (dict(det_rate_raw("tikhonov"), replicates=2.5),
                          "replicates"),
@@ -768,6 +816,22 @@ def test_invalid_field_is_named_and_exits_two(name, tmp_path):
     assert info.value.fields == (bad,)
     assert run_cli(tmp_path, raw) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, (raw, bad) in BAD_FIELDS.items()
+    if bad.startswith("problem.")))
+def test_problem_fault_is_named_by_the_builder(name):
+    # the study config and the public builder judge a problem by one rule
+    raw, bad = BAD_FIELDS[name]
+    key = bad.removeprefix("problem.")
+    with pytest.raises(ParameterError, match=re.escape(repr(key))):
+        problem_from_descriptor(raw["problem"])
+
+
+def test_largest_sample_count_is_accepted():
+    raw = dict(lemma_check_config("grid").to_dict(), n=2 ** 53)
+    assert StudyConfig.from_dict(raw).n == 2 ** 53
 
 
 def run_cli(tmp_path, raw, *extra):
@@ -829,6 +893,20 @@ def test_cli_run_exit_three_on_numerical_failure(tmp_path, monkeypatch,
     assert not (tmp_path / "out").exists()
     assert ("numerical failure: kernel system is singular"
             in capsys.readouterr().err)
+
+
+def test_cli_run_exit_three_on_memory_error(tmp_path, monkeypatch, capsys):
+    # raised, not allocated: under overcommit an allocation of any size
+    # can succeed and fail only when written
+    message = "Unable to allocate 7.28 TiB for an array"
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(experiments, "_replicate_coeffs", out_of_memory)
+    assert run_cli(tmp_path, lemma_check_config("iid-uniform").to_dict()) == 3
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
 
 
 # A finite sigma passes validation but can overflow a study's squared

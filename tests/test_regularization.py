@@ -17,6 +17,7 @@ from rkhs_invlab import (DomainError, FilterSpec, ModelError, ParameterError,
                          estimator_paper, fit_rate, forward_data,
                          kernel_tikhonov, make_source_solution, sample_design,
                          sample_outputs, solve_continuous, verify)
+from rkhs_invlab.regularization import _FILTER_SPECS
 
 
 def clean_samples(problem, truth, design):
@@ -56,6 +57,22 @@ class TestFilterValue:
             FilterSpec.tikhonov(0.0)
         with pytest.raises(ParameterError):
             FilterSpec.landweber(0)
+
+    @pytest.mark.parametrize("kind", ["tikhonov", "cutoff", "landweber"])
+    def test_each_family_name_builds_its_filter(self, kind):
+        # the one table of family names: a config's filter entry, the
+        # FilterSpec kinds and certify_filter all read it
+        filt = _FILTER_SPECS[kind](0.3)
+        assert filt.kind == kind
+        assert FilterSpec(kind=kind, lam=filt.lam, m=filt.m) == filt
+
+    def test_unknown_family_is_refused(self):
+        with pytest.raises(ParameterError, match="'bogus'"):
+            FilterSpec(kind="bogus", lam=0.1)
+
+    def test_landweber_runs_round_one_over_lambda_iterations(self):
+        assert _FILTER_SPECS["landweber"](0.3).m == 3
+        assert _FILTER_SPECS["landweber"](5.0).m == 1
 
     def test_landweber_matches_direct_sum(self):
         rng = np.random.default_rng(3)
