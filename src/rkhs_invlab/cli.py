@@ -144,7 +144,7 @@ def _cmd_info(args):
         problem = build_power_law_problem(args.J, args.b, args.d)
         lams = np.exp(np.linspace(np.log(10 * problem.mu[-1]),
                                   np.log(problem.mu[0]), args.lambda_points))
-        hs = {f"{lam:.6g}": hs_norm(problem, FilterSpec.tikhonov(lam))
+        hs = {f"{lam:.6g}": hs_norm(problem, FilterSpec("tikhonov", lam))
               for lam in lams}
         payload = {
             "J": problem.size, "b": args.b, "d": args.d,

@@ -29,7 +29,7 @@ from .errors import NumericalError, ValidationError
 from .rates import (RateFit, classical_exponents, convert_upper, delta_of,
                     epsilon_lambda, fit_rate, lambda_schedule,
                     statistical_exponents, hs_norm)
-from .regularization import (_FILTER_SPECS, FilterSpec, estimator_learn,
+from .regularization import (_FAMILIES, FilterSpec, estimator_learn,
                              kernel_tikhonov, solve_continuous)
 from .rkhs import correspondence_pullback, rkhs_norm
 from .sampling import (_DESIGNS, _PERTURBATION_MODES, PerturbationSpec,
@@ -169,7 +169,7 @@ class StudyConfig:
     # each key has its own rule, and is named problem.<key>: descriptor_faults
     problem: dict = field(default_factory=dict, metadata=_rule(None, dict))
     filter: str = field(default="tikhonov",
-                        metadata=_rule(_one_of(*_FILTER_SPECS)))
+                        metadata=_rule(_one_of(*_FAMILIES)))
     design: str = field(default="grid",
                         metadata=_rule(_one_of(*_DESIGNS)))
     sigma: float = field(default=0.0, metadata=_rule(_positive_number, float))
@@ -246,7 +246,10 @@ class StudyConfig:
         ``descriptor_faults``, its keys named ``problem.<key>``.  Any other
         entry must keep its default, in value and type, so a report never
         echoes a setting that had no effect; under an unknown kind, which
-        reads nothing, only one that breaks its rule is named."""
+        reads nothing, only one that breaks its rule is named.  Across
+        entries, the filter family must be valid on mu_1 = problem.d (its
+        ``_FAMILIES`` row's bound), and a fixed-mode perturbation_index
+        must be at most problem.J."""
         study, reads = _study_of(self.kind), self._reads()
         defaults = StudyConfig()
         bad = [f"problem.{key}" for key in descriptor_faults(self.problem)]
@@ -270,6 +273,15 @@ class StudyConfig:
             # w = (1, ..., 1) has source radius sqrt(J), not a fixed source
             # element, so the rate theory does not apply to it
             bad.append("problem.w_spec")
+        # two rules across entries, judged where both entries pass their own
+        if ("filter" in reads and not {"filter", "problem.d"} & set(bad)
+                and _FAMILIES[self.filter].beyond(self.problem["d"])):
+            # mu_1 = d lies beyond the spectrum the family is valid on
+            bad += ["filter", "problem.d"]
+        if ("perturbation_index" in reads
+                and not {"perturbation_index", "problem.J"} & set(bad)
+                and self.perturbation_index > self.problem["J"]):
+            bad.append("perturbation_index")
         if bad:
             raise _invalid(bad)
 
@@ -456,7 +468,7 @@ def _run_stat_rate(config, started):
     for point_idx, n in enumerate(config.n_grid):
         lam = lambda_schedule("by-n", config.schedule["c"],
                               config.schedule["exponent"], n)
-        filt = _FILTER_SPECS[config.filter](lam)
+        filt = FilterSpec(config.filter, lam)
         first = point_idx * replicates
         # squared errors formed in place: R-by-J temporaries would stay in
         # the heap and raise the peak resident memory of the next point
@@ -498,7 +510,7 @@ def _run_det_rate(config, started):
     for point_idx, delta in enumerate(config.delta_grid):
         lam = lambda_schedule("by-delta", config.schedule["c"],
                               config.schedule["exponent"], delta)
-        filt = _FILTER_SPECS[config.filter](lam)
+        filt = FilterSpec(config.filter, lam)
         spec = PerturbationSpec(delta=delta, mode=config.perturbation,
                                 index=config.perturbation_index, filter=filt)
         y_delta = perturb_data(problem, y_clean, spec, config.seed,
@@ -529,7 +541,7 @@ def _run_lemma_check(config, started):
     the sampled risk at noise level Delta(n, lambda)."""
     problem, truth = _problem_of(config)
     n = int(config.n)
-    filt = _FILTER_SPECS[config.filter](config.lam)
+    filt = FilterSpec(config.filter, config.lam)
     replicates = config.replicates
     coeff_rows = _replicate_coeffs(config, problem, truth, filt, n,
                                    range(replicates))
@@ -592,7 +604,7 @@ def _run_gamma_study(config, started):
     below it are roundoff and are not ranked."""
     problem, truth = _problem_of(config)
     lam = float(config.lam)
-    filt = FilterSpec.tikhonov(lam)
+    filt = FilterSpec("tikhonov", lam)
     g_cont = problem.mu * forward_data(problem, truth) / (problem.mu + lam)
     g_norm = rkhs_norm(problem, g_cont)
     points = []
@@ -657,7 +669,7 @@ def equivalence_deviations(problem, samples, lam, seed=0):
         pullback_dev = max(pullback_dev,
                            float(np.linalg.norm(roundtrip - g2))
                            / float(np.linalg.norm(g2)))
-    learn = estimator_learn(problem, FilterSpec.tikhonov(lam), samples)
+    learn = estimator_learn(problem, FilterSpec("tikhonov", lam), samples)
     kernel_side = kernel_tikhonov(problem, samples, lam)
     g_norm = float(np.linalg.norm(kernel_side.g_coeffs))
     forward_learn = forward_data(problem, learn)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DomainError, ModelError, ParameterError, ShapeError
 from .regularization import solve_continuous
-from .spectral_model import forward_data
+from .spectral_model import _positive_number, _refuse_faults, forward_data
 
 
 def hs_norm(problem, filt):
@@ -107,7 +107,8 @@ class RateExponents:
     ``alpha`` is the squared-error rate exponent, ``p`` the sample-count
     schedule exponent (lambda_n ~ n^-p), ``p_star`` the noise-level
     schedule exponent (lambda_delta ~ delta^p_star), ``gamma`` the bias
-    ratio exponent (eps ~ lambda^gamma).
+    ratio exponent (eps ~ lambda^gamma).  Each given exponent is a finite
+    number > 0.
     """
 
     alpha: float
@@ -118,8 +119,9 @@ class RateExponents:
     def __post_init__(self):
         for name in ("alpha", "gamma", "p", "p_star"):
             value = getattr(self, name)
-            if value is not None and value <= 0.0:
-                raise ParameterError(f"{name} must be positive")
+            if value is not None and not _positive_number(value):
+                raise ParameterError(f"{name} must be a finite number > 0, "
+                                     f"got {value!r}")
 
 
 class ConvertedRate(NamedTuple):
@@ -178,12 +180,10 @@ def loss_factor_tau(r, b, variant="general"):
     """Exponent ratio between noise-level-optimal and converted rates.
 
     general:  (2r + 1 + 1/b) / (2r + 1), always in (1, 2);
-    tikhonov: (2r + 1 + 2/b) / (2r + 1), always in (1, 3).
+    tikhonov: (2r + 1 + 2/b) / (2r + 1), always in (1, 3).  r and b must
+    pass their rules (``spectral_model._MODEL_RULES``).
     """
-    if r <= 0.0:
-        raise ParameterError("r must be positive")
-    if b <= 1.0:
-        raise ParameterError("b must exceed 1")
+    _refuse_faults(r=r, b=b)
     if variant == "general":
         return (2.0 * r + 1.0 + 1.0 / b) / (2.0 * r + 1.0)
     if variant == "tikhonov":
@@ -197,10 +197,9 @@ def statistical_exponents(r, b, gamma=None):
     alpha = 2r/(2r+1+1/b) with lambda_n ~ n^(-1/(2r+1+1/b)); the
     noise-level-optimal schedule exponent p_star = 2/(2r+1) is attached for
     lower-rate conversion.  gamma defaults to the nominal Tikhonov value
-    r + 1/2.
+    r + 1/2.  r and b must pass their rules (``spectral_model._MODEL_RULES``).
     """
-    if r <= 0.0 or b <= 1.0:
-        raise ParameterError("need r > 0 and b > 1")
+    _refuse_faults(r=r, b=b)
     denom = 2.0 * r + 1.0 + 1.0 / b
     return RateExponents(alpha=2.0 * r / denom, p=1.0 / denom,
                          p_star=2.0 / (2.0 * r + 1.0),

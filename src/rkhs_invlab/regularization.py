@@ -21,66 +21,88 @@ learn-n against it and measure its first-order optimality for the
 penalized empirical risk.  Every study fit, gamma-study's included, runs
 in J-space.
 
-Filter families implemented: Tikhonov s(t) = 1/(t + lambda) with
-qualification 1; spectral cutoff s(t) = 1/t for t >= lambda (qualification
-unbounded, tabulated to 8); Landweber with m iterations, lambda = 1/m,
-s(t) = sum_{k<m} (1-t)^k, valid on spectra bounded by 1.
+Each filter family is one row of ``_FAMILIES``: Tikhonov s(t) = 1/(t +
+lambda), of qualification 1; spectral cutoff s(t) = 1/t for t >= lambda and
+Landweber s(t) = sum_{k<m} (1-t)^k, m = round(1/lambda), on spectra bounded
+by 1, both of unbounded qualification (certified to 8).
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import (DomainError, ModelError, NumericalError, ParameterError,
                      ShapeError)
 from .rkhs import _gram_entries
-from .spectral_model import basis_matrix
+from .spectral_model import _positive_number, basis_matrix
 
 _QUALIFICATION_CAP = 8.0
 
 
-def _half_grid(q):
-    steps = int(round(2 * q))
-    return [k / 2.0 for k in range(steps + 1)]
+def _landweber(t, lam):
+    """The m = round(1/lambda) step geometric sum (1 - (1-t)^m)/t, stable
+    via expm1/log1p; the t -> 0 limit is m, at t = 1 the value is 1."""
+    m = round(1.0 / lam)
+    out = np.full_like(t, float(m))
+    pos = t > 0
+    with np.errstate(divide="ignore"):
+        out[pos] = -np.expm1(m * np.log1p(-np.minimum(t[pos], 1.0))) / t[pos]
+    return out
+
+
+class _Family(NamedTuple):
+    """One filter family: s_lambda(t) on t >= 0 as ``value(t, lam)``, the
+    largest spectrum value it is valid on, its qualification q and its
+    certified C_nu as ``c_nu(nu)``: C_nu lambda^nu dominates t^nu
+    |1 - t s(t)| at each Hoelder exponent nu <= q.  Every family has
+    D = E = 1: t s(t) <= 1 and lambda s(t) <= 1."""
+
+    value: Callable
+    spectrum_bound: float
+    qualification: float
+    c_nu: Callable
+
+    def beyond(self, t):
+        """True where t exceeds the spectrum bound beyond roundoff."""
+        return t > self.spectrum_bound + 1e-12
+
+
+_FAMILIES = {
+    # nu^nu (1 - nu)^(1 - nu), whose formula rounds up at nu = 1/2
+    "tikhonov": _Family(lambda t, lam: 1.0 / (t + lam), math.inf, 1.0,
+                        lambda nu: 0.5 if nu == 0.5 else 1.0),
+    "cutoff": _Family(
+        lambda t, lam: np.where(t >= lam, 1.0 / np.where(t > 0, t, 1.0), 0.0),
+        math.inf, math.inf, lambda nu: 1.0),
+    # (nu/e)^nu, which is 1 at nu = 0
+    "landweber": _Family(_landweber, 1.0, math.inf,
+                         lambda nu: (nu / math.e) ** nu),
+}
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """A spectral filter s_lambda of the family ``kind``, a name of
-    ``_FILTER_SPECS``; ``m`` is Landweber's iteration count.
-    ``certify_filter`` checks the family's constants."""
+    """The spectral filter s_lambda of the family ``kind``, a name of
+    ``_FAMILIES``, at ``lam``: a finite number > 0, stored as a float.
+    Landweber runs m = round(1/lambda) iterations, at least one, so its
+    lambda is stored as 1/m.  ``certify_filter`` checks the family's
+    constants."""
 
     kind: str
     lam: float
-    m: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _FILTER_SPECS:
+        if self.kind not in _FAMILIES:
             raise ParameterError(f"unknown filter kind: {self.kind!r}")
-        if self.lam <= 0.0:
-            raise ParameterError("lambda must be positive")
-
-    @staticmethod
-    def tikhonov(lam):
-        """s(t) = 1/(t + lambda)."""
-        return FilterSpec(kind="tikhonov", lam=float(lam))
-
-    @staticmethod
-    def cutoff(lam):
-        """s(t) = 1/t on t >= lambda, else 0."""
-        return FilterSpec(kind="cutoff", lam=float(lam))
-
-    @staticmethod
-    def landweber(m):
-        """m-step Landweber, lambda = 1/m.
-
-        Valid only on spectra contained in (0, 1].
-        """
-        if m < 1:
-            raise ParameterError("landweber needs at least one iteration")
-        return FilterSpec(kind="landweber", lam=1.0 / int(m), m=int(m))
+        if not _positive_number(self.lam):
+            raise ParameterError(
+                f"lambda must be a finite number > 0: {self.lam!r}")
+        lam = float(self.lam)
+        if self.kind == "landweber":
+            lam = 1.0 / max(1, round(1.0 / lam))
+        object.__setattr__(self, "lam", lam)
 
     def value(self, t):
         """s_lambda(t) for t > 0 (scalar or array)."""
@@ -91,21 +113,14 @@ class FilterSpec:
         return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
     def _evaluate(self, t):
-        """s_lambda on a float array of t >= 0; Landweber refuses t > 1."""
-        if self.kind == "tikhonov":
-            return 1.0 / (t + self.lam)
-        if self.kind == "cutoff":
-            return np.where(t >= self.lam, 1.0 / np.where(t > 0, t, 1.0), 0.0)
-        if np.any(t > 1.0 + 1e-12):
-            raise ModelError("landweber requires a spectrum bounded by 1; "
-                             "rescale the problem so mu_1 <= 1")
-        # Landweber geometric sum (1 - (1-t)^m)/t, stable via expm1/log1p;
-        # the t -> 0 limit is m, at t = 1 the value is 1.
-        out = np.full_like(t, float(self.m))
-        pos = t > 0
-        with np.errstate(divide="ignore"):
-            out[pos] = -np.expm1(self.m * np.log1p(-np.minimum(t[pos], 1.0))) / t[pos]
-        return out
+        """s_lambda on a float array of t >= 0; refuses a t beyond the
+        family's spectrum bound."""
+        family = _FAMILIES[self.kind]
+        if np.any(family.beyond(t)):
+            raise ModelError(f"{self.kind} requires a spectrum bounded by "
+                             f"{family.spectrum_bound:g}; rescale the "
+                             f"problem so mu_1 <= {family.spectrum_bound:g}")
+        return family.value(t, self.lam)
 
     def at_eigenvalues(self, eigs):
         """Filter applied to empirical eigenvalues; clips roundoff negatives.
@@ -125,50 +140,34 @@ class FilterSpec:
         return self.on_spectrum(problem) * problem.sigma_sv
 
 
-# The filter each family name gives at a given lambda: Landweber runs
-# round(1 / lambda) iterations, at least one.
-_FILTER_SPECS = {"tikhonov": FilterSpec.tikhonov, "cutoff": FilterSpec.cutoff,
-                 "landweber": lambda lam: FilterSpec.landweber(
-                     max(1, round(1.0 / lam)))}
-
-
-# The certified constants C_nu of each family: C_nu lambda^nu dominates
-# t^nu (1 - t s(t)) for each Hoelder exponent nu on the half-integers up to
-# the qualification (1 for Tikhonov, capped at 8 for the others).  Every
-# family has D = E = 1: t s(t) <= 1 and lambda s(t) <= 1.
-_C_NU = {
-    "tikhonov": {0.0: 1.0, 0.5: 0.5, 1.0: 1.0},
-    "cutoff": {nu: 1.0 for nu in _half_grid(_QUALIFICATION_CAP)},
-    # (nu/e)^nu, which is 1 at nu = 0
-    "landweber": {nu: (nu / math.e) ** nu
-                  for nu in _half_grid(_QUALIFICATION_CAP)},
-}
-
-
 def certify_filter(kind, problem, n_lambda=50, n_t=10_000):
     """Numerically verify the three filter bounds on a log t-grid.
 
-    Sweeps ``n_lambda`` filters across [mu_J, mu_1] (iteration counts for
-    Landweber) and returns the worst signed margins; nonnegative margins
-    mean the declared constants hold.
+    Sweeps ``n_lambda`` filters across [mu_J, mu_1] (Landweber's at
+    lambda = 1/m, m = 1 ... 10,000) and C_nu at the half-integers nu up to
+    min(q, _QUALIFICATION_CAP); returns the worst signed margins,
+    nonnegative where the declared constants hold.
     """
     t = np.exp(np.linspace(np.log(problem.mu[-1]), np.log(problem.mu[0]), n_t))
     if kind == "landweber":
-        # lambda = 1/m gives back m iterations, m <= 10,000
+        # every m from 1 up, which a sweep over [mu_J, mu_1] misses where
+        # mu_1 < 1
         lams = 1.0 / np.unique(np.geomspace(1, 10_000, n_lambda).astype(int))
     else:
         lams = np.exp(np.linspace(np.log(problem.mu[-1]),
                                   np.log(problem.mu[0]), n_lambda))
-    filters = [_FILTER_SPECS[kind](lam) for lam in lams]
+    filters = [FilterSpec(kind, lam) for lam in lams]
+    family = _FAMILIES[kind]
+    top = min(family.qualification, _QUALIFICATION_CAP)
     margin_d = margin_e = margin_q = np.inf
     for filt in filters:
         s = filt.value(t)
         margin_d = min(margin_d, 1.0 - np.max(np.abs(t * s)))
         margin_e = min(margin_e, 1.0 - np.max(np.abs(filt.lam * s)))
         residual = np.abs(1.0 - t * s)
-        for nu, c in _C_NU[kind].items():
+        for nu in np.arange(int(2 * top) + 1) / 2.0:
             lhs = np.max(t ** nu * residual)
-            margin_q = min(margin_q, c * filt.lam ** nu - lhs)
+            margin_q = min(margin_q, family.c_nu(nu) * filt.lam ** nu - lhs)
     return {"D": float(margin_d), "E": float(margin_e),
             "qualification": float(margin_q)}
 
@@ -229,8 +228,8 @@ def kernel_tikhonov(problem, samples, lam):
     u_j(x_i), and pulling g back to parameter space must reproduce the
     J-space Tikhonov ``estimator_learn`` solution.
     """
-    if lam <= 0.0:
-        raise ParameterError("lambda must be positive")
+    if not _positive_number(lam):
+        raise ParameterError(f"lambda must be a finite number > 0: {lam!r}")
     n = samples.size
     u = basis_matrix(problem, samples.design)
     system = _gram_entries(problem, u)

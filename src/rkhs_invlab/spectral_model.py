@@ -67,22 +67,17 @@ class SpectralProblem:
 def build_power_law_problem(size, b, d):
     """Construct the problem with mu_j = d j**(-b), j = 1..size.
 
-    Rejects size < 1, b <= 1 and d <= 0.
+    size, b and d must pass the rules of J, b and d (``_MODEL_RULES``).
     """
-    if size < 1:
-        raise ParameterError("truncation order must be at least 1")
-    if b <= 1.0:
-        raise ParameterError("decay exponent b must exceed 1")
-    if d <= 0.0:
-        raise ParameterError("decay constant d must be positive")
+    _refuse_faults(J=size, b=b, d=d)
     j = np.arange(1, size + 1, dtype=float)
     return SpectralProblem(mu=d * j ** (-b))
 
 
 def make_source_solution(problem, r, w):
-    """The source-condition solution f with coordinates mu_j**r w_j."""
-    if r <= 0.0:
-        raise ParameterError("smoothness r must be positive")
+    """The source-condition solution f with coordinates mu_j**r w_j; r
+    must pass its rule (``_MODEL_RULES``)."""
+    _refuse_faults(r=r)
     w = np.asarray(w, dtype=float)
     if w.shape != (problem.size,):
         raise ShapeError(f"w has length {w.size}, problem has {problem.size} modes")
@@ -314,16 +309,32 @@ def _positive_number(value):
     return _finite_number(value) and value > 0
 
 
+# The rule of each model parameter, with what it asks for: descriptor_faults
+# judges a descriptor by them, and the public builders and rate functions
+# refuse a value that breaks one (``_refuse_faults``).
+_MODEL_RULES = {"J": (_positive_integer, "an integer >= 1"),
+                "b": (lambda b: _finite_number(b) and b > 1,
+                      "a finite number > 1"),
+                "d": (_positive_number, "a finite number > 0"),
+                "r": (_positive_number, "a finite number > 0")}
+
+
+def _refuse_faults(**values):
+    """Raise a ParameterError naming the first of the model parameters
+    ``values`` (keyword J, b, d or r) that breaks its rule."""
+    for key, value in values.items():
+        valid, wanted = _MODEL_RULES[key]
+        if not valid(value):
+            raise ParameterError(f"{key} must be {wanted}, got {value!r}")
+
+
 def descriptor_faults(descriptor):
-    """The keys of a problem descriptor at fault, in rule order: J must be
-    an integer >= 1, b a finite number > 1, d and r finite numbers > 0,
-    w_spec a name of _W_SPECS or J finite numbers (its length is judged
-    only against a valid J) and the optional seed an integer.  Any other key
-    is read by nothing."""
+    """The keys of a problem descriptor at fault, in rule order: J, b, d and
+    r by ``_MODEL_RULES``, w_spec a name of _W_SPECS or J finite numbers
+    (its length is judged only against a valid J) and the optional seed an
+    integer.  Any other key is read by nothing."""
     size = descriptor.get("J")
-    rules = {"J": _positive_integer,
-             "b": lambda b: _finite_number(b) and b > 1,
-             "d": _positive_number, "r": _positive_number,
+    rules = {**{key: valid for key, (valid, _) in _MODEL_RULES.items()},
              "w_spec": lambda w: w in _W_SPECS if isinstance(w, str) else (
                  isinstance(w, (list, tuple))
                  and (not _positive_integer(size) or len(w) == size)

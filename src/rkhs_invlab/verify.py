@@ -16,9 +16,9 @@ import numpy as np
 from . import streams
 from .rates import (delta_of, epsilon_lambda, fit_rate, hs_norm,
                     loss_factor_tau, n_of)
-from .regularization import (FilterSpec, certify_filter, estimator_learn,
-                             estimator_paper, kernel_tikhonov,
-                             solve_continuous)
+from .regularization import (_FAMILIES, FilterSpec, certify_filter,
+                             estimator_learn, estimator_paper,
+                             kernel_tikhonov, solve_continuous)
 from .rkhs import (correspondence_pullback, gram_matrix, kernel_eval,
                    rkhs_norm)
 from .sampling import (PerturbationSpec, perturb_data, sample_design,
@@ -148,7 +148,7 @@ def check_unitary_invariance(seed):
 def check_perturbation_norms(seed):
     problem, truth = _house_problem(60)
     y = forward_data(problem, truth)
-    filt = FilterSpec.tikhonov(0.05)
+    filt = FilterSpec("tikhonov", 0.05)
     worst = 0.0
     for spec in (PerturbationSpec(delta=0.37, mode="random-unit"),
                  PerturbationSpec(delta=0.37, mode="fixed-mode", index=3),
@@ -188,7 +188,7 @@ def check_riemann_slope(seed):
 def check_filter_certificates(seed):
     problem = build_power_law_problem(100, 2.0, 1.0)
     worst = np.inf
-    for kind in ("tikhonov", "cutoff", "landweber"):
+    for kind in _FAMILIES:
         margins = certify_filter(kind, problem, n_lambda=25, n_t=2500)
         worst = min(worst, min(margins.values()))
     return _result("filter-certificates", worst >= -1e-12,
@@ -207,7 +207,7 @@ def check_methods_equivalence(seed):
         design = sample_design("iid-uniform", n, seed, index=int(rng.integers(1 << 20)))
         samples = sample_outputs(problem, truth, design, seed=seed)
         lam = float(rng.uniform(0.05, 0.5))
-        learn = estimator_learn(problem, FilterSpec.tikhonov(lam), samples)
+        learn = estimator_learn(problem, FilterSpec("tikhonov", lam), samples)
         kernel_side = kernel_tikhonov(problem, samples, lam)
         push = forward_data(problem, learn)
         pulled = correspondence_pullback(problem, kernel_side.g_coeffs)
@@ -290,7 +290,7 @@ def check_epsilon_report(seed):
     problem, truth = _house_problem(100, r=r)
     lams = np.exp(np.linspace(math.log(10 * problem.mu[-1]),
                               math.log(problem.mu[0]), 25))
-    eps = [epsilon_lambda(problem, FilterSpec.tikhonov(l), truth)
+    eps = [epsilon_lambda(problem, FilterSpec("tikhonov", l), truth)
            for l in lams]
     gamma_hat = fit_rate(list(zip(lams, eps))).slope
     return _result("epsilon-lambda-scaling", 1.3 <= gamma_hat <= 2.1,
@@ -299,7 +299,7 @@ def check_epsilon_report(seed):
 
 def check_mini_monte_carlo(seed):
     problem, truth = _house_problem(50)
-    filt = FilterSpec.tikhonov(0.05)
+    filt = FilterSpec("tikhonov", 0.05)
     sigma, n, reps = 0.1, 100, 400
     design = sample_design("grid", n)
     rows = []

@@ -97,7 +97,7 @@ def test_stat_rate_matches_public_path(cells, monkeypatch):
     for point_idx, (n, point) in enumerate(zip(config.n_grid,
                                                report.points)):
         lam = lambda_schedule("by-n", 1.0, 1.0 / 3.5, n)
-        filt = FilterSpec.tikhonov(lam)
+        filt = FilterSpec("tikhonov", lam)
         errors = np.array([
             float(np.sum((public_coeffs("iid-uniform", n, filt,
                                         point_idx * REPLICATES + rep)
@@ -116,7 +116,7 @@ def test_lemma_check_matches_public_path(cells, monkeypatch):
     if cells is not None:
         monkeypatch.setattr(experiments, "_BATCH_CELLS", cells)
     report = run_study(lemma_check_config("iid-uniform"))
-    filt = FilterSpec.tikhonov(0.05)
+    filt = FilterSpec("tikhonov", 0.05)
     rows = np.array([public_coeffs("iid-uniform", 100, filt, rep)
                      for rep in range(REPLICATES)])
     mean = rows.mean(axis=0)
@@ -148,7 +148,7 @@ def chi2_quantile(dof, z):
 
 @pytest.mark.parametrize("n", [7, 25, 40, 41, 80, 81])
 def test_grid_replicates_follow_the_moment_law(n):
-    filt = FilterSpec.tikhonov(0.05)
+    filt = FilterSpec("tikhonov", 0.05)
     config = StudyConfig.from_dict(dict(lemma_check_config("grid").to_dict(),
                                         problem=LAW_PROBLEM,
                                         replicates=LAW_DRAWS, n=n))
@@ -179,7 +179,7 @@ def test_grid_replicates_follow_the_moment_law(n):
 
 
 def test_grid_row_does_not_depend_on_the_other_replicates():
-    filt = FilterSpec.tikhonov(0.05)
+    filt = FilterSpec("tikhonov", 0.05)
     config = lemma_check_config("grid")
     rows = experiments._replicate_coeffs(config, MODEL, TRUTH, filt, 7,
                                          range(REPLICATES))
@@ -225,7 +225,7 @@ def test_median_equals_numpy_median(design):
     # the squared errors of a 200-replicate stat-rate point at n = 50
     config = StudyConfig.from_dict(dict(stat_rate_config(design).to_dict(),
                                         replicates=200))
-    filt = FilterSpec.tikhonov(lambda_schedule("by-n", 1.0, 1.0 / 3.5, 50))
+    filt = FilterSpec("tikhonov", lambda_schedule("by-n", 1.0, 1.0 / 3.5, 50))
     rows = experiments._replicate_coeffs(config, MODEL, TRUTH, filt, 50,
                                          range(200))
     errors = np.sum((rows - TRUTH) ** 2, axis=1)
@@ -288,7 +288,7 @@ def replicate_run(n, replicates):
            "n": n, "lambda": 0.05, "replicates": replicates, "seed": SEED}
     config = StudyConfig.from_dict(raw)
     problem, truth = problem_from_descriptor(dict(raw["problem"], seed=SEED))
-    filt = FilterSpec.tikhonov(0.05)
+    filt = FilterSpec("tikhonov", 0.05)
     return lambda: experiments._replicate_coeffs(config, problem, truth,
                                                  filt, n, range(replicates))
 
@@ -630,7 +630,7 @@ def test_gamma_study_fails_with_a_wrong_lambda(label, scale, monkeypatch):
     # every n past J
     flags = dict(gamma_flags(
         label, lambda p, filt, s: estimator_learn(
-            p, FilterSpec.tikhonov(scale(s.size) * filt.lam), s),
+            p, FilterSpec("tikhonov", scale(s.size) * filt.lam), s),
         monkeypatch))
     assert not flags["exact-for-n-above-J"]
 
@@ -643,7 +643,7 @@ def test_gamma_study_fit_matches_kernel_tikhonov():
         samples = sample_outputs(problem, truth, sample_design("grid", n),
                                  seed=raw["seed"])
         g = forward_data(problem, estimator_learn(
-            problem, FilterSpec.tikhonov(raw["lambda"]), samples))
+            problem, FilterSpec("tikhonov", raw["lambda"]), samples))
         reference = kernel_tikhonov(problem, samples, raw["lambda"]).g_coeffs
         assert (np.linalg.norm(g - reference)
                 <= 1e-10 * np.linalg.norm(reference)), n
@@ -805,6 +805,20 @@ BAD_FIELDS = {
                                   entry)
        for kind, entries in UNREAD.items()
        for entry, value in entries.items()},
+    # Landweber is valid on spectra bounded by 1, and mu_1 = d: both entries
+    # are named, not a run-time ModelError that names neither
+    **{f"landweber-d-{kind}": (dict(raw, filter="landweber",
+                                    problem=dict(raw["problem"], d=2.0)),
+                               ("filter", "problem.d"))
+       for kind, raw in (("stat-rate", stat_rate_config("grid").to_dict()),
+                         ("lemma-check",
+                          lemma_check_config("iid-uniform").to_dict()),
+                         ("det-rate", det_rate_raw("tikhonov")))},
+    # a fixed mode beyond J is named, not a run-time ShapeError
+    "perturbation_index-above-J": (dict(det_rate_raw("tikhonov"),
+                                        perturbation="fixed-mode",
+                                        perturbation_index=KERNEL_J + 1),
+                                   "perturbation_index"),
 }
 
 
@@ -813,20 +827,32 @@ def test_invalid_field_is_named_and_exits_two(name, tmp_path):
     raw, bad = BAD_FIELDS[name]
     with pytest.raises(ValidationError) as info:
         StudyConfig.from_dict(raw)
-    assert info.value.fields == (bad,)
+    assert info.value.fields == ((bad,) if isinstance(bad, str) else bad)
     assert run_cli(tmp_path, raw) == 2
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", sorted(
     name for name, (raw, bad) in BAD_FIELDS.items()
-    if bad.startswith("problem.")))
+    if isinstance(bad, str) and bad.startswith("problem.")))
 def test_problem_fault_is_named_by_the_builder(name):
     # the study config and the public builder judge a problem by one rule
     raw, bad = BAD_FIELDS[name]
     key = bad.removeprefix("problem.")
     with pytest.raises(ParameterError, match=re.escape(repr(key))):
         problem_from_descriptor(raw["problem"])
+
+
+@pytest.mark.parametrize("raw", [
+    dict(det_rate_raw("landweber"), problem=dict(KERNEL_PROBLEM, d=d))
+    for d in (0.5, 1.0, 1.0 + 1e-13)] + [
+    dict(det_rate_raw("tikhonov"), problem=dict(KERNEL_PROBLEM, d=4.0)),
+    dict(det_rate_raw("tikhonov"), perturbation="fixed-mode",
+         perturbation_index=KERNEL_J)])
+def test_cross_entry_rules_accept_their_bounds(raw):
+    # mu_1 = d up to 1 (and its roundoff) for Landweber, any d for the
+    # other families, and every mode up to J
+    assert run_study(StudyConfig.from_dict(raw)).verdict
 
 
 def test_largest_sample_count_is_accepted():
@@ -873,6 +899,18 @@ def test_cli_run_exit_two_on_malformed_input(case, tmp_path):
         code = run_cli(tmp_path, raw, "--set", f"tolerances.slope={value}")
     assert code == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--d", "inf"], ["--d", "nan"], ["--d", "0"], ["--b", "nan"],
+    ["--b", "inf"], ["--b", "1"], ["--J", "0"]])
+def test_cli_info_exit_two_on_a_model_parameter_at_fault(args, capsys):
+    # the rules of descriptor_faults: d = inf printed Infinity eigenvalues
+    # and NaN norms
+    assert main(["info", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {args[0][2:]} must be ")
 
 
 @pytest.mark.parametrize("count", ["-1", "0"])

@@ -34,23 +34,25 @@ def house_problem(size=60, b=2.0, d=1.0, r=1.0):
 class TestHsNorm:
     def test_single_mode(self):
         problem = build_power_law_problem(1, 2.0, 1.0)
-        assert hs_norm(problem, FilterSpec.tikhonov(1.0)) == pytest.approx(0.5)
+        assert hs_norm(problem, FilterSpec("tikhonov", 1.0)) == pytest.approx(
+            0.5)
 
     def test_two_modes(self):
         # s = (0.5, 0.8): 0.25*1 + 0.64*0.25 = 0.41
         problem = build_power_law_problem(2, 2.0, 1.0)
-        assert hs_norm(problem, FilterSpec.tikhonov(1.0)) == pytest.approx(
+        assert hs_norm(problem, FilterSpec("tikhonov", 1.0)) == pytest.approx(
             math.sqrt(0.41), rel=1e-14)
 
     def test_cutoff_above_spectrum(self):
         problem = build_power_law_problem(3, 2.0, 1.0)
-        assert hs_norm(problem, FilterSpec.cutoff(2.0)) == 0.0
+        assert hs_norm(problem, FilterSpec("cutoff", 2.0)) == 0.0
 
     def test_operator_norm(self):
         problem = build_power_law_problem(2, 2.0, 1.0)
         # responses s*sigma = (0.5, 0.4)
-        assert operator_norm(problem, FilterSpec.tikhonov(1.0)) == pytest.approx(0.5)
-        assert operator_norm(problem, filt := FilterSpec.tikhonov(1.0)) <= \
+        assert operator_norm(problem, FilterSpec("tikhonov", 1.0)) == \
+            pytest.approx(0.5)
+        assert operator_norm(problem, filt := FilterSpec("tikhonov", 1.0)) <= \
             hs_norm(problem, filt)
 
 
@@ -58,23 +60,24 @@ class TestEpsilonLambda:
     def test_single_mode_unit(self):
         problem = build_power_law_problem(1, 2.0, 1.0)
         truth = make_source_solution(problem, 1.0, [1.0])
-        assert epsilon_lambda(problem, FilterSpec.tikhonov(1.0),
+        assert epsilon_lambda(problem, FilterSpec("tikhonov", 1.0),
                               truth) == pytest.approx(1.0, rel=1e-14)
 
     def test_cutoff_zero_bias(self):
         problem, truth = house_problem(5)
-        assert epsilon_lambda(problem, FilterSpec.cutoff(problem.mu[-1]),
+        assert epsilon_lambda(problem, FilterSpec("cutoff", problem.mu[-1]),
                               truth) == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_truth(self):
         problem = build_power_law_problem(4, 2.0, 1.0)
         truth = make_source_solution(problem, 1.0, np.zeros(4))
-        assert epsilon_lambda(problem, FilterSpec.tikhonov(0.3), truth) == 0.0
+        assert epsilon_lambda(problem, FilterSpec("tikhonov", 0.3),
+                              truth) == 0.0
 
     def test_degenerate_filter(self):
         problem, truth = house_problem(4)
         with pytest.raises(ModelError):
-            epsilon_lambda(problem, FilterSpec.cutoff(5.0), truth)
+            epsilon_lambda(problem, FilterSpec("cutoff", 5.0), truth)
 
 
 class TestBridge:
@@ -178,6 +181,13 @@ class TestConversionTheorems:
         assert convert_lower(RateExponents(alpha=1.0, p_star=1.0,
                                            gamma=1.0 - 1e-12)).case == "slow"
 
+    @pytest.mark.parametrize("name", ["alpha", "gamma", "p", "p_star"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf, "1"])
+    def test_exponents_are_finite_numbers_above_zero(self, name, value):
+        exponents = dict(alpha=1.0, gamma=1.0, p=0.5, p_star=1.0)
+        with pytest.raises(ParameterError, match=name):
+            RateExponents(**dict(exponents, **{name: value}))
+
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
             RateExponents(alpha=-1.0, gamma=1.0)
@@ -197,6 +207,17 @@ class TestLossFactor:
     def test_bounds_and_asymptote(self):
         result = verify.check_loss_factors(0)
         assert result.passed, result.detail
+
+    @pytest.mark.parametrize("rate", [loss_factor_tau, statistical_exponents,
+                                      classical_exponents])
+    @pytest.mark.parametrize("r, b", [
+        (math.nan, 2.0), (math.inf, 2.0), (0.0, 2.0), (1.0, math.nan),
+        (1.0, math.inf), (1.0, 1.0), ("1", 2.0), (1.0, True)])
+    def test_r_and_b_follow_the_model_rules(self, rate, r, b):
+        # the rules of spectral_model.descriptor_faults: b = inf gave
+        # tau = 1, r = NaN gave NaN exponents
+        with pytest.raises(ParameterError, match="r must|b must"):
+            rate(r, b)
 
     def test_errors(self):
         with pytest.raises(ParameterError):
@@ -315,6 +336,20 @@ def test_cli_rates_exit_two_on_negative_r(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("args", [
+    ["--r", "nan", "--b", "2"],
+    ["--r", "inf", "--b", "2"], ["--r", "1", "--b", "inf"],
+    ["--r", "1", "--b", "nan"], ["--r", "1", "--b", "2", "--gamma", "nan"],
+    ["--r", "1", "--b", "2", "--gamma", "inf"],
+    ["--r", "1", "--b", "2", "--gamma", "0"]])
+def test_cli_rates_exit_two_on_bad_input(args, capsys):
+    # NaN r printed NaN exponents, b = inf printed tau = 1
+    assert main(["rates", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # The decay exponent b of the Monte-Carlo set-up's eigenvalues d j**(-b).
 MC_DECAY = 2.0
 
@@ -322,7 +357,7 @@ MC_DECAY = 2.0
 @pytest.fixture(scope="module")
 def mc_setup():
     problem, truth = house_problem(size=30, b=MC_DECAY, d=1.0, r=1.0)
-    filt = FilterSpec.tikhonov(0.08)
+    filt = FilterSpec("tikhonov", 0.08)
     sigma, n, replicates = 0.1, 60, 2000
     design = sample_design("grid", n)
     rows = np.array([
@@ -381,7 +416,7 @@ class TestMonteCarloRateProperties:
                                   math.log(problem.mu[0]), 20))
         variances = []
         for lam in lams:
-            sweep = FilterSpec.tikhonov(lam)
+            sweep = FilterSpec("tikhonov", lam)
             coeffs = moments * sweep.on_spectrum(problem) * problem.sigma_sv
             center = coeffs.mean(axis=0)
             variances.append(float(np.mean(np.sum((coeffs - center) ** 2,

@@ -5,7 +5,9 @@ check, at a second seed where the check draws random inputs; the check
 holds the invariant's set-up and tolerance.
 """
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -13,11 +15,12 @@ import pytest
 
 from rkhs_invlab import (DomainError, FilterSpec, ModelError, ParameterError,
                          SampleSet, basis_matrix, build_power_law_problem,
-                         equivalence_deviations, estimator_learn,
-                         estimator_paper, fit_rate, forward_data,
-                         kernel_tikhonov, make_source_solution, sample_design,
-                         sample_outputs, solve_continuous, verify)
-from rkhs_invlab.regularization import _FILTER_SPECS
+                         certify_filter, equivalence_deviations,
+                         estimator_learn, estimator_paper, fit_rate,
+                         forward_data, kernel_tikhonov, make_source_solution,
+                         sample_design, sample_outputs, solve_continuous,
+                         verify)
+from rkhs_invlab.regularization import _FAMILIES
 
 
 def clean_samples(problem, truth, design):
@@ -32,52 +35,77 @@ def two_mode():
     return problem, truth
 
 
+KINDS = ("tikhonov", "cutoff", "landweber")
+
+
 class TestFilterValue:
     def test_tikhonov(self):
-        assert FilterSpec.tikhonov(1.0).value(1.0) == pytest.approx(0.5)
+        assert FilterSpec("tikhonov", 1.0).value(1.0) == pytest.approx(0.5)
 
     def test_cutoff(self):
-        filt = FilterSpec.cutoff(0.25)
+        filt = FilterSpec("cutoff", 0.25)
         assert filt.value(0.5) == pytest.approx(2.0)
         assert filt.value(0.2) == 0.0
 
     def test_landweber_geometric_sum(self):
         # m = 2: 1 + (1 - t) at t = 0.5
-        assert FilterSpec.landweber(2).value(0.5) == pytest.approx(1.5)
+        assert FilterSpec("landweber", 0.5).value(0.5) == pytest.approx(1.5)
 
     def test_domain_and_model_errors(self):
         with pytest.raises(DomainError):
-            FilterSpec.tikhonov(1.0).value(0.0)
-        with pytest.raises(ModelError):
-            FilterSpec.landweber(3).value(1.5)
-        with pytest.raises(ModelError):
-            FilterSpec.landweber(3).on_spectrum(
+            FilterSpec("tikhonov", 1.0).value(0.0)
+        message = ("landweber requires a spectrum bounded by 1; rescale the "
+                   "problem so mu_1 <= 1")
+        with pytest.raises(ModelError, match=re.escape(message)):
+            FilterSpec("landweber", 1 / 3).value(1.5)
+        with pytest.raises(ModelError, match=re.escape(message)):
+            FilterSpec("landweber", 1 / 3).on_spectrum(
                 build_power_law_problem(10, 2.0, 4.0))
-        with pytest.raises(ParameterError):
-            FilterSpec.tikhonov(0.0)
-        with pytest.raises(ParameterError):
-            FilterSpec.landweber(0)
+        # the bound allows roundoff, and the other families have none
+        assert FilterSpec("landweber", 1.0).value(1.0 + 1e-13) > 0.0
+        for kind in ("tikhonov", "cutoff"):
+            assert FilterSpec(kind, 1.0).value(1e300) > 0.0
 
-    @pytest.mark.parametrize("kind", ["tikhonov", "cutoff", "landweber"])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("lam", [0.0, -0.1, math.nan, math.inf, -math.inf,
+                                     "0.1", True, None])
+    def test_lambda_is_a_finite_number_above_zero(self, kind, lam):
+        with pytest.raises(ParameterError, match="lambda"):
+            FilterSpec(kind, lam)
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_each_family_name_builds_its_filter(self, kind):
-        # the one table of family names: a config's filter entry, the
-        # FilterSpec kinds and certify_filter all read it
-        filt = _FILTER_SPECS[kind](0.3)
-        assert filt.kind == kind
-        assert FilterSpec(kind=kind, lam=filt.lam, m=filt.m) == filt
+        # a filter is its family name and its lambda, stored as a float
+        assert [f.name for f in dataclasses.fields(FilterSpec)] == [
+            "kind", "lam"]
+        for lam in (1, np.float64(1.0), np.int64(1)):
+            filt = FilterSpec(kind, lam)
+            assert (filt.kind, type(filt.lam)) == (kind, float)
+            assert filt == FilterSpec(kind, 1.0)
 
     def test_unknown_family_is_refused(self):
         with pytest.raises(ParameterError, match="'bogus'"):
             FilterSpec(kind="bogus", lam=0.1)
 
     def test_landweber_runs_round_one_over_lambda_iterations(self):
-        assert _FILTER_SPECS["landweber"](0.3).m == 3
-        assert _FILTER_SPECS["landweber"](5.0).m == 1
+        for lam, m in ((0.3, 3), (5.0, 1), (0.7, 1), (0.26, 4),
+                       (0.0049, 204)):
+            filt = FilterSpec("landweber", lam)
+            assert filt.lam == 1.0 / m
+            # m iterations: the t -> 0 limit of the geometric sum is m
+            assert filt.at_eigenvalues(np.zeros(1))[0] == m
+
+    def test_landweber_one_over_m_gives_m_back(self):
+        for m in range(1, 10_001):
+            filt = FilterSpec("landweber", 1.0 / m)
+            assert filt.lam == 1.0 / m
+            assert FilterSpec("landweber", filt.lam) == filt
+            assert filt.at_eigenvalues(np.zeros(1))[0] == m
 
     def test_landweber_matches_direct_sum(self):
         rng = np.random.default_rng(3)
         for m in (1, 2, 7, 40):
-            filt = FilterSpec.landweber(m)
+            filt = FilterSpec("landweber", 1.0 / m)
             for t in rng.uniform(1e-6, 1.0, 20):
                 direct = sum((1.0 - t) ** k for k in range(m))
                 assert filt.value(float(t)) == pytest.approx(direct, rel=1e-10)
@@ -89,23 +117,76 @@ class TestFilterCertificates:
         assert result.passed, result.detail
 
 
+class TestFamilies:
+    @pytest.mark.parametrize("kind, qualification, bound", [
+        ("tikhonov", 1.0, math.inf), ("cutoff", math.inf, math.inf),
+        ("landweber", math.inf, 1.0)])
+    def test_row(self, kind, qualification, bound):
+        # the one table of families: a config's filter entry, FilterSpec
+        # and certify_filter all read it
+        assert tuple(_FAMILIES) == KINDS
+        assert _FAMILIES[kind].qualification == qualification
+        assert _FAMILIES[kind].spectrum_bound == bound
+
+    def test_tikhonov_constants_are_exact(self):
+        # nu^nu (1 - nu)^(1 - nu) rounds to 0.5000000000000001 at nu = 1/2
+        assert [_FAMILIES["tikhonov"].c_nu(nu) for nu in (0.0, 0.5, 1.0)] \
+            == [1.0, 0.5, 1.0]
+
+    # The margins of certify_filter(kind, problem) at its default sweep,
+    # pinned at three models.  Sweeping Landweber over [mu_J, mu_1] instead
+    # of lambda = 1/m moves E at (200, 3, 0.5) to 3.1e-8; margins below an
+    # ulp of 1 are held to 1e-15.
+    MARGINS = {
+        (100, 2.0, 1.0): {
+            "tikhonov": (9.999000099991662e-05, 9.999000099991662e-05, 0.0),
+            "cutoff": (0.0, 0.0, -1.0504284772726981e-16),
+            "landweber": (0.0, -2.220446049250313e-16,
+                          -1.0484228688354839e-16)},
+        (200, 3.0, 0.5): {
+            "tikhonov": (1.249999842523053e-07, 1.249999842523053e-07, 0.0),
+            "cutoff": (0.0, 0.0, -1.8187146614999435e-17),
+            "landweber": (0.0, -2.220446049250313e-16,
+                          -3.0973127897614184e-18)},
+        (50, 1.5, 1.0): {
+            "tikhonov": (0.002820449688343829, 0.002820449688343829, 0.0),
+            "cutoff": (0.0, 0.0, -1.1049818984450954e-16),
+            "landweber": (0.0, -2.220446049250313e-16,
+                          -1.106597052094777e-16)},
+    }
+
+    @pytest.mark.parametrize("model", sorted(MARGINS))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_certify_filter_margins(self, model, kind):
+        margins = certify_filter(kind, build_power_law_problem(*model))
+        assert (margins["D"], margins["E"], margins["qualification"]) == \
+            pytest.approx(self.MARGINS[model][kind], rel=1e-12, abs=1e-15)
+
+    def test_certify_filter_stops_at_the_qualification(self, monkeypatch):
+        # Tikhonov's C_nu lambda^nu bound fails for nu > 1 (saturation)
+        problem = build_power_law_problem(100, 2.0, 1.0)
+        monkeypatch.setitem(_FAMILIES, "tikhonov", _FAMILIES[
+            "tikhonov"]._replace(qualification=1.5, c_nu=lambda nu: 1.0))
+        assert certify_filter("tikhonov", problem)["qualification"] < -1e-3
+
+
 class TestSolveContinuous:
     def test_single_mode(self):
         problem = build_power_law_problem(1, 2.0, 1.0)
         y = forward_data(problem, [1.0])
-        estimate = solve_continuous(problem, FilterSpec.tikhonov(1.0), y)
+        estimate = solve_continuous(problem, FilterSpec("tikhonov", 1.0), y)
         npt.assert_allclose(estimate, [0.5], rtol=1e-15)
 
     def test_cutoff_reproduces_truth(self, two_mode):
         problem, truth = two_mode
         y = forward_data(problem, truth)
-        estimate = solve_continuous(problem, FilterSpec.cutoff(problem.mu[-1]),
-                                    y)
+        estimate = solve_continuous(
+            problem, FilterSpec("cutoff", problem.mu[-1]), y)
         npt.assert_allclose(estimate, truth, rtol=1e-14)
 
     def test_zero_data(self, two_mode):
         problem, _ = two_mode
-        estimate = solve_continuous(problem, FilterSpec.tikhonov(0.3),
+        estimate = solve_continuous(problem, FilterSpec("tikhonov", 0.3),
                                     np.zeros(2))
         npt.assert_array_equal(estimate, np.zeros(2))
 
@@ -117,7 +198,8 @@ class TestSolveContinuous:
                                      np.arange(1, 31, dtype=float) ** -1.0)
         y = forward_data(problem, truth)
         for lam in (problem.mu[0], 10 * problem.mu[0]):
-            estimate = solve_continuous(problem, FilterSpec.tikhonov(lam), y)
+            estimate = solve_continuous(problem, FilterSpec("tikhonov", lam),
+                                        y)
             assert np.linalg.norm(estimate) <= np.linalg.norm(truth)
 
 
@@ -127,13 +209,15 @@ class TestEstimatorPaper:
         problem = build_power_law_problem(1, 2.0, 1.0)
         truth = make_source_solution(problem, 1.0, [1.0])
         samples = clean_samples(problem, truth, sample_design("grid", 1))
-        estimate = estimator_paper(problem, FilterSpec.tikhonov(1.0), samples)
+        estimate = estimator_paper(problem, FilterSpec("tikhonov", 1.0),
+                                   samples)
         npt.assert_allclose(estimate, [1.0], rtol=1e-12)
 
     def test_zero_outputs(self, two_mode):
         problem, _ = two_mode
         samples = SampleSet(design=np.array([0.3, 0.6]), outputs=np.zeros(2))
-        estimate = estimator_paper(problem, FilterSpec.tikhonov(0.5), samples)
+        estimate = estimator_paper(problem, FilterSpec("tikhonov", 0.5),
+                                   samples)
         npt.assert_array_equal(estimate, np.zeros(2))
 
     def test_grid_approaches_continuous_second_order(self):
@@ -143,7 +227,7 @@ class TestEstimatorPaper:
         problem = build_power_law_problem(256, 4.0, 1.0)
         j = np.arange(1, 257, dtype=float)
         truth = make_source_solution(problem, 0.25, np.ones(256))  # y_j = j^-3
-        filt = FilterSpec.tikhonov(0.05)
+        filt = FilterSpec("tikhonov", 0.05)
         target = solve_continuous(problem, filt, forward_data(problem, truth))
         points = []
         for n in (8, 16, 32, 64, 128):
@@ -160,13 +244,15 @@ class TestEstimatorLearn:
         problem = build_power_law_problem(1, 2.0, 1.0)
         truth = make_source_solution(problem, 1.0, [1.0])
         samples = clean_samples(problem, truth, sample_design("grid", 1))
-        estimate = estimator_learn(problem, FilterSpec.tikhonov(1.0), samples)
+        estimate = estimator_learn(problem, FilterSpec("tikhonov", 1.0),
+                                   samples)
         npt.assert_allclose(estimate, [2.0 / 3.0], rtol=1e-12)
 
     def test_zero_outputs(self, two_mode):
         problem, _ = two_mode
         samples = SampleSet(design=np.array([0.3, 0.6]), outputs=np.zeros(2))
-        estimate = estimator_learn(problem, FilterSpec.tikhonov(0.5), samples)
+        estimate = estimator_learn(problem, FilterSpec("tikhonov", 0.5),
+                                   samples)
         npt.assert_allclose(estimate, np.zeros(2), atol=1e-15)
 
     def test_two_point_worked_example(self, two_mode):
@@ -180,7 +266,8 @@ class TestEstimatorLearn:
         npt.assert_allclose(beta_oracle, [0.510110, 0.156557], atol=5e-7)
         u = basis_matrix(problem, samples.design)
         coeffs_oracle = problem.sigma_sv * (u.T @ beta_oracle)
-        estimate = estimator_learn(problem, FilterSpec.tikhonov(0.5), samples)
+        estimate = estimator_learn(problem, FilterSpec("tikhonov", 0.5),
+                                   samples)
         npt.assert_allclose(estimate, coeffs_oracle, rtol=1e-12)
 
     def test_matrix_function_route_matches_parameter_side(self):
@@ -202,8 +289,9 @@ class TestEstimatorLearn:
             kernel = (u * problem.mu) @ u.T
             kernel = 0.5 * (kernel + kernel.T)
             gram_eigs, gram_vecs = np.linalg.eigh(kernel / n)
-            for filt in (FilterSpec.cutoff(0.05), FilterSpec.landweber(25),
-                         FilterSpec.tikhonov(0.07)):
+            for filt in (FilterSpec("cutoff", 0.05),
+                         FilterSpec("landweber", 1 / 25),
+                         FilterSpec("tikhonov", 0.07)):
                 oracle = vecs @ (filt.at_eigenvalues(eigs)
                                  * (vecs.T @ moment))
                 beta = gram_vecs @ (filt.at_eigenvalues(gram_eigs)
@@ -224,7 +312,8 @@ class TestEstimatorLearn:
                                  0.1, seed=3)
         # 0.003 lies strictly between mu_18 and mu_19, so the cutoff keeps
         # the same modes on both sides
-        for filt in (FilterSpec.tikhonov(0.003), FilterSpec.cutoff(0.003)):
+        for filt in (FilterSpec("tikhonov", 0.003),
+                     FilterSpec("cutoff", 0.003)):
             learn = estimator_learn(problem, filt, samples)
             paper = estimator_paper(problem, filt, samples)
             assert (np.linalg.norm(learn - paper)
@@ -238,7 +327,7 @@ class TestEstimatorLearn:
         design = np.full(4, 0.5)
         samples = clean_samples(problem, truth, design)
         with pytest.raises(ModelError):
-            estimator_learn(problem, FilterSpec.landweber(10), samples)
+            estimator_learn(problem, FilterSpec("landweber", 0.1), samples)
 
 
 TIKHONOV_SOLVE_NS = (25, 199, 200, 201, 3200)
@@ -276,7 +365,7 @@ class TestTikhonovSolve:
         eigs, vecs = np.linalg.eigh(cov)
         for lam in (1e-3, 0.3):
             oracle = vecs @ ((vecs.T @ moment) / (eigs + lam))
-            estimate = estimator_learn(problem, FilterSpec.tikhonov(lam),
+            estimate = estimator_learn(problem, FilterSpec("tikhonov", lam),
                                        samples[scheme, n])
             assert (np.linalg.norm(estimate - oracle)
                     <= 1e-12 * np.linalg.norm(oracle)), lam
@@ -290,7 +379,7 @@ class TestTikhonovSolve:
         problem, samples = j200_samples
         cov, moment = covariance_and_moment(problem, samples[scheme, n])
         lam = 1e-6
-        estimate = estimator_learn(problem, FilterSpec.tikhonov(lam),
+        estimate = estimator_learn(problem, FilterSpec("tikhonov", lam),
                                    samples[scheme, n])
         residual = cov @ estimate + lam * estimate - moment
         assert np.linalg.norm(residual) <= 1e-14 * np.linalg.norm(moment)
@@ -300,8 +389,9 @@ class TestTikhonovSolve:
         for key in (("grid", 200), ("iid-uniform", 201)):
             design = samples[key].design.copy()
             outputs = samples[key].outputs.copy()
-            for filt in (FilterSpec.tikhonov(1e-3), FilterSpec.cutoff(1e-3),
-                         FilterSpec.landweber(100)):
+            for filt in (FilterSpec("tikhonov", 1e-3),
+                         FilterSpec("cutoff", 1e-3),
+                         FilterSpec("landweber", 1e-2)):
                 estimator_learn(problem, filt, samples[key])
             npt.assert_array_equal(samples[key].design, design)
             npt.assert_array_equal(samples[key].outputs, outputs)
@@ -336,8 +426,8 @@ class TestKernelTikhonov:
     def test_rejects_nonpositive_lambda(self, two_mode):
         problem, truth = two_mode
         samples = clean_samples(problem, truth, sample_design("grid", 2))
-        for lam in (0.0, -0.1):
-            with pytest.raises(ParameterError):
+        for lam in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ParameterError, match="lambda"):
                 kernel_tikhonov(problem, samples, lam)
 
     def test_interpolation_limit(self):

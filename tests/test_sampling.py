@@ -106,7 +106,7 @@ class TestPerturbData:
         problem, truth = two_mode_truth
         y = forward_data(problem, truth)  # (1, 0.25)
         spec = PerturbationSpec(delta=0.3, mode="filter-adversarial",
-                                filter=FilterSpec.tikhonov(1.0))
+                                filter=FilterSpec("tikhonov", 1.0))
         npt.assert_allclose(perturb_data(problem, y, spec),
                             [1.3, 0.25], rtol=1e-15)
 

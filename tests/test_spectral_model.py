@@ -22,7 +22,7 @@ from rkhs_invlab import (DomainError, FilterSpec, ParameterError,
                          problem_from_descriptor, resolve_w_spec,
                          solve_continuous, verify)
 from rkhs_invlab.spectral_model import (_FACTOR_WIDTH, _sine_factor_tables,
-                                       grid_aliasing)
+                                       descriptor_faults, grid_aliasing)
 
 
 class TestBuildPowerLawProblem:
@@ -46,6 +46,18 @@ class TestBuildPowerLawProblem:
             build_power_law_problem(2, 2.0, -1.0)
         with pytest.raises(ParameterError):
             build_power_law_problem(2, 0.5, 1.0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("J", 0), ("J", 2.0), ("J", True), ("b", math.nan), ("b", math.inf),
+        ("b", 1.0), ("d", math.inf), ("d", math.nan), ("d", 0.0),
+        ("d", "1")])
+    def test_parameters_follow_the_descriptor_rules(self, key, value):
+        # one rule per parameter: d = inf built infinite eigenvalues, and a
+        # descriptor with the same key is refused by descriptor_faults
+        args = dict({"J": 3, "b": 2.0, "d": 1.0}, **{key: value})
+        with pytest.raises(ParameterError, match=f"^{key} must be"):
+            build_power_law_problem(args["J"], args["b"], args["d"])
+        assert descriptor_faults(dict(args, r=1.0, w_spec="ones")) == [key]
 
     def test_decay_certificate_two_sided(self):
         result = verify.check_decay_bounds(0)
@@ -87,6 +99,12 @@ class TestMakeSourceSolution:
         problem = build_power_law_problem(3, 2.0, 1.0)
         with pytest.raises(ShapeError):
             make_source_solution(problem, 1.0, [1.0, 2.0])
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf, "1", None])
+    def test_r_follows_the_descriptor_rule(self, r):
+        problem = build_power_law_problem(3, 2.0, 1.0)
+        with pytest.raises(ParameterError, match="^r must be"):
+            make_source_solution(problem, r, np.ones(3))
 
 
 class TestForwardData:
@@ -373,11 +391,11 @@ ELEMENTS = {
     "make_source_solution": lambda p, f, s: make_source_solution(
         p, 1.0, np.ones(p.size)),
     "solve_continuous": lambda p, f, s: solve_continuous(
-        p, FilterSpec.tikhonov(0.1), forward_data(p, f)),
+        p, FilterSpec("tikhonov", 0.1), forward_data(p, f)),
     "estimator_paper": lambda p, f, s: estimator_paper(
-        p, FilterSpec.tikhonov(0.1), s),
+        p, FilterSpec("tikhonov", 0.1), s),
     "estimator_learn": lambda p, f, s: estimator_learn(
-        p, FilterSpec.tikhonov(0.1), s),
+        p, FilterSpec("tikhonov", 0.1), s),
 }
 
 
