@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import streams
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ParameterError, ValidationError
 from .rates import (RateFit, classical_exponents, convert_upper, delta_of,
                     epsilon_lambda, fit_rate, lambda_schedule,
                     statistical_exponents, hs_norm)
@@ -35,9 +35,9 @@ from .rkhs import correspondence_pullback, rkhs_norm
 from .sampling import (_DESIGNS, _PERTURBATION_MODES, PerturbationSpec,
                        perturb_data, sample_design, sample_outputs,
                        _uniform_design)
-from .spectral_model import (_FACTOR_WIDTH, _finite_number, _integer,
+from .spectral_model import (_LOW_ROWS, _finite_number, _integer,
                              _positive_integer, _positive_number,
-                             _sine_factor_tables, basis_matrix,
+                             _sine_factor_tables, _split_modes, basis_matrix,
                              descriptor_faults, forward_data, grid_aliasing,
                              problem_from_descriptor)
 
@@ -52,15 +52,17 @@ _TAKES = {dict: lambda v: isinstance(v, (dict, type(None))),
 _Z_FAMILY_LEVEL = 0.01
 
 # Basis entries (points times modes) the designs of one iid batch would
-# fill.  A batch builds no basis, only its factor tables: 16 + J // 16 + 1
-# complex entries per point (58 doubles at J = 200), in buffers reused by
-# every batch of a call.  At J = 200 on a 2-core Xeon with one BLAS thread
-# (best of 20), _sine_factor_tables costs 173 ns per point in batches of
-# 800 points, 129 at 1,600, 98 at 3,200, 96 at 6,400 and 84 at 12,800;
-# 400 replicates at n = 800 took 127-135 ms (medians of 9) at every batch
-# size from 800 to 12,800 points, and 96 ms (best) at 3,200.  640,000
-# entries is 3,200 points at J = 200, one n = 3200 design: 1.5 MB of tables
-# against the 5.1 MB basis of that design.
+# fill.  A batch builds no basis, only its factor tables: 9 + (J + 7) // 16
+# + 1 complex entries per point (44 doubles at J = 200), in buffers reused
+# by every batch of a call.  At J = 200 on a 2-core Xeon with one BLAS
+# thread (best of 20, sizes interleaved, two sweeps), _sine_factor_tables
+# costs 146-151 ns per point in batches of 800 points, 121-124 at 1,600,
+# 114-116 at 3,200, 112-113 at 6,400 and 150-151 at 12,800; 400
+# replicates at n = 800 took 86-94 ms (medians of 9, interleaved) at every
+# batch size from 800 to 12,800 points in the quieter sweep, 88.5 ms at
+# 3,200, and 124-148 ms in the other.  640,000 entries is 3,200 points at
+# J = 200, one n = 3200 design: 1.1 MB of tables against the 5.1 MB basis
+# of that design.
 _BATCH_CELLS = 640_000
 
 # equivalence_deviations: the number of random draws for the isometry and
@@ -248,8 +250,9 @@ class StudyConfig:
         echoes a setting that had no effect; under an unknown kind, which
         reads nothing, only one that breaks its rule is named.  Across
         entries, the filter family must be valid on mu_1 = problem.d (its
-        ``_FAMILIES`` row's bound), and a fixed-mode perturbation_index
-        must be at most problem.J."""
+        ``_FAMILIES`` row's bound) and accept lambda (``FilterSpec``'s
+        rule: Landweber's 1/lambda must be finite), and a fixed-mode
+        perturbation_index must be at most problem.J."""
         study, reads = _study_of(self.kind), self._reads()
         defaults = StudyConfig()
         bad = [f"problem.{key}" for key in descriptor_faults(self.problem)]
@@ -273,11 +276,17 @@ class StudyConfig:
             # w = (1, ..., 1) has source radius sqrt(J), not a fixed source
             # element, so the rate theory does not apply to it
             bad.append("problem.w_spec")
-        # two rules across entries, judged where both entries pass their own
+        # rules across entries, judged where both entries pass their own
         if ("filter" in reads and not {"filter", "problem.d"} & set(bad)
                 and _FAMILIES[self.filter].beyond(self.problem["d"])):
             # mu_1 = d lies beyond the spectrum the family is valid on
             bad += ["filter", "problem.d"]
+        if ({"filter", "lambda"} <= reads
+                and not {"filter", "lambda"} & set(bad)):
+            try:
+                FilterSpec(self.filter, self.lam)
+            except ParameterError:
+                bad.append("lambda")
         if ("perturbation_index" in reads
                 and not {"perturbation_index", "problem.J"} & set(bad)
                 and self.perturbation_index > self.problem["J"]):
@@ -378,21 +387,27 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
     replicates, as many whole designs as fit in _BATCH_CELLS basis
     entries, at least one.  One _sine_factor_tables call covers the batch's
     designs end to end: the unit powers at two factor angles of every mode
-    (e^{i c pi x} for c < 16 and i conj(e^{i 16 a pi x}) for a <= J // 16,
-    29 complex entries per point at J = 200 instead of 200 basis entries),
-    filled by doubling into tables allocated once per call and reused by
-    every batch.  Every product against the tables runs per design.  On the
-    tables' float views, (cos, sin) pairs of the low angle and (sin, cos)
-    pairs of the high one, the clean outputs are the GEMM coeff_table @
-    low, dotted with high down each column and summed over pairs; a
-    replicate's moments are the GEMM (high v) @ low' for its noisy outputs
-    v = clean + sigma z, formed in place in one n-vector reused by every
-    replicate, each moment repeated for both entries of its pair.  So an
-    iid estimate is the same bit for bit at any batch size.  It draws what
-    sample_design -> sample_outputs -> estimator_paper draws, but sums in
-    another order, so it agrees with that path to about 1e-15 of each
-    row's largest entry, not bit for bit; the tests hold the study numbers
-    to 1e-12 relative.
+    (e^{i c pi x} for c = 0..8 and i conj(e^{i 16 a pi x}) for
+    a <= (J + 7) // 16, 22 complex entries per point at J = 200 instead of
+    200 basis entries), filled by doubling into tables allocated once per
+    call and reused by every batch; the high rows come as S and C planes
+    for BLAS.  Mode j = 16 a + sign c (``_split_modes``) has
+    sin(j pi x) = S_a C_c + sign C_a S_c, with S_a and C_a the sine and
+    cosine of 16 a pi x and C_c and S_c those of c pi x, so one (a, c)
+    entry serves the modes 16 a + c and 16 a - c.  Every product runs per
+    design, on its columns of the planes and of the low rows, each read in
+    place.  The clean outputs are sum_c C_c (Y+' S)_c + S_c (Y-' C)_c,
+    where Y+ and Y- hold sqrt(2) times the sums of y_j and of sign y_j over
+    the (at most two) modes at [a, c]: two GEMMs of 9 by (J + 7) // 16 + 1
+    over the n points.  A replicate's noisy outputs v = clean + sigma z are
+    formed in place in one n-vector reused by every replicate, and its
+    moments are A + sign B at [a, c], from the two GEMMs A = S (v C_c)' and
+    B = C (v S_c)'.  At J = 200 the four GEMMs take 468 multiply-adds per
+    point.  As every product is per design, an iid estimate is the same bit
+    for bit at any batch size.  It draws what sample_design ->
+    sample_outputs -> estimator_paper draws, but sums in another order, so
+    it agrees with that path to about 1e-15 of each row's largest entry,
+    not bit for bit; the tests hold the study numbers to 1e-12 relative.
     """
     seed = config.seed
     noise_rng = streams.generator(seed, streams.NOISE_STREAM)
@@ -417,20 +432,31 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
         return out
 
     design_rng = streams.generator(seed, streams.DESIGN_STREAM)
-    # sqrt(2) y_j at [a, c] for j = _FACTOR_WIDTH a + c; j = 0 and j > J are 0
-    highs = problem.size // _FACTOR_WIDTH + 1
-    coeff_table = np.zeros(highs * _FACTOR_WIDTH)
-    coeff_table[1:problem.size + 1] = np.sqrt(2.0) * y
-    coeff_table = coeff_table.reshape(highs, _FACTOR_WIDTH)
+    # mode j = 16 a + sign c adds sqrt(2) y_j to entry [a, c] of Y+ and
+    # sign sqrt(2) y_j to that of Y-, and its moment reads A + B there, or
+    # A - B where sign = -1 (at c = 0, B is 0 with sin(c pi x))
+    highs, lows, signs = _split_modes(problem.size)
+    entries = highs * _LOW_ROWS + lows
+    high_rows = highs[-1] + 1
+    picks = entries + (signs < 0) * (high_rows * _LOW_ROWS)
+    coeffs = np.zeros((2, high_rows, _LOW_ROWS))
+    weights = np.sqrt(2.0) * y
+    np.add.at(coeffs[0].reshape(-1), entries, weights)
+    np.add.at(coeffs[1].reshape(-1), entries, signs * weights)
+    # (Y+', Y-'), each 9 by high_rows
+    coeffs = coeffs.transpose(0, 2, 1)
     scale = response * (np.sqrt(2.0) / n)
 
     # One workspace for every batch: tables allocated afresh per batch took
     # 73,000 minor page faults per mc-iid pass, against 4,000 this way.
     per_batch = max(1, min(len(indices), _BATCH_CELLS // (n * problem.size)))
     points = np.empty(per_batch * n)
-    low_buffer = np.empty(_FACTOR_WIDTH * per_batch * n, dtype=complex)
-    high_buffer = np.empty(highs * per_batch * n, dtype=complex)
-    product = np.empty((highs, 2 * n))
+    low_buffer = np.empty(_LOW_ROWS * per_batch * n, dtype=complex)
+    high_buffer = np.empty(2 * high_rows * per_batch * n)
+    # one design's low rows times the clean-output sums or the noisy outputs
+    weighted = np.empty((2, _LOW_ROWS, n))
+    products = np.empty((2, high_rows, _LOW_ROWS))
+    pairs = np.empty((2, high_rows, _LOW_ROWS))
     outputs = np.empty(n)
     for first_row in range(0, len(indices), per_batch):
         batch = indices[first_row:first_row + per_batch]
@@ -439,22 +465,27 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
             points[k * n:(k + 1) * n] = _uniform_design(n, streams.rekey(
                 design_rng, seed, streams.DESIGN_STREAM, index))
         low, high = _sine_factor_tables(problem, points[:size], (
-            low_buffer[:_FACTOR_WIDTH * size].reshape(_FACTOR_WIDTH, size),
-            high_buffer[:highs * size].reshape(highs, size)))
-        low, high = low.view(float), high.view(float)
+            low_buffer[:_LOW_ROWS * size].reshape(_LOW_ROWS, size),
+            high_buffer[:2 * high_rows * size].reshape(2, high_rows, size)))
+        # (cos, sin) of the low angle as a (2, 9, points) view, like the
+        # (sin, cos) planes of the high one
+        low = np.moveaxis(low.view(float).reshape(_LOW_ROWS, size, 2), 2, 0)
         for k, index in enumerate(batch):
-            design = slice(2 * k * n, 2 * (k + 1) * n)
-            low_k, high_k = low[:, design], high[:, design]
-            np.matmul(coeff_table, low_k, out=product)
-            pair_sums = np.einsum("ij,ij->j", product, high_k)
+            design = slice(k * n, (k + 1) * n)
+            low_k, planes = low[:, :, design], high[:, :, design]
+            # clean outputs: (Y+' S) C_c + (Y-' C) S_c, summed over c
+            np.matmul(coeffs, planes, out=weighted)
+            weighted *= low_k
             streams.rekey(noise_rng, seed, streams.NOISE_STREAM,
                           index).standard_normal(out=outputs)
             outputs *= config.sigma
-            outputs += pair_sums[0::2] + pair_sums[1::2]
-            np.multiply(high_k, np.repeat(outputs, 2), out=product)
-            moments = product @ low_k.T
-            out[first_row + k] = scale * moments.reshape(-1)[
-                1:problem.size + 1]
+            outputs += weighted.sum(axis=(0, 1))
+            # (A, B) = (S (v C_c)', C (v S_c)')
+            np.multiply(low_k, outputs, out=weighted)
+            np.matmul(planes, weighted.transpose(0, 2, 1), out=products)
+            np.add(products[0], products[1], out=pairs[0])
+            np.subtract(products[0], products[1], out=pairs[1])
+            np.multiply(pairs.take(picks), scale, out=out[first_row + k])
     return out
 
 

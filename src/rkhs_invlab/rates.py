@@ -255,10 +255,11 @@ def fit_rate(points):
 def lambda_schedule(kind, c, exponent, value):
     """A-priori filter schedules: by-n gives c*n^-exponent, by-delta
     gives c*delta^exponent."""
-    if c <= 0.0 or exponent <= 0.0:
-        raise ParameterError("schedule constant and exponent must be positive")
-    if value <= 0.0:
-        raise ParameterError("schedule argument must be positive")
+    for name, number in (("constant", c), ("exponent", exponent),
+                         ("argument", value)):
+        if not _positive_number(number):
+            raise ParameterError(
+                f"schedule {name} must be a finite number > 0: {number!r}")
     if kind == "by-n":
         return c * float(value) ** (-exponent)
     if kind == "by-delta":

@@ -87,8 +87,8 @@ class FilterSpec:
     """The spectral filter s_lambda of the family ``kind``, a name of
     ``_FAMILIES``, at ``lam``: a finite number > 0, stored as a float.
     Landweber runs m = round(1/lambda) iterations, at least one, so its
-    lambda is stored as 1/m.  ``certify_filter`` checks the family's
-    constants."""
+    lambda is stored as 1/m, and 1/lambda must be finite.
+    ``certify_filter`` checks the family's constants."""
 
     kind: str
     lam: float
@@ -101,7 +101,11 @@ class FilterSpec:
                 f"lambda must be a finite number > 0: {self.lam!r}")
         lam = float(self.lam)
         if self.kind == "landweber":
-            lam = 1.0 / max(1, round(1.0 / lam))
+            steps = 1.0 / lam
+            if not math.isfinite(steps):
+                raise ParameterError(
+                    f"landweber lambda must have a finite 1/lambda: {lam!r}")
+            lam = 1.0 / max(1, round(steps))
         object.__setattr__(self, "lam", lam)
 
     def value(self, t):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import streams
 from .errors import ParameterError, ShapeError
-from .spectral_model import basis_matrix, forward_data
+from .spectral_model import _finite_number, basis_matrix, forward_data
 
 # The design schemes and the perturbation modes a study config may name.
 _DESIGNS = ("grid", "iid-uniform")
@@ -74,8 +74,9 @@ class PerturbationSpec:
     filter: object = None
 
     def __post_init__(self):
-        if self.delta < 0.0:
-            raise ParameterError("delta must be nonnegative")
+        if not (_finite_number(self.delta) and self.delta >= 0.0):
+            raise ParameterError(
+                f"delta must be a finite number >= 0: {self.delta!r}")
         if self.mode not in _PERTURBATION_MODES:
             raise ParameterError(f"unknown perturbation mode: {self.mode!r}")
         if self.mode == "fixed-mode" and (self.index is None or self.index < 1):

@@ -154,29 +154,49 @@ def grid_aliasing(problem, n):
     return classes, signs, weights
 
 
-# Width of the low factor table: mode j = _FACTOR_WIDTH a + c splits into a
-# high angle a _FACTOR_WIDTH pi x and a low angle c pi x.  A power of two, so
-# _FACTOR_WIDTH x and its reduction mod 2 are exact.
+# Width of a high step: mode j = _FACTOR_WIDTH a + d splits into a high
+# angle a _FACTOR_WIDTH pi x and a low angle |d| pi x.  A power of two, so
+# _FACTOR_WIDTH x and its reduction mod 2 are exact.  a = (j + _SHIFT) //
+# _FACTOR_WIDTH puts d in [-7, 8], so the low table has rows c = |d| = 0..8.
 _FACTOR_WIDTH = 16
+_SHIFT = _FACTOR_WIDTH // 2 - 1
+_LOW_ROWS = _FACTOR_WIDTH // 2 + 1
+# Points whose high powers _sine_factor_tables holds complex at once, a
+# 213 kB workspace at J = 200.  On an mc-iid pass's replicates 512 points
+# took 13% longer than 1,024, in per-chunk calls, and 2,048 no less time.
+_PLANE_CHUNK = 1024
+
+
+def _split_modes(size):
+    """The split j = 16 a + sign c of the modes j = 1..size (16 is
+    ``_FACTOR_WIDTH``), with a = (j + 7) // 16, c in 0..8 and sign in
+    {-1, 0, 1}: the int arrays (a, c, sign).  a runs to (size + 7) // 16."""
+    highs, offsets = np.divmod(np.arange(1, size + 1) + _SHIFT, _FACTOR_WIDTH)
+    offsets -= _SHIFT
+    return highs, np.abs(offsets), np.sign(offsets)
 
 
 def _sine_factor_tables(problem, x, out=None):
     """Unit powers at the two factor angles of every basis entry.
 
-    Writing j = 16 a + c with c = 0..15 and a = 0..J // 16 (16 is
-    ``_FACTOR_WIDTH``), angle addition gives
+    Writing j = 16 a + d with a = (j + 7) // 16 and d = -7..8 (16 is
+    ``_FACTOR_WIDTH``, see ``_split_modes``), c = |d| and sign = sign(d),
+    angle addition gives
 
-        sin(j pi x) = sin(16 a pi x) cos(c pi x) + cos(16 a pi x) sin(c pi x),
+        sin((16 a +- c) pi x) = sin(16 a pi x) cos(c pi x)
+                                +- cos(16 a pi x) sin(c pi x),
 
-    so 16 + J // 16 + 1 complex table entries per point (29, or 58 doubles,
-    at J = 200) stand in for the J basis entries.  The result is the pair
-    (low, high) of complex tables with a row per power and a column per
-    point: low[c] = e^{i c pi x} for c = 0..15 and
+    so one pair of products serves the two modes 16 a + c and 16 a - c, and
+    9 + (J + 7) // 16 + 1 complex table entries per point (22, or 44
+    doubles, at J = 200) stand in for the J basis entries.  The tables are
+    the unit powers low[c] = e^{i c pi x} for c = 0..8 and
     high[a] = i conj(e^{i 16 a pi x}) = sin(16 a pi x) + i cos(16 a pi x)
-    for a = 0..J // 16.  Their float views interleave (cos, sin) and
-    (sin, cos) per point, so u_j(x_i) is sqrt(2) times the dot product of
-    the entries 2i and 2i + 1 of row c of the one view and row a of the
-    other.  ``out`` is an optional (low, high) pair of complex arrays of
+    for a = 0..(J + 7) // 16, with a column per point.  The result is the
+    pair (low, high): low as a complex array of shape (9, points), whose
+    float view interleaves (cos, sin) per point, and high as its planes of
+    real and imaginary parts, a float array of shape (2, rows, points)
+    holding (sin, cos) of 16 a pi x with unit stride along the points, as
+    BLAS reads it.  ``out`` is an optional (low, high) pair of arrays of
     those shapes to fill and return.  Points must lie in [0, 1].
 
     Both angles are reduced exactly before any rounding.  The low angle
@@ -192,8 +212,10 @@ def _sine_factor_tables(problem, x, out=None):
 
     Each table is then filled by doubling from its row 0 (1 or i):
     table[k:2k] = table[:k] z**k for k = 1, 2, 4, 8, ..., squaring z in
-    place between blocks: 33 complex multiplies per point at J = 200 (15 and
-    12 rows, 3 and 3 squarings).
+    place between blocks: 26 complex multiplies per point at J = 200 (8 and
+    12 rows, 3 and 3 squarings).  The high powers are formed _PLANE_CHUNK
+    points at a time in a complex workspace and copied to the planes, so
+    the planes cost no second table.
     Sign changes commute with rounding, so every row is the one the reduced
     unit's powers would give, signed.  x = 0 and x = 1 give exact zeros.
     Against an exactly reduced reference, the basis entries rebuilt from
@@ -204,8 +226,8 @@ def _sine_factor_tables(problem, x, out=None):
     x = np.asarray(x, dtype=float)
     width = _FACTOR_WIDTH
     if out is None:
-        out = (np.empty((width, x.size), dtype=complex),
-               np.empty((problem.size // width + 1, x.size), dtype=complex))
+        out = (np.empty((_LOW_ROWS, x.size), dtype=complex),
+               np.empty((2, (problem.size + _SHIFT) // width + 1, x.size)))
     t = width * x
     t -= 2.0 * np.floor(0.5 * t)
     # the low and the high angle over pi, folded into [0, 1] and reflected
@@ -217,31 +239,52 @@ def _sine_factor_tables(problem, x, out=None):
     np.minimum(angle[1], t, out=angle[1])
     t -= 1.0
     side = 0.5 - angle
-    np.minimum(angle, 1.0 - angle, out=angle)
+    # the parts of the units serve as scratch until they are written, so
+    # the reduction holds 9 doubles per point
+    units = np.empty(angle.shape, dtype=complex)
+    np.subtract(1.0, angle, out=units.real)
+    np.minimum(angle, units.real, out=angle)
     angle *= 0.5 * np.pi
     half = np.sin(angle, out=angle)
-    square = half * half
-    units = np.empty(angle.shape, dtype=complex)
-    np.sqrt(1.0 - square, out=units.imag)
-    units.imag *= 2.0 * half
+    square = np.multiply(half, half, out=units.real)
+    np.subtract(1.0, square, out=units.imag)
+    np.sqrt(units.imag, out=units.imag)
+    half *= 2.0
+    units.imag *= half
     # high: the powers of conj(e^{i pi t}), whose sine is negative unless
     # folded
     np.copysign(units.imag[1], t, out=units.imag[1])
     # cos h = 1 - 2 s**2 >= 0 (s**2 <= 1/2 for h <= pi/2), negative where
     # reflected
-    np.multiply(square, -2.0, out=units.real)
-    units.real += 1.0
+    square *= -2.0
+    square += 1.0
     np.copysign(units.real, side, out=units.real)
-    for table, first, unit in zip(out, (1.0, 1.0j), units):
-        table[0] = first
-        size = 1
-        while size < len(table):
-            rows = min(size, len(table) - size)
-            np.multiply(table[:rows], unit, out=table[size:size + rows])
-            size *= 2
-            if size < len(table):
-                unit *= unit
+    # the fill reads only the units
+    del t, angle, side
+    low, high = out
+    _fill_powers(low, 1.0, units[0])
+    work = np.empty((high.shape[1], min(x.size, _PLANE_CHUNK)), dtype=complex)
+    for start in range(0, x.size, _PLANE_CHUNK):
+        chunk = slice(start, start + _PLANE_CHUNK)
+        unit = units[1][chunk]
+        rows = _fill_powers(work[:, :unit.size], 1.0j, unit)
+        np.copyto(high[0][:, chunk], rows.real)
+        np.copyto(high[1][:, chunk], rows.imag)
     return out
+
+
+def _fill_powers(table, first, unit):
+    """Fill and return the complex rows table[k] = first z**k by doubling:
+    table[k:2k] = table[:k] z**k, squaring the unit z in place."""
+    table[0] = first
+    size = 1
+    while size < len(table):
+        rows = min(size, len(table) - size)
+        np.multiply(table[:rows], unit, out=table[size:size + rows])
+        size *= 2
+        if size < len(table):
+            unit *= unit
+    return table
 
 
 def eval_function(problem, coeffs, x):

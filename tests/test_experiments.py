@@ -35,7 +35,6 @@ from rkhs_invlab import (FilterSpec, NumericalError, ParameterError,
                          problem_from_descriptor, run_study, sample_design,
                          sample_outputs, spectral_model, write_report)
 from rkhs_invlab.cli import main
-from rkhs_invlab.spectral_model import _FACTOR_WIDTH
 
 J = 20
 SEED = 314
@@ -323,18 +322,18 @@ def replicate_peak(n, replicates):
 
 def test_iid_batch_peak_memory_is_one_batch():
     # 12 replicates of 800 points at J = 200 are three batches of four
-    # designs.  The call holds one batch's worth of factor tables (16 + 13
-    # complex entries, 58 doubles, per point), which every batch reuses,
-    # and one design's product with them (2 x 13 per point of the design,
-    # 6.5 per batch point); with the points and the angle reduction's
-    # temporaries that measures 82 entries per batch point, against the
-    # 200 of its basis.  The bound, 4 x 16 + 2 x 13 = 90 entries per point
-    # plus 10%, fails if a batch allocates tables of its own
+    # designs.  The call holds one batch's worth of factor tables (9 + 13
+    # complex entries, 44 doubles, per point), which every batch reuses,
+    # and one design's two weighted copies of its 9 low rows (18 per point
+    # of the design, 4.5 per batch point).  With the points, the angle
+    # reduction's units and the 1,024-point workspace of the high rows the
+    # peak measures 68 entries per batch point, against the 200 of its
+    # basis.  The bound, 75 entries per point plus 10%, fails if a batch
+    # allocates tables of its own (156 measured) or if the high rows of the
+    # whole batch are formed complex before they are split into planes (87)
     assert experiments._BATCH_CELLS // (800 * 200) == 4
-    highs = 200 // _FACTOR_WIDTH + 1
     rows, peak = replicate_peak(800, 12)
-    assert peak <= (1.1 * (4 * _FACTOR_WIDTH + 2 * highs) * 4 * 800 * 8
-                    + rows.nbytes)
+    assert peak <= 1.1 * 75 * 4 * 800 * 8 + rows.nbytes
 
 
 def assert_survives_json(report, tmp_path):
@@ -770,6 +769,10 @@ BAD_FIELDS = {
                          sigma=10 ** 400), "sigma"),
     "lambda-1e400": (dict(lemma_check_config("grid").to_dict(),
                           **{"lambda": 10 ** 400}), "lambda"),
+    # Landweber's round(1/lambda) steps, not an OverflowError at run time
+    "lambda-landweber-1e-310": (dict(lemma_check_config("grid").to_dict(),
+                                     filter="landweber",
+                                     **{"lambda": 1e-310}), "lambda"),
     # a sample count is at most 2**53, which float(n) holds exactly: grid
     # studies raised out of grid_aliasing at n = 2**62 and beyond
     **{f"n-{name}": (dict(lemma_check_config("grid").to_dict(), n=n), "n")

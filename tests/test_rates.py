@@ -281,6 +281,17 @@ class TestLambdaSchedule:
         with pytest.raises(ParameterError):
             lambda_schedule("by-x", 1.0, 0.5, 2)
 
+    @pytest.mark.parametrize("kind", ["by-n", "by-delta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_constant_exponent_and_argument_are_finite(self, kind, bad,
+                                                       slot):
+        # NaN would pass a `<= 0` test and return a NaN lambda
+        args = [0.5, 0.5, 4.0]
+        args[slot] = bad
+        with pytest.raises(ParameterError, match="finite number > 0"):
+            lambda_schedule(kind, *args)
+
 
 class TestStatisticalExponents:
     def test_reference_values(self):

@@ -73,6 +73,16 @@ class TestFilterValue:
         with pytest.raises(ParameterError, match="lambda"):
             FilterSpec(kind, lam)
 
+    @pytest.mark.parametrize("lam", [1e-310, 5e-324])
+    def test_landweber_refuses_lambda_of_infinite_reciprocal(self, lam):
+        # round(1/lambda) would raise OverflowError; the other families
+        # take any finite lambda > 0, and Landweber the smallest normal one
+        with pytest.raises(ParameterError, match="lambda"):
+            FilterSpec("landweber", lam)
+        for kind in ("tikhonov", "cutoff"):
+            assert FilterSpec(kind, lam).lam == lam
+        assert FilterSpec("landweber", 2.0 ** -1022).lam == 2.0 ** -1022
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_each_family_name_builds_its_filter(self, kind):
         # a filter is its family name and its lambda, stored as a float

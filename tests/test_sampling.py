@@ -124,8 +124,9 @@ class TestPerturbData:
     def test_parameter_errors(self, two_mode_truth):
         problem, truth = two_mode_truth
         y = forward_data(problem, truth)
-        with pytest.raises(ParameterError):
-            PerturbationSpec(delta=-0.1, mode="random-unit")
+        for delta in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError, match="delta"):
+                PerturbationSpec(delta=delta, mode="random-unit")
         with pytest.raises(ShapeError):
             perturb_data(problem, y,
                          PerturbationSpec(delta=0.1, mode="fixed-mode",

@@ -21,7 +21,7 @@ from rkhs_invlab import (DomainError, FilterSpec, ParameterError,
                          make_source_solution, perturb_data,
                          problem_from_descriptor, resolve_w_spec,
                          solve_continuous, verify)
-from rkhs_invlab.spectral_model import (_FACTOR_WIDTH, _sine_factor_tables,
+from rkhs_invlab.spectral_model import (_sine_factor_tables, _split_modes,
                                        descriptor_faults, grid_aliasing)
 
 
@@ -247,10 +247,11 @@ def factor_basis(x, size):
     """u_j(x) rebuilt from the sine factor tables by angle addition."""
     low, high = _sine_factor_tables(build_power_law_problem(size, 2.0, 1.0),
                                     np.asarray(x, dtype=float))
-    a, c = np.divmod(np.arange(1, size + 1), _FACTOR_WIDTH)
-    # high[a] = sin + i cos at 16 a pi x, low[c] = cos + i sin at c pi x
-    return math.sqrt(2.0) * (high[a].real * low[c].real
-                             + high[a].imag * low[c].imag).T
+    a, c, sign = _split_modes(size)
+    # low[c] = cos + i sin at c pi x, high = the (sin, cos) planes at
+    # 16 a pi x, and sin((16 a +- c) pi x) = sin cos +- cos sin
+    return math.sqrt(2.0) * (high[0][a] * low[c].real
+                             + sign[:, None] * high[1][a] * low[c].imag).T
 
 
 # Where the reduction of 16 pi x changes branch: 16 x mod 2 wraps at
@@ -275,21 +276,23 @@ class TestSineFactorTables:
         assert err <= 1.5e-13
         assert err <= basis_err
 
-    @pytest.mark.parametrize("size", [1, 15, 16, 255, 256, 1000])
+    @pytest.mark.parametrize("size", [1, 8, 9, 15, 16, 17, 248, 255, 256,
+                                      1000])
     def test_doubling_matches_sequential_powers(self, size):
-        # J = 1 and 15 have one high row, 16 two, 255 sixteen (as many as
-        # the low table), 256 seventeen and 1000 sixty-three: every
-        # doubling block, whole or cut short, against z**k by one multiply
-        # per row.  Both round about once per multiply, so row k may differ
-        # by k ulp of 1 (0.38 k measured); x = 0 and x = 1 give exact zeros
-        # for every mode
+        # The low table has 9 rows at every J (blocks of 1, 1, 2 and 4 and
+        # one row of the next).  J = 1 and 8 have one high row, 9 to 17 two,
+        # 248 sixteen (whole blocks), 255 and 256 seventeen and 1000
+        # sixty-three: every doubling block, whole or cut short, against
+        # z**k by one multiply per row.  Both round about once per
+        # multiply, so row k may differ by k ulp of 1 (0.38 k measured);
+        # x = 0 and x = 1 give exact zeros for every mode
         x = np.concatenate([np.random.default_rng(10).random(97),
                             EDGE_POINTS, REDUCTION_POINTS])
         low, high = _sine_factor_tables(
             build_power_law_problem(size, 2.0, 1.0), x)
-        assert low.shape == (_FACTOR_WIDTH, x.size)
-        assert high.shape == (size // _FACTOR_WIDTH + 1, x.size)
-        for table, first in ((low, 1.0), (high, 1.0j)):
+        assert low.shape == (9, x.size)
+        assert high.shape == (2, (size + 7) // 16 + 1, x.size)
+        for table, first in ((low, 1.0), (high[0] + 1j * high[1], 1.0j)):
             assert np.all(table[0] == first)
             unit = table[1] / first if len(table) > 1 else None
             power = table[0].copy()
@@ -301,22 +304,43 @@ class TestSineFactorTables:
         assert np.all(ends == 0.0)
 
     def test_fills_the_tables_it_is_given(self):
-        x = np.random.default_rng(11).random(50)
+        # 2,500 points are three chunks of the high powers, the last one
+        # short; each point's entries are its own, whatever the chunking
+        x = np.random.default_rng(11).random(2500)
         problem = build_power_law_problem(200, 2.0, 1.0)
-        out = (np.empty((_FACTOR_WIDTH, x.size), dtype=complex),
-               np.empty((200 // _FACTOR_WIDTH + 1, x.size), dtype=complex))
+        out = (np.empty((9, x.size), dtype=complex),
+               np.empty((2, 13, x.size)))
         low, high = _sine_factor_tables(problem, x, out)
         assert low is out[0] and high is out[1]
-        fresh = _sine_factor_tables(problem, x)
-        npt.assert_array_equal(low, fresh[0])
-        npt.assert_array_equal(high, fresh[1])
+        pieces = [_sine_factor_tables(problem, part)
+                  for part in np.split(x, [700, 1900])]
+        npt.assert_array_equal(low, np.hstack([p[0] for p in pieces]))
+        npt.assert_array_equal(high, np.concatenate([p[1] for p in pieces],
+                                                    axis=2))
 
     def test_no_worse_than_basis_matrix_at_j1000(self):
-        # 1000 // 16 + 1 = 63 high rows, more than the 16 low ones
+        # (1000 + 7) // 16 + 1 = 63 high rows, more than the 9 low ones
         x = np.concatenate([np.random.default_rng(9).random(53),
                             EDGE_POINTS, REDUCTION_POINTS])
         err, basis_err = self.factor_errors(x, 1000)
         assert err <= basis_err
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 17, 24, 25, 200])
+    def test_split_covers_each_mode_once(self, size):
+        # j = 16 a + sign c with c = 0..8: 7, 8, 24 and 25 sit on either
+        # side of the change of a at 16 a + 8 -> 16 (a + 1) - 7, 16 is c = 0
+        # and 9 and 17 are its neighbours.  Each mode is one triple, and an
+        # (a, c) entry serves at most the two modes 16 a +- c
+        a, c, sign = _split_modes(size)
+        assert np.array_equal(16 * a + sign * c, np.arange(1, size + 1))
+        assert np.all((-7 <= sign * c) & (sign * c <= 8))
+        assert np.all((sign == 0) == (c == 0))
+        assert a[-1] == (size + 7) // 16
+        x = np.concatenate([np.random.default_rng(12).random(61),
+                            EDGE_POINTS, REDUCTION_POINTS])
+        basis = basis_matrix(build_power_law_problem(size, 2.0, 1.0), x)
+        npt.assert_allclose(factor_basis(x, size), basis, rtol=0,
+                            atol=1.5e-13)
 
 
 class TestEvalFunction:
