@@ -3,7 +3,9 @@
 ``ALL_CHECKS`` is the one home of the library's desk-scale invariants:
 each check states one documented identity or bound together with its
 set-up and tolerance, and the unit tests keep edge cases, worked values
-and error paths only.  The whole suite runs in about a second.  Checks
+and error paths only.  ``range-norm-isometry`` is the one home of the
+range-norm isometry ||A f||_K = ||f||; no study repeats it.  The whole
+suite runs in about a second.  Checks
 are deterministic given the seed; each returns its name, a pass flag and
 a one-line numeric detail.
 """

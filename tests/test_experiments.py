@@ -408,13 +408,10 @@ UNREAD = {
 TOLERANCE_CHECKS = {
     "stat-rate": {"slope": "slope-matches-theory"},
     "det-rate": {"slope": "slope-matches-theory"},
-    "lemma-check": {"z_max": "mean-matches-continuous",
-                    "identity": "bias-variance-identity"},
-    "gamma-study": {"norm_equality": "kernel-vs-parameter-norm",
-                    "exact": "exact-for-n-above-J"},
+    "lemma-check": {"z_max": "mean-matches-continuous"},
+    "gamma-study": {"exact": "exact-for-n-above-J"},
     "equivalence-check": {name: name for name in (
-        "isometry", "pullback_roundtrip", "methods_equivalence",
-        "representer_oracle")},
+        "methods_equivalence", "representer_oracle")},
 }
 
 # A config of each kind that sets every entry the kind reads away from its
@@ -574,7 +571,7 @@ GAMMA_STUDIES = {
                  n_grid=[25 * 2 ** k for k in range(8)]),
 }
 GAMMA_CHECKS = ("error-decreasing", "final-error-below-tenth",
-                "kernel-vs-parameter-norm", "exact-for-n-above-J")
+                "exact-for-n-above-J")
 
 
 def kernel_solve_fit(problem, filt, samples):
@@ -795,14 +792,21 @@ BAD_FIELDS = {
                          ("equivalence-check",
                           KERNEL_STUDIES["equivalence-check"]),
                          ("det-rate", det_rate_raw("tikhonov")))},
-    # a tolerance the kind does not read would be ignored, not applied
-    **{f"tolerance-name-{kind}": (dict(BASE_RAW[kind],
-                                       tolerances={name: 1e-12}),
-                                  "tolerances")
-       for kind, name in (("stat-rate", "slpoe"), ("det-rate", "slpoe"),
-                          ("lemma-check", "slope"),
-                          ("gamma-study", "identity"),
-                          ("equivalence-check", "norm_equality"))},
+    # a tolerance the kind does not read would be ignored, not applied;
+    # that includes those of the retired identity checks
+    **{f"tolerance-name-{label}": (dict(BASE_RAW[kind],
+                                        tolerances={name: 1e-12}),
+                                   "tolerances")
+       for label, kind, name in (
+           ("stat-rate", "stat-rate", "slpoe"),
+           ("det-rate", "det-rate", "slpoe"),
+           ("lemma-check", "lemma-check", "slope"),
+           ("gamma-study", "gamma-study", "identity"),
+           ("equivalence-check", "equivalence-check", "norm_equality"),
+           ("lemma-check-identity", "lemma-check", "identity"),
+           ("gamma-study-norm_equality", "gamma-study", "norm_equality"),
+           *((f"equivalence-check-{name}", "equivalence-check", name)
+             for name in ("isometry", "pullback_roundtrip")))},
     # an entry the kind does not read would be echoed without effect
     **{f"unread-{kind}-{entry}": (dict(BASE_RAW[kind], **{entry: value}),
                                   entry)
@@ -817,6 +821,20 @@ BAD_FIELDS = {
                          ("lemma-check",
                           lemma_check_config("iid-uniform").to_dict()),
                          ("det-rate", det_rate_raw("tikhonov")))},
+    # a schedule whose lambda under- or overflows at a grid point, or whose
+    # Landweber 1/lambda overflows, is named, not a run-time ParameterError
+    # that names no entry or an overflow reported as a numerical failure
+    **{f"schedule-{name}": (dict(det_rate_raw(kind), delta_grid=grid,
+                                 schedule={"c": 1.0, "exponent": 2.0}),
+                            "schedule")
+       for name, kind, grid in (
+           ("tikhonov-underflow", "tikhonov", [1e-200, 1e-3]),
+           ("landweber-underflow", "landweber", [1e-200, 1e-3]),
+           ("landweber-1/lambda-overflow", "landweber", [1e-155, 1e-3]),
+           ("tikhonov-overflow", "tikhonov", [1e-3, 1e200]))},
+    "schedule-stat-rate-underflow": (
+        dict(stat_rate_config("grid").to_dict(),
+             schedule={"c": 1.0, "exponent": 400.0}), "schedule"),
     # a fixed mode beyond J is named, not a run-time ShapeError
     "perturbation_index-above-J": (dict(det_rate_raw("tikhonov"),
                                         perturbation="fixed-mode",
@@ -902,6 +920,14 @@ def test_cli_run_exit_two_on_malformed_input(case, tmp_path):
         code = run_cli(tmp_path, raw, "--set", f"tolerances.slope={value}")
     assert code == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_names_a_schedule_set_to_underflow(tmp_path, capsys):
+    # c delta^400 is 0.0 at every grid point
+    assert run_cli(tmp_path, det_rate_raw("tikhonov"),
+                   "--set", "schedule.exponent=400") == 2
+    assert not (tmp_path / "out").exists()
+    assert "offending fields: ['schedule']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -1011,8 +1037,8 @@ def representer_deviation(raw):
     problem, truth = problem_from_descriptor(dict(raw["problem"], seed=seed))
     design = sample_design(raw["design"], raw["n"], seed)
     samples = sample_outputs(problem, truth, design, seed=seed)
-    return equivalence_deviations(problem, samples, raw["lambda"],
-                                  seed=seed)["representer_oracle"]
+    return equivalence_deviations(problem, samples,
+                                  raw["lambda"])["representer_oracle"]
 
 
 @pytest.mark.parametrize("raw", [KERNEL_STUDIES["equivalence-check"],
