@@ -35,9 +35,9 @@ from .rkhs import rkhs_norm
 from .sampling import (_DESIGNS, _PERTURBATION_MODES, PerturbationSpec,
                        perturb_data, sample_design, sample_outputs,
                        _uniform_design)
-from .spectral_model import (_LOW_ROWS, _finite_number, _integer,
-                             _positive_integer, _positive_number,
-                             _sine_factor_tables, _split_modes, basis_matrix,
+from .spectral_model import (_LOW_ROWS, _basis_blocks, _finite_number,
+                             _integer, _positive_integer, _positive_number,
+                             _sine_factor_tables, _split_modes,
                              descriptor_faults, forward_data, grid_aliasing,
                              problem_from_descriptor)
 
@@ -78,12 +78,54 @@ def _spearman(xs, ys):
     return float(rx @ ry) / denom if denom > 0 else 0.0
 
 
-def _sidak_z(count, level):
-    """The z* at which the largest of ``count`` independent standard normal
-    |z| exceeds z* with probability ``level``: each |z| exceeds it with
-    probability 1 - (1 - level)**(1 / count) = erfc(z* / sqrt 2) (Sidak)."""
+def _sidak_z(count, level, dof=None):
+    """The z* at which the largest of ``count`` independent |z| exceeds z*
+    with probability ``level``: each |z| exceeds it with probability
+    p = 1 - (1 - level)**(1 / count) (Sidak).  Each z is standard normal,
+    or with ``dof`` given Student's t with dof degrees of freedom, the law
+    of a mean over dof + 1 replicates divided by its standard error.
+
+    P(|T| > t) = I_x(dof / 2, 1/2) at x = dof / (dof + t**2), and with h
+    the continued fraction of that incomplete beta function
+    (``_beta_fraction``), d log P / d log t = -dof / h.  So Newton's method
+    on log t, from the normal z* below the root, steps by
+    (log P - log p) h / dof.  For p < 0.08 every iterate has t**2 > 3,
+    where the fraction converges fast."""
     per_mode = -math.expm1(math.log1p(-level) / count)
-    return -statistics.NormalDist().inv_cdf(per_mode / 2.0)
+    t = -statistics.NormalDist().inv_cdf(per_mode / 2.0)
+    if dof is None:
+        return t
+    a = 0.5 * dof
+    # log of 1 / (a B(a, 1/2))
+    log_scale = math.lgamma(a + 0.5) - math.lgamma(a + 1.0) - math.lgamma(0.5)
+    for _ in range(100):
+        x = dof / (dof + t * t)
+        log_tail = (a * math.log(x) + 0.5 * math.log(t * t / (dof + t * t))
+                    + log_scale)
+        h = _beta_fraction(a, x)
+        step = (log_tail + math.log(h) - math.log(per_mode)) * h / dof
+        t *= math.exp(step)
+        if abs(step) < 1e-10:
+            break
+    return t
+
+
+def _beta_fraction(a, x):
+    """The continued fraction h of I_x(a, 1/2) = x**a sqrt(1 - x) h /
+    (a B(a, 1/2)) by the modified Lentz method (Numerical Recipes'
+    betacf), for x < (a + 1) / (a + 5/2), where it converges fast."""
+    c, d = 1.0, 1.0 / (1.0 - (a + 0.5) * x / (a + 1.0))
+    h = d
+    for m in range(1, 100_000):
+        for coeff in (m * (0.5 - m) / ((a + 2 * m - 1) * (a + 2 * m)),
+                      -(a + m) * (a + m + 0.5)
+                      / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 / (1.0 + coeff * x * d)
+            c = 1.0 + coeff * x / c
+            h *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            break
+    return h
 
 
 def _median(values):
@@ -623,7 +665,7 @@ def _run_lemma_check(config, started):
                ">=", 0.0),
         _check("mean-matches-continuous", float(np.max(z)), "<=",
                _tolerances(config)["z_max"]
-               or _sidak_z(problem.size, _Z_FAMILY_LEVEL)),
+               or _sidak_z(problem.size, _Z_FAMILY_LEVEL, replicates - 1)),
         _check("perturbed-error-below-risk",
                det_worst - (mc_mean + 3.0 * mc_se), "<=", 0.0),
     ]
@@ -698,11 +740,15 @@ def equivalence_deviations(problem, samples, lam):
     f_norm = float(np.linalg.norm(learn))
     norm_dev = (abs(rkhs_norm(problem, kernel_side.g_coeffs) - f_norm)
                 / max(f_norm, 1e-300))
-    u = basis_matrix(problem, samples.design)
     y, g = samples.outputs, kernel_side.g_coeffs
-    residual = (problem.sigma_sv * (u.T @ (u @ g - y)) / samples.size
+    gradient = np.zeros(problem.size)
+    moment = np.zeros(problem.size)
+    for rows, u in _basis_blocks(problem, samples.design):
+        gradient += u.T @ (u @ g - y[rows])
+        moment += u.T @ y[rows]
+    residual = (problem.sigma_sv * gradient / samples.size
                 + lam * g / problem.sigma_sv)
-    moment = float(np.linalg.norm(problem.sigma_sv * (u.T @ y))) / samples.size
+    moment = float(np.linalg.norm(problem.sigma_sv * moment)) / samples.size
     oracle_dev = float(np.linalg.norm(residual)) / max(moment, 1e-300)
     return {"methods_equivalence": max(methods_dev, norm_dev),
             "representer_oracle": oracle_dev}
@@ -748,8 +794,9 @@ _STUDIES = {
         ("filter", "delta_grid", "schedule", "perturbation",
          "perturbation_index", "theory", "gamma"),
         {"slope": 0.15}),
-    # z_max None: the Sidak threshold of the J per-mode z-scores at family
-    # level _Z_FAMILY_LEVEL (_sidak_z)
+    # z_max None: the Sidak threshold of the J per-mode z-scores, each
+    # Student's t with replicates - 1 degrees of freedom, at family level
+    # _Z_FAMILY_LEVEL (_sidak_z)
     "lemma-check": _Study(
         _run_lemma_check,
         ("filter", "design", "sigma", "n", "lambda", "replicates"),

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import (DomainError, ModelError, NumericalError, ParameterError,
                      ShapeError)
 from .rkhs import _gram_entries
-from .spectral_model import _positive_number, basis_matrix
+from .spectral_model import _basis_blocks, _positive_number, basis_matrix
 
 _QUALIFICATION_CAP = 8.0
 
@@ -192,10 +192,13 @@ def solve_continuous(problem, filt, y):
 def estimator_paper(problem, filt, samples):
     """s(B) applied to the empirical moment (1/n) sum_i Y_i phi_{X_i}.
 
-    coeffs_j = s(mu_j) sigma_j (1/n) sum_i Y_i u_j(X_i).
+    coeffs_j = s(mu_j) sigma_j (1/n) sum_i Y_i u_j(X_i), the sum
+    accumulated over blocks of the basis (``_basis_blocks``).
     """
-    u = basis_matrix(problem, samples.design)
-    return filt.response(problem) * (u.T @ samples.outputs / samples.size)
+    moment = np.zeros(problem.size)
+    for rows, u in _basis_blocks(problem, samples.design):
+        moment += u.T @ samples.outputs[rows]
+    return filt.response(problem) * (moment / samples.size)
 
 
 def estimator_learn(problem, filt, samples):
@@ -205,14 +208,21 @@ def estimator_learn(problem, filt, samples):
     covariance C = Phi' Phi / n and A_x* y the moment m = Phi' y / n.
     Tikhonov is one linear solve, f = (C + lambda I)^{-1} m; cutoff and
     Landweber take the eigendecomposition C = V diag(e) V' and return
-    f = V s(e) V' m.  The cost is O(n J^2 + J^3); ``kernel_tikhonov`` is the
-    dense n-by-n reference.
+    f = V s(e) V' m.  C and m are sums over the samples, accumulated over
+    blocks of the basis (``_basis_blocks``), so the memory is
+    O(block J + J^2) with blocks of at most ``_BLOCK_CELLS`` entries, and
+    no n-by-J array is formed.  The cost is O(n J^2 + J^3);
+    ``kernel_tikhonov`` is the dense n-by-n reference.
     """
     n = samples.size
-    phi = basis_matrix(problem, samples.design)
-    phi *= problem.sigma_sv
-    cov = phi.T @ phi / n
-    moment = phi.T @ samples.outputs / n
+    cov = np.zeros((problem.size, problem.size))
+    moment = np.zeros(problem.size)
+    for rows, phi in _basis_blocks(problem, samples.design):
+        phi *= problem.sigma_sv
+        cov += phi.T @ phi
+        moment += phi.T @ samples.outputs[rows]
+    cov /= n
+    moment /= n
     if filt.kind == "tikhonov":
         cov.flat[::problem.size + 1] += filt.lam
         try:

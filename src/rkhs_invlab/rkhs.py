@@ -24,8 +24,9 @@ from .spectral_model import basis_matrix
 class GramMatrix:
     """Kernel matrix on a point set, built by ``gram_matrix``.
 
-    The entries are u diag(mu) u', symmetrized, so they are positive
-    semi-definite by construction; the constructor checks shapes only.
+    The entries are a a' with a = u diag(sigma), exactly symmetric and
+    positive semi-definite by construction; the constructor checks shapes
+    only.
     """
 
     points: np.ndarray
@@ -66,9 +67,12 @@ def gram_matrix(problem, points):
 
 
 def _gram_entries(problem, u):
-    """Symmetrized u diag(mu) u' for the basis u = basis_matrix(points)."""
-    entries = (u * problem.mu) @ u.T
-    return 0.5 * (entries + entries.T)
+    """u diag(mu) u' for the basis u = basis_matrix(points), formed as
+    a a' with a = u diag(sigma): numpy computes a product of an array with
+    its own transpose by one symmetric rank-k update (syrk) and copies one
+    triangle to the other, so the result is exactly symmetric."""
+    features = u * problem.sigma_sv
+    return features @ features.T
 
 
 def rkhs_norm(problem, g_coeffs):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import streams
 from .errors import ParameterError, ShapeError
-from .spectral_model import _finite_number, basis_matrix, forward_data
+from .spectral_model import _finite_number, eval_function, forward_data
 
 # The design schemes and the perturbation modes a study config may name.
 _DESIGNS = ("grid", "iid-uniform")
@@ -106,14 +106,16 @@ def sample_outputs(problem, f_true, design, sigma=0.0, seed=0, index=0):
 
     The conditional mean of Y_i given x_i is exactly y(x_i); at sigma = 0
     the outputs are the exact evaluations and no noise is drawn.
-    ``index`` selects the replicate substream for the noise draw.
+    ``index`` selects the replicate substream for the noise draw.  The
+    outputs are ``eval_function`` of y, which reads the basis in blocks,
+    so the memory is O(n) beyond one block of ``_BLOCK_CELLS`` entries.
     """
     if not sigma >= 0.0:
         raise ParameterError(f"sigma must be nonnegative, got {sigma!r}")
     design = np.asarray(design, dtype=float)
     if design.ndim != 1 or design.size == 0:
         raise ShapeError("design must be a nonempty 1-d sequence")
-    values = basis_matrix(problem, design) @ forward_data(problem, f_true)
+    values = eval_function(problem, forward_data(problem, f_true), design)
     if sigma > 0.0:
         values += sigma * streams.generator(
             seed, streams.NOISE_STREAM, index).standard_normal(values.size)

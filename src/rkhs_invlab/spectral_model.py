@@ -93,7 +93,7 @@ def forward_data(problem, f_coeffs):
     return problem.sigma_sv * f_coeffs
 
 
-def basis_matrix(problem, x):
+def basis_matrix(problem, x, out=None):
     """Evaluate the sine basis at points x: n-by-J matrix of u_j(x_i).
 
     Two sines per point instead of one per entry, by Reinsch's stabilised
@@ -115,6 +115,8 @@ def basis_matrix(problem, x):
     The recurrence runs on the rows of one J-by-n buffer, so each step is a
     contiguous n-vector operation and no second n-by-J array is allocated.
     The result is that buffer's transposed (Fortran-ordered) view.
+    ``out`` is an optional J-by-n buffer with unit stride along the points,
+    filled in place of a new one.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0.0) or np.any(x > 1.0):
@@ -123,7 +125,8 @@ def basis_matrix(problem, x):
     step = np.pi * np.where(reflected, 1.0 - x, x)
     k = 2.0 * np.sin(0.5 * step)
     k *= k
-    out = np.empty((problem.size, x.size))
+    if out is None:
+        out = np.empty((problem.size, x.size))
     np.sin(step, out=out[0])
     d = out[0].copy()
     for prev, row in zip(out, out[1:]):
@@ -133,6 +136,31 @@ def basis_matrix(problem, x):
     out[0::2] *= root2
     out[1::2] *= np.where(reflected, -root2, root2)
     return out.T
+
+
+# Basis entries (points times modes) that _basis_blocks evaluates at once:
+# 2**18 doubles, a 2 MB buffer, 1,310 points at J = 200.  Against the
+# unblocked reads, the kernel benchmark workload's peak RSS fell from 44.95
+# to 40.59 MB and its wall time stayed at 0.074 s (2-core Xeon, one BLAS
+# thread, medians of 10 alternating pairs).  gamma-study's grid sweep of
+# sample_outputs and estimator_learn took 32.9 ms, against 28.5 ms in one
+# block, 30.1 ms at 2**19 and 36.3 ms at 2**17 (best of 15).
+_BLOCK_CELLS = 2 ** 18
+
+
+def _basis_blocks(problem, x):
+    """Yield (rows, block) pairs over consecutive slices ``rows`` of the
+    points x, block = basis_matrix(problem, x[rows]) with at most
+    _BLOCK_CELLS entries (one point at least).  The recurrence acts on
+    each point alone, so every block row is the full matrix's row.  All
+    blocks fill one buffer, so a block is valid until the next is drawn."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    step = max(1, min(x.size, _BLOCK_CELLS // problem.size))
+    buffer = np.empty((problem.size, step))
+    for start in range(0, x.size, step):
+        points = x[start:start + step]
+        yield (slice(start, start + points.size),
+               basis_matrix(problem, points, out=buffer[:, :points.size]))
 
 
 def grid_aliasing(problem, n):
@@ -291,12 +319,15 @@ def eval_function(problem, coeffs, x):
     """Evaluate sum_j coeffs_j u_j(x) for x in [0, 1].
 
     Input and output space share the sine basis, so one evaluation serves
-    coefficients from either side.
+    coefficients from either side.  The basis is read in blocks
+    (``_basis_blocks``), so the memory is O(n) beyond one block.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (problem.size,):
         raise ShapeError("coefficient length does not match the problem")
-    values = basis_matrix(problem, x) @ coeffs
+    values = np.empty(np.size(x))
+    for rows, block in _basis_blocks(problem, x):
+        np.matmul(block, coeffs, out=values[rows])
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(values[0])
     return values

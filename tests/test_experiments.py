@@ -197,7 +197,7 @@ def test_grid_studies_build_no_basis(make_config, monkeypatch):
     def no_basis(*args, **kwargs):
         raise AssertionError("the grid replicate path evaluated the basis")
 
-    monkeypatch.setattr(experiments, "basis_matrix", no_basis)
+    # every blocked basis read (_basis_blocks) looks the name up here
     monkeypatch.setattr(spectral_model, "basis_matrix", no_basis)
     run_study(make_config("grid"))
 
@@ -213,10 +213,33 @@ def test_sidak_threshold(count, level, expected):
 
 
 def test_lemma_check_default_z_max_is_family_wise():
+    # each z divides by the standard error of REPLICATES replicates
     report = run_study(lemma_check_config("grid"))
     threshold = {c["name"]: c["threshold"] for c in report.checks}
     assert threshold["mean-matches-continuous"] == experiments._sidak_z(
-        J, experiments._Z_FAMILY_LEVEL)
+        J, experiments._Z_FAMILY_LEVEL, REPLICATES - 1)
+
+
+@pytest.mark.parametrize("count, level", [
+    (1, 0.01), (20, 0.01), (200, 0.01), (200, 0.001), (1, 0.05)])
+def test_sidak_t_threshold_matches_scipy(count, level):
+    stats = pytest.importorskip("scipy.stats")
+    per_mode = -math.expm1(math.log1p(-level) / count)
+    dofs = np.unique(np.geomspace(1, 10_000, 80).astype(int))
+    got = [experiments._sidak_z(count, level, int(dof)) for dof in dofs]
+    # measured within 4e-13 relative, from dof 1 (the Cauchy law) up
+    np.testing.assert_allclose(got, stats.t.isf(per_mode / 2.0, dofs),
+                               rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("count, replicates, expected", [
+    (200, 400, 4.0992), (20, 20, 4.1848), (1, 2, 63.6567)])
+def test_sidak_t_threshold(count, replicates, expected):
+    # the normal thresholds are 4.0545, 3.4795 and 2.5758: the normal law
+    # undercounts the tail of a z that divides by a sample standard error;
+    # at one degree of freedom t is Cauchy, tan(0.495 pi) = 63.6567
+    z = experiments._sidak_z(count, 0.01, replicates - 1)
+    assert z == pytest.approx(expected, abs=5e-5)
 
 
 @pytest.mark.parametrize("design", DESIGNS)
@@ -1054,3 +1077,31 @@ def test_representer_oracle_catches_unscaled_lambda(raw, monkeypatch):
         lambda problem, samples, lam: solve(problem, samples,
                                             lam / samples.size))
     assert representer_deviation(raw) >= 1e-4
+
+
+@pytest.mark.parametrize("scheme", ["grid", "iid-uniform"])
+def test_blocked_equivalence_deviations_match_the_basis(small_blocks,
+                                                        scheme):
+    # the optimality residual and the moment summed over blocks of 3
+    # points, and the blocked learn-n solve, against the same sums over the
+    # whole basis.  Both deviations are roundoff (1e-15 to 9e-15 here),
+    # and blocking moved them by at most 5e-16 at seeds 0-4
+    problem, truth = small_blocks
+    lam, sigma = 1e-3, problem.sigma_sv
+    samples = sample_outputs(problem, truth,
+                             sample_design(scheme, 50, seed=5), 0.1, seed=5)
+    u, y = basis_matrix(problem, samples.design), samples.outputs
+    phi = u * sigma
+    learn = np.linalg.solve(phi.T @ phi / 50 + lam * np.eye(40),
+                            phi.T @ y / 50)
+    g = kernel_tikhonov(problem, samples, lam).g_coeffs
+    residual = sigma * (u.T @ (u @ g - y)) / 50 + lam * g / sigma
+    expected = {
+        "methods_equivalence": max(
+            np.linalg.norm(sigma * learn - g) / np.linalg.norm(g),
+            abs(np.linalg.norm(g / sigma) - np.linalg.norm(learn))
+            / np.linalg.norm(learn)),
+        "representer_oracle": np.linalg.norm(residual)
+        / (np.linalg.norm(sigma * (u.T @ y)) / 50)}
+    assert equivalence_deviations(problem, samples, lam) == pytest.approx(
+        expected, rel=0, abs=2e-15)

