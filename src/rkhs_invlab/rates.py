@@ -41,7 +41,8 @@ import numpy as np
 
 from .errors import DomainError, ModelError, ParameterError, ShapeError
 from .regularization import solve_continuous
-from .spectral_model import _positive_number, _refuse_faults, forward_data
+from .spectral_model import (_finite_number, _positive_number, _refuse_faults,
+                             forward_data)
 
 
 def hs_norm(problem, filt):
@@ -67,11 +68,14 @@ def epsilon_lambda(problem, filt, f_true):
 
 
 def _check_bridge(sigma, epsilon):
-    """Refuse a noise std that is not positive or a negative or NaN eps."""
-    if not sigma > 0.0:
-        raise ParameterError(f"sigma must be positive, got {sigma!r}")
-    if not epsilon >= 0.0:
-        raise ParameterError(f"epsilon must be nonnegative, got {epsilon!r}")
+    """Refuse a noise std that is not a finite number > 0 or an eps that
+    is not a finite number >= 0."""
+    if not _positive_number(sigma):
+        raise ParameterError(
+            f"sigma must be a finite number > 0, got {sigma!r}")
+    if not (_finite_number(epsilon) and epsilon >= 0.0):
+        raise ParameterError(
+            f"epsilon must be a finite number >= 0, got {epsilon!r}")
 
 
 def delta_of(n, sigma, epsilon):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ShapeError
 from .spectral_model import basis_matrix
 
 
@@ -46,22 +46,19 @@ class GramMatrix:
 
 
 def kernel_eval(problem, x, x2):
-    """K(x, x2) = sum_j mu_j u_j(x) u_j(x2) for x, x2 in [0, 1]."""
-    for point in (x, x2):
-        if not 0.0 <= point <= 1.0:
-            raise DomainError("kernel arguments must lie in [0, 1]")
+    """K(x, x2) = sum_j mu_j u_j(x) u_j(x2) for x, x2 in [0, 1]; a point
+    outside raises ``DomainError`` (``basis_matrix``)."""
     ux = basis_matrix(problem, x)[0]
     ux2 = basis_matrix(problem, x2)[0]
     return float(np.sum(problem.mu * ux * ux2))
 
 
 def gram_matrix(problem, points):
-    """Kernel matrix with entries K(x_i, x_j) over the point set."""
+    """Kernel matrix with entries K(x_i, x_j) over the point set; a point
+    outside [0, 1] raises ``DomainError`` (``basis_matrix``)."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 1 or points.size == 0:
         raise ShapeError("point set must be a nonempty 1-d sequence")
-    if np.any(points < 0.0) or np.any(points > 1.0):
-        raise DomainError("points must lie in [0, 1]")
     entries = _gram_entries(problem, basis_matrix(problem, points))
     return GramMatrix(points=points, entries=entries)
 

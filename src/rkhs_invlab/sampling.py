@@ -23,7 +23,8 @@ import numpy as np
 
 from . import streams
 from .errors import ParameterError, ShapeError
-from .spectral_model import _finite_number, eval_function, forward_data
+from .spectral_model import (_finite_number, _positive_integer, eval_function,
+                             forward_data)
 
 # The design schemes and the perturbation modes a study config may name.
 _DESIGNS = ("grid", "iid-uniform")
@@ -86,12 +87,13 @@ class PerturbationSpec:
 
 
 def sample_design(scheme, n, seed=0, index=0):
-    """Draw the design points: midpoint grid or i.i.d. Uniform[0,1].
+    """Draw n design points, n an integer >= 1: midpoint grid or i.i.d.
+    Uniform[0,1].
 
     ``index`` selects the replicate substream; the grid ignores it.
     """
-    if n < 1:
-        raise ShapeError("need at least one design point")
+    if not _positive_integer(n):
+        raise ShapeError(f"n must be an integer >= 1, got {n!r}")
     if scheme not in _DESIGNS:
         raise ParameterError(f"unknown design scheme: {scheme!r}")
     if scheme == "grid":
@@ -102,7 +104,7 @@ def sample_design(scheme, n, seed=0, index=0):
 
 def sample_outputs(problem, f_true, design, sigma=0.0, seed=0, index=0):
     """Sample Y_i = y(x_i) + sigma zeta_i with y = A f_true, zeta i.i.d.
-    standard Gaussian.
+    standard Gaussian and sigma a finite number >= 0.
 
     The conditional mean of Y_i given x_i is exactly y(x_i); at sigma = 0
     the outputs are the exact evaluations and no noise is drawn.
@@ -110,8 +112,9 @@ def sample_outputs(problem, f_true, design, sigma=0.0, seed=0, index=0):
     outputs are ``eval_function`` of y, which reads the basis in blocks,
     so the memory is O(n) beyond one block of ``_BLOCK_CELLS`` entries.
     """
-    if not sigma >= 0.0:
-        raise ParameterError(f"sigma must be nonnegative, got {sigma!r}")
+    if not (_finite_number(sigma) and sigma >= 0.0):
+        raise ParameterError(
+            f"sigma must be a finite number >= 0, got {sigma!r}")
     design = np.asarray(design, dtype=float)
     if design.ndim != 1 or design.size == 0:
         raise ShapeError("design must be a nonempty 1-d sequence")

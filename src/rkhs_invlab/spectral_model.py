@@ -110,7 +110,8 @@ def basis_matrix(problem, x, out=None):
     measures below 1e-13 at J = 200 (tested bound 1.5e-13) and below 5e-13
     at J = 1000.  Both are below the error of sqrt(2) sin(pi * outer(x, j)),
     which loses accuracy rounding the product pi x j.  x = 0 and x = 1 give
-    exact zeros.
+    exact zeros.  Any point outside [0, 1], NaN included, raises
+    ``DomainError``.
 
     The recurrence runs on the rows of one J-by-n buffer, so each step is a
     contiguous n-vector operation and no second n-by-J array is allocated.
@@ -119,7 +120,7 @@ def basis_matrix(problem, x, out=None):
     filled in place of a new one.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN included
         raise DomainError("evaluation points must lie in [0, 1]")
     reflected = x > 0.5
     step = np.pi * np.where(reflected, 1.0 - x, x)

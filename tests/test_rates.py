@@ -102,10 +102,11 @@ class TestBridge:
                 n_of(bad, 1.0, 0.5)
 
     @pytest.mark.parametrize("sigma, epsilon", [
-        (0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5),
-        (1.0, -0.5), (1.0, math.nan)])
+        (0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5), (math.inf, 0.5),
+        (1.0, -0.5), (1.0, math.nan), (1.0, math.inf)])
     def test_parameter_errors(self, sigma, epsilon):
-        # sigma must be positive and eps nonnegative; NaN is neither
+        # sigma must be a finite number > 0 and eps a finite number >= 0:
+        # an infinite sigma gave Delta(1) = NaN and N(delta) an overflow
         with pytest.raises(ParameterError):
             delta_of(4, sigma, epsilon)
         with pytest.raises(ParameterError):

@@ -35,8 +35,11 @@ class TestKernelEval:
         assert kernel_eval(two_mode, 0.25, 0.75) == pytest.approx(0.5, rel=1e-12)
 
     def test_domain_error(self, two_mode):
-        with pytest.raises(DomainError):
-            kernel_eval(two_mode, -0.1, 0.5)
+        for x in (-0.1, 1.5, math.nan):
+            with pytest.raises(DomainError):
+                kernel_eval(two_mode, x, 0.5)
+            with pytest.raises(DomainError):
+                gram_matrix(two_mode, [0.5, x])
 
 
 class TestGramMatrix:
@@ -59,8 +62,8 @@ class TestGramMatrix:
         with pytest.raises(ShapeError):
             gram_matrix(two_mode, [])
 
-    def test_random_sets_positive_semidefinite(self):
-        result = verify.check_gram_psd(13)
+    def test_brownian_bridge_closed_form(self):
+        result = verify.check_kernel_closed_form(13)
         assert result.passed, result.detail
 
     @pytest.mark.parametrize("n", [7, 60, 400])
@@ -121,8 +124,4 @@ class TestPullback:
 class TestReproducingStructure:
     def test_evaluation_equals_kernel_pairing(self):
         result = verify.check_reproducing_property(23)
-        assert result.passed, result.detail
-
-    def test_unitary_quotient_leaves_kernel_invariant(self):
-        result = verify.check_unitary_invariance(29)
         assert result.passed, result.detail

@@ -36,8 +36,13 @@ class TestSampleDesign:
         assert np.all((design >= 0.0) & (design <= 1.0))
 
     def test_empty_and_unknown(self):
-        with pytest.raises(ShapeError):
-            sample_design("grid", 0)
+        # a float n gave a grid that is not a midpoint grid: 2.5 read as
+        # the points 0.2, 0.6 and 1.0
+        for n in (0, 2.5, 2.0, True):
+            with pytest.raises(ShapeError):
+                sample_design("grid", n)
+        npt.assert_array_equal(sample_design("grid", np.int64(2)),
+                               [0.25, 0.75])
         with pytest.raises(ParameterError):
             sample_design("sobol", 4)
 
@@ -159,9 +164,10 @@ class TestSampleSetValidation:
             SampleSet(design=np.array([0.5]), outputs=np.zeros(2))
 
     def test_noise_model_validation(self, two_mode_truth):
-        # a negative or NaN sigma is refused, not read as noiseless
+        # a negative or NaN sigma is refused, not read as noiseless, and an
+        # infinite one, not turned into infinite outputs
         problem, truth = two_mode_truth
         design = sample_design("grid", 2)
-        for sigma in (-0.2, math.nan):
+        for sigma in (-0.2, math.nan, math.inf):
             with pytest.raises(ParameterError):
                 sample_outputs(problem, truth, design, sigma)

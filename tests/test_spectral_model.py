@@ -61,10 +61,6 @@ class TestBuildPowerLawProblem:
             build_power_law_problem(args["J"], args["b"], args["d"])
         assert descriptor_faults(dict(args, r=1.0, w_spec="ones")) == [key]
 
-    def test_decay_certificate_two_sided(self):
-        result = verify.check_decay_bounds(0)
-        assert result.passed, result.detail
-
     def test_kernel_bound_constant(self):
         problem = build_power_law_problem(50, 2.0, 1.0)
         assert problem.kernel_bound_sq == pytest.approx(
@@ -129,10 +125,6 @@ class TestForwardData:
         problem = build_power_law_problem(3, 2.0, 1.0)
         with pytest.raises(ShapeError):
             forward_data(problem, [1.0])
-
-    def test_linearity(self):
-        result = verify.check_forward_linearity(7)
-        assert result.passed, result.detail
 
 
 def exact_basis(x, size):
@@ -361,9 +353,11 @@ class TestEvalFunction:
         assert eval_function(problem, [1.0], 0.0) == 0.0
 
     def test_domain_error(self):
+        # NaN fails x >= 0 and x <= 1 alike, so it is refused too
         problem = build_power_law_problem(1, 2.0, 1.0)
-        with pytest.raises(DomainError):
-            eval_function(problem, [1.0], 1.5)
+        for x in (1.5, -0.1, math.nan, [0.5, math.nan]):
+            with pytest.raises(DomainError):
+                eval_function(problem, [1.0], x)
 
     def test_parseval_on_fine_grid(self):
         result = verify.check_parseval(11)

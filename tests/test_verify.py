@@ -1,9 +1,12 @@
 """The built-in property suite and the command line, run from pytest.
 
 ``verify.ALL_CHECKS`` is the one home of the desk-scale invariants, and
-``test_check_passes`` runs each of them at the ``verify`` seed.  Unit tests
-elsewhere keep edge cases, worked values and error paths; one named after
-an invariant only runs its check, at a second seed where the check draws
+``test_check_passes`` runs each of them at the ``verify`` seed.  Every
+check has a mutation of the program that fails it, named in
+test_mutations.py's ``VERIFY_MUTATIONS``; a check that holds for any input
+of the code it calls does not belong in the suite.  Unit tests elsewhere
+keep edge cases, worked values and error paths; one named after an
+invariant only runs its check, at a second seed where the check draws
 random inputs.
 """
 
@@ -36,4 +39,6 @@ def test_python_m_verify_exits_zero():
                           capture_output=True, text=True, env=env,
                           timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1].startswith("VERIFY pass")
+    assert proc.stdout.splitlines()[-1] == (
+        f"VERIFY pass ({len(verify.ALL_CHECKS)}/{len(verify.ALL_CHECKS)} "
+        "checks)")
