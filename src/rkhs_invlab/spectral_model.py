@@ -96,63 +96,82 @@ def forward_data(problem, f_coeffs):
 def basis_matrix(problem, x, out=None):
     """Evaluate the sine basis at points x: n-by-J matrix of u_j(x_i).
 
-    Two sines per point instead of one per entry, by Reinsch's stabilised
-    form of the Goertzel recurrence (Stoer & Bulirsch, trigonometric
-    interpolation).  Points x > 1/2 are reflected to x' = 1 - x, which is
-    exact by Sterbenz's lemma, and sin(j pi x) = (-1)**(j+1) sin(j pi x'),
-    so the step h = pi x' lies in [0, pi/2].  With s_j = sin(j h),
-    d_j = s_j - s_{j-1} and k = (2 sin(h/2))**2 = 2 - 2 cos h (free of the
-    cancellation near h = 0):
+    Two sines per point instead of one per entry: u_j(x) is the imaginary
+    part of sqrt(2) z**j, z = e^{i pi x}, and the powers come by rotation,
+    _ROTATION_ROWS (W) rows per step.  The step is reduced exactly:
+    h = pi min(x, 1 - x) lies in [0, pi/2] (1 - x is exact for x >= 1/2 by
+    Sterbenz's lemma), and z = copysign(cos h, 1/2 - x) + i sin h, as the
+    reflection negates cos pi x alone.  A complex block holds the rows
+    sqrt(2) z**k, k = 1..W, each the one before times z, and each later
+    block is the one before times z**W: one complex multiply and one copy
+    per W rows.  The sqrt(2) and the reflection's sign need no pass.
+    z**W is held in W rows, as numpy multiplies equal shapes about twice
+    as fast as a row broadcast over the block.
 
-        d_1 = s_1 = sin h,   d_j = d_{j-1} - k s_{j-1},   s_j = s_{j-1} + d_j.
+    Each multiply rounds about once, so the error grows linearly in J:
+    against an exactly reduced reference it measures 5.2e-14 at J = 200
+    (tested bound 1.5e-13) and at most 3.1e-13 at J = 1000 (tested
+    3.5e-13), below the error of sqrt(2) sin(pi * outer(x, j)), which
+    rounds the product pi x j.  x = 0 and x = 1 give exact zeros.  Any
+    point outside [0, 1], NaN included, raises ``DomainError``.
 
-    Against an exactly reduced reference, the maximum absolute error
-    measures below 1e-13 at J = 200 (tested bound 1.5e-13) and below 5e-13
-    at J = 1000.  Both are below the error of sqrt(2) sin(pi * outer(x, j)),
-    which loses accuracy rounding the product pi x j.  x = 0 and x = 1 give
-    exact zeros.  Any point outside [0, 1], NaN included, raises
-    ``DomainError``.
-
-    The recurrence runs on the rows of one J-by-n buffer, so each step is a
-    contiguous n-vector operation and no second n-by-J array is allocated.
-    The result is that buffer's transposed (Fortran-ordered) view.
-    ``out`` is an optional J-by-n buffer with unit stride along the points,
-    filled in place of a new one.
+    Every operation acts on each point alone, so a row does not depend on
+    the other points, bit for bit.  The rows fill one J-by-n buffer, and
+    no second n-by-J array is allocated; the block and z**W hold 32 W
+    bytes per point.  The result is that buffer's transposed
+    (Fortran-ordered) view.  ``out`` is an optional J-by-n buffer with
+    unit stride along the points, filled in place of a new one.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN included
         raise DomainError("evaluation points must lie in [0, 1]")
-    reflected = x > 0.5
-    step = np.pi * np.where(reflected, 1.0 - x, x)
-    k = 2.0 * np.sin(0.5 * step)
-    k *= k
     if out is None:
         out = np.empty((problem.size, x.size))
-    np.sin(step, out=out[0])
-    d = out[0].copy()
-    for prev, row in zip(out, out[1:]):
-        d -= k * prev
-        np.add(prev, d, out=row)
-    root2 = np.sqrt(2.0)
-    out[0::2] *= root2
-    out[1::2] *= np.where(reflected, -root2, root2)
+    # z in every row, squared in place into z**W.  numpy rounds an
+    # in-place complex product of one element otherwise than of many, so
+    # each one that is read has W >= 2 elements per point
+    units = np.empty((min(_ROTATION_ROWS, problem.size), x.size),
+                     dtype=complex)
+    step = np.minimum(x, 1.0 - x)
+    step *= np.pi
+    np.sin(step, out=units.imag[0])
+    np.cos(step, out=units.real[0])
+    np.copysign(units.real[0], 0.5 - x, out=units.real[0])
+    del step
+    units[1:] = units[0]
+    block = np.empty_like(units)
+    np.multiply(units[0], np.sqrt(2.0), out=block[0])
+    for prev, row in zip(block, block[1:]):
+        np.multiply(prev, units[0], out=row)
+    for _ in range(_ROTATION_ROWS.bit_length() - 1):
+        units *= units
+    for start in range(0, problem.size, _ROTATION_ROWS):
+        if start:
+            block *= units
+        rows = out[start:start + _ROTATION_ROWS]
+        np.copyto(rows, block.imag[:len(rows)])
     return out.T
+
+
+# Rows that basis_matrix advances per complex multiply, a power of two.
+# Its peak at J = 200 is 1.08 basis buffers, and 1.16 at 8 (tested: 1.1).
+_ROTATION_ROWS = 4
 
 
 # Basis entries (points times modes) that _basis_blocks evaluates at once:
 # 2**18 doubles, a 2 MB buffer, 1,310 points at J = 200.  Against the
 # unblocked reads, the kernel benchmark workload's peak RSS fell from 44.95
-# to 40.59 MB and its wall time stayed at 0.074 s (2-core Xeon, one BLAS
-# thread, medians of 10 alternating pairs).  gamma-study's grid sweep of
-# sample_outputs and estimator_learn took 32.9 ms, against 28.5 ms in one
-# block, 30.1 ms at 2**19 and 36.3 ms at 2**17 (best of 15).
+# to 40.59 MB (2-core Xeon, one BLAS thread, medians of 10 alternating
+# pairs).  gamma-study's grid sweep of sample_outputs and estimator_learn
+# takes 20.5 ms, against 20.2 ms in one block, 20.6 ms at 2**19 and
+# 21.3 ms at 2**17 (best of 90).
 _BLOCK_CELLS = 2 ** 18
 
 
 def _basis_blocks(problem, x):
     """Yield (rows, block) pairs over consecutive slices ``rows`` of the
     points x, block = basis_matrix(problem, x[rows]) with at most
-    _BLOCK_CELLS entries (one point at least).  The recurrence acts on
+    _BLOCK_CELLS entries (one point at least).  The rotation acts on
     each point alone, so every block row is the full matrix's row.  All
     blocks fill one buffer, so a block is valid until the next is drawn."""
     x = np.atleast_1d(np.asarray(x, dtype=float))

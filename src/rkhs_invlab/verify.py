@@ -6,17 +6,19 @@ set-up and tolerance, and the unit tests keep edge cases, worked values
 and error paths only.  ``range-norm-isometry`` is the one home of the
 range-norm isometry ||A f||_K = ||f||, and ``kernel-closed-form`` of the
 kernel's values against the Brownian-bridge covariance; no study repeats
-them.  ``kernel-vs-parameter-tikhonov`` runs the study function
-``equivalence_deviations`` instead of a copy of it.  Every check has a
-mutation of the program in tests/test_mutations.py under which it fails,
-so no check here holds for any input of the code it calls.  The whole
-suite runs in about a second.
+them.  ``reproducing-property`` sums its series from np.sin, so it reads
+no evaluator of the package.  ``kernel-vs-parameter-tikhonov`` runs the
+study function ``equivalence_deviations`` instead of a copy of it.  Every
+check has a mutation of the program in tests/test_mutations.py under which
+it fails, so no check here holds for any input of the code it calls.  The
+whole suite runs in about a second.
 Checks are deterministic given the seed; each returns its name, a pass
 flag and a one-line numeric detail.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -78,15 +80,21 @@ def check_partial_isometry(seed):
 
 
 def check_reproducing_property(seed):
-    problem = build_power_law_problem(50, 2.0, 1.0)
+    """``eval_function`` against the series sum_j g_j sqrt(2) sin(j pi x)
+    summed here, with each angle j x reduced mod 2 exactly (as a Fraction)
+    before np.sin, so no evaluator of the package enters the series."""
+    size = 50
+    problem = build_power_law_problem(size, 2.0, 1.0)
     rng = streams.generator(seed, streams.GENERIC_STREAM, 4)
     worst = 0.0
     for _ in range(25):
-        g = rng.standard_normal(50)
+        g = rng.standard_normal(size)
         x = float(rng.random())
         direct = eval_function(problem, g, x)
-        u = basis_matrix(problem, x)[0]
-        series = float(np.sum(g * u))
+        # j x mod 2, shifted into [-1, 1)
+        turns = [float((Fraction(x) * j + 1) % 2 - 1)
+                 for j in range(1, size + 1)]
+        series = math.sqrt(2.0) * float(g @ np.sin(np.pi * np.array(turns)))
         worst = max(worst, abs(direct - series) / max(1.0, abs(direct)))
     return _result("reproducing-property", worst <= 1e-10, f"max={worst:.2e}")
 
@@ -238,13 +246,19 @@ def check_rate_identities(seed):
 
 
 def check_loss_factors(seed):
+    """tau in (1, 2) (general) and (1, 3) (Tikhonov), tending to 1 as
+    b -> inf and, as r -> 0, to 1 + 1/b and 1 + 2/b, which tells the two
+    variants apart."""
     taus = [(r, b, loss_factor_tau(r, b, "general"),
              loss_factor_tau(r, b, "tikhonov"))
             for r in (0.5, 1.0, 2.0, 3.0) for b in (1.1, 1.5, 2.0, 4.0, 10.0)]
     bounded = all(1.0 < tg < 2.0 and 1.0 < tt < 3.0 for _, _, tg, tt in taus)
     asymptote = abs(loss_factor_tau(1.0, 1e3, "general") - 1.0) <= 1e-3
-    return _result("loss-factor-bounds", bounded and asymptote,
-                   "tau in (1,2) / (1,3), b->inf asymptote")
+    gap = max(abs(loss_factor_tau(1e-9, 2.0, "general") - 1.5),
+              abs(loss_factor_tau(1e-9, 2.0, "tikhonov") - 2.0))
+    return _result("loss-factor-bounds", bounded and asymptote and gap <= 1e-6,
+                   f"tau in (1,2) / (1,3), b->inf asymptote, "
+                   f"r->0 gap={gap:.1e}")
 
 
 def check_epsilon_report(seed):

@@ -9,7 +9,10 @@ checks are already failed this way by tests in test_experiments.py, named
 in ``ELSEWHERE``.  ``VERIFY_MUTATIONS`` does the same for each check that
 ``verify.run_all()`` reports, at the verify seed.  Each table must name
 exactly the checks the studies or ``verify`` report, so a new check comes
-with its mutation.
+with its mutation.  Two verify checks have one more test, for a mutation
+that an earlier form of the check passed: a wrong basis
+(reproducing-property) and swapped loss-factor variants
+(loss-factor-bounds).
 
 A mutation replaces a function in the namespace the check reads it from:
 ``verify``'s own for most verify checks; ``rkhs._gram_entries``, which
@@ -61,7 +64,7 @@ import pytest
 
 from rkhs_invlab import (FilterSpec, PerturbationSpec, SpectralProblem,
                          StudyConfig, experiments, hs_norm, regularization,
-                         rkhs, run_study, verify)
+                         rkhs, run_study, spectral_model, verify)
 
 SEED = 314
 VERIFY_SEED = 20260809  # the default seed of ``rkhs-invlab verify``
@@ -305,4 +308,31 @@ def test_mutation_fails_its_verify_check(name, verify_checks, monkeypatch):
     monkeypatch.setattr(module, attribute,
                         mutate(getattr(module, attribute)))
     result = check(VERIFY_SEED)
+    assert not result.passed, result.detail
+
+
+def test_wrong_basis_fails_reproducing_property(monkeypatch):
+    # a basis without its sqrt(2), wherever it is read: the series side
+    # sums np.sin on exactly reduced angles, so eval_function's blocked
+    # read of the wrong basis fails the check
+    original = spectral_model.basis_matrix
+
+    def basis_matrix(problem, x, out=None):
+        return original(problem, x, out) / math.sqrt(2.0)
+
+    for module in (spectral_model, verify):
+        monkeypatch.setattr(module, "basis_matrix", basis_matrix)
+    result = verify.check_reproducing_property(VERIFY_SEED)
+    assert not result.passed, result.detail
+
+
+def test_swapped_loss_factor_variants_fail_their_check(monkeypatch):
+    # each variant holds (1, 2) and (1, 3) and tends to 1 as b grows, but
+    # as r -> 0 the general one tends to 1 + 1/b and Tikhonov to 1 + 2/b
+    original = verify.loss_factor_tau
+    other = {"general": "tikhonov", "tikhonov": "general"}
+    monkeypatch.setattr(verify, "loss_factor_tau",
+                        lambda r, b, variant="general": original(
+                            r, b, other[variant]))
+    result = verify.check_loss_factors(VERIFY_SEED)
     assert not result.passed, result.detail

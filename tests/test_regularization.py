@@ -445,7 +445,7 @@ def test_blocked_peak_memory_is_one_block(path):
     # Beyond one block (2 MB) the peak holds the J-by-J covariance with the
     # product that is added to it (320 kB each), or the n-vectors of the
     # outputs and their noise, and the per-block temporaries of the
-    # recurrence: measured 2.74 MB for estimator_learn and 2.42 MB for
+    # basis: measured 2.74 MB for estimator_learn and 2.35 MB for
     # sample_outputs.  A second block (4.75 MB when a block outlives the
     # next) or the full basis (16.8 MB) fails the bound.
     problem = build_power_law_problem(200, 2.0, 1.0)

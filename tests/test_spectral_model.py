@@ -171,7 +171,7 @@ class TestBasisMatrix:
         0.3,
     ], ids=["grid", "iid", "scalar"])
     def test_matches_direct_expression(self, x):
-        # the recurrence and the textbook form each sit within 1.5e-13 of the
+        # the rotation and the textbook form each sit within 1.5e-13 of the
         # exact basis at J = 200, so they agree to the sum of the two bounds
         problem = build_power_law_problem(200, 2.0, 1.0)
         j = np.arange(1, 201)
@@ -191,6 +191,30 @@ class TestBasisMatrix:
         x = np.concatenate([np.random.default_rng(6).random(53), EDGE_POINTS])
         err, textbook_err = max_errors(x, 1000)
         assert err <= textbook_err
+
+    def test_error_bound_at_j1000(self):
+        # the error grows linearly in J: 2.6e-13 measured here, and at most
+        # 3.1e-13 on 200 random points at each of five seeds
+        x = np.concatenate([np.random.default_rng(6).random(53), EDGE_POINTS,
+                            REDUCTION_POINTS])
+        err, _ = max_errors(x, 1000)
+        assert err <= 3.5e-13
+
+    @pytest.mark.parametrize("size", [1, 3, 4, 5, 9, 200])
+    def test_short_last_rotation_step(self, size):
+        # W = 4 rows per step: J = 1 and W - 1 fill part of the first block,
+        # W fills it, and W + 1 and 2 W + 1 end on a step of one row.  Each
+        # multiply rounds about once, so row j is within j ulp of 1 (1.2 j
+        # measured).  A point's row is the same alone as among others, bit
+        # for bit, also where the last step is short
+        assert spectral_model._ROTATION_ROWS == 4
+        problem = build_power_law_problem(size, 2.0, 1.0)
+        x = np.array(EDGE_POINTS + REDUCTION_POINTS)
+        basis = basis_matrix(problem, x)
+        npt.assert_allclose(basis, exact_basis(x, size), rtol=0,
+                            atol=2 * size * 2.0 ** -52)
+        for point, row in zip(x, basis):
+            npt.assert_array_equal(basis_matrix(problem, point)[0], row)
 
     def test_endpoints_give_exact_zeros(self):
         problem = build_power_law_problem(200, 2.0, 1.0)
@@ -367,7 +391,7 @@ class TestEvalFunction:
 @pytest.mark.parametrize("scheme", ["grid", "iid-uniform"])
 def test_basis_blocks_are_rows_of_the_basis(small_blocks, scheme,
                                             monkeypatch):
-    # the recurrence acts on each point alone: bit for bit
+    # every rotation step acts on each point alone: bit for bit
     problem, _ = small_blocks
     x = sample_design(scheme, 50, seed=5)
     blocks = [(rows, block.copy()) for rows, block in
