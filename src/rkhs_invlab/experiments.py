@@ -27,8 +27,8 @@ import numpy as np
 from . import streams
 from .errors import NumericalError, ParameterError, ValidationError
 from .rates import (RateFit, classical_exponents, convert_upper, delta_of,
-                    epsilon_lambda, fit_rate, lambda_schedule,
-                    statistical_exponents, hs_norm)
+                    epsilon_lambda, fit_rate, hs_norm, lambda_schedule,
+                    paper_variance, statistical_exponents)
 from .regularization import (_FAMILIES, FilterSpec, estimator_learn,
                              kernel_tikhonov, solve_continuous)
 from .rkhs import rkhs_norm
@@ -47,8 +47,10 @@ _TAKES = {dict: lambda v: isinstance(v, (dict, type(None))),
           tuple: lambda v: isinstance(v, (list, tuple, type(None))),
           float: _finite_number}
 
-# Probability that lemma-check's mean-matches-continuous fails under the
-# claim at the default z_max: the largest of J independent |z| exceeds it.
+# Family level of lemma-check's default z_max: the probability that the
+# largest of J independent standard normal |z| exceeds it.  That is the law
+# of its z on the grid for n > J; on iid designs, whose modes are
+# correlated, the level is an upper bound.
 _Z_FAMILY_LEVEL = 0.01
 
 # Basis entries (points times modes) the designs of one iid batch would
@@ -78,54 +80,12 @@ def _spearman(xs, ys):
     return float(rx @ ry) / denom if denom > 0 else 0.0
 
 
-def _sidak_z(count, level, dof=None):
-    """The z* at which the largest of ``count`` independent |z| exceeds z*
-    with probability ``level``: each |z| exceeds it with probability
-    p = 1 - (1 - level)**(1 / count) (Sidak).  Each z is standard normal,
-    or with ``dof`` given Student's t with dof degrees of freedom, the law
-    of a mean over dof + 1 replicates divided by its standard error.
-
-    P(|T| > t) = I_x(dof / 2, 1/2) at x = dof / (dof + t**2), and with h
-    the continued fraction of that incomplete beta function
-    (``_beta_fraction``), d log P / d log t = -dof / h.  So Newton's method
-    on log t, from the normal z* below the root, steps by
-    (log P - log p) h / dof.  For p < 0.08 every iterate has t**2 > 3,
-    where the fraction converges fast."""
+def _sidak_z(count, level):
+    """The z* at which the largest of ``count`` independent standard normal
+    |z| exceeds z* with probability ``level``: each |z| exceeds it with
+    probability p = 1 - (1 - level)**(1 / count) (Sidak)."""
     per_mode = -math.expm1(math.log1p(-level) / count)
-    t = -statistics.NormalDist().inv_cdf(per_mode / 2.0)
-    if dof is None:
-        return t
-    a = 0.5 * dof
-    # log of 1 / (a B(a, 1/2))
-    log_scale = math.lgamma(a + 0.5) - math.lgamma(a + 1.0) - math.lgamma(0.5)
-    for _ in range(100):
-        x = dof / (dof + t * t)
-        log_tail = (a * math.log(x) + 0.5 * math.log(t * t / (dof + t * t))
-                    + log_scale)
-        h = _beta_fraction(a, x)
-        step = (log_tail + math.log(h) - math.log(per_mode)) * h / dof
-        t *= math.exp(step)
-        if abs(step) < 1e-10:
-            break
-    return t
-
-
-def _beta_fraction(a, x):
-    """The continued fraction h of I_x(a, 1/2) = x**a sqrt(1 - x) h /
-    (a B(a, 1/2)) by the modified Lentz method (Numerical Recipes'
-    betacf), for x < (a + 1) / (a + 5/2), where it converges fast."""
-    c, d = 1.0, 1.0 / (1.0 - (a + 0.5) * x / (a + 1.0))
-    h = d
-    for m in range(1, 100_000):
-        for coeff in (m * (0.5 - m) / ((a + 2 * m - 1) * (a + 2 * m)),
-                      -(a + m) * (a + m + 0.5)
-                      / ((a + 2 * m) * (a + 2 * m + 1))):
-            d = 1.0 / (1.0 + coeff * x * d)
-            c = 1.0 + coeff * x / c
-            h *= c * d
-        if abs(c * d - 1.0) < 1e-15:
-            break
-    return h
+    return -statistics.NormalDist().inv_cdf(per_mode / 2.0)
 
 
 def _median(values):
@@ -621,8 +581,13 @@ def _run_lemma_check(config, started):
     variance-plus-bias lower bound, the matching of the mean estimate with
     the continuous reconstruction, and the dominance of the
     bounded-perturbation error by the sampled risk at noise level
-    Delta(n, lambda).  The point records the sample bias mc_bias2 and
-    variance mc_var, which sum to err_mean for any replicates."""
+    Delta(n, lambda).  Mode j's z is |mean - f_lam| over the exact
+    standard error sqrt(var / R) of R replicates, var from
+    ``rates.paper_variance`` (a grid mode of alias class 0 has var 0 and
+    z 0), so a wrong noise scale fails it.  The default z_max is Sidak's
+    over J normal z: exact on the grid for n > J, conservative on iid
+    designs.  The point records the sample bias mc_bias2 and variance
+    mc_var, which sum to err_mean for any replicates."""
     problem, truth = _problem_of(config)
     n = int(config.n)
     filt = FilterSpec(config.filter, config.lam)
@@ -642,7 +607,8 @@ def _run_lemma_check(config, started):
     hs = hs_norm(problem, filt)
     lower = config.sigma ** 2 / n * hs ** 2 + bias2
 
-    comp_se = coeff_rows.std(axis=0, ddof=1) / math.sqrt(replicates)
+    comp_se = np.sqrt(paper_variance(problem, filt, truth, config.sigma, n,
+                                     config.design) / replicates)
     z = np.abs(mean_coeffs - f_lam) / np.where(comp_se > 0, comp_se, np.inf)
 
     dmax = delta_of(n, config.sigma, epsilon_lambda(problem, filt, truth))
@@ -665,7 +631,7 @@ def _run_lemma_check(config, started):
                ">=", 0.0),
         _check("mean-matches-continuous", float(np.max(z)), "<=",
                _tolerances(config)["z_max"]
-               or _sidak_z(problem.size, _Z_FAMILY_LEVEL, replicates - 1)),
+               or _sidak_z(problem.size, _Z_FAMILY_LEVEL)),
         _check("perturbed-error-below-risk",
                det_worst - (mc_mean + 3.0 * mc_se), "<=", 0.0),
     ]
@@ -794,9 +760,8 @@ _STUDIES = {
         ("filter", "delta_grid", "schedule", "perturbation",
          "perturbation_index", "theory", "gamma"),
         {"slope": 0.15}),
-    # z_max None: the Sidak threshold of the J per-mode z-scores, each
-    # Student's t with replicates - 1 degrees of freedom, at family level
-    # _Z_FAMILY_LEVEL (_sidak_z)
+    # z_max None: the Sidak threshold of the J per-mode z-scores, each over
+    # its exact standard error, at family level _Z_FAMILY_LEVEL (_sidak_z)
     "lemma-check": _Study(
         _run_lemma_check,
         ("filter", "design", "sigma", "n", "lambda", "replicates"),

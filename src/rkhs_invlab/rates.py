@@ -41,8 +41,10 @@ import numpy as np
 
 from .errors import DomainError, ModelError, ParameterError, ShapeError
 from .regularization import solve_continuous
-from .spectral_model import (_finite_number, _positive_number, _refuse_faults,
-                             forward_data)
+from .sampling import _DESIGNS
+from .spectral_model import (_finite_number, _positive_integer,
+                             _positive_number, _refuse_faults, forward_data,
+                             grid_aliasing)
 
 
 def hs_norm(problem, filt):
@@ -54,6 +56,36 @@ def hs_norm(problem, filt):
 def operator_norm(problem, filt):
     """Spectral norm max_j s(mu_j) sigma_j of the reconstruction operator."""
     return float(np.max(filt.response(problem)))
+
+
+def paper_variance(problem, filt, f_true, sigma, n, design):
+    """Variances of the J coefficients r_j (1/n) sum_i u_j(x_i) Y_i of one
+    paper-n estimate, r_j = s(mu_j) sigma_j, with data y = A f_true.
+
+    On the midpoint grid only the noise varies: r_j**2 sigma**2 D_m / n,
+    D_m from ``grid_aliasing``.  On iid designs each point adds one
+    independent u_j(x) (g(x) + sigma zeta), g = sum_k y_k u_k, so the
+    variance is r_j**2 / n (E[g**2 u_j**2] + sigma**2 - y_j**2).  As
+    E[u_j**2 u_k u_l] = [k = l] - [|k - l| = 2j] / 2 + [k + l = 2j] / 2,
+    E[g**2 u_j**2] is ||y||**2 - sum_k y_k y_{k+2j} + sum_{k+l=2j} y_k y_l
+    / 2: one correlation and one convolution of y, with no basis.
+    """
+    if not (_finite_number(sigma) and sigma >= 0.0):
+        raise ParameterError(
+            f"sigma must be a finite number >= 0, got {sigma!r}")
+    if not _positive_integer(n):
+        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
+    if design not in _DESIGNS:
+        raise ParameterError(f"unknown design scheme: {design!r}")
+    y = forward_data(problem, f_true)
+    weight = filt.response(problem) ** 2 / n
+    if design == "grid":
+        return weight * sigma ** 2 * grid_aliasing(problem, n)[2]
+    # the lags 2j of the autocorrelation, and the sums over k + l = 2j,
+    # which the convolution holds at index 2j - 2
+    lagged = np.correlate(np.pad(y, (0, 2 * y.size)), y, "valid")[2::2]
+    paired = np.convolve(y, y)[::2]
+    return weight * (y @ y - lagged + 0.5 * paired + sigma ** 2 - y ** 2)
 
 
 def epsilon_lambda(problem, filt, f_true):

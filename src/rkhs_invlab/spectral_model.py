@@ -259,8 +259,8 @@ def _sine_factor_tables(problem, x, out=None):
     and a reflection go on that unit z, exactly.
 
     Each table is then filled by doubling from its row 0 (1 or i):
-    table[k:2k] = table[:k] z**k for k = 1, 2, 4, 8, ..., squaring z in
-    place between blocks: 26 complex multiplies per point at J = 200 (8 and
+    table[k:2k] = table[:k] z**k for k = 1, 2, 4, 8, ..., squaring z
+    between blocks: 26 complex multiplies per point at J = 200 (8 and
     12 rows, 3 and 3 squarings).  The high powers are formed _PLANE_CHUNK
     points at a time in a complex workspace and copied to the planes, so
     the planes cost no second table.
@@ -323,7 +323,8 @@ def _sine_factor_tables(problem, x, out=None):
 
 def _fill_powers(table, first, unit):
     """Fill and return the complex rows table[k] = first z**k by doubling:
-    table[k:2k] = table[:k] z**k, squaring the unit z in place."""
+    table[k:2k] = table[:k] z**k, squaring the unit z out of place (numpy
+    rounds an in-place square of one element differently)."""
     table[0] = first
     size = 1
     while size < len(table):
@@ -331,7 +332,7 @@ def _fill_powers(table, first, unit):
         np.multiply(table[:rows], unit, out=table[size:size + rows])
         size *= 2
         if size < len(table):
-            unit *= unit
+            unit = unit * unit
     return table
 
 

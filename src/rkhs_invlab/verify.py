@@ -24,8 +24,8 @@ import numpy as np
 
 from . import streams
 from .experiments import equivalence_deviations
-from .rates import (delta_of, epsilon_lambda, fit_rate, hs_norm,
-                    loss_factor_tau, n_of)
+from .rates import (delta_of, epsilon_lambda, fit_rate, loss_factor_tau,
+                    n_of, paper_variance)
 from .regularization import (_FAMILIES, FilterSpec, certify_filter,
                              estimator_paper, kernel_tikhonov,
                              solve_continuous)
@@ -287,10 +287,10 @@ def check_mini_monte_carlo(seed):
     err2 = np.sum((rows - truth) ** 2, axis=1)
     f_lam = solve_continuous(problem, filt, forward_data(problem, truth))
     # on the midpoint grid with n > J the basis is orthonormal on the
-    # points, so the estimate has mean f_lam and covariance
-    # sigma^2/n L L': this is the exact risk
-    exact = (float(np.sum((f_lam - truth) ** 2))
-             + sigma ** 2 / n * hs_norm(problem, filt) ** 2)
+    # points, so the estimate has mean f_lam: the exact risk is the squared
+    # bias plus the summed variances
+    exact = float(np.sum((f_lam - truth) ** 2) + np.sum(
+        paper_variance(problem, filt, truth, sigma, n, "grid")))
     z = (float(err2.mean()) - exact) / float(err2.std(ddof=1) / math.sqrt(reps))
     return _result("monte-carlo-risk-matches-exact", abs(z) <= 3.0,
                    f"z={z:.2f}, mean={err2.mean():.4e} exact={exact:.4e}")

@@ -1,10 +1,11 @@
 """Study runs and the ``run`` command.
 
 Monte-Carlo studies are checked, on iid designs, against the public
-single-replicate path (also across batch boundaries) and for the peak
-memory of one batch; on the midpoint grid, for the law of their moment
-draws (mean, variance and correlation against the grid Gram matrix), for
-rows that do not depend on the other replicates and for building no basis;
+single-replicate path (also across batch boundaries), for the exact
+variance of their rows and for the peak memory of one batch; on the
+midpoint grid, for the law of their moment draws (mean, variance and
+correlation against the grid Gram matrix), for rows that do not depend on
+the other replicates and for building no basis;
 on both, for determinism and the JSON round trip; stat-rate's median
 against ``np.median`` and for the numpy.ma import it avoids; the
 kernel-side study kinds for verdict, determinism and the JSON round trip;
@@ -31,7 +32,7 @@ from rkhs_invlab import (FilterSpec, NumericalError, ParameterError,
                          basis_matrix,
                          equivalence_deviations, estimator_learn,
                          estimator_paper, experiments, forward_data,
-                         kernel_tikhonov, lambda_schedule,
+                         kernel_tikhonov, lambda_schedule, paper_variance,
                          problem_from_descriptor, run_study, sample_design,
                          sample_outputs, spectral_model, write_report)
 from rkhs_invlab.cli import main
@@ -158,6 +159,9 @@ def test_grid_replicates_follow_the_moment_law(n):
     response = filt.response(LAW_MODEL)
     mean = response * (gram @ forward_data(LAW_MODEL, LAW_TRUTH))
     var = response ** 2 * SIGMA ** 2 / n * np.diag(gram)
+    np.testing.assert_allclose(
+        paper_variance(LAW_MODEL, filt, LAW_TRUTH, SIGMA, n, "grid"), var,
+        rtol=1e-13, atol=1e-13 * np.max(var))
     # one independent normal per alias class: min(n, J) of them, family
     # level 1% for the means and 1% for the variances
     z_max = experiments._sidak_z(min(n, LAW_J), 0.01)
@@ -175,6 +179,25 @@ def test_grid_replicates_follow_the_moment_law(n):
     for j, k in zip(*np.nonzero(np.triu(np.abs(gram) > 0.5, 1))):
         corr = np.corrcoef(rows[:, j], rows[:, k])[0, 1]
         assert corr == pytest.approx(np.sign(gram[j, k]), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [40, 81])
+def test_iid_replicates_have_the_exact_variance(n):
+    # each row is a mean of n iid terms; from n = 40 on they are close
+    # enough to normal for the chi-square law of the sample variance (at
+    # n = 7 the rows' heavier tails widen its spread past these bounds)
+    filt = FilterSpec("tikhonov", 0.05)
+    config = StudyConfig.from_dict(dict(
+        lemma_check_config("iid-uniform").to_dict(), problem=LAW_PROBLEM,
+        replicates=LAW_DRAWS, n=n))
+    rows = experiments._replicate_coeffs(config, LAW_MODEL, LAW_TRUTH, filt,
+                                         n, range(LAW_DRAWS))
+    var = paper_variance(LAW_MODEL, filt, LAW_TRUTH, SIGMA, n, "iid-uniform")
+    z_max = experiments._sidak_z(LAW_J, 0.01)
+    dof = LAW_DRAWS - 1
+    ratio = rows.var(axis=0, ddof=1) / var
+    assert np.min(ratio) >= chi2_quantile(dof, -z_max) / dof
+    assert np.max(ratio) <= chi2_quantile(dof, z_max) / dof
 
 
 def test_grid_row_does_not_depend_on_the_other_replicates():
@@ -213,33 +236,11 @@ def test_sidak_threshold(count, level, expected):
 
 
 def test_lemma_check_default_z_max_is_family_wise():
-    # each z divides by the standard error of REPLICATES replicates
+    # each z divides by its exact standard error, so it is normal
     report = run_study(lemma_check_config("grid"))
     threshold = {c["name"]: c["threshold"] for c in report.checks}
     assert threshold["mean-matches-continuous"] == experiments._sidak_z(
-        J, experiments._Z_FAMILY_LEVEL, REPLICATES - 1)
-
-
-@pytest.mark.parametrize("count, level", [
-    (1, 0.01), (20, 0.01), (200, 0.01), (200, 0.001), (1, 0.05)])
-def test_sidak_t_threshold_matches_scipy(count, level):
-    stats = pytest.importorskip("scipy.stats")
-    per_mode = -math.expm1(math.log1p(-level) / count)
-    dofs = np.unique(np.geomspace(1, 10_000, 80).astype(int))
-    got = [experiments._sidak_z(count, level, int(dof)) for dof in dofs]
-    # measured within 4e-13 relative, from dof 1 (the Cauchy law) up
-    np.testing.assert_allclose(got, stats.t.isf(per_mode / 2.0, dofs),
-                               rtol=1e-6, atol=0)
-
-
-@pytest.mark.parametrize("count, replicates, expected", [
-    (200, 400, 4.0992), (20, 20, 4.1848), (1, 2, 63.6567)])
-def test_sidak_t_threshold(count, replicates, expected):
-    # the normal thresholds are 4.0545, 3.4795 and 2.5758: the normal law
-    # undercounts the tail of a z that divides by a sample standard error;
-    # at one degree of freedom t is Cauchy, tan(0.495 pi) = 63.6567
-    z = experiments._sidak_z(count, 0.01, replicates - 1)
-    assert z == pytest.approx(expected, abs=5e-5)
+        J, experiments._Z_FAMILY_LEVEL)
 
 
 @pytest.mark.parametrize("design", DESIGNS)

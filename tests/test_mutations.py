@@ -9,8 +9,9 @@ checks are already failed this way by tests in test_experiments.py, named
 in ``ELSEWHERE``.  ``VERIFY_MUTATIONS`` does the same for each check that
 ``verify.run_all()`` reports, at the verify seed.  Each table must name
 exactly the checks the studies or ``verify`` report, so a new check comes
-with its mutation.  Two verify checks have one more test, for a mutation
-that an earlier form of the check passed: a wrong basis
+with its mutation.  Three checks have one more test, for a mutation that
+an earlier form of the check passed: tripled noise in the grid replicates
+(lemma-check's mean-matches-continuous), a wrong basis
 (reproducing-property) and swapped loss-factor variants
 (loss-factor-bounds).
 
@@ -56,6 +57,7 @@ variance, so there a third of the spread still passes
 ``perturbed-error-below-risk``.
 """
 
+import dataclasses
 import itertools
 import math
 from pathlib import Path
@@ -179,6 +181,17 @@ def test_mutation_fails_its_check(kind, check, monkeypatch):
     name, mutate = MUTATIONS[kind, check]
     monkeypatch.setattr(experiments, name, mutate(getattr(experiments, name)))
     assert not check_flags(kind)[check]
+
+
+def test_tripled_noise_fails_mean_matches_continuous(monkeypatch):
+    # grid replicates drawn at three times the config's sigma: a z over the
+    # sample standard error passed them, as the mean's deviation and that
+    # error triple together
+    original = experiments._replicate_coeffs
+    monkeypatch.setattr(experiments, "_replicate_coeffs",
+                        lambda config, *args: original(dataclasses.replace(
+                            config, sigma=3.0 * config.sigma), *args))
+    assert not check_flags("lemma-check")["mean-matches-continuous"]
 
 
 def test_checks_failed_elsewhere_are_tested_there():

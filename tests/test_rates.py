@@ -19,8 +19,8 @@ from rkhs_invlab import (DomainError, FilterSpec, ModelError, ParameterError,
                          epsilon_lambda, estimator_paper, fit_rate,
                          forward_data, hs_norm, lambda_schedule,
                          loss_factor_tau, make_source_solution, n_of,
-                         operator_norm, perturb_data, sample_design,
-                         sample_outputs, solve_continuous,
+                         operator_norm, paper_variance, perturb_data,
+                         sample_design, sample_outputs, solve_continuous,
                          statistical_exponents, verify)
 from rkhs_invlab.cli import main
 
@@ -78,6 +78,37 @@ class TestEpsilonLambda:
         problem, truth = house_problem(4)
         with pytest.raises(ModelError):
             epsilon_lambda(problem, FilterSpec("cutoff", 5.0), truth)
+
+
+class TestPaperVariance:
+    @pytest.mark.parametrize("size", [1, 2, 37, 200])
+    def test_iid_matches_midpoint_quadrature(self, size):
+        # u_j^2 g^2 is a cosine series of frequencies below 4J, which the
+        # midpoint rule on more than 2J points integrates exactly
+        problem, truth = house_problem(size)
+        filt = FilterSpec("tikhonov", 0.05)
+        sigma, n = 0.1, 800
+        points = 4 * size + 7
+        x = (np.arange(1, points + 1) - 0.5) / points
+        modes = np.arange(1, size + 1)
+        u = math.sqrt(2.0) * np.sin(np.pi * np.outer(x, modes))
+        y = forward_data(problem, truth)
+        moment = np.mean(u ** 2 * ((u @ y) ** 2)[:, None], axis=0)
+        expected = (filt.response(problem) ** 2 / n
+                    * (moment + sigma ** 2 - y ** 2))
+        npt.assert_allclose(paper_variance(problem, filt, truth, sigma, n,
+                                           "iid-uniform"),
+                            expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("sigma, n, design", [
+        (math.nan, 10, "grid"), (math.inf, 10, "grid"), (-0.1, 10, "grid"),
+        ("0.1", 10, "grid"), (0.1, 0, "grid"), (0.1, 2.5, "iid-uniform"),
+        (0.1, 10.0, "grid"), (0.1, True, "grid"), (0.1, 10, "sobol")])
+    def test_refusals(self, sigma, n, design):
+        problem, truth = house_problem(4)
+        with pytest.raises(ParameterError):
+            paper_variance(problem, FilterSpec("tikhonov", 0.1), truth,
+                           sigma, n, design)
 
 
 class TestBridge:

@@ -323,18 +323,20 @@ class TestSineFactorTables:
 
     def test_fills_the_tables_it_is_given(self):
         # 2,500 points are three chunks of the high powers, the last one
-        # short; each point's entries are its own, whatever the chunking
+        # short; each point's entries are its own, whatever the chunking,
+        # a point alone in its call included
         x = np.random.default_rng(11).random(2500)
         problem = build_power_law_problem(200, 2.0, 1.0)
         out = (np.empty((9, x.size), dtype=complex),
                np.empty((2, 13, x.size)))
         low, high = _sine_factor_tables(problem, x, out)
         assert low is out[0] and high is out[1]
-        pieces = [_sine_factor_tables(problem, part)
-                  for part in np.split(x, [700, 1900])]
-        npt.assert_array_equal(low, np.hstack([p[0] for p in pieces]))
-        npt.assert_array_equal(high, np.concatenate([p[1] for p in pieces],
-                                                    axis=2))
+        for splits in ([700, 1900], [700, 1900, 1901]):
+            pieces = [_sine_factor_tables(problem, part)
+                      for part in np.split(x, splits)]
+            npt.assert_array_equal(low, np.hstack([p[0] for p in pieces]))
+            npt.assert_array_equal(
+                high, np.concatenate([p[1] for p in pieces], axis=2))
 
     def test_no_worse_than_basis_matrix_at_j1000(self):
         # (1000 + 7) // 16 + 1 = 63 high rows, more than the 9 low ones
