@@ -13,8 +13,7 @@ from .spectral_model import (SpectralProblem, basis_matrix,
                              build_power_law_problem, eval_function,
                              forward_data, make_source_solution,
                              problem_from_descriptor, resolve_w_spec)
-from .rkhs import (GramMatrix, correspondence_pullback, gram_matrix,
-                   kernel_eval, rkhs_norm)
+from .rkhs import GramMatrix, gram_matrix, kernel_eval, rkhs_norm
 from .sampling import (PerturbationSpec, SampleSet, perturb_data,
                        sample_design, sample_outputs)
 from .regularization import (FilterSpec, KernelSolution, certify_filter,

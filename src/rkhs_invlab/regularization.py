@@ -14,12 +14,13 @@ coordinates in the sine basis:
                            empirical moment (1/n) Phi' y: one linear solve
                            for Tikhonov, an eigendecomposition otherwise.
 
-The dense n-by-n Tikhonov solve (K + lambda n I) beta = y is
-``kernel_tikhonov``, the one n-by-n solve.  It serves only as the
-kernel-side reference of equivalence-check and ``verify``: they check
+On the noiseless midpoint grid learn-n splits into the alias classes of
+``grid_aliasing`` and has a closed form in O(J), ``_grid_learn``, which
+gamma-study fits with.  The dense n-by-n Tikhonov solve (K + lambda n I)
+beta = y is ``kernel_tikhonov``, the one n-by-n solve.  It serves only as
+the kernel-side reference of equivalence-check and ``verify``: they check
 learn-n against it and measure its first-order optimality for the
-penalized empirical risk.  Every study fit, gamma-study's included, runs
-in J-space.
+penalized empirical risk.  Every other study fit runs in J-space.
 
 Each filter family is one row of ``_FAMILIES``: Tikhonov s(t) = 1/(t +
 lambda), of qualification 1; spectral cutoff s(t) = 1/t for t >= lambda and
@@ -36,7 +37,8 @@ import numpy as np
 from .errors import (DomainError, ModelError, NumericalError, ParameterError,
                      ShapeError)
 from .rkhs import _gram_entries
-from .spectral_model import _basis_blocks, _positive_number, basis_matrix
+from .spectral_model import (_basis_blocks, _positive_number, basis_matrix,
+                             grid_aliasing)
 
 _QUALIFICATION_CAP = 8.0
 
@@ -232,6 +234,29 @@ def estimator_learn(problem, filt, samples):
                 f"covariance system is singular: {exc}") from exc
     eigs, vecs = np.linalg.eigh(cov)
     return vecs @ (filt.at_eigenvalues(eigs) * (vecs.T @ moment))
+
+
+def _grid_learn(problem, filt, y, n):
+    """learn-n on the noiseless n-point midpoint grid, for the clean data
+    y = A f: what ``estimator_learn`` returns on the outputs y(x_i), in
+    O(J) and with no basis, covariance or solve.
+
+    On the grid the covariance is diag(sigma) M diag(sigma), with the grid
+    Gram matrix M of ``grid_aliasing``, and the moment is
+    diag(sigma) M y.  Restricted to the modes S_m of alias class m, with
+    signs s_j and weight D_m, the covariance is D_m v v' with v = sigma s,
+    and the moment is D_m alpha_m v with alpha_m = sum_{k in S_m} s_k y_k.
+    So the moment lies on the class's one eigenvector v, of eigenvalue
+    t_m = D_m sum_{k in S_m} mu_k, and the fit is
+    f_j = s_lambda(t_m) D_m s_j sigma_j alpha_m.  Class 0 (D_0 = 0) gives 0.
+    A t_m beyond the family's spectrum bound raises ``ModelError``, as
+    ``estimator_learn`` does on that eigenvalue.
+    """
+    classes, signs, weights = grid_aliasing(problem, n)
+    alphas = np.bincount(classes, signs * y)[classes]
+    eigs = weights * np.bincount(classes, problem.mu)[classes]
+    return (filt.at_eigenvalues(eigs) * weights * signs * problem.sigma_sv
+            * alphas)
 
 
 def kernel_tikhonov(problem, samples, lam):

@@ -78,11 +78,3 @@ def rkhs_norm(problem, g_coeffs):
     if g_coeffs.shape != (problem.size,):
         raise ShapeError("coefficient length does not match the problem")
     return float(np.sqrt(np.sum(g_coeffs ** 2 / problem.mu)))
-
-
-def correspondence_pullback(problem, g_coeffs):
-    """Map a range element back to parameter space: f_j = g_j / sigma_j."""
-    g_coeffs = np.asarray(g_coeffs, dtype=float)
-    if g_coeffs.shape != (problem.size,):
-        raise ShapeError("coefficient length does not match the problem")
-    return g_coeffs / problem.sigma_sv

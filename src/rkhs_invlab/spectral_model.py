@@ -162,9 +162,10 @@ _ROTATION_ROWS = 4
 # 2**18 doubles, a 2 MB buffer, 1,310 points at J = 200.  Against the
 # unblocked reads, the kernel benchmark workload's peak RSS fell from 44.95
 # to 40.59 MB (2-core Xeon, one BLAS thread, medians of 10 alternating
-# pairs).  gamma-study's grid sweep of sample_outputs and estimator_learn
-# takes 20.5 ms, against 20.2 ms in one block, 20.6 ms at 2**19 and
-# 21.3 ms at 2**17 (best of 90).
+# pairs).  The public path's sweep of sample_outputs and estimator_learn
+# over the midpoint grids n = 25, 50, ..., 3200 at J = 200 takes 20.5 ms,
+# against 20.2 ms in one block, 20.6 ms at 2**19 and 21.3 ms at 2**17
+# (best of 90).
 _BLOCK_CELLS = 2 ** 18
 
 

@@ -28,14 +28,16 @@ import numpy as np
 import pytest
 
 from rkhs_invlab import (FilterSpec, NumericalError, ParameterError,
-                         StudyConfig, StudyReport, ValidationError,
+                         SampleSet, StudyConfig, StudyReport, ValidationError,
                          basis_matrix,
                          equivalence_deviations, estimator_learn,
-                         estimator_paper, experiments, forward_data,
-                         kernel_tikhonov, lambda_schedule, paper_variance,
-                         problem_from_descriptor, run_study, sample_design,
-                         sample_outputs, spectral_model, write_report)
+                         estimator_paper, eval_function, experiments,
+                         forward_data, kernel_tikhonov, lambda_schedule,
+                         paper_variance, problem_from_descriptor, run_study,
+                         sample_design, sample_outputs, spectral_model,
+                         write_report)
 from rkhs_invlab.cli import main
+from rkhs_invlab.regularization import _grid_learn
 
 J = 20
 SEED = 314
@@ -213,12 +215,13 @@ def test_grid_row_does_not_depend_on_the_other_replicates():
         config, MODEL, TRUTH, filt, 7, range(5, 12)), rows[5:12])
 
 
-@pytest.mark.parametrize("make_config", [stat_rate_config,
-                                         lemma_check_config],
-                         ids=["stat-rate", "lemma-check"])
+@pytest.mark.parametrize("make_config", [
+    stat_rate_config, lemma_check_config,
+    lambda design: StudyConfig.from_dict(KERNEL_STUDIES["gamma-study"])],
+    ids=["stat-rate", "lemma-check", "gamma-study"])
 def test_grid_studies_build_no_basis(make_config, monkeypatch):
     def no_basis(*args, **kwargs):
-        raise AssertionError("the grid replicate path evaluated the basis")
+        raise AssertionError("a grid study evaluated the basis")
 
     # every blocked basis read (_basis_blocks) looks the name up here
     monkeypatch.setattr(spectral_model, "basis_matrix", no_basis)
@@ -599,26 +602,36 @@ GAMMA_CHECKS = ("error-decreasing", "final-error-below-tenth",
 
 
 def kernel_solve_fit(problem, filt, samples):
-    """The gamma-study fit f = g / sigma from kernel_tikhonov's n-by-n
-    solve, a stand-in for the J-space estimator_learn."""
+    """The Tikhonov fit f = g / sigma from kernel_tikhonov's n-by-n solve."""
     g = kernel_tikhonov(problem, samples, filt.lam).g_coeffs
     return g / problem.sigma_sv
+
+
+def on_grid_samples(fit):
+    """A fit of a sample set, ``estimator_learn``'s signature, as a
+    gamma-study fit (``_grid_learn``'s): it reads the exact outputs of the
+    clean data y on the n-point midpoint grid."""
+    def grid_fit(problem, filt, y, n):
+        design = sample_design("grid", n)
+        return fit(problem, filt,
+                   SampleSet(design, eval_function(problem, y, design)))
+    return grid_fit
 
 
 def once_per_n(fit):
     """``fit``, computed once per sample size and then reused."""
     fits = {}
 
-    def cached(problem, filt, samples):
-        if samples.size not in fits:
-            fits[samples.size] = fit(problem, filt, samples)
-        return fits[samples.size]
+    def cached(problem, filt, y, n):
+        if n not in fits:
+            fits[n] = fit(problem, filt, y, n)
+        return fits[n]
     return cached
 
 
 def gamma_flags(label, fit, monkeypatch):
     """(name, passed) of every check of a gamma-study fitted by ``fit``."""
-    monkeypatch.setattr(experiments, "estimator_learn", fit)
+    monkeypatch.setattr(experiments, "_grid_learn", fit)
     report = run_study(StudyConfig.from_dict(GAMMA_STUDIES[label]))
     return tuple((c["name"], c["passed"]) for c in report.checks)
 
@@ -630,13 +643,15 @@ def test_gamma_study_flags_do_not_depend_on_solver_or_roundoff(
     # the roundoff-level distances past n = J; the old rank-correlation
     # check ranked them, and read -0.8 under the J-space fit at J = 40
     flags = set()
-    for fit in (estimator_learn, kernel_solve_fit):
+    for fit in (_grid_learn, on_grid_samples(estimator_learn),
+                on_grid_samples(kernel_solve_fit)):
         fit = once_per_n(fit)
         flags.add(gamma_flags(label, fit, monkeypatch))
         for draw in range(20):
             rng = np.random.default_rng(draw)
             flags.add(gamma_flags(
-                label, lambda p, filt, s, fit=fit, rng=rng: fit(p, filt, s)
+                label, lambda p, filt, y, n, fit=fit, rng=rng:
+                fit(p, filt, y, n)
                 * (1.0 + 4e-16 * rng.standard_normal(p.size)), monkeypatch))
     assert flags == {tuple((name, True) for name in GAMMA_CHECKS)}
 
@@ -649,8 +664,8 @@ def test_gamma_study_fails_with_a_wrong_lambda(label, scale, monkeypatch):
     # both leave a distance of 1.2e-4 to 1.2e-3 of the continuous norm at
     # every n past J
     flags = dict(gamma_flags(
-        label, lambda p, filt, s: estimator_learn(
-            p, FilterSpec("tikhonov", scale(s.size) * filt.lam), s),
+        label, lambda p, filt, y, n: _grid_learn(
+            p, FilterSpec("tikhonov", scale(n) * filt.lam), y, n),
         monkeypatch))
     assert not flags["exact-for-n-above-J"]
 
@@ -659,11 +674,12 @@ def test_gamma_study_fit_matches_kernel_tikhonov():
     raw = KERNEL_STUDIES["gamma-study"]
     problem, truth = problem_from_descriptor(dict(raw["problem"],
                                                   seed=raw["seed"]))
+    y = forward_data(problem, truth)
     for n in raw["n_grid"]:
         samples = sample_outputs(problem, truth, sample_design("grid", n),
                                  seed=raw["seed"])
-        g = forward_data(problem, estimator_learn(
-            problem, FilterSpec("tikhonov", raw["lambda"]), samples))
+        g = forward_data(problem, _grid_learn(
+            problem, FilterSpec("tikhonov", raw["lambda"]), y, n))
         reference = kernel_tikhonov(problem, samples, raw["lambda"]).g_coeffs
         assert (np.linalg.norm(g - reference)
                 <= 1e-10 * np.linalg.norm(reference)), n
@@ -692,7 +708,7 @@ def test_rate_studies_refuse_ones_source(raw, tmp_path):
 
 
 BAD_FIELDS = {
-    # gamma-study always samples the midpoint grid
+    # gamma-study always fits on the midpoint grid
     "gamma-study-iid": (dict(KERNEL_STUDIES["gamma-study"],
                              design="iid-uniform"), "design"),
     **{f"tolerance-{name}": (dict(det_rate_raw("tikhonov"),

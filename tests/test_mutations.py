@@ -16,10 +16,12 @@ an earlier form of the check passed: tripled noise in the grid replicates
 (loss-factor-bounds).
 
 A mutation replaces a function in the namespace the check reads it from:
-``verify``'s own for most verify checks; ``rkhs._gram_entries``, which
-``gram_matrix`` reads; ``experiments.estimator_learn``, which
-``equivalence_deviations`` reads; and ``regularization._FAMILIES``, which
-declares the constants that ``certify_filter`` certifies.
+``experiments``' own for the study checks, among them
+``experiments._grid_learn``, gamma-study's fit; ``verify``'s own for most
+verify checks; ``rkhs._gram_entries``, which ``gram_matrix`` reads;
+``experiments.estimator_learn``, which ``equivalence_deviations`` reads;
+and ``regularization._FAMILIES``, which declares the constants that
+``certify_filter`` certifies.
 
 Eight identity checks were retired because no mutation could fail them;
 each held for any input of the code it called, so only roundoff moved it.
@@ -32,8 +34,7 @@ From the studies:
 - equivalence-check's ``isometry``: ||A f||_K = ||f||, the same identity
   at g = A f, which ``verify``'s range-norm-isometry holds;
 - equivalence-check's ``pullback_roundtrip``: (g / sigma) sigma = g, the
-  definition of ``correspondence_pullback``, whose round trip
-  test_rkhs.py holds.
+  definition of the pullback f = g / sigma.
 
 From ``verify``:
 
@@ -123,10 +124,15 @@ def inverted(original):
 
 
 def wrong_lambda(scale):
-    """A Tikhonov fit at ``scale(n)`` times the study's lambda."""
+    """An ``estimator_learn`` fit at ``scale`` times the study's lambda."""
     return lambda original: lambda problem, filt, samples: original(
-        problem, FilterSpec("tikhonov", scale(samples.size) * filt.lam),
-        samples)
+        problem, FilterSpec("tikhonov", scale * filt.lam), samples)
+
+
+def wrong_grid_lambda(scale):
+    """A ``_grid_learn`` fit at ``scale(n)`` times the study's lambda."""
+    return lambda original: lambda problem, filt, y, n: original(
+        problem, FilterSpec("tikhonov", scale(n) * filt.lam), y, n)
 
 
 # (kind, check) -> (name in experiments, mutation of that function)
@@ -144,14 +150,14 @@ MUTATIONS = {
     ("lemma-check", "perturbed-error-below-risk"):
         ("delta_of", scaled(10.0)),
     # lambda n / 25 moves the fit further from the continuous one as n
-    # grows; at 1.1 lambda the distances past n = J tie to within 5e-12,
-    # so error-decreasing would fail by roundoff only
+    # grows; at 1.1 lambda the fit past n = J does not depend on n, so
+    # error-decreasing would fail on a tie only
     ("gamma-study", "error-decreasing"):
-        ("estimator_learn", wrong_lambda(lambda n: n / 25.0)),
+        ("_grid_learn", wrong_grid_lambda(lambda n: n / 25.0)),
     ("gamma-study", "final-error-below-tenth"):
-        ("estimator_learn", wrong_lambda(lambda n: 1.1)),
+        ("_grid_learn", wrong_grid_lambda(lambda n: 1.1)),
     ("equivalence-check", "methods_equivalence"):
-        ("estimator_learn", wrong_lambda(lambda n: 1.1)),
+        ("estimator_learn", wrong_lambda(1.1)),
 }
 
 # (kind, check) -> the test in test_experiments.py that fails it
@@ -285,7 +291,7 @@ VERIFY_MUTATIONS = {
     "filter-certificates":
         (regularization, "_FAMILIES", tikhonov_qualification(2.0)),
     "kernel-vs-parameter-tikhonov":
-        (experiments, "estimator_learn", wrong_lambda(lambda n: 1.1)),
+        (experiments, "estimator_learn", wrong_lambda(1.1)),
     "representer-small-lambda-limit":
         (verify, "kernel_tikhonov", lambda_floored(1e-4)),
     "sample-noise-bridge-identities":

@@ -21,7 +21,7 @@ from rkhs_invlab import (DomainError, FilterSpec, ModelError, ParameterError,
                          forward_data, kernel_tikhonov, make_source_solution,
                          sample_design, sample_outputs, solve_continuous,
                          spectral_model, verify)
-from rkhs_invlab.regularization import _FAMILIES
+from rkhs_invlab.regularization import _FAMILIES, _grid_learn
 
 
 def clean_samples(problem, truth, design):
@@ -467,6 +467,39 @@ def test_blocked_peak_memory_is_one_block(path):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * 8 * (cells + 2 * 200 ** 2 + 4 * n)
+
+
+GRID_LEARN_NS = (1, 2, 3, 7, 25, 60, 200, 401, 3200)
+
+
+@pytest.mark.parametrize("size", [40, 200])
+@pytest.mark.parametrize("kind, lam", BLOCK_FILTERS)
+def test_grid_learn_matches_estimator_learn(kind, lam, size):
+    # the closed form per alias class against the J-space solve or
+    # eigendecomposition on the grid's exact outputs, below, at and above
+    # n = J; both refuse the same grids, with the same message
+    problem = build_power_law_problem(size, 2.0, 1.0)
+    truth = make_source_solution(problem, 1.0,
+                                 np.arange(1, size + 1, dtype=float) ** -1.0)
+    y = forward_data(problem, truth)
+    filt = FilterSpec(kind, lam)
+    refused = []
+    for n in GRID_LEARN_NS:
+        samples = clean_samples(problem, truth, sample_design("grid", n))
+        try:
+            reference = estimator_learn(problem, filt, samples)
+        except ModelError as exc:
+            with pytest.raises(ModelError, match=re.escape(str(exc))):
+                _grid_learn(problem, filt, y, n)
+            refused.append(n)
+            continue
+        fit = _grid_learn(problem, filt, y, n)
+        assert (np.linalg.norm(fit - reference)
+                <= 1e-12 * np.linalg.norm(reference)), n
+    # where 2n - 1 <= J alias class 1 holds modes 1 and 2n - 1, so its
+    # eigenvalue exceeds Landweber's spectrum bound mu_1 = 1
+    expected = [n for n in GRID_LEARN_NS if 2 * n - 1 <= size]
+    assert refused == (expected if kind == "landweber" else []), refused
 
 
 class TestKernelTikhonov:

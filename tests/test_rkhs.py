@@ -1,4 +1,4 @@
-"""Kernel evaluation, Gram matrices, the range norm and the pullback.
+"""Kernel evaluation, Gram matrices and the range norm.
 
 A test named after an invariant of ``verify.ALL_CHECKS`` only runs that
 check, at a second seed where the check draws random inputs; the check
@@ -12,8 +12,7 @@ import numpy.testing as npt
 import pytest
 
 from rkhs_invlab import (DomainError, ShapeError, SpectralProblem,
-                         basis_matrix, build_power_law_problem,
-                         correspondence_pullback, forward_data, gram_matrix,
+                         basis_matrix, build_power_law_problem, gram_matrix,
                          kernel_eval, rkhs_norm, verify)
 
 
@@ -98,27 +97,6 @@ class TestRangeNorm:
     def test_partial_isometry(self):
         result = verify.check_partial_isometry(17)
         assert result.passed, result.detail
-
-
-class TestPullback:
-    def test_componentwise_division(self, two_mode):
-        npt.assert_allclose(correspondence_pullback(two_mode, [1.0, 0.25]),
-                            [1.0, 0.5], rtol=1e-15)
-
-    def test_zero(self, two_mode):
-        npt.assert_array_equal(correspondence_pullback(two_mode, [0.0, 0.0]),
-                               [0.0, 0.0])
-
-    def test_identity_when_sigma_is_one(self):
-        problem = build_power_law_problem(1, 2.0, 1.0)
-        npt.assert_allclose(correspondence_pullback(problem, [7.0]), [7.0])
-
-    def test_round_trip(self):
-        problem = build_power_law_problem(60, 2.0, 1.0)
-        rng = np.random.default_rng(19)
-        g = rng.standard_normal(60)
-        back = forward_data(problem, correspondence_pullback(problem, g))
-        npt.assert_allclose(back, g, rtol=1e-12, atol=1e-14)
 
 
 class TestReproducingStructure:
