@@ -22,7 +22,8 @@ from .regularization import (FilterSpec, KernelSolution, certify_filter,
 from .rates import (ConvertedRate, RateExponents, RateFit, classical_exponents,
                     convert_lower, convert_upper, delta_of, epsilon_lambda,
                     fit_rate, hs_norm, lambda_schedule, loss_factor_tau, n_of,
-                    operator_norm, paper_variance, statistical_exponents)
+                    operator_norm, paper_risk, paper_variance,
+                    statistical_exponents)
 from .experiments import (StudyConfig, StudyReport, equivalence_deviations,
                           run_study, write_report)
 

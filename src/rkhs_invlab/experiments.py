@@ -26,9 +26,9 @@ import numpy as np
 
 from . import streams
 from .errors import NumericalError, ParameterError, ValidationError
-from .rates import (RateFit, classical_exponents, convert_upper, delta_of,
-                    epsilon_lambda, fit_rate, hs_norm, lambda_schedule,
-                    paper_variance, statistical_exponents)
+from .rates import (RateFit, classical_exponents, convert_upper, fit_rate,
+                    lambda_schedule, paper_risk, paper_variance,
+                    statistical_exponents)
 from .regularization import (_FAMILIES, FilterSpec, _grid_learn,
                              estimator_learn, kernel_tikhonov,
                              solve_continuous)
@@ -40,7 +40,7 @@ from .spectral_model import (_LOW_ROWS, _basis_blocks, _finite_number,
                              _integer, _positive_integer, _positive_number,
                              _sine_factor_tables, _split_modes,
                              descriptor_faults, forward_data, grid_aliasing,
-                             problem_from_descriptor)
+                             grid_gram_product, problem_from_descriptor)
 
 # The values each converter of a config entry takes: a null dict or grid
 # reads as empty, and sigma is a number that float() holds finitely.
@@ -49,10 +49,13 @@ _TAKES = {dict: lambda v: isinstance(v, (dict, type(None))),
           float: _finite_number}
 
 # Family level of lemma-check's default z_max: the probability that the
-# largest of J independent standard normal |z| exceeds it.  That is the law
-# of its z on the grid for n > J; on iid designs, whose modes are
-# correlated, the level is an upper bound.
+# largest of its J per-mode |z| exceeds it, exact on the grid for n > J and
+# an upper bound on iid designs, whose modes are correlated.
 _Z_FAMILY_LEVEL = 0.01
+
+# Bound on stat-rate's pooled z against the exact risks, a constant and not
+# a tolerance: a standard normal |z| exceeds it with probability 0.27%.
+_RISK_Z_MAX = 3.0
 
 # Basis entries (points times modes) the designs of one iid batch would
 # fill.  A batch builds no basis, only its factor tables: 9 + (J + 7) // 16
@@ -192,7 +195,8 @@ class StudyConfig:
     # None under the converted theory: the nominal gamma of the rates
     gamma: float | None = field(default=None, metadata=_rule(
         lambda v: v is None or _positive_number(v)))
-    replicates: int = field(default=1, metadata=_rule(_positive_integer))
+    replicates: int = field(default=1, metadata=_rule(
+        lambda v: _positive_integer(v) and v >= 2))
     seed: int = field(default=0, metadata=_rule(_integer))
     tolerances: dict = field(default_factory=dict, metadata=_rule(
         lambda t: all(_positive_number(v) for v in t.values()), dict))
@@ -268,9 +272,6 @@ class StudyConfig:
                 bad.append(key)
         if study and not set(self.tolerances) <= set(study.tolerances):
             bad.append("tolerances")
-        if self.kind == "lemma-check" and not (
-                _positive_integer(self.replicates) and self.replicates >= 2):
-            bad.append("replicates")
         w_spec = self.problem.get("w_spec")
         if "schedule" in reads and isinstance(w_spec, str) and w_spec == "ones":
             # w = (1, ..., 1) has source radius sqrt(J), not a fixed source
@@ -394,11 +395,10 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
     On the midpoint grid the estimate reads the data only through the
     moment u'Y / n, whose law is N(M y, sigma**2 / n M) with the grid Gram
     matrix M of ``grid_aliasing``: mode j of class m and sign e_j has the
-    moment e_j (D_m sum_{i in class m} e_i y_i + sigma sqrt(D_m / n) xi_m),
-    with one standard normal xi_m per class m = 1..min(n, J), and modes of
-    class 0 are 0.  So each grid replicate draws min(n, J) normals and no
-    basis is built; for n > J the moment is y + sigma / sqrt(n) xi.  These
-    are draws from the public path's law, not its point-sample draws.
+    moment (M y)_j + e_j sigma sqrt(D_m / n) xi_m, with one standard normal
+    xi_m per class m = 1..min(n, J), and modes of class 0 are 0.  So each
+    grid replicate draws min(n, J) normals and builds no basis: draws from
+    the public path's law, not its point-sample draws.
 
     iid designs build no basis either.  They go in batches of consecutive
     replicates, as many whole designs as fit in _BATCH_CELLS basis
@@ -434,8 +434,7 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
 
     if config.design == "grid":
         classes, signs, weights = grid_aliasing(problem, n)
-        # M y: each class sums its modes' signed data, one bincount
-        clean = signs * weights * np.bincount(classes, signs * y)[classes]
+        clean = grid_gram_product(problem, n, y)
         scale = config.sigma * signs * np.sqrt(weights / n)
         normals = np.empty((len(indices), min(n, problem.size)))
         for row, index in zip(normals, indices):
@@ -509,7 +508,10 @@ def _replicate_coeffs(config, problem, truth, filt, n, indices):
 def _run_stat_rate(config, started):
     """Monte-Carlo squared reconstruction error of the sampled estimator
     along a lambda schedule in n, slope-fitted against 1/n and compared to
-    2r/(2r+1+1/b)."""
+    2r/(2r+1+1/b).  Each point's z = (err_mean - exact_risk) / err_se, 0
+    where all errors agree (a filter that annihilates the spectrum), holds
+    it to ``rates.paper_risk``; the points draw disjoint replicates, so
+    risk-matches-exact's sum_k z_k / sqrt(K) is about standard normal."""
     problem, truth = _problem_of(config)
     points = []
     replicates = config.replicates
@@ -523,19 +525,25 @@ def _run_stat_rate(config, started):
         sq_err -= truth
         sq_err **= 2
         errors = sq_err.sum(axis=1)
+        err_mean = float(errors.mean())
+        err_se = float(errors.std(ddof=1) / math.sqrt(replicates))
+        exact = paper_risk(problem, filt, truth, config.sigma, n,
+                           config.design)
         points.append({
-            "x": int(n), "lambda": filt.lam,
-            "err_mean": float(errors.mean()),
-            "err_se": float(errors.std(ddof=1) / math.sqrt(replicates))
-            if replicates > 1 else 0.0,
-            "err_median": _median(errors),
+            "x": int(n), "lambda": filt.lam, "err_mean": err_mean,
+            "err_se": err_se, "err_median": _median(errors),
+            "exact_risk": exact, "z": (err_mean - exact) / err_se
+            if errors.max() > errors.min() else 0.0,
         })
     fit = fit_rate([(1.0 / p["x"], p["err_mean"]) for p in points])
     r, b = float(config.problem["r"]), float(config.problem["b"])
     alpha = statistical_exponents(r, b).alpha
-    theory = {"alpha": alpha}
+    theory = {"alpha": alpha, "exact_slope": fit_rate(
+        [(1.0 / p["x"], p["exact_risk"]) for p in points]).slope}
     tol = _tolerances(config)["slope"]
-    checks = [_check("slope-matches-theory", abs(fit.slope - alpha), "<=", tol)]
+    pooled = sum(p["z"] for p in points) / math.sqrt(len(points))
+    checks = [_check("slope-matches-theory", abs(fit.slope - alpha), "<=", tol),
+              _check("risk-matches-exact", abs(pooled), "<=", _RISK_Z_MAX)]
     medians = [p["err_median"] for p in points]
     if len(medians) > 4:
         # consistency criterion: past the first two grid points the median
@@ -578,17 +586,14 @@ def _run_det_rate(config, started):
 
 
 def _run_lemma_check(config, started):
-    """At fixed (n, lambda): Monte-Carlo verification of the
-    variance-plus-bias lower bound, the matching of the mean estimate with
-    the continuous reconstruction, and the dominance of the
-    bounded-perturbation error by the sampled risk at noise level
-    Delta(n, lambda).  Mode j's z is |mean - f_lam| over the exact
+    """At fixed (n, lambda): the mean estimate against the continuous
+    reconstruction f_lam.  Mode j's z is |mean - f_lam| over the exact
     standard error sqrt(var / R) of R replicates, var from
     ``rates.paper_variance`` (a grid mode of alias class 0 has var 0 and
-    z 0), so a wrong noise scale fails it.  The default z_max is Sidak's
-    over J normal z: exact on the grid for n > J, conservative on iid
-    designs.  The point records the sample bias mc_bias2 and variance
-    mc_var, which sum to err_mean for any replicates."""
+    z 0), so a wrong noise scale fails it on the grid.  The default z_max
+    is Sidak's over J normal z: exact on the grid for n > J, conservative
+    on iid designs.  The point records the sample bias mc_bias2 and
+    variance mc_var, which sum to err_mean for any replicates."""
     problem, truth = _problem_of(config)
     n = int(config.n)
     filt = FilterSpec(config.filter, config.lam)
@@ -602,40 +607,19 @@ def _run_lemma_check(config, started):
     mc_bias2 = float(np.sum((mean_coeffs - truth) ** 2))
     mc_var = float(np.mean(np.sum((coeff_rows - mean_coeffs) ** 2, axis=1)))
 
-    y_clean = forward_data(problem, truth)
-    f_lam = solve_continuous(problem, filt, y_clean)
+    f_lam = solve_continuous(problem, filt, forward_data(problem, truth))
     bias2 = float(np.sum((f_lam - truth) ** 2))
-    hs = hs_norm(problem, filt)
-    lower = config.sigma ** 2 / n * hs ** 2 + bias2
-
     comp_se = np.sqrt(paper_variance(problem, filt, truth, config.sigma, n,
                                      config.design) / replicates)
     z = np.abs(mean_coeffs - f_lam) / np.where(comp_se > 0, comp_se, np.inf)
 
-    dmax = delta_of(n, config.sigma, epsilon_lambda(problem, filt, truth))
-    det_worst = -np.inf
-    for mode, idx in (("random-unit", None), ("fixed-mode", 1),
-                      ("filter-adversarial", None)):
-        spec = PerturbationSpec(delta=dmax, mode=mode, index=idx, filter=filt)
-        y_delta = perturb_data(problem, y_clean, spec, config.seed)
-        det_err2 = float(np.sum(
-            (solve_continuous(problem, filt, y_delta) - truth) ** 2))
-        det_worst = max(det_worst, det_err2)
-
     points = [{"x": n, "lambda": filt.lam, "err_mean": mc_mean,
                "err_se": mc_se, "mc_bias2": mc_bias2, "mc_var": mc_var,
-               "theory_bias2": bias2, "hs_norm": hs, "delta_n": dmax,
-               "det_err2_worst": det_worst}]
-    theory = {"lower_bound": lower, "bias2": bias2, "hs_norm": hs}
-    checks = [
-        _check("risk-above-lower-bound", mc_mean - (lower - 3.0 * mc_se),
-               ">=", 0.0),
-        _check("mean-matches-continuous", float(np.max(z)), "<=",
-               _tolerances(config)["z_max"]
-               or _sidak_z(problem.size, _Z_FAMILY_LEVEL)),
-        _check("perturbed-error-below-risk",
-               det_worst - (mc_mean + 3.0 * mc_se), "<=", 0.0),
-    ]
+               "theory_bias2": bias2}]
+    theory = {"bias2": bias2}
+    checks = [_check("mean-matches-continuous", float(np.max(z)), "<=",
+                     _tolerances(config)["z_max"]
+                     or _sidak_z(problem.size, _Z_FAMILY_LEVEL))]
     return _finish(config, points, fit=None, theory=theory, checks=checks,
                    started=started)
 
@@ -761,8 +745,8 @@ _STUDIES = {
         ("filter", "delta_grid", "schedule", "perturbation",
          "perturbation_index", "theory", "gamma"),
         {"slope": 0.15}),
-    # z_max None: the Sidak threshold of the J per-mode z-scores, each over
-    # its exact standard error, at family level _Z_FAMILY_LEVEL (_sidak_z)
+    # z_max None: the Sidak threshold of the J per-mode z-scores of the mean
+    # estimate over its exact standard error, at level _Z_FAMILY_LEVEL
     "lemma-check": _Study(
         _run_lemma_check,
         ("filter", "design", "sigma", "n", "lambda", "replicates"),

@@ -44,7 +44,7 @@ from .regularization import solve_continuous
 from .sampling import _DESIGNS
 from .spectral_model import (_finite_number, _positive_integer,
                              _positive_number, _refuse_faults, forward_data,
-                             grid_aliasing)
+                             grid_aliasing, grid_gram_product)
 
 
 def hs_norm(problem, filt):
@@ -88,6 +88,18 @@ def paper_variance(problem, filt, f_true, sigma, n, design):
     return weight * (y @ y - lagged + 0.5 * paired + sigma ** 2 - y ** 2)
 
 
+def paper_risk(problem, filt, f_true, sigma, n, design):
+    """Exact risk of one paper-n estimate: ||r (M y) - f_true||**2 plus the
+    summed ``paper_variance``, with r_j = s(mu_j) sigma_j, y = A f_true and
+    M the grid Gram matrix on the midpoint grid (any n), I on iid designs."""
+    variance = paper_variance(problem, filt, f_true, sigma, n, design)
+    y = forward_data(problem, f_true)
+    if design == "grid":
+        y = grid_gram_product(problem, n, y)
+    bias2 = np.sum((filt.response(problem) * y - f_true) ** 2)
+    return float(bias2 + np.sum(variance))
+
+
 def epsilon_lambda(problem, filt, f_true):
     """Reconstruction bias over HS norm: ||f_lam - f_true|| / ||L||_HS."""
     hs = hs_norm(problem, filt)
@@ -114,7 +126,9 @@ def delta_of(n, sigma, epsilon):
     """Largest noise level whose error is dominated by the n-sample risk.
 
     Delta(n) = (sigma^2/n) / (sqrt(sigma^2/n + eps^2) + eps); equals
-    sqrt(sigma^2/n + eps^2) - eps by conjugate rationalization.
+    sqrt(sigma^2/n + eps^2) - eps by conjugate rationalization.  At eps =
+    bias / ||L||_HS, (bias + Delta ||L||_HS)^2 is the grid ``paper_risk`` for
+    n > J, above every error at noise level Delta as ||L||_op <= ||L||_HS.
     """
     _check_bridge(sigma, epsilon)
     if not n >= 1:  # NaN included

@@ -38,7 +38,7 @@ from .errors import (DomainError, ModelError, NumericalError, ParameterError,
                      ShapeError)
 from .rkhs import _gram_entries
 from .spectral_model import (_basis_blocks, _positive_number, basis_matrix,
-                             grid_aliasing)
+                             grid_aliasing, grid_gram_product)
 
 _QUALIFICATION_CAP = 8.0
 
@@ -248,15 +248,14 @@ def _grid_learn(problem, filt, y, n):
     and the moment is D_m alpha_m v with alpha_m = sum_{k in S_m} s_k y_k.
     So the moment lies on the class's one eigenvector v, of eigenvalue
     t_m = D_m sum_{k in S_m} mu_k, and the fit is
-    f_j = s_lambda(t_m) D_m s_j sigma_j alpha_m.  Class 0 (D_0 = 0) gives 0.
+    f_j = s_lambda(t_m) sigma_j (M y)_j.  Class 0 (D_0 = 0) gives 0.
     A t_m beyond the family's spectrum bound raises ``ModelError``, as
     ``estimator_learn`` does on that eigenvalue.
     """
-    classes, signs, weights = grid_aliasing(problem, n)
-    alphas = np.bincount(classes, signs * y)[classes]
+    classes, _, weights = grid_aliasing(problem, n)
     eigs = weights * np.bincount(classes, problem.mu)[classes]
-    return (filt.at_eigenvalues(eigs) * weights * signs * problem.sigma_sv
-            * alphas)
+    return (filt.at_eigenvalues(eigs) * problem.sigma_sv
+            * grid_gram_product(problem, n, y))
 
 
 def kernel_tikhonov(problem, samples, lam):

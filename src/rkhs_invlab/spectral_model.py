@@ -203,6 +203,12 @@ def grid_aliasing(problem, n):
     return classes, signs, weights
 
 
+def grid_gram_product(problem, n, y):
+    """M y for the grid Gram matrix M of ``grid_aliasing``, one bincount."""
+    classes, signs, weights = grid_aliasing(problem, n)
+    return signs * weights * np.bincount(classes, signs * y)[classes]
+
+
 # Width of a high step: mode j = _FACTOR_WIDTH a + d splits into a high
 # angle a _FACTOR_WIDTH pi x and a low angle |d| pi x.  A power of two, so
 # _FACTOR_WIDTH x and its reduction mod 2 are exact.  a = (j + _SHIFT) //

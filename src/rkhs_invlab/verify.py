@@ -25,10 +25,9 @@ import numpy as np
 from . import streams
 from .experiments import equivalence_deviations
 from .rates import (delta_of, epsilon_lambda, fit_rate, loss_factor_tau,
-                    n_of, paper_variance)
+                    n_of, paper_risk)
 from .regularization import (_FAMILIES, FilterSpec, certify_filter,
-                             estimator_paper, kernel_tikhonov,
-                             solve_continuous)
+                             estimator_paper, kernel_tikhonov)
 from .rkhs import gram_matrix, kernel_eval, rkhs_norm
 from .sampling import (PerturbationSpec, perturb_data, sample_design,
                        sample_outputs)
@@ -285,12 +284,7 @@ def check_mini_monte_carlo(seed):
         rows.append(estimator_paper(problem, filt, samples))
     rows = np.array(rows)
     err2 = np.sum((rows - truth) ** 2, axis=1)
-    f_lam = solve_continuous(problem, filt, forward_data(problem, truth))
-    # on the midpoint grid with n > J the basis is orthonormal on the
-    # points, so the estimate has mean f_lam: the exact risk is the squared
-    # bias plus the summed variances
-    exact = float(np.sum((f_lam - truth) ** 2) + np.sum(
-        paper_variance(problem, filt, truth, sigma, n, "grid")))
+    exact = paper_risk(problem, filt, truth, sigma, n, "grid")
     z = (float(err2.mean()) - exact) / float(err2.std(ddof=1) / math.sqrt(reps))
     return _result("monte-carlo-risk-matches-exact", abs(z) <= 3.0,
                    f"z={z:.2f}, mean={err2.mean():.4e} exact={exact:.4e}")

@@ -6,11 +6,12 @@ variance of their rows and for the peak memory of one batch; on the
 midpoint grid, for the law of their moment draws (mean, variance and
 correlation against the grid Gram matrix), for rows that do not depend on
 the other replicates and for building no basis;
-on both, for determinism and the JSON round trip; stat-rate's median
-against ``np.median`` and for the numpy.ma import it avoids; the
-kernel-side study kinds for verdict, determinism and the JSON round trip;
-config validation, the problem builder's agreement with it and the config
-echo; ``rkhs-invlab run`` for its exit codes, overflow and running out of
+on both, for determinism and the JSON round trip; stat-rate's pooled
+exact-risk z, its median against ``np.median`` and the numpy.ma import it
+avoids; the kernel-side study kinds for verdict, determinism and the JSON
+round trip; config validation (a Monte-Carlo kind needs two replicates),
+the problem builder's agreement with it and the config echo;
+``rkhs-invlab run`` for its exit codes, overflow and running out of
 memory included.
 """
 
@@ -32,8 +33,9 @@ from rkhs_invlab import (FilterSpec, NumericalError, ParameterError,
                          basis_matrix,
                          equivalence_deviations, estimator_learn,
                          estimator_paper, eval_function, experiments,
-                         forward_data, kernel_tikhonov, lambda_schedule,
-                         paper_variance, problem_from_descriptor, run_study,
+                         fit_rate, forward_data, kernel_tikhonov,
+                         lambda_schedule, paper_risk, paper_variance,
+                         problem_from_descriptor, run_study,
                          sample_design, sample_outputs, spectral_model,
                          write_report)
 from rkhs_invlab.cli import main
@@ -244,6 +246,34 @@ def test_lemma_check_default_z_max_is_family_wise():
     threshold = {c["name"]: c["threshold"] for c in report.checks}
     assert threshold["mean-matches-continuous"] == experiments._sidak_z(
         J, experiments._Z_FAMILY_LEVEL)
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+def test_stat_rate_pools_its_exact_risk_z(design):
+    config = stat_rate_config(design)
+    report = run_study(config)
+    for point, filt in zip(report.points, config._scheduled_filters()):
+        exact = paper_risk(MODEL, filt, TRUTH, SIGMA, point["x"], design)
+        assert point["exact_risk"] == exact
+        assert point["z"] == (point["err_mean"] - exact) / point["err_se"]
+    check = {c["name"]: c for c in report.checks}["risk-matches-exact"]
+    pooled = sum(p["z"] for p in report.points) / math.sqrt(3)
+    assert (check["value"], check["threshold"]) == (abs(pooled), 3.0)
+    assert report.theory["exact_slope"] == fit_rate(
+        [(1.0 / p["x"], p["exact_risk"]) for p in report.points]).slope
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+def test_stat_rate_z_is_zero_without_spread(design):
+    # a cutoff above the spectrum annihilates every mode, so each replicate
+    # is 0 and err_mean is the exact risk ||f||^2 up to roundoff, while the
+    # sample standard error is roundoff alone (z read -4.36 as their ratio)
+    raw = dict(stat_rate_config(design).to_dict(), filter="cutoff",
+               schedule={"c": 100.0, "exponent": 0.01})
+    report = run_study(StudyConfig.from_dict(raw))
+    assert [p["z"] for p in report.points] == [0.0, 0.0, 0.0]
+    assert report.points[0]["exact_risk"] == pytest.approx(
+        float(TRUTH @ TRUTH), rel=1e-14)
 
 
 @pytest.mark.parametrize("design", DESIGNS)
@@ -553,6 +583,21 @@ def test_invalid_read_entry_is_named_and_exits_two(kind, entry, tmp_path):
     assert info.value.fields == (entry,)
     assert run_cli(tmp_path, raw) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["stat-rate", "lemma-check"])
+@pytest.mark.parametrize("replicates", [1, None], ids=["one", "default"])
+def test_monte_carlo_kinds_refuse_a_single_replicate(kind, replicates,
+                                                     tmp_path):
+    # one replicate has no spread: no standard error and no z.  stat-rate
+    # ran with it and reported err_se 0, where its risk z is undefined
+    raw = dict(BASE_RAW[kind], replicates=replicates)
+    if replicates is None:
+        del raw["replicates"]  # the entry's default is 1
+    with pytest.raises(ValidationError) as info:
+        StudyConfig.from_dict(raw)
+    assert info.value.fields == ("replicates",)
+    assert run_cli(tmp_path, raw) == 2
 
 
 @pytest.mark.parametrize("schedule", [{}, None], ids=["empty", "null"])

@@ -9,11 +9,12 @@ checks are already failed this way by tests in test_experiments.py, named
 in ``ELSEWHERE``.  ``VERIFY_MUTATIONS`` does the same for each check that
 ``verify.run_all()`` reports, at the verify seed.  Each table must name
 exactly the checks the studies or ``verify`` report, so a new check comes
-with its mutation.  Three checks have one more test, for a mutation that
-an earlier form of the check passed: tripled noise in the grid replicates
-(lemma-check's mean-matches-continuous), a wrong basis
-(reproducing-property) and swapped loss-factor variants
-(loss-factor-bounds).
+with its mutation.  Four checks have one more test, for a mutation that
+an earlier form of the check, or another check, passed: tripled noise in
+the grid replicates (lemma-check's mean-matches-continuous), tripled and
+shrunken noise on both designs (stat-rate's risk-matches-exact, where
+slope-matches-theory passes both), a wrong basis (reproducing-property)
+and swapped loss-factor variants (loss-factor-bounds).
 
 A mutation replaces a function in the namespace the check reads it from:
 ``experiments``' own for the study checks, among them
@@ -51,11 +52,15 @@ From ``verify``:
 Brownian-bridge covariance min(x, x') - x x', which no formula of the
 program restates.
 
-The Monte-Carlo mutations run on the midpoint grid.  On iid designs the
-risk exceeds the continuous variance-plus-bias bound by the design's own
-variance, so there a third of the spread still passes
-``risk-above-lower-bound`` and ten times Delta(n) still passes
-``perturbed-error-below-risk``.
+lemma-check's ``risk-above-lower-bound`` and ``perturbed-error-below-risk``
+were retired as well.  The first held the Monte-Carlo risk above
+sigma^2/n ||L||_HS^2 + bias^2, which on iid designs sits below the risk by
+the design's own variance, so there a third of the spread passed it.  The
+second restated the identity of ``rates.delta_of``'s docstring.  stat-rate's
+risk-matches-exact judges the risk against its exact value, and
+tests/test_rates.py holds both inequalities to ``rates.paper_risk``.
+The Monte-Carlo mutations run on the midpoint grid, and risk-matches-exact's
+on iid designs too.
 """
 
 import dataclasses
@@ -79,12 +84,14 @@ def problem(size):
 
 
 # One config of each kind that passes every check, at tiny size.
+# stat-rate's pooled z read tripled noise as 2.65 (grid) and 1.35 (iid) at
+# 10 replicates, and reads 13.6 and 5.0 at 200.
 CONFIGS = {
     "stat-rate": {"kind": "stat-rate", "problem": problem(20),
                   "design": "grid", "sigma": 0.1,
                   "n_grid": [100, 200, 400, 800, 1600],
                   "schedule": {"c": 1.0, "exponent": 1.0 / 3.5},
-                  "replicates": 10, "seed": SEED},
+                  "replicates": 200, "seed": SEED},
     "det-rate": {"kind": "det-rate", "problem": problem(40),
                  "delta_grid": [1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2],
                  "schedule": {"c": 1.0, "exponent": 2.0 / 3.0},
@@ -104,6 +111,12 @@ CONFIGS = {
 def scaled(factor):
     """The function's result times ``factor``."""
     return lambda original: lambda *args: factor * original(*args)
+
+
+def tripled_noise(original):
+    """Replicates drawn at three times the config's sigma."""
+    return lambda config, *args: original(
+        dataclasses.replace(config, sigma=3.0 * config.sigma), *args)
 
 
 def spread_scaled(factor):
@@ -141,14 +154,12 @@ MUTATIONS = {
         ("_replicate_coeffs", scaled(1.3)),
     ("stat-rate", "median-error-decreasing"):
         ("lambda_schedule", inverted),
+    ("stat-rate", "risk-matches-exact"):
+        ("_replicate_coeffs", spread_scaled(1.0 / 3.0)),
     ("det-rate", "slope-matches-theory"):
         ("solve_continuous", scaled(1.3)),
-    ("lemma-check", "risk-above-lower-bound"):
-        ("_replicate_coeffs", spread_scaled(1.0 / 3.0)),
     ("lemma-check", "mean-matches-continuous"):
         ("_replicate_coeffs", scaled(1.3)),
-    ("lemma-check", "perturbed-error-below-risk"):
-        ("delta_of", scaled(10.0)),
     # lambda n / 25 moves the fit further from the continuous one as n
     # grows; at 1.1 lambda the fit past n = J does not depend on n, so
     # error-decreasing would fail on a tie only
@@ -169,8 +180,8 @@ ELSEWHERE = {
 }
 
 
-def check_flags(kind):
-    report = run_study(StudyConfig.from_dict(CONFIGS[kind]))
+def check_flags(kind, **entries):
+    report = run_study(StudyConfig.from_dict({**CONFIGS[kind], **entries}))
     return {c["name"]: c["passed"] for c in report.checks}
 
 
@@ -190,14 +201,24 @@ def test_mutation_fails_its_check(kind, check, monkeypatch):
 
 
 def test_tripled_noise_fails_mean_matches_continuous(monkeypatch):
-    # grid replicates drawn at three times the config's sigma: a z over the
-    # sample standard error passed them, as the mean's deviation and that
-    # error triple together
-    original = experiments._replicate_coeffs
+    # a z over the sample standard error passed tripled noise in the grid
+    # replicates, as the mean's deviation and that error triple together
     monkeypatch.setattr(experiments, "_replicate_coeffs",
-                        lambda config, *args: original(dataclasses.replace(
-                            config, sigma=3.0 * config.sigma), *args))
+                        tripled_noise(experiments._replicate_coeffs))
     assert not check_flags("lemma-check")["mean-matches-continuous"]
+
+
+@pytest.mark.parametrize("design", ["grid", "iid-uniform"])
+@pytest.mark.parametrize("mutate", [tripled_noise, spread_scaled(1.0 / 3.0)],
+                         ids=["tripled-noise", "third-of-the-spread"])
+def test_wrong_noise_scale_fails_risk_matches_exact(design, mutate,
+                                                    monkeypatch):
+    # slope-matches-theory passes both on both designs: the risk's slope
+    # hardly moves when the variance is scaled
+    monkeypatch.setattr(experiments, "_replicate_coeffs",
+                        mutate(experiments._replicate_coeffs))
+    flags = check_flags("stat-rate", design=design)
+    assert not flags["risk-matches-exact"]
 
 
 def test_checks_failed_elsewhere_are_tested_there():

@@ -1,4 +1,5 @@
-"""Norms, the n <-> delta bridge, conversion theorems and slope fitting.
+"""Norms, the exact paper-n variance and risk, the n <-> delta bridge,
+conversion theorems and slope fitting.
 
 A test named after an invariant of ``verify.ALL_CHECKS`` only runs that
 check, at a second seed where the check draws random inputs; the check
@@ -14,13 +15,15 @@ import pytest
 
 from rkhs_invlab import (DomainError, FilterSpec, ModelError, ParameterError,
                          PerturbationSpec, RateExponents, ShapeError,
-                         build_power_law_problem, classical_exponents,
-                         convert_lower, convert_upper, delta_of,
-                         epsilon_lambda, estimator_paper, fit_rate,
-                         forward_data, hs_norm, lambda_schedule,
-                         loss_factor_tau, make_source_solution, n_of,
-                         operator_norm, paper_variance, perturb_data,
-                         sample_design, sample_outputs, solve_continuous,
+                         StudyConfig, build_power_law_problem,
+                         classical_exponents, convert_lower, convert_upper,
+                         delta_of, epsilon_lambda, estimator_paper,
+                         experiments, fit_rate, forward_data, hs_norm,
+                         lambda_schedule, loss_factor_tau,
+                         make_source_solution, n_of, operator_norm,
+                         paper_risk, paper_variance, perturb_data,
+                         problem_from_descriptor, sample_design,
+                         sample_outputs, solve_continuous,
                          statistical_exponents, verify)
 from rkhs_invlab.cli import main
 
@@ -106,9 +109,105 @@ class TestPaperVariance:
         (0.1, 10.0, "grid"), (0.1, True, "grid"), (0.1, 10, "sobol")])
     def test_refusals(self, sigma, n, design):
         problem, truth = house_problem(4)
-        with pytest.raises(ParameterError):
-            paper_variance(problem, FilterSpec("tikhonov", 0.1), truth,
-                           sigma, n, design)
+        for function in (paper_variance, paper_risk):
+            with pytest.raises(ParameterError):
+                function(problem, FilterSpec("tikhonov", 0.1), truth, sigma,
+                         n, design)
+
+
+def dense_quadratic_risk(problem, filt, r, w, sigma, n):
+    """The iid paper-n risk at f = mu^r w as w'Qw + sigma^2/n sum c, with
+    c_j = s(mu_j)^2 mu_j, D = diag(mu^(r + 1/2)) and the dense
+    Q = diag((1 - s mu)^2 mu^(2r)) + D (diag(sum c - c) + H) D / n, where
+    H_kl = -c_{|k-l|/2} / 2 for even k - l != 0, plus c_{(k+l)/2} / 2 for
+    even k + l: E[u_j^2 u_k u_l] summed against c, by product to sum."""
+    mu, s = problem.mu, filt.on_spectrum(problem)
+    c = s ** 2 * mu
+    k = np.arange(1, problem.size + 1)
+    diff, total = k[:, None] - k[None, :], k[:, None] + k[None, :]
+    hankel = np.zeros((problem.size, problem.size))
+    lag = (diff % 2 == 0) & (diff != 0)
+    hankel[lag] -= 0.5 * c[np.abs(diff[lag]) // 2 - 1]
+    pair = total % 2 == 0
+    hankel[pair] += 0.5 * c[total[pair] // 2 - 1]
+    d = mu ** (r + 0.5)
+    q = (np.diag((1.0 - s * mu) ** 2 * mu ** (2.0 * r))
+         + d[:, None] * (np.diag(c.sum() - c) + hankel) * d[None, :] / n)
+    return float(w @ q @ w + sigma ** 2 / n * c.sum())
+
+
+# Replicates of the paper-n estimate drawn through the study path at J = 40.
+# w_j = 1/j weighs the variance; w_j = j^3 makes y_j = 1 on every mode, so
+# below n = J the grid's aliased mean r (M y) is far from f_lam.
+RISK_J, RISK_DRAWS = 40, 4000
+RISK_TRUTHS = {"w=1/j": [1.0 / j for j in range(1, RISK_J + 1)],
+               "w=j^3": [float(j) ** 3 for j in range(1, RISK_J + 1)]}
+RISK_CASES = [(design, n) for design in ("grid", "iid-uniform")
+              for n in (25, 81)]
+
+
+class TestPaperRisk:
+    @pytest.mark.parametrize("truth_name", sorted(RISK_TRUTHS))
+    @pytest.mark.parametrize("design, n", RISK_CASES)
+    def test_paper_risk_matches_monte_carlo(self, design, n, truth_name):
+        raw = {"kind": "lemma-check", "design": design, "sigma": 0.1,
+               "problem": {"J": RISK_J, "b": 2.0, "d": 1.0, "r": 1.0,
+                           "w_spec": RISK_TRUTHS[truth_name]},
+               "n": n, "lambda": 0.05, "replicates": RISK_DRAWS, "seed": 314}
+        problem, truth = problem_from_descriptor(dict(raw["problem"],
+                                                      seed=314))
+        filt = FilterSpec("tikhonov", 0.05)
+        rows = experiments._replicate_coeffs(
+            StudyConfig.from_dict(raw), problem, truth, filt, n,
+            range(RISK_DRAWS))
+        errors = np.sum((rows - truth) ** 2, axis=1)
+        z = ((errors.mean() - paper_risk(problem, filt, truth, 0.1, n, design))
+             / (errors.std(ddof=1) / math.sqrt(RISK_DRAWS)))
+        # family level 1% over the cases (|z| <= 1.54 measured)
+        assert abs(z) <= experiments._sidak_z(
+            len(RISK_CASES) * len(RISK_TRUTHS), 0.01)
+
+    @pytest.mark.parametrize("n", [100, 800, 3200])
+    def test_paper_risk_matches_dense_quadratic_form(self, n):
+        # two computations that share no code: the correlation sums of
+        # paper_variance against a dense J-by-J Q (gaps up to 5.8e-16)
+        problem, truth = house_problem(200)
+        filt = FilterSpec("tikhonov", n ** (-1.0 / 3.5))
+        w = 1.0 / np.arange(1, 201)
+        assert paper_risk(problem, filt, truth, 0.1, n, "iid-uniform") == \
+            pytest.approx(dense_quadratic_risk(problem, filt, 1.0, w, 0.1, n),
+                          rel=1e-14)
+
+    @pytest.mark.parametrize("kind", ["tikhonov", "cutoff", "landweber"])
+    @pytest.mark.parametrize("n", [10, 100, 800])
+    def test_paper_risk_bounds_the_lemma(self, kind, n):
+        # the lemma's sigma^2/n ||L||_HS^2 + bias^2: below the iid risk by
+        # E[g^2 u_j^2] - y_j^2 >= 0 per mode (Cauchy-Schwarz), and the grid
+        # risk itself for n > J = 60
+        problem, truth = house_problem(60)
+        filt = FilterSpec(kind, 0.05)
+        f_lam = solve_continuous(problem, filt, forward_data(problem, truth))
+        lower = (0.01 / n * hs_norm(problem, filt) ** 2
+                 + float(np.sum((f_lam - truth) ** 2)))
+        assert paper_risk(problem, filt, truth, 0.1, n, "iid-uniform") > lower
+        if n > problem.size:
+            assert paper_risk(problem, filt, truth, 0.1, n, "grid") == \
+                pytest.approx(lower, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", ["tikhonov", "cutoff", "landweber"])
+    @pytest.mark.parametrize("n", [100, 800, 3200])
+    def test_dominance_identity_is_the_grid_paper_risk(self, kind, n):
+        # delta_of's docstring: (bias + Delta(n) ||L||_HS)^2 is the grid
+        # risk for n > J, so the error of any perturbation of norm Delta(n),
+        # at most (bias + Delta(n) ||L||_op)^2, is below it
+        problem, truth = house_problem(60)
+        filt = FilterSpec(kind, 0.05)
+        hs = hs_norm(problem, filt)
+        eps = epsilon_lambda(problem, filt, truth)
+        risk = paper_risk(problem, filt, truth, 0.1, n, "grid")
+        assert (eps * hs + delta_of(n, 0.1, eps) * hs) ** 2 == \
+            pytest.approx(risk, rel=1e-14)
+        assert operator_norm(problem, filt) < hs
 
 
 class TestBridge:
@@ -419,9 +518,12 @@ class TestMonteCarloRateProperties:
         assert result.passed, result.detail
 
     def test_mean_matches_continuous(self, mc_setup):
+        # each z over the exact standard error: over the sample one, tripled
+        # noise passed (1.94), where this reads 5.85
         problem, truth, filt, sigma, n, rows = mc_setup
         f_lam = solve_continuous(problem, filt, forward_data(problem, truth))
-        comp_se = rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])
+        comp_se = np.sqrt(paper_variance(problem, filt, truth, sigma, n,
+                                         "grid") / rows.shape[0])
         z = np.abs(rows.mean(axis=0) - f_lam) / np.where(
             comp_se > 0, comp_se, np.inf)
         assert np.max(z) <= 3.0
@@ -435,9 +537,10 @@ class TestMonteCarloRateProperties:
         assert abs(err2.mean() - (bias2 + variance)) <= 1e-10 * err2.mean()
 
     def test_perturbed_error_below_sampled_risk(self, mc_setup):
-        problem, truth, filt, sigma, n, rows = mc_setup
-        err2 = np.sum((rows - truth) ** 2, axis=1)
-        se = err2.std(ddof=1) / math.sqrt(err2.size)
+        # against the exact risk of the sampled estimator, not a Monte-Carlo
+        # mean plus three standard errors
+        problem, truth, filt, sigma, n, _ = mc_setup
+        risk = paper_risk(problem, filt, truth, sigma, n, "grid")
         dmax = delta_of(n, sigma, epsilon_lambda(problem, filt, truth))
         y = forward_data(problem, truth)
         for spec in (PerturbationSpec(delta=dmax, mode="random-unit"),
@@ -447,7 +550,7 @@ class TestMonteCarloRateProperties:
             y_delta = perturb_data(problem, y, spec, seed=79)
             det = solve_continuous(problem, filt, y_delta)
             det_err2 = float(np.sum((det - truth) ** 2))
-            assert det_err2 <= err2.mean() + 3.0 * se
+            assert det_err2 <= risk
 
     def test_variance_sweep_slope_bound(self, mc_setup):
         # MC variance against lambda must not fall faster than the

@@ -24,7 +24,7 @@ from rkhs_invlab import (DomainError, FilterSpec, ParameterError,
                          verify)
 from rkhs_invlab.spectral_model import (_basis_blocks, _sine_factor_tables,
                                        _split_modes, descriptor_faults,
-                                       grid_aliasing)
+                                       grid_aliasing, grid_gram_product)
 
 
 class TestBuildPowerLawProblem:
@@ -259,6 +259,18 @@ class TestGridAliasing:
         npt.assert_allclose(gram, u.T @ u / n, rtol=0, atol=1e-12)
         assert set(weights) <= {0.0, 1.0, 2.0}
         assert np.all((weights == 0) == (classes == 0))
+
+    @pytest.mark.parametrize("n", [1, 7, 50, 199, 200, 201, 801])
+    def test_gram_product_matches_basis_product(self, n):
+        # M y by one bincount over the classes against (u'u / n) y; past
+        # n = J each class is one mode of weight 1, so M y is y bit for bit
+        problem = build_power_law_problem(200, 2.0, 1.0)
+        u = basis_matrix(problem, (np.arange(1, n + 1) - 0.5) / n)
+        y = np.random.default_rng(n).standard_normal(200)
+        npt.assert_allclose(grid_gram_product(problem, n, y),
+                            u.T @ (u @ y) / n, rtol=0, atol=1e-12)
+        if n > problem.size:
+            assert np.array_equal(grid_gram_product(problem, n, y), y)
 
 
 def factor_basis(x, size):
