@@ -186,7 +186,9 @@ def build_parser():
     rates_p.add_argument("--b", type=float, required=True,
                          help="eigenvalue decay exponent")
     rates_p.add_argument("--gamma", type=float, default=None,
-                         help="bias-ratio exponent (default r + 1/2)")
+                         help="bias-ratio exponent (default the nominal "
+                              "r + 1/2 until a bridge study; "
+                              "rates.derived_gamma gives the worst-case one)")
     rates_p.add_argument("--variant", choices=("general", "tikhonov"),
                          default="general")
     rates_p.set_defaults(handler=_cmd_rates)

@@ -26,9 +26,8 @@ import numpy as np
 
 from . import streams
 from .errors import NumericalError, ParameterError, ValidationError
-from .rates import (RateFit, classical_exponents, convert_upper, fit_rate,
-                    lambda_schedule, paper_risk, paper_variance,
-                    statistical_exponents)
+from .rates import (RateFit, classical_exponents, fit_rate, lambda_schedule,
+                    paper_risk, paper_variance, statistical_exponents)
 from .regularization import (_FAMILIES, FilterSpec, _grid_learn,
                              estimator_learn, kernel_tikhonov,
                              solve_continuous)
@@ -190,11 +189,6 @@ class StudyConfig:
                               metadata=_rule(_one_of(*_PERTURBATION_MODES)))
     perturbation_index: int | None = field(default=None,
                                            metadata=_rule(_positive_integer))
-    theory: str = field(default="classical",
-                        metadata=_rule(_one_of("classical", "converted")))
-    # None under the converted theory: the nominal gamma of the rates
-    gamma: float | None = field(default=None, metadata=_rule(
-        lambda v: v is None or _positive_number(v)))
     replicates: int = field(default=1, metadata=_rule(
         lambda v: _positive_integer(v) and v >= 2))
     seed: int = field(default=0, metadata=_rule(_integer))
@@ -226,13 +220,11 @@ class StudyConfig:
 
     def _reads(self):
         """The entries the kind reads: kind, problem, seed, tolerances and
-        its _STUDIES row, where det-rate reads gamma only under the converted
-        theory and perturbation_index only for a fixed-mode perturbation."""
+        its _STUDIES row, where det-rate reads perturbation_index only for a
+        fixed-mode perturbation."""
         study = _study_of(self.kind)
         reads = {"kind", "problem", "seed", "tolerances",
                  *(study.reads if study else ())}
-        if self.theory != "converted":
-            reads.discard("gamma")
         if self.perturbation != "fixed-mode":
             reads.discard("perturbation_index")
         return reads
@@ -556,8 +548,8 @@ def _run_stat_rate(config, started):
 def _run_det_rate(config, started):
     """Squared error of the perturbed-data reconstruction along a lambda
     schedule in delta, slope-fitted against delta and compared to the
-    classical 4r/(2r+1) or, under the converted theory, to the n-rate
-    converted to delta (``convert_upper``)."""
+    classical 4r/(2r+1).  ``verify``'s worst-case-conversion judges the
+    n -> delta conversion."""
     problem, truth = _problem_of(config)
     y_clean = forward_data(problem, truth)
     points = []
@@ -572,13 +564,9 @@ def _run_det_rate(config, started):
         points.append({"x": float(delta), "lambda": filt.lam,
                        "err_mean": err2, "err_se": 0.0})
     fit = fit_rate([(p["x"], p["err_mean"]) for p in points])
-    r, b = float(config.problem["r"]), float(config.problem["b"])
-    if config.theory == "classical":
-        exponent = classical_exponents(r, b).alpha
-    else:
-        exponents = statistical_exponents(r, b, gamma=config.gamma)
-        exponent = convert_upper(exponents).exponent
-    theory = {"delta_exponent": exponent, "branch": config.theory}
+    exponent = classical_exponents(float(config.problem["r"]),
+                                   float(config.problem["b"])).alpha
+    theory = {"delta_exponent": exponent}
     tol = _tolerances(config)["slope"]
     checks = [_check("slope-matches-theory", abs(fit.slope - exponent),
                      "<=", tol)]
@@ -743,7 +731,7 @@ _STUDIES = {
     "det-rate": _Study(
         _run_det_rate,
         ("filter", "delta_grid", "schedule", "perturbation",
-         "perturbation_index", "theory", "gamma"),
+         "perturbation_index"),
         {"slope": 0.15}),
     # z_max None: the Sidak threshold of the J per-mode z-scores of the mean
     # estimate over its exact standard error, at level _Z_FAMILY_LEVEL

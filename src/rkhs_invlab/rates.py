@@ -14,6 +14,18 @@ filter parameter lambda is
     N(delta) = sigma^2 / (delta^2 + 2 delta eps),
 
 with eps = ||f_lam - f_true|| / ||L||_HS; the two maps are exact inverses.
+eps may be taken at a fixed truth (``epsilon_lambda``) or at the worst
+case over the source ball {mu^r w : ||w|| <= 1}, bias over ||L||_HS.
+
+Worst cases over that ball, exact in O(J) as the filter is diagonal:
+
+    bias     = max_j |1 - s(mu_j) mu_j| mu_j^r, attained at one mode,
+    risk     = bias^2 + sigma^2/n ||L||_HS^2   (midpoint grid, n > J),
+    error    = (bias + delta ||L||_op)^2       (data error of norm delta),
+    gamma    = min(r, q) + 1/2 + 1/(2b)        (eps ~ lambda^gamma),
+
+with q the family's qualification.  The error bound is attained where the
+bias and ||L||_op share a mode.
 
 Rate conversion between squared-error exponents:
 
@@ -109,6 +121,39 @@ def epsilon_lambda(problem, filt, f_true):
     f_lam = solve_continuous(problem, filt, forward_data(problem, f_true))
     bias = float(np.linalg.norm(f_lam - f_true))
     return bias / hs
+
+
+def worst_case_bias(problem, filt, r):
+    """max_j |1 - s(mu_j) mu_j| mu_j^r over the source ball, and the mode
+    j (from 1) that attains it."""
+    _refuse_faults(r=r)
+    mu = problem.mu
+    bias = np.abs(1.0 - filt.on_spectrum(problem) * mu) * mu ** r
+    j = int(np.argmax(bias))
+    return float(bias[j]), j + 1
+
+
+def derived_gamma(r, b, q):
+    """The exponent of the worst-case eps ~ lambda^gamma of a family of
+    qualification q: min(r, q) + 1/2 + 1/(2b)."""
+    return min(r, q) + 0.5 + 0.5 / b
+
+
+def worst_case_risk(problem, filt, r, sigma, n):
+    """Worst-case paper-n risk on the midpoint grid, bias^2 + sigma^2/n
+    ||L||_HS^2; exact for n > J only, where the grid Gram matrix is I."""
+    if not n > problem.size:
+        raise DomainError(f"n must exceed J = {problem.size}, got {n!r}")
+    bias, _ = worst_case_bias(problem, filt, r)
+    return bias ** 2 + sigma ** 2 / n * hs_norm(problem, filt) ** 2
+
+
+def worst_case_error(problem, filt, r, delta):
+    """(bias + delta ||L||_op)^2, a bound on the squared error of the
+    continuous reconstruction over the source ball and every data error of
+    norm delta; the bound is attained where bias and ||L||_op share a mode."""
+    bias, _ = worst_case_bias(problem, filt, r)
+    return (bias + delta * operator_norm(problem, filt)) ** 2
 
 
 def _check_bridge(sigma, epsilon):
@@ -247,7 +292,9 @@ def statistical_exponents(r, b, gamma=None):
     alpha = 2r/(2r+1+1/b) with lambda_n ~ n^(-1/(2r+1+1/b)); the
     noise-level-optimal schedule exponent p_star = 2/(2r+1) is attached for
     lower-rate conversion.  gamma defaults to the nominal Tikhonov value
-    r + 1/2.  r and b must pass their rules (``spectral_model._MODEL_RULES``).
+    r + 1/2, and stays so until a bridge study judges the conversion;
+    ``derived_gamma`` gives the worst-case min(r, q) + 1/2 + 1/(2b).  r and
+    b must pass their rules (``spectral_model._MODEL_RULES``).
     """
     _refuse_faults(r=r, b=b)
     denom = 2.0 * r + 1.0 + 1.0 / b
@@ -261,7 +308,8 @@ def classical_exponents(r, b, gamma=None):
 
     alpha = 4r/(2r+1): the squared error ~ delta^alpha of the
     noise-level-optimal schedule lambda_delta ~ delta^p_star, with p_star
-    and gamma as ``statistical_exponents`` gives them.
+    and gamma as ``statistical_exponents`` gives them: the nominal r + 1/2
+    by default, not ``derived_gamma``, until a bridge study.
     """
     stat = statistical_exponents(r, b, gamma)
     return RateExponents(alpha=4.0 * r / (2.0 * r + 1.0), gamma=stat.gamma,

@@ -8,10 +8,12 @@ range-norm isometry ||A f||_K = ||f||, and ``kernel-closed-form`` of the
 kernel's values against the Brownian-bridge covariance; no study repeats
 them.  ``reproducing-property`` sums its series from np.sin, so it reads
 no evaluator of the package.  ``kernel-vs-parameter-tikhonov`` runs the
-study function ``equivalence_deviations`` instead of a copy of it.  Every
-check has a mutation of the program in tests/test_mutations.py under which
-it fails, so no check here holds for any input of the code it calls.  The
-whole suite runs in about a second.
+study function ``equivalence_deviations`` instead of a copy of it.
+``worst-case-conversion`` judges the n -> delta conversion on the exact
+worst cases over the source ball, where one fixed truth cannot show it.
+Every check has a mutation of the program in tests/test_mutations.py under
+which it fails, so no check here holds for any input of the code it calls.
+The whole suite runs in about a second.
 Checks are deterministic given the seed; each returns its name, a pass
 flag and a one-line numeric detail.
 """
@@ -24,8 +26,10 @@ import numpy as np
 
 from . import streams
 from .experiments import equivalence_deviations
-from .rates import (delta_of, epsilon_lambda, fit_rate, loss_factor_tau,
-                    n_of, paper_risk)
+from .rates import (convert_upper, delta_of, derived_gamma, fit_rate,
+                    hs_norm, loss_factor_tau, n_of, paper_risk,
+                    statistical_exponents, worst_case_bias, worst_case_error,
+                    worst_case_risk)
 from .regularization import (_FAMILIES, FilterSpec, certify_filter,
                              estimator_paper, kernel_tikhonov)
 from .rkhs import gram_matrix, kernel_eval, rkhs_norm
@@ -260,16 +264,50 @@ def check_loss_factors(seed):
                    f"r->0 gap={gap:.1e}")
 
 
-def check_epsilon_report(seed):
-    r = 1.0
-    problem, truth = _house_problem(100, r=r)
-    lams = np.exp(np.linspace(math.log(10 * problem.mu[-1]),
-                              math.log(problem.mu[0]), 25))
-    eps = [epsilon_lambda(problem, FilterSpec("tikhonov", l), truth)
-           for l in lams]
-    gamma_hat = fit_rate(list(zip(lams, eps))).slope
-    return _result("epsilon-lambda-scaling", 1.3 <= gamma_hat <= 2.1,
-                   f"gamma_hat={gamma_hat:.3f} vs nominal {r + 0.5:.2f}")
+# Bound on each of worst-case-conversion's three deviations from theory,
+# fixed before the check was first measured.
+_CONVERSION_TOL = 0.01
+
+
+def _conversion_fits(r):
+    """Tikhonov's worst cases over the source ball of radius 1 at smoothness
+    r, b = 2, J = 1,000 and sigma = 0.1, along lambda_n = n^-p at nine n
+    from 2e3 to 2e7, each n > J: the fitted gamma of eps = bias / ||L||_HS
+    in lambda, the n-slope of ``worst_case_risk`` and the slope of
+    ``worst_case_error`` at delta = Delta(n) in Delta(n), each paired with
+    its theory: ``derived_gamma``, alpha and ``convert_upper`` at the
+    derived gamma."""
+    b, sigma = 2.0, 0.1
+    problem = build_power_law_problem(1000, b, 1.0)
+    gamma = derived_gamma(r, b, _FAMILIES["tikhonov"].qualification)
+    stat = statistical_exponents(r, b, gamma=gamma)
+    eps_points, risk_points, error_points = [], [], []
+    for n in np.geomspace(2e3, 2e7, 9).round().astype(int):
+        filt = FilterSpec("tikhonov", float(n) ** -stat.p)
+        eps = worst_case_bias(problem, filt, r)[0] / hs_norm(problem, filt)
+        delta = delta_of(n, sigma, eps)
+        eps_points.append((filt.lam, eps))
+        risk_points.append((n, worst_case_risk(problem, filt, r, sigma, n)))
+        error_points.append((delta, worst_case_error(problem, filt, r,
+                                                     delta)))
+    return {"gamma": (fit_rate(eps_points).slope, gamma),
+            "n-slope": (-fit_rate(risk_points).slope, stat.alpha),
+            "delta-slope": (fit_rate(error_points).slope,
+                            convert_upper(stat).exponent)}
+
+
+def check_worst_case_conversion(seed):
+    """The n -> delta conversion on the worst cases at r = 1/2
+    (``_conversion_fits``): each fitted exponent within _CONVERSION_TOL of
+    its theory.  The nominal gamma = r + 1/2 puts the conversion on the
+    slow branch, 2/3 in place of 0.8."""
+    fits = _conversion_fits(0.5)
+    devs = {name: abs(fit - theory) for name, (fit, theory) in fits.items()}
+    detail = ", ".join(f"{name} {fit:.4f} vs {theory:.4f} "
+                       f"(dev {devs[name]:.1e})"
+                       for name, (fit, theory) in fits.items())
+    return _result("worst-case-conversion",
+                   max(devs.values()) <= _CONVERSION_TOL, detail)
 
 
 def check_mini_monte_carlo(seed):
@@ -303,7 +341,7 @@ ALL_CHECKS = (
     check_representer_limit,
     check_rate_identities,
     check_loss_factors,
-    check_epsilon_report,
+    check_worst_case_conversion,
     check_mini_monte_carlo,
 )
 

@@ -441,8 +441,9 @@ BASE_RAW = {"stat-rate": stat_rate_config("grid").to_dict(),
             "equivalence-check": KERNEL_STUDIES["equivalence-check"]}
 
 # Entries each kind never reads, each with a valid non-default value.
-# det-rate reads gamma only under the converted theory and
-# perturbation_index only for a fixed-mode perturbation.
+# det-rate reads perturbation_index only for a fixed-mode perturbation.
+# theory and gamma, the entries of det-rate's retired converted theory, are
+# read by no kind and refused as unknown keys.
 UNREAD = {
     "stat-rate": {"delta_grid": [0.1, 0.2], "lambda": 0.3, "n": 7,
                   "perturbation": "random-unit", "perturbation_index": 2,
@@ -477,8 +478,7 @@ FULL_RAW = {
     "stat-rate": dict(BASE_RAW["stat-rate"], filter="cutoff",
                       design="iid-uniform", replicates=3),
     "det-rate": dict(BASE_RAW["det-rate"], filter="landweber",
-                     perturbation="fixed-mode", perturbation_index=2,
-                     theory="converted", gamma=1.75),
+                     perturbation="fixed-mode", perturbation_index=2),
     "lemma-check": dict(BASE_RAW["lemma-check"], filter="cutoff",
                         design="iid-uniform"),
     "gamma-study": BASE_RAW["gamma-study"],
@@ -506,8 +506,7 @@ FULL_ECHO = {
                  "filter": "landweber", "delta_grid": DELTAS,
                  "schedule": {"c": 1.0, "exponent": 2.0 / 3.0},
                  "perturbation": "fixed-mode", "perturbation_index": 2,
-                 "theory": "converted", "gamma": 1.75, "seed": SEED,
-                 "tolerances": {}},
+                 "seed": SEED, "tolerances": {}},
     "lemma-check": {"kind": "lemma-check", "problem": PROBLEM,
                     "filter": "cutoff", "design": "iid-uniform",
                     "sigma": SIGMA, "lambda": 0.05, "n": 100,
@@ -528,14 +527,12 @@ def test_config_echo_is_pinned(kind):
     assert StudyConfig.from_dict(FULL_RAW[kind]).to_dict() == FULL_ECHO[kind]
 
 
-# det-rate under each theory and perturbation mode: gamma is read under the
-# converted theory and perturbation_index for a fixed-mode perturbation.
+# det-rate, judged by the classical rate, under each perturbation mode:
+# perturbation_index is read for a fixed-mode perturbation.
 ECHO_CASES = FULL_RAW | {
-    f"det-rate-{theory}-{mode}": dict(
-        BASE_RAW["det-rate"], theory=theory, perturbation=mode,
-        **({"gamma": 1.75} if theory == "converted" else {}),
+    f"det-rate-classical-{mode}": dict(
+        BASE_RAW["det-rate"], perturbation=mode,
         **({"perturbation_index": 2} if mode == "fixed-mode" else {}))
-    for theory in ("classical", "converted")
     for mode in ("filter-adversarial", "random-unit", "fixed-mode")}
 
 
@@ -544,16 +541,15 @@ def test_config_echo_is_what_the_kind_reads(name):
     raw = ECHO_CASES[name]
     reads = {"kind", "problem", "seed", "tolerances",
              *experiments._STUDIES[raw["kind"]].reads}
-    if raw.get("theory") != "converted":
-        reads.discard("gamma")
     if raw.get("perturbation") != "fixed-mode":
         reads.discard("perturbation_index")
     assert set(StudyConfig.from_dict(raw).to_dict()) == reads
 
 
 # Each entry each kind reads, with a value its rule refuses.  det-rate
-# reads gamma under the converted theory and perturbation_index for a
-# fixed-mode perturbation, so those two cases set that entry as well.
+# reads perturbation_index for a fixed-mode perturbation, so that case sets
+# the perturbation as well.  det-rate's retired theory and gamma are
+# refused as unknown keys, named as the entries it reads are.
 INVALID_READS = {
     "stat-rate": {"filter": "bogus", "design": "bogus", "sigma": -0.1,
                   "n_grid": [100, 50],
@@ -568,8 +564,7 @@ INVALID_READS = {
     "gamma-study": {"n_grid": [25, 25], "lambda": 0.0},
     "equivalence-check": {"design": "bogus", "n": 0, "lambda": -1e-3},
 }
-READ_CONTEXT = {"gamma": {"theory": "converted"},
-                "perturbation_index": {"perturbation": "fixed-mode"}}
+READ_CONTEXT = {"perturbation_index": {"perturbation": "fixed-mode"}}
 
 
 @pytest.mark.parametrize("kind, entry", [
@@ -581,6 +576,21 @@ def test_invalid_read_entry_is_named_and_exits_two(kind, entry, tmp_path):
     with pytest.raises(ValidationError) as info:
         StudyConfig.from_dict(raw)
     assert info.value.fields == (entry,)
+    assert run_cli(tmp_path, raw) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("retired, fields", [
+    ({"theory": "classical"}, ("theory",)),
+    ({"theory": "converted", "gamma": 1.75}, ("gamma", "theory")),
+    ({"gamma": 1.75}, ("gamma",))], ids=["classical", "converted", "gamma"])
+def test_retired_det_rate_entries_are_refused(retired, fields, tmp_path):
+    # det-rate's converted theory is gone: verify's worst-case-conversion
+    # judges the n -> delta conversion, so no config may still set it
+    raw = dict(BASE_RAW["det-rate"], **retired)
+    with pytest.raises(ValidationError) as info:
+        StudyConfig.from_dict(raw)
+    assert info.value.fields == fields
     assert run_cli(tmp_path, raw) == 2
     assert not (tmp_path / "out").exists()
 
@@ -828,8 +838,6 @@ BAD_FIELDS = {
     "problem-J-list": (dict(det_rate_raw("tikhonov"),
                             problem=dict(KERNEL_PROBLEM, J=[KERNEL_J])),
                        "problem.J"),
-    "gamma-list": (dict(det_rate_raw("tikhonov"), theory="converted",
-                        gamma=[1.75]), "gamma"),
     # an explicit source element is J finite numbers, not NaN in a report,
     # an unnamed conversion error or booleans read as 1.0 and 0.0
     **{f"w_spec-{name}": (dict(det_rate_raw("tikhonov"),

@@ -14,7 +14,9 @@ an earlier form of the check, or another check, passed: tripled noise in
 the grid replicates (lemma-check's mean-matches-continuous), tripled and
 shrunken noise on both designs (stat-rate's risk-matches-exact, where
 slope-matches-theory passes both), a wrong basis (reproducing-property)
-and swapped loss-factor variants (loss-factor-bounds).
+and swapped loss-factor variants (loss-factor-bounds).  worst-case-conversion
+has two more: a bias at one fixed truth in place of the supremum, and
+Tikhonov past its qualification, where the derived gamma no longer fits.
 
 A mutation replaces a function in the namespace the check reads it from:
 ``experiments``' own for the study checks, among them
@@ -68,10 +70,11 @@ import itertools
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rkhs_invlab import (FilterSpec, PerturbationSpec, SpectralProblem,
-                         StudyConfig, experiments, hs_norm, regularization,
+                         StudyConfig, experiments, rates, regularization,
                          rkhs, run_study, spectral_model, verify)
 
 SEED = 314
@@ -292,10 +295,9 @@ def reciprocal(original):
     return lambda *args: 1.0 / original(*args)
 
 
-def without_hs(original):
-    """epsilon_lambda without its division by ||L||_HS: the bias alone."""
-    return lambda problem, filt, truth: (original(problem, filt, truth)
-                                         * hs_norm(problem, filt))
+def nominal_gamma(original):
+    """gamma as the nominal r + 1/2, blind to b and the qualification."""
+    return lambda r, b, q: r + 0.5
 
 
 # check -> (module, name in it, mutation of what the name holds)
@@ -318,7 +320,7 @@ VERIFY_MUTATIONS = {
     "sample-noise-bridge-identities":
         (verify, "delta_of", cancelling_delta),
     "loss-factor-bounds": (verify, "loss_factor_tau", reciprocal),
-    "epsilon-lambda-scaling": (verify, "epsilon_lambda", without_hs),
+    "worst-case-conversion": (verify, "derived_gamma", nominal_gamma),
     "monte-carlo-risk-matches-exact":
         (verify, "sample_outputs", noise_scaled(3.0)),
 }
@@ -376,3 +378,26 @@ def test_swapped_loss_factor_variants_fail_their_check(monkeypatch):
                             r, b, other[variant]))
     result = verify.check_loss_factors(VERIFY_SEED)
     assert not result.passed, result.detail
+
+
+def test_fixed_truth_bias_fails_worst_case_conversion(monkeypatch):
+    # the bias at the fixed truth w_j = 1/j, smoother than its nominal r,
+    # in place of the supremum over the source ball: its delta-slope reads
+    # 1.41 against 0.8
+    def fixed_truth_bias(problem, filt, r):
+        j = np.arange(1, problem.size + 1)
+        residual = 1.0 - filt.on_spectrum(problem) * problem.mu
+        return float(np.linalg.norm(residual * problem.mu ** r / j)), 1
+
+    for module in (rates, verify):
+        monkeypatch.setattr(module, "worst_case_bias", fixed_truth_bias)
+    result = verify.check_worst_case_conversion(VERIFY_SEED)
+    assert not result.passed, result.detail
+
+
+def test_tikhonov_past_its_qualification_fails_worst_case_conversion():
+    # at r = 1.5 > q = 1 Tikhonov's bias saturates at lambda^q, so the
+    # n-rate falls short of alpha and the delta-slope of its conversion
+    fits = verify._conversion_fits(1.5)
+    worst = max(abs(fit - theory) for fit, theory in fits.values())
+    assert worst > verify._CONVERSION_TOL, fits

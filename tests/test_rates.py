@@ -1,5 +1,6 @@
-"""Norms, the exact paper-n variance and risk, the n <-> delta bridge,
-conversion theorems and slope fitting.
+"""Norms, the exact paper-n variance and risk, the worst cases over the
+source ball, the n <-> delta bridge, conversion theorems and slope
+fitting.
 
 A test named after an invariant of ``verify.ALL_CHECKS`` only runs that
 check, at a second seed where the check draws random inputs; the check
@@ -17,14 +18,16 @@ from rkhs_invlab import (DomainError, FilterSpec, ModelError, ParameterError,
                          PerturbationSpec, RateExponents, ShapeError,
                          StudyConfig, build_power_law_problem,
                          classical_exponents, convert_lower, convert_upper,
-                         delta_of, epsilon_lambda, estimator_paper,
+                         delta_of, derived_gamma, epsilon_lambda,
+                         estimator_paper,
                          experiments, fit_rate, forward_data, hs_norm,
                          lambda_schedule, loss_factor_tau,
                          make_source_solution, n_of, operator_norm,
                          paper_risk, paper_variance, perturb_data,
                          problem_from_descriptor, sample_design,
                          sample_outputs, solve_continuous,
-                         statistical_exponents, verify)
+                         statistical_exponents, verify, worst_case_bias,
+                         worst_case_error, worst_case_risk)
 from rkhs_invlab.cli import main
 
 
@@ -208,6 +211,96 @@ class TestPaperRisk:
         assert (eps * hs + delta_of(n, 0.1, eps) * hs) ** 2 == \
             pytest.approx(risk, rel=1e-14)
         assert operator_norm(problem, filt) < hs
+
+
+FAMILIES = ["tikhonov", "cutoff", "landweber"]
+
+
+def unit_source(problem, r, j):
+    """The source mu^r e_j, at the mode j from 1."""
+    w = np.zeros(problem.size)
+    w[j - 1] = 1.0
+    return make_source_solution(problem, r, w)
+
+
+class TestWorstCase:
+    """Each closed form against an oracle of its own, at J = 50."""
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    @pytest.mark.parametrize("r", [0.5, 1.5])
+    def test_bias_is_the_largest_unit_source_bias(self, kind, r):
+        # at lambda = 0.05 and r = 1/2 modes 4 and 5 tie under Tikhonov
+        problem = build_power_law_problem(50, 2.0, 1.0)
+        filt = FilterSpec(kind, 0.03)
+        biases = [float(np.linalg.norm(
+            solve_continuous(problem, filt, forward_data(problem, f)) - f))
+            for f in (unit_source(problem, r, j) for j in range(1, 51))]
+        bias, mode = worst_case_bias(problem, filt, r)
+        assert bias == pytest.approx(max(biases), rel=1e-14)
+        assert mode == int(np.argmax(biases)) + 1
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    @pytest.mark.parametrize("n", [51, 64, 800])
+    def test_risk_is_the_grid_paper_risk_at_the_worst_mode(self, kind, n):
+        # for n > J the grid Gram matrix is I and the variance does not
+        # depend on the truth
+        problem = build_power_law_problem(50, 2.0, 1.0)
+        filt = FilterSpec(kind, 0.05)
+        _, mode = worst_case_bias(problem, filt, 0.5)
+        truth = unit_source(problem, 0.5, mode)
+        assert worst_case_risk(problem, filt, 0.5, 0.1, n) == pytest.approx(
+            paper_risk(problem, filt, truth, 0.1, n, "grid"), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 49, 50])
+    def test_risk_refuses_n_up_to_J(self, n):
+        problem = build_power_law_problem(50, 2.0, 1.0)
+        with pytest.raises(DomainError):
+            worst_case_risk(problem, FilterSpec("tikhonov", 0.05), 0.5, 0.1,
+                            n)
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_delta_term_is_the_filter_adversarial_error(self, kind):
+        problem = build_power_law_problem(50, 2.0, 1.0)
+        filt = FilterSpec(kind, 0.05)
+        spec = PerturbationSpec(delta=0.37, mode="filter-adversarial",
+                                filter=filt)
+        adversarial = perturb_data(problem, np.zeros(50), spec)
+        bias, _ = worst_case_bias(problem, filt, 0.5)
+        term = math.sqrt(worst_case_error(problem, filt, 0.5, 0.37)) - bias
+        assert term == pytest.approx(float(np.linalg.norm(
+            solve_continuous(problem, filt, adversarial))), rel=1e-14)
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_error_bounds_every_unit_source_and_perturbation(self, kind):
+        problem = build_power_law_problem(50, 2.0, 1.0)
+        filt = FilterSpec(kind, 0.05)
+        delta = 0.37
+        # attained where the worst bias and ||L||_op share a mode, so the
+        # bound gets roundoff's slack
+        bound = worst_case_error(problem, filt, 0.5, delta) * (1 + 1e-14)
+        for j in range(1, 51):
+            for sign in (1.0, -1.0):
+                truth = sign * unit_source(problem, 0.5, j)
+                y = forward_data(problem, truth)
+                for spec in (
+                        PerturbationSpec(delta=delta, mode="random-unit"),
+                        PerturbationSpec(delta=delta, mode="fixed-mode",
+                                         index=j),
+                        PerturbationSpec(delta=delta,
+                                         mode="filter-adversarial",
+                                         filter=filt)):
+                    y_delta = perturb_data(problem, y, spec, seed=j)
+                    error = solve_continuous(problem, filt, y_delta) - truth
+                    assert float(np.sum(error ** 2)) <= bound
+
+    def test_derived_gamma_saturates_at_the_qualification(self):
+        assert derived_gamma(0.5, 2.0, 1.0) == 1.25
+        assert derived_gamma(1.5, 2.0, 1.0) == 1.75
+        assert derived_gamma(1.5, 2.0, math.inf) == 2.25
+
+    def test_conversion_check(self):
+        result = verify.check_worst_case_conversion(0)
+        assert result.passed, result.detail
 
 
 class TestBridge:
@@ -569,7 +662,3 @@ class TestMonteCarloRateProperties:
                                                   axis=1))))
         slope = fit_rate(list(zip(lams, variances))).slope
         assert slope >= -(1.0 + 1.0 / MC_DECAY) - 0.15
-
-    def test_epsilon_scaling_report(self):
-        result = verify.check_epsilon_report(0)
-        assert result.passed, result.detail
