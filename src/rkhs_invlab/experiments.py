@@ -2,7 +2,7 @@
 
 Each study kind is one row of ``_STUDIES``, at the foot of this module: its
 runner, whose docstring describes the study, the optional config entries
-it reads and its tolerances with their defaults.  Every study prints one
+it reads and the fixed thresholds of its checks.  Every study prints one
 machine-readable line "STUDY <kind> <pass|fail>".  The Monte-Carlo studies
 draw each replicate from its own substream, so a replicate's numbers do
 not depend on the others (``_replicate_coeffs``): on iid designs its design
@@ -32,9 +32,8 @@ from .regularization import (_FAMILIES, FilterSpec, _grid_learn,
                              estimator_learn, kernel_tikhonov,
                              solve_continuous)
 from .rkhs import rkhs_norm
-from .sampling import (_DESIGNS, _PERTURBATION_MODES, PerturbationSpec,
-                       perturb_data, sample_design, sample_outputs,
-                       _uniform_design)
+from .sampling import (_DESIGNS, PerturbationSpec, perturb_data,
+                       sample_design, sample_outputs, _uniform_design)
 from .spectral_model import (_LOW_ROWS, _basis_blocks, _finite_number,
                              _integer, _positive_integer, _positive_number,
                              _sine_factor_tables, _split_modes,
@@ -47,14 +46,10 @@ _TAKES = {dict: lambda v: isinstance(v, (dict, type(None))),
           tuple: lambda v: isinstance(v, (list, tuple, type(None))),
           float: _finite_number}
 
-# Family level of lemma-check's default z_max: the probability that the
-# largest of its J per-mode |z| exceeds it, exact on the grid for n > J and
-# an upper bound on iid designs, whose modes are correlated.
+# Family level of lemma-check's z_max, Sidak's over its J per-mode |z|: the
+# probability that the largest of them exceeds it, exact on the grid for
+# n > J and an upper bound on iid designs, whose modes are correlated.
 _Z_FAMILY_LEVEL = 0.01
-
-# Bound on stat-rate's pooled z against the exact risks, a constant and not
-# a tolerance: a standard normal |z| exceeds it with probability 0.27%.
-_RISK_Z_MAX = 3.0
 
 # Basis entries (points times modes) the designs of one iid batch would
 # fill.  A batch builds no basis, only its factor tables: 9 + (J + 7) // 16
@@ -185,15 +180,9 @@ class StudyConfig:
     lam: float | None = field(default=None,
                               metadata=_rule(_positive_number, key="lambda"))
     n: int | None = field(default=None, metadata=_rule(_sample_count))
-    perturbation: str = field(default="filter-adversarial",
-                              metadata=_rule(_one_of(*_PERTURBATION_MODES)))
-    perturbation_index: int | None = field(default=None,
-                                           metadata=_rule(_positive_integer))
     replicates: int = field(default=1, metadata=_rule(
         lambda v: _positive_integer(v) and v >= 2))
     seed: int = field(default=0, metadata=_rule(_integer))
-    tolerances: dict = field(default_factory=dict, metadata=_rule(
-        lambda t: all(_positive_number(v) for v in t.values()), dict))
 
     @staticmethod
     def from_dict(raw):
@@ -219,15 +208,10 @@ class StudyConfig:
         return config
 
     def _reads(self):
-        """The entries the kind reads: kind, problem, seed, tolerances and
-        its _STUDIES row, where det-rate reads perturbation_index only for a
-        fixed-mode perturbation."""
+        """The entries the kind reads: kind, problem, seed and those of its
+        _STUDIES row."""
         study = _study_of(self.kind)
-        reads = {"kind", "problem", "seed", "tolerances",
-                 *(study.reads if study else ())}
-        if self.perturbation != "fixed-mode":
-            reads.discard("perturbation_index")
-        return reads
+        return {"kind", "problem", "seed", *(study.reads if study else ())}
 
     def to_dict(self):
         """The entries the kind reads (``_reads``), leaving out None."""
@@ -247,8 +231,7 @@ class StudyConfig:
         entries, the filter family must be valid on mu_1 = problem.d (its
         ``_FAMILIES`` row's bound) and accept lambda (``FilterSpec``'s
         rule: Landweber's 1/lambda must be finite), and so must the
-        schedule at each point of the grid (``_scheduled_filters``), and a
-        fixed-mode perturbation_index must be at most problem.J."""
+        schedule at each point of the grid (``_scheduled_filters``)."""
         study, reads = _study_of(self.kind), self._reads()
         defaults = StudyConfig()
         bad = [f"problem.{key}" for key in descriptor_faults(self.problem)]
@@ -262,8 +245,6 @@ class StudyConfig:
                 faulty = changed and (study is not None or not valid(value))
             if faulty:
                 bad.append(key)
-        if study and not set(self.tolerances) <= set(study.tolerances):
-            bad.append("tolerances")
         w_spec = self.problem.get("w_spec")
         if "schedule" in reads and isinstance(w_spec, str) and w_spec == "ones":
             # w = (1, ..., 1) has source radius sqrt(J), not a fixed source
@@ -287,10 +268,6 @@ class StudyConfig:
             except (ParameterError, OverflowError):
                 # lambda under- or overflows, or Landweber's 1/lambda does
                 bad.append("schedule")
-        if ("perturbation_index" in reads
-                and not {"perturbation_index", "problem.J"} & set(bad)
-                and self.perturbation_index > self.problem["J"]):
-            bad.append("perturbation_index")
         if bad:
             raise _invalid(bad)
 
@@ -303,11 +280,6 @@ class StudyConfig:
                     "by-n" if by_n else "by-delta", self.schedule["c"],
                     self.schedule["exponent"], value))
                 for value in (self.n_grid if by_n else self.delta_grid)]
-
-
-def _tolerances(config):
-    """The kind's default tolerances, updated with the config's own."""
-    return {**_STUDIES[config.kind].tolerances, **config.tolerances}
 
 
 @dataclass
@@ -532,33 +504,35 @@ def _run_stat_rate(config, started):
     alpha = statistical_exponents(r, b).alpha
     theory = {"alpha": alpha, "exact_slope": fit_rate(
         [(1.0 / p["x"], p["exact_risk"]) for p in points]).slope}
-    tol = _tolerances(config)["slope"]
+    thresholds = _STUDIES[config.kind].thresholds
     pooled = sum(p["z"] for p in points) / math.sqrt(len(points))
-    checks = [_check("slope-matches-theory", abs(fit.slope - alpha), "<=", tol),
-              _check("risk-matches-exact", abs(pooled), "<=", _RISK_Z_MAX)]
+    checks = [_check("slope-matches-theory", abs(fit.slope - alpha), "<=",
+                     thresholds["slope"]),
+              _check("risk-matches-exact", abs(pooled), "<=",
+                     thresholds["risk_z"])]
     medians = [p["err_median"] for p in points]
     if len(medians) > 4:
         # consistency criterion: past the first two grid points the median
         # error must be decreasing in n
         corr = _spearman(config.n_grid[2:], medians[2:])
-        checks.append(_check("median-error-decreasing", corr, "<=", -0.9))
+        checks.append(_check("median-error-decreasing", corr, "<=",
+                             thresholds["rank_corr"]))
     return _finish(config, points, fit, theory, checks, started)
 
 
 def _run_det_rate(config, started):
     """Squared error of the perturbed-data reconstruction along a lambda
     schedule in delta, slope-fitted against delta and compared to the
-    classical 4r/(2r+1).  ``verify``'s worst-case-conversion judges the
-    n -> delta conversion."""
+    classical 4r/(2r+1).  The rate bounds the error over every data error
+    of norm delta, so the data are perturbed along the filter's worst mode
+    (``filter-adversarial``), whose error attains its order.  ``verify``'s
+    worst-case-conversion judges the n -> delta conversion."""
     problem, truth = _problem_of(config)
     y_clean = forward_data(problem, truth)
     points = []
-    for point_idx, (delta, filt) in enumerate(zip(
-            config.delta_grid, config._scheduled_filters())):
-        spec = PerturbationSpec(delta=delta, mode=config.perturbation,
-                                index=config.perturbation_index, filter=filt)
-        y_delta = perturb_data(problem, y_clean, spec, config.seed,
-                               index=point_idx)
+    for delta, filt in zip(config.delta_grid, config._scheduled_filters()):
+        y_delta = perturb_data(problem, y_clean, PerturbationSpec(
+            delta=delta, mode="filter-adversarial", filter=filt))
         estimate = solve_continuous(problem, filt, y_delta)
         err2 = float(np.sum((estimate - truth) ** 2))
         points.append({"x": float(delta), "lambda": filt.lam,
@@ -567,9 +541,8 @@ def _run_det_rate(config, started):
     exponent = classical_exponents(float(config.problem["r"]),
                                    float(config.problem["b"])).alpha
     theory = {"delta_exponent": exponent}
-    tol = _tolerances(config)["slope"]
     checks = [_check("slope-matches-theory", abs(fit.slope - exponent),
-                     "<=", tol)]
+                     "<=", _STUDIES[config.kind].thresholds["slope"])]
     return _finish(config, points, fit, theory, checks, started)
 
 
@@ -578,9 +551,9 @@ def _run_lemma_check(config, started):
     reconstruction f_lam.  Mode j's z is |mean - f_lam| over the exact
     standard error sqrt(var / R) of R replicates, var from
     ``rates.paper_variance`` (a grid mode of alias class 0 has var 0 and
-    z 0), so a wrong noise scale fails it on the grid.  The default z_max
-    is Sidak's over J normal z: exact on the grid for n > J, conservative
-    on iid designs.  The point records the sample bias mc_bias2 and
+    z 0), so a wrong noise scale fails it on the grid.  Its z_max is
+    Sidak's over J normal z: exact on the grid for n > J, conservative on
+    iid designs.  The point records the sample bias mc_bias2 and
     variance mc_var, which sum to err_mean for any replicates."""
     problem, truth = _problem_of(config)
     n = int(config.n)
@@ -606,8 +579,7 @@ def _run_lemma_check(config, started):
                "theory_bias2": bias2}]
     theory = {"bias2": bias2}
     checks = [_check("mean-matches-continuous", float(np.max(z)), "<=",
-                     _tolerances(config)["z_max"]
-                     or _sidak_z(problem.size, _Z_FAMILY_LEVEL))]
+                     _sidak_z(problem.size, _Z_FAMILY_LEVEL))]
     return _finish(config, points, fit=None, theory=theory, checks=checks,
                    started=started)
 
@@ -635,7 +607,7 @@ def _run_gamma_study(config, started):
         points.append({"x": int(n), "lambda": lam,
                        "err_mean": rkhs_norm(problem, g - g_cont),
                        "err_se": 0.0})
-    exact = _tolerances(config)["exact"]
+    exact = _STUDIES[config.kind].thresholds["exact"]
     # a distance at or below the floor is exact up to roundoff, whose size
     # and order depend on how the fit is computed, so it is never ranked
     floor = exact * g_norm
@@ -702,43 +674,43 @@ def _run_equivalence_check(config, started):
     design = sample_design(config.design, int(config.n), config.seed)
     samples = sample_outputs(problem, truth, design, seed=config.seed)
     deviations = equivalence_deviations(problem, samples, float(config.lam))
-    tolerances = _tolerances(config)
-    checks = [_check(name, deviations[name], "<=", tolerances[name])
+    thresholds = _STUDIES[config.kind].thresholds
+    checks = [_check(name, deviations[name], "<=", thresholds[name])
               for name in sorted(deviations)]
     points = [{"x": float(i), "lambda": float(config.lam),
                "err_mean": deviations[name], "err_se": 0.0, "property": name}
               for i, name in enumerate(sorted(deviations))]
-    return _finish(config, points, fit=None,
-                   theory={"tolerances": tolerances}, checks=checks,
+    return _finish(config, points, fit=None, theory={}, checks=checks,
                    started=started)
 
 
 class _Study(NamedTuple):
     """One study kind: its runner, the optional config entries it reads
-    besides kind, problem, seed and tolerances, and the tolerances it reads
-    with their defaults (a config may set any of them and no other)."""
+    besides kind, problem and seed, and the fixed thresholds of its checks
+    by name.  No config entry sets a threshold.  One that follows from the
+    run is derived in the runner: lemma-check's Sidak z over J, and
+    gamma-study's first distance over ten and strict decrease."""
 
     run: Callable
     reads: tuple
-    tolerances: dict
+    thresholds: dict
 
 
 _STUDIES = {
+    # risk_z bounds the pooled z against the exact risks: a standard normal
+    # |z| exceeds 3 with probability 0.27%.  rank_corr bounds the rank
+    # correlation of the medians with n past the first two grid points
     "stat-rate": _Study(
         _run_stat_rate,
         ("filter", "design", "sigma", "n_grid", "schedule", "replicates"),
-        {"slope": 0.12}),
+        {"slope": 0.12, "risk_z": 3.0, "rank_corr": -0.9}),
     "det-rate": _Study(
-        _run_det_rate,
-        ("filter", "delta_grid", "schedule", "perturbation",
-         "perturbation_index"),
-        {"slope": 0.15}),
-    # z_max None: the Sidak threshold of the J per-mode z-scores of the mean
-    # estimate over its exact standard error, at level _Z_FAMILY_LEVEL
+        _run_det_rate, ("filter", "delta_grid", "schedule"), {"slope": 0.15}),
+    # its one threshold, Sidak's z over J at level _Z_FAMILY_LEVEL, follows
+    # J, so the row holds none
     "lemma-check": _Study(
         _run_lemma_check,
-        ("filter", "design", "sigma", "n", "lambda", "replicates"),
-        {"z_max": None}),
+        ("filter", "design", "sigma", "n", "lambda", "replicates"), {}),
     # always on the midpoint grid, so it does not read design
     "gamma-study": _Study(
         _run_gamma_study, ("n_grid", "lambda"), {"exact": 1e-10}),

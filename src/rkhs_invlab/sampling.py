@@ -26,7 +26,8 @@ from .errors import ParameterError, ShapeError
 from .spectral_model import (_finite_number, _positive_integer, eval_function,
                              forward_data)
 
-# The design schemes and the perturbation modes a study config may name.
+# The design schemes a study config may name, and the perturbation modes
+# (det-rate perturbs along filter-adversarial).
 _DESIGNS = ("grid", "iid-uniform")
 _PERTURBATION_MODES = ("random-unit", "fixed-mode", "filter-adversarial")
 
@@ -80,8 +81,9 @@ class PerturbationSpec:
                 f"delta must be a finite number >= 0: {self.delta!r}")
         if self.mode not in _PERTURBATION_MODES:
             raise ParameterError(f"unknown perturbation mode: {self.mode!r}")
-        if self.mode == "fixed-mode" and (self.index is None or self.index < 1):
-            raise ParameterError("fixed-mode requires a 1-based mode index")
+        if self.mode == "fixed-mode" and not _positive_integer(self.index):
+            raise ParameterError(f"fixed-mode requires a 1-based integer "
+                                 f"mode index, got {self.index!r}")
         if self.mode == "filter-adversarial" and self.filter is None:
             raise ParameterError("filter-adversarial requires a filter")
 

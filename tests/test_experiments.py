@@ -9,8 +9,9 @@ the other replicates and for building no basis;
 on both, for determinism and the JSON round trip; stat-rate's pooled
 exact-risk z, its median against ``np.median`` and the numpy.ma import it
 avoids; the kernel-side study kinds for verdict, determinism and the JSON
-round trip; config validation (a Monte-Carlo kind needs two replicates),
-the problem builder's agreement with it and the config echo;
+round trip; config validation (a Monte-Carlo kind needs two replicates,
+and the retired entries are refused), the problem builder's agreement with
+it, the config echo and each check's fixed threshold;
 ``rkhs-invlab run`` for its exit codes, overflow and running out of
 memory included.
 """
@@ -240,7 +241,7 @@ def test_sidak_threshold(count, level, expected):
     assert family == pytest.approx(level, rel=1e-9)
 
 
-def test_lemma_check_default_z_max_is_family_wise():
+def test_lemma_check_z_max_is_family_wise():
     # each z divides by its exact standard error, so it is normal
     report = run_study(lemma_check_config("grid"))
     threshold = {c["name"]: c["threshold"] for c in report.checks}
@@ -441,9 +442,9 @@ BASE_RAW = {"stat-rate": stat_rate_config("grid").to_dict(),
             "equivalence-check": KERNEL_STUDIES["equivalence-check"]}
 
 # Entries each kind never reads, each with a valid non-default value.
-# det-rate reads perturbation_index only for a fixed-mode perturbation.
-# theory and gamma, the entries of det-rate's retired converted theory, are
-# read by no kind and refused as unknown keys.
+# theory, gamma, perturbation and perturbation_index, the entries of
+# det-rate's retired converted theory and perturbation choice, are read by
+# no kind and refused as unknown keys.
 UNREAD = {
     "stat-rate": {"delta_grid": [0.1, 0.2], "lambda": 0.3, "n": 7,
                   "perturbation": "random-unit", "perturbation_index": 2,
@@ -462,23 +463,12 @@ UNREAD = {
                           "schedule": {"c": 1.0, "exponent": 0.5}},
 }
 
-# The tolerances each kind reads, and the check each one bounds.
-TOLERANCE_CHECKS = {
-    "stat-rate": {"slope": "slope-matches-theory"},
-    "det-rate": {"slope": "slope-matches-theory"},
-    "lemma-check": {"z_max": "mean-matches-continuous"},
-    "gamma-study": {"exact": "exact-for-n-above-J"},
-    "equivalence-check": {name: name for name in (
-        "methods_equivalence", "representer_oracle")},
-}
-
 # A config of each kind that sets every entry the kind reads away from its
 # default.
 FULL_RAW = {
     "stat-rate": dict(BASE_RAW["stat-rate"], filter="cutoff",
                       design="iid-uniform", replicates=3),
-    "det-rate": dict(BASE_RAW["det-rate"], filter="landweber",
-                     perturbation="fixed-mode", perturbation_index=2),
+    "det-rate": dict(BASE_RAW["det-rate"], filter="landweber"),
     "lemma-check": dict(BASE_RAW["lemma-check"], filter="cutoff",
                         design="iid-uniform"),
     "gamma-study": BASE_RAW["gamma-study"],
@@ -501,24 +491,21 @@ FULL_ECHO = {
                   "filter": "cutoff", "design": "iid-uniform",
                   "sigma": SIGMA, "n_grid": [50, 100, 200],
                   "schedule": {"c": 1.0, "exponent": 1.0 / 3.5},
-                  "replicates": 3, "seed": SEED, "tolerances": {}},
+                  "replicates": 3, "seed": SEED},
     "det-rate": {"kind": "det-rate", "problem": KERNEL_PROBLEM,
                  "filter": "landweber", "delta_grid": DELTAS,
                  "schedule": {"c": 1.0, "exponent": 2.0 / 3.0},
-                 "perturbation": "fixed-mode", "perturbation_index": 2,
-                 "seed": SEED, "tolerances": {}},
+                 "seed": SEED},
     "lemma-check": {"kind": "lemma-check", "problem": PROBLEM,
                     "filter": "cutoff", "design": "iid-uniform",
                     "sigma": SIGMA, "lambda": 0.05, "n": 100,
-                    "replicates": REPLICATES, "seed": SEED,
-                    "tolerances": {}},
+                    "replicates": REPLICATES, "seed": SEED},
     "gamma-study": {"kind": "gamma-study", "problem": KERNEL_PROBLEM,
                     "n_grid": [25, 50, 100, 200], "lambda": 1e-3,
-                    "seed": SEED, "tolerances": {}},
+                    "seed": SEED},
     "equivalence-check": {"kind": "equivalence-check",
                           "problem": KERNEL_PROBLEM, "design": "iid-uniform",
-                          "lambda": 1e-3, "n": 60, "seed": SEED,
-                          "tolerances": {}},
+                          "lambda": 1e-3, "n": 60, "seed": SEED},
 }
 
 
@@ -527,29 +514,17 @@ def test_config_echo_is_pinned(kind):
     assert StudyConfig.from_dict(FULL_RAW[kind]).to_dict() == FULL_ECHO[kind]
 
 
-# det-rate, judged by the classical rate, under each perturbation mode:
-# perturbation_index is read for a fixed-mode perturbation.
-ECHO_CASES = FULL_RAW | {
-    f"det-rate-classical-{mode}": dict(
-        BASE_RAW["det-rate"], perturbation=mode,
-        **({"perturbation_index": 2} if mode == "fixed-mode" else {}))
-    for mode in ("filter-adversarial", "random-unit", "fixed-mode")}
-
-
-@pytest.mark.parametrize("name", sorted(ECHO_CASES))
+@pytest.mark.parametrize("name", sorted(FULL_RAW))
 def test_config_echo_is_what_the_kind_reads(name):
-    raw = ECHO_CASES[name]
-    reads = {"kind", "problem", "seed", "tolerances",
+    raw = FULL_RAW[name]
+    reads = {"kind", "problem", "seed",
              *experiments._STUDIES[raw["kind"]].reads}
-    if raw.get("perturbation") != "fixed-mode":
-        reads.discard("perturbation_index")
     assert set(StudyConfig.from_dict(raw).to_dict()) == reads
 
 
-# Each entry each kind reads, with a value its rule refuses.  det-rate
-# reads perturbation_index for a fixed-mode perturbation, so that case sets
-# the perturbation as well.  det-rate's retired theory and gamma are
-# refused as unknown keys, named as the entries it reads are.
+# Each entry each kind reads, with a value its rule refuses.  det-rate's
+# retired theory, gamma and perturbation are refused as unknown keys, named
+# as the entries it reads are.
 INVALID_READS = {
     "stat-rate": {"filter": "bogus", "design": "bogus", "sigma": -0.1,
                   "n_grid": [100, 50],
@@ -557,22 +532,19 @@ INVALID_READS = {
                   "replicates": 0},
     "det-rate": {"filter": "bogus", "delta_grid": [0.2, 0.1],
                  "schedule": {"c": 0.0, "exponent": 0.5},
-                 "perturbation": "bogus", "perturbation_index": 0,
-                 "theory": "bogus", "gamma": -1.75},
+                 "perturbation": "bogus", "theory": "bogus", "gamma": -1.75},
     "lemma-check": {"filter": "bogus", "design": "bogus", "sigma": -0.1,
                     "n": 0, "lambda": -0.05, "replicates": 1},
     "gamma-study": {"n_grid": [25, 25], "lambda": 0.0},
     "equivalence-check": {"design": "bogus", "n": 0, "lambda": -1e-3},
 }
-READ_CONTEXT = {"perturbation_index": {"perturbation": "fixed-mode"}}
 
 
 @pytest.mark.parametrize("kind, entry", [
     (kind, entry) for kind, entries in INVALID_READS.items()
     for entry in entries])
 def test_invalid_read_entry_is_named_and_exits_two(kind, entry, tmp_path):
-    raw = dict(BASE_RAW[kind], **READ_CONTEXT.get(entry, {}),
-               **{entry: INVALID_READS[kind][entry]})
+    raw = dict(BASE_RAW[kind], **{entry: INVALID_READS[kind][entry]})
     with pytest.raises(ValidationError) as info:
         StudyConfig.from_dict(raw)
     assert info.value.fields == (entry,)
@@ -580,14 +552,35 @@ def test_invalid_read_entry_is_named_and_exits_two(kind, entry, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("retired, fields", [
-    ({"theory": "classical"}, ("theory",)),
-    ({"theory": "converted", "gamma": 1.75}, ("gamma", "theory")),
-    ({"gamma": 1.75}, ("gamma",))], ids=["classical", "converted", "gamma"])
-def test_retired_det_rate_entries_are_refused(retired, fields, tmp_path):
-    # det-rate's converted theory is gone: verify's worst-case-conversion
-    # judges the n -> delta conversion, so no config may still set it
-    raw = dict(BASE_RAW["det-rate"], **retired)
+# name -> (kind, retired entries, the fields named).  det-rate's converted
+# theory is gone: verify's worst-case-conversion judges the n -> delta
+# conversion.  det-rate always perturbs along the filter's worst mode, and
+# every check is held to the fixed threshold of its kind: a tolerances
+# entry is refused even where it sets the old values, or nothing
+# (lemma-check's row is empty).
+RETIRED = {
+    "classical": ("det-rate", {"theory": "classical"}, ("theory",)),
+    "converted": ("det-rate", {"theory": "converted", "gamma": 1.75},
+                  ("gamma", "theory")),
+    "gamma": ("det-rate", {"gamma": 1.75}, ("gamma",)),
+    "perturbation": ("det-rate", {"perturbation": "filter-adversarial"},
+                     ("perturbation",)),
+    "perturbation-fixed-mode": (
+        "det-rate", {"perturbation": "fixed-mode", "perturbation_index": 1},
+        ("perturbation", "perturbation_index")),
+    "perturbation_index": ("det-rate", {"perturbation_index": 1},
+                           ("perturbation_index",)),
+    **{f"tolerances-{kind}": (
+        kind, {"tolerances": dict.fromkeys(experiments._STUDIES[kind]
+                                           .thresholds, 1.0)},
+        ("tolerances",)) for kind in sorted(experiments._STUDIES)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED))
+def test_retired_det_rate_entries_are_refused(name, tmp_path):
+    kind, retired, fields = RETIRED[name]
+    raw = dict(BASE_RAW[kind], **retired)
     with pytest.raises(ValidationError) as info:
         StudyConfig.from_dict(raw)
     assert info.value.fields == fields
@@ -623,15 +616,29 @@ def test_problem_seed_is_accepted_and_echoed():
     assert StudyConfig.from_dict(raw).to_dict()["problem"]["seed"] == 3
 
 
-@pytest.mark.parametrize("kind", sorted(TOLERANCE_CHECKS))
-def test_every_known_tolerance_sets_its_check(kind):
-    names = TOLERANCE_CHECKS[kind]
-    # distinct values, so each check shows which tolerance bounded it
-    values = {name: 0.5 + i for i, name in enumerate(sorted(names))}
-    report = run_study(StudyConfig.from_dict(
-        dict(BASE_RAW[kind], tolerances=values)))
+# The check each fixed threshold of a kind's _STUDIES row bounds, at a
+# config that runs that check: stat-rate ranks its medians past five grid
+# points.  lemma-check's one threshold follows J
+# (test_lemma_check_z_max_is_family_wise).
+THRESHOLD_CHECKS = {
+    "stat-rate": ({"n_grid": [50, 100, 200, 400, 800]},
+                  {"slope": "slope-matches-theory",
+                   "risk_z": "risk-matches-exact",
+                   "rank_corr": "median-error-decreasing"}),
+    "det-rate": ({}, {"slope": "slope-matches-theory"}),
+    "gamma-study": ({}, {"exact": "exact-for-n-above-J"}),
+    "equivalence-check": ({}, {name: name for name in (
+        "methods_equivalence", "representer_oracle")}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(THRESHOLD_CHECKS))
+def test_every_check_is_held_to_its_kinds_threshold(kind):
+    entries, names = THRESHOLD_CHECKS[kind]
+    report = run_study(StudyConfig.from_dict(dict(BASE_RAW[kind], **entries)))
     thresholds = {c["name"]: c["threshold"] for c in report.checks}
-    assert {name: thresholds[check] for name, check in names.items()} == values
+    assert ({name: thresholds[check] for name, check in names.items()}
+            == experiments._STUDIES[kind].thresholds)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_STUDIES))
@@ -766,6 +773,8 @@ BAD_FIELDS = {
     # gamma-study always fits on the midpoint grid
     "gamma-study-iid": (dict(KERNEL_STUDIES["gamma-study"],
                              design="iid-uniform"), "design"),
+    # tolerances is no entry, so it is named as an unknown key whatever it
+    # holds: a check's threshold is the fixed one of its kind
     **{f"tolerance-{name}": (dict(det_rate_raw("tikhonov"),
                                   tolerances={"slope": value}), "tolerances")
        for name, value in (("string", "abc"), ("bool", True),
@@ -788,10 +797,6 @@ BAD_FIELDS = {
     "schedule-exponent-string": (dict(det_rate_raw("tikhonov"),
                                       schedule={"c": 1.0, "exponent": "x"}),
                                  "schedule"),
-    "perturbation_index-string": (dict(det_rate_raw("tikhonov"),
-                                       perturbation="fixed-mode",
-                                       perturbation_index="abc"),
-                                  "perturbation_index"),
     # types are checked before float(), int(), tuple() or dict() runs
     "config-number": (5, "config"),
     "config-null": (None, "config"),
@@ -885,8 +890,8 @@ BAD_FIELDS = {
                          ("equivalence-check",
                           KERNEL_STUDIES["equivalence-check"]),
                          ("det-rate", det_rate_raw("tikhonov")))},
-    # a tolerance the kind does not read would be ignored, not applied;
-    # that includes those of the retired identity checks
+    # tolerances is refused whatever names it holds: those of no kind's
+    # checks and those of the retired identity checks
     **{f"tolerance-name-{label}": (dict(BASE_RAW[kind],
                                         tolerances={name: 1e-12}),
                                    "tolerances")
@@ -928,11 +933,6 @@ BAD_FIELDS = {
     "schedule-stat-rate-underflow": (
         dict(stat_rate_config("grid").to_dict(),
              schedule={"c": 1.0, "exponent": 400.0}), "schedule"),
-    # a fixed mode beyond J is named, not a run-time ShapeError
-    "perturbation_index-above-J": (dict(det_rate_raw("tikhonov"),
-                                        perturbation="fixed-mode",
-                                        perturbation_index=KERNEL_J + 1),
-                                   "perturbation_index"),
 }
 
 
@@ -960,12 +960,10 @@ def test_problem_fault_is_named_by_the_builder(name):
 @pytest.mark.parametrize("raw", [
     dict(det_rate_raw("landweber"), problem=dict(KERNEL_PROBLEM, d=d))
     for d in (0.5, 1.0, 1.0 + 1e-13)] + [
-    dict(det_rate_raw("tikhonov"), problem=dict(KERNEL_PROBLEM, d=4.0)),
-    dict(det_rate_raw("tikhonov"), perturbation="fixed-mode",
-         perturbation_index=KERNEL_J)])
+    dict(det_rate_raw("tikhonov"), problem=dict(KERNEL_PROBLEM, d=4.0))])
 def test_cross_entry_rules_accept_their_bounds(raw):
     # mu_1 = d up to 1 (and its roundoff) for Landweber, any d for the
-    # other families, and every mode up to J
+    # other families
     assert run_study(StudyConfig.from_dict(raw)).verdict
 
 
@@ -988,14 +986,17 @@ def test_cli_run_exit_zero_on_pass(tmp_path):
 
 
 def test_cli_run_exit_one_on_failed_verdict(tmp_path):
-    raw = dict(det_rate_raw("tikhonov"), tolerances={"slope": 0.15})
-    assert run_cli(tmp_path, raw, "--set", "tolerances.slope=1e-12") == 1
+    # lambda = delta^(1/4) over-smooths: the error's delta-slope reads 0.39
+    # against the classical 4/3
+    assert run_cli(tmp_path, det_rate_raw("tikhonov"),
+                   "--set", "schedule.exponent=0.25") == 1
+    back = json.loads((tmp_path / "out" / "det-rate.report.json").read_text())
+    assert [c["passed"] for c in back["checks"]] == [False]
 
 
 @pytest.mark.parametrize("case", ["missing-file", "invalid-json",
                                   "unknown-key", "bad-set-path",
-                                  "set-tolerance-string",
-                                  "set-tolerance-nan"])
+                                  "set-retired-tolerance"])
 def test_cli_run_exit_two_on_malformed_input(case, tmp_path):
     if case == "missing-file":
         code = main(["run", "--config", str(tmp_path / "absent.json"),
@@ -1008,9 +1009,9 @@ def test_cli_run_exit_two_on_malformed_input(case, tmp_path):
         code = run_cli(tmp_path, det_rate_raw("tikhonov"),
                        "--set", "schedule.nope=1")
     else:
-        raw = dict(det_rate_raw("tikhonov"), tolerances={"slope": 0.15})
-        value = "abc" if case == "set-tolerance-string" else "NaN"
-        code = run_cli(tmp_path, raw, "--set", f"tolerances.slope={value}")
+        # no config entry holds a tolerance, so the path does not exist
+        code = run_cli(tmp_path, det_rate_raw("tikhonov"),
+                       "--set", "tolerances.slope=1")
     assert code == 2
     assert not (tmp_path / "out").exists()
 

@@ -151,6 +151,14 @@ class TestPerturbData:
                          PerturbationSpec(delta=0.1, mode="fixed-mode",
                                           index=3))
 
+    @pytest.mark.parametrize("index", [2.5, True, np.float64(2.0), 0, None],
+                             ids=["2.5", "True", "float64", "0", "None"])
+    def test_fixed_mode_index_is_a_positive_integer(self, index):
+        # a float index reached perturb_data and raised an IndexError there,
+        # and True perturbed mode 1
+        with pytest.raises(ParameterError, match="index"):
+            PerturbationSpec(delta=0.1, mode="fixed-mode", index=index)
+
 
 class TestGridRiemannProperty:
     def test_empirical_square_risk_second_order(self):
