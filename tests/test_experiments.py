@@ -616,9 +616,9 @@ def test_problem_seed_is_accepted_and_echoed():
     assert StudyConfig.from_dict(raw).to_dict()["problem"]["seed"] == 3
 
 
-# The check each fixed threshold of a kind's _STUDIES row bounds, at a
-# config that runs that check: stat-rate ranks its medians past five grid
-# points.  lemma-check's one threshold follows J
+# The check each fixed threshold of a kind bounds, at a config that runs
+# that check: stat-rate ranks its medians past five grid points.
+# lemma-check's row is empty, as its one threshold follows J
 # (test_lemma_check_z_max_is_family_wise).
 THRESHOLD_CHECKS = {
     "stat-rate": ({"n_grid": [50, 100, 200, 400, 800]},
@@ -629,6 +629,12 @@ THRESHOLD_CHECKS = {
     "gamma-study": ({}, {"exact": "exact-for-n-above-J"}),
     "equivalence-check": ({}, {name: name for name in (
         "methods_equivalence", "representer_oracle")}),
+    "lemma-check": ({}, {"z_max": "mean-matches-continuous"}),
+}
+# The thresholds no _STUDIES row holds, as they follow the problem.
+J_THRESHOLDS = {
+    "lemma-check": {"z_max": experiments._sidak_z(
+        J, experiments._Z_FAMILY_LEVEL)},
 }
 
 
@@ -638,7 +644,8 @@ def test_every_check_is_held_to_its_kinds_threshold(kind):
     report = run_study(StudyConfig.from_dict(dict(BASE_RAW[kind], **entries)))
     thresholds = {c["name"]: c["threshold"] for c in report.checks}
     assert ({name: thresholds[check] for name, check in names.items()}
-            == experiments._STUDIES[kind].thresholds)
+            == dict(experiments._STUDIES[kind].thresholds,
+                    **J_THRESHOLDS.get(kind, {})))
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_STUDIES))
@@ -996,7 +1003,8 @@ def test_cli_run_exit_one_on_failed_verdict(tmp_path):
 
 @pytest.mark.parametrize("case", ["missing-file", "invalid-json",
                                   "unknown-key", "bad-set-path",
-                                  "set-retired-tolerance"])
+                                  "set-tolerance-string",
+                                  "set-tolerance-nan"])
 def test_cli_run_exit_two_on_malformed_input(case, tmp_path):
     if case == "missing-file":
         code = main(["run", "--config", str(tmp_path / "absent.json"),
@@ -1009,9 +1017,11 @@ def test_cli_run_exit_two_on_malformed_input(case, tmp_path):
         code = run_cli(tmp_path, det_rate_raw("tikhonov"),
                        "--set", "schedule.nope=1")
     else:
-        # no config entry holds a tolerance, so the path does not exist
+        # no config entry holds a tolerance, so the path does not exist,
+        # whatever the value
+        value = "abc" if case == "set-tolerance-string" else "NaN"
         code = run_cli(tmp_path, det_rate_raw("tikhonov"),
-                       "--set", "tolerances.slope=1")
+                       "--set", f"tolerances.slope={value}")
     assert code == 2
     assert not (tmp_path / "out").exists()
 
