@@ -21,10 +21,10 @@ from .regularization import (FilterSpec, KernelSolution, certify_filter,
                              kernel_tikhonov, solve_continuous)
 from .rates import (ConvertedRate, RateExponents, RateFit, classical_exponents,
                     convert_lower, convert_upper, delta_of, derived_gamma,
-                    epsilon_lambda, fit_rate, hs_norm, lambda_schedule,
-                    loss_factor_tau, n_of, operator_norm, paper_risk,
-                    paper_variance, statistical_exponents, worst_case_bias,
-                    worst_case_error, worst_case_risk)
+                    fit_rate, hs_norm, lambda_schedule, loss_factor_tau,
+                    n_of, operator_norm, paper_risk, paper_variance,
+                    statistical_exponents, worst_case_bias, worst_case_error,
+                    worst_case_risk)
 from .experiments import (StudyConfig, StudyReport, equivalence_deviations,
                           run_study, write_report)
 

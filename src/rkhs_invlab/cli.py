@@ -3,7 +3,8 @@
 Subcommands:
   run     execute the study described by a JSON config and write reports
   verify  run the built-in property suite over all module invariants
-  rates   pure rate-conversion calculator (no computation on models)
+  rates   pure rate-conversion calculator, per filter family (no
+          computation on models)
   info    print diagnostics of a power-law problem
 
 Exit codes: 0 success / all verdicts pass, 1 a verdict or check failed,
@@ -24,7 +25,7 @@ from .errors import InvlabError, NumericalError
 from .experiments import StudyConfig, run_study, write_report
 from .rates import (classical_exponents, convert_lower, convert_upper,
                     hs_norm, loss_factor_tau, statistical_exponents)
-from .regularization import FilterSpec
+from .regularization import _FAMILIES, FilterSpec
 from .spectral_model import build_power_law_problem
 
 
@@ -116,21 +117,28 @@ def _cmd_verify(args):
 
 def _cmd_rates(args):
     try:
-        stat = statistical_exponents(args.r, args.b, gamma=args.gamma)
-        upper = convert_upper(stat)
-        lower = convert_lower(classical_exponents(args.r, args.b,
-                                                  gamma=args.gamma))
+        conversions = {}
+        for kind in _FAMILIES:
+            stat = statistical_exponents(args.r, args.b, kind)
+            upper = convert_upper(stat)
+            lower = convert_lower(classical_exponents(args.r, args.b, kind))
+            conversions[kind] = {
+                "gamma": stat.gamma,
+                "upper_conversion": {
+                    "delta_exponent": upper.exponent,
+                    "lambda_delta_exponent": upper.lambda_exponent,
+                    "branch": upper.case},
+                "lower_conversion": {
+                    "n_exponent": lower.exponent,
+                    "lambda_n_exponent": lower.lambda_exponent,
+                    "branch": lower.case},
+            }
         payload = {
-            "inputs": {"r": args.r, "b": args.b, "gamma": stat.gamma,
-                       "variant": args.variant},
+            "inputs": {"r": args.r, "b": args.b, "variant": args.variant},
             "tau": loss_factor_tau(args.r, args.b, args.variant),
+            # alpha and p do not depend on the family
             "statistical": {"alpha": stat.alpha, "p": stat.p},
-            "upper_conversion": {"delta_exponent": upper.exponent,
-                                 "lambda_delta_exponent": upper.lambda_exponent,
-                                 "branch": upper.case},
-            "lower_conversion": {"n_exponent": lower.exponent,
-                                 "lambda_n_exponent": lower.lambda_exponent,
-                                 "branch": lower.case},
+            "conversions": conversions,
         }
     except InvlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -180,15 +188,11 @@ def build_parser():
     verify_p.add_argument("--seed", type=int, default=20260809)
     verify_p.set_defaults(handler=_cmd_verify)
 
-    rates_p = sub.add_parser("rates", help="rate conversion calculator")
+    rates_p = sub.add_parser("rates", help="rate conversions per filter family")
     rates_p.add_argument("--r", type=float, required=True,
                          help="source smoothness exponent")
     rates_p.add_argument("--b", type=float, required=True,
                          help="eigenvalue decay exponent")
-    rates_p.add_argument("--gamma", type=float, default=None,
-                         help="bias-ratio exponent (default the nominal "
-                              "r + 1/2 until a bridge study; "
-                              "rates.derived_gamma gives the worst-case one)")
     rates_p.add_argument("--variant", choices=("general", "tikhonov"),
                          default="general")
     rates_p.set_defaults(handler=_cmd_rates)

@@ -501,7 +501,7 @@ def _run_stat_rate(config, started):
         })
     fit = fit_rate([(1.0 / p["x"], p["err_mean"]) for p in points])
     r, b = float(config.problem["r"]), float(config.problem["b"])
-    alpha = statistical_exponents(r, b).alpha
+    alpha = statistical_exponents(r, b, config.filter).alpha
     theory = {"alpha": alpha, "exact_slope": fit_rate(
         [(1.0 / p["x"], p["exact_risk"]) for p in points]).slope}
     thresholds = _STUDIES[config.kind].thresholds
@@ -539,7 +539,8 @@ def _run_det_rate(config, started):
                        "err_mean": err2, "err_se": 0.0})
     fit = fit_rate([(p["x"], p["err_mean"]) for p in points])
     exponent = classical_exponents(float(config.problem["r"]),
-                                   float(config.problem["b"])).alpha
+                                   float(config.problem["b"]),
+                                   config.filter).alpha
     theory = {"delta_exponent": exponent}
     checks = [_check("slope-matches-theory", abs(fit.slope - exponent),
                      "<=", _STUDIES[config.kind].thresholds["slope"])]

@@ -14,8 +14,8 @@ filter parameter lambda is
     N(delta) = sigma^2 / (delta^2 + 2 delta eps),
 
 with eps = ||f_lam - f_true|| / ||L||_HS; the two maps are exact inverses.
-eps may be taken at a fixed truth (``epsilon_lambda``) or at the worst
-case over the source ball {mu^r w : ||w|| <= 1}, bias over ||L||_HS.
+eps is taken at the worst case over the source ball {mu^r w : ||w|| <= 1},
+bias over ||L||_HS.
 
 Worst cases over that ball, exact in O(J) as the filter is diagonal:
 
@@ -24,13 +24,13 @@ Worst cases over that ball, exact in O(J) as the filter is diagonal:
     error    = (bias + delta ||L||_op)^2       (data error of norm delta),
     gamma    = min(r, q) + 1/2 + 1/(2b)        (eps ~ lambda^gamma),
 
-with q the family's qualification.  The error bound is attained where the
-bias and ||L||_op share a mode.
+with q the family's qualification (``regularization._FAMILIES``).  The
+error bound is attained where the bias and ||L||_op share a mode.
 
 Rate conversion between squared-error exponents:
 
   upper bounds, n -> delta (error O(n^-alpha), lambda_n ~ n^-p,
-  eps ~ lambda^gamma):
+  eps ~ lambda^gamma, gamma the family's derived one):
       p*gamma >= 1/2 : exponent 2*alpha,        lambda_delta ~ delta^(2p)
       p*gamma <  1/2 : exponent alpha/(1-p*gamma),
                        lambda_delta ~ delta^(p/(1-p*gamma))
@@ -51,8 +51,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ModelError, ParameterError, ShapeError
-from .regularization import solve_continuous
+from .errors import DomainError, ParameterError, ShapeError
+from .regularization import _FAMILIES
 from .sampling import _DESIGNS
 from .spectral_model import (_finite_number, _positive_integer,
                              _positive_number, _refuse_faults, forward_data,
@@ -70,6 +70,23 @@ def operator_norm(problem, filt):
     return float(np.max(filt.response(problem)))
 
 
+def _refuse_negative(**values):
+    """Raise a ParameterError naming the first of ``values`` that is not a
+    finite number >= 0."""
+    for name, value in values.items():
+        if not (_finite_number(value) and value >= 0.0):
+            raise ParameterError(
+                f"{name} must be a finite number >= 0, got {value!r}")
+
+
+def _refuse_noise(sigma, n):
+    """Refuse a noise std that is not a finite number >= 0 or a sample
+    count that is not an integer >= 1."""
+    _refuse_negative(sigma=sigma)
+    if not _positive_integer(n):
+        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
+
+
 def paper_variance(problem, filt, f_true, sigma, n, design):
     """Variances of the J coefficients r_j (1/n) sum_i u_j(x_i) Y_i of one
     paper-n estimate, r_j = s(mu_j) sigma_j, with data y = A f_true.
@@ -82,11 +99,7 @@ def paper_variance(problem, filt, f_true, sigma, n, design):
     E[g**2 u_j**2] is ||y||**2 - sum_k y_k y_{k+2j} + sum_{k+l=2j} y_k y_l
     / 2: one correlation and one convolution of y, with no basis.
     """
-    if not (_finite_number(sigma) and sigma >= 0.0):
-        raise ParameterError(
-            f"sigma must be a finite number >= 0, got {sigma!r}")
-    if not _positive_integer(n):
-        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
+    _refuse_noise(sigma, n)
     if design not in _DESIGNS:
         raise ParameterError(f"unknown design scheme: {design!r}")
     y = forward_data(problem, f_true)
@@ -112,17 +125,6 @@ def paper_risk(problem, filt, f_true, sigma, n, design):
     return float(bias2 + np.sum(variance))
 
 
-def epsilon_lambda(problem, filt, f_true):
-    """Reconstruction bias over HS norm: ||f_lam - f_true|| / ||L||_HS."""
-    hs = hs_norm(problem, filt)
-    if hs == 0.0:
-        raise ModelError("filter annihilates the whole spectrum; the "
-                         "bias-to-HS ratio is undefined")
-    f_lam = solve_continuous(problem, filt, forward_data(problem, f_true))
-    bias = float(np.linalg.norm(f_lam - f_true))
-    return bias / hs
-
-
 def worst_case_bias(problem, filt, r):
     """max_j |1 - s(mu_j) mu_j| mu_j^r over the source ball, and the mode
     j (from 1) that attains it."""
@@ -142,6 +144,7 @@ def derived_gamma(r, b, q):
 def worst_case_risk(problem, filt, r, sigma, n):
     """Worst-case paper-n risk on the midpoint grid, bias^2 + sigma^2/n
     ||L||_HS^2; exact for n > J only, where the grid Gram matrix is I."""
+    _refuse_noise(sigma, n)
     if not n > problem.size:
         raise DomainError(f"n must exceed J = {problem.size}, got {n!r}")
     bias, _ = worst_case_bias(problem, filt, r)
@@ -152,6 +155,7 @@ def worst_case_error(problem, filt, r, delta):
     """(bias + delta ||L||_op)^2, a bound on the squared error of the
     continuous reconstruction over the source ball and every data error of
     norm delta; the bound is attained where bias and ||L||_op share a mode."""
+    _refuse_negative(delta=delta)
     bias, _ = worst_case_bias(problem, filt, r)
     return (bias + delta * operator_norm(problem, filt)) ** 2
 
@@ -162,9 +166,7 @@ def _check_bridge(sigma, epsilon):
     if not _positive_number(sigma):
         raise ParameterError(
             f"sigma must be a finite number > 0, got {sigma!r}")
-    if not (_finite_number(epsilon) and epsilon >= 0.0):
-        raise ParameterError(
-            f"epsilon must be a finite number >= 0, got {epsilon!r}")
+    _refuse_negative(epsilon=epsilon)
 
 
 def delta_of(n, sigma, epsilon):
@@ -286,32 +288,35 @@ def loss_factor_tau(r, b, variant="general"):
     raise ParameterError(f"unknown variant: {variant!r}")
 
 
-def statistical_exponents(r, b, gamma=None):
-    """Exponent bundle of the sample-count-optimal schedule.
+def statistical_exponents(r, b, kind):
+    """Exponent bundle of the sample-count-optimal schedule of the filter
+    family ``kind``, a name of ``regularization._FAMILIES``.
 
     alpha = 2r/(2r+1+1/b) with lambda_n ~ n^(-1/(2r+1+1/b)); the
     noise-level-optimal schedule exponent p_star = 2/(2r+1) is attached for
-    lower-rate conversion.  gamma defaults to the nominal Tikhonov value
-    r + 1/2, and stays so until a bridge study judges the conversion;
-    ``derived_gamma`` gives the worst-case min(r, q) + 1/2 + 1/(2b).  r and
-    b must pass their rules (``spectral_model._MODEL_RULES``).
+    lower-rate conversion, and gamma is ``derived_gamma`` at the family's
+    qualification q.  Only gamma depends on the family.  r and b must pass
+    their rules (``spectral_model._MODEL_RULES``).
     """
     _refuse_faults(r=r, b=b)
+    if kind not in _FAMILIES:
+        raise ParameterError(f"unknown filter kind: {kind!r}")
     denom = 2.0 * r + 1.0 + 1.0 / b
     return RateExponents(alpha=2.0 * r / denom, p=1.0 / denom,
                          p_star=2.0 / (2.0 * r + 1.0),
-                         gamma=(r + 0.5) if gamma is None else float(gamma))
+                         gamma=derived_gamma(r, b,
+                                             _FAMILIES[kind].qualification))
 
 
-def classical_exponents(r, b, gamma=None):
-    """Exponent bundle of the classical noise-level rate.
+def classical_exponents(r, b, kind):
+    """Exponent bundle of the classical noise-level rate of the filter
+    family ``kind``.
 
     alpha = 4r/(2r+1): the squared error ~ delta^alpha of the
     noise-level-optimal schedule lambda_delta ~ delta^p_star, with p_star
-    and gamma as ``statistical_exponents`` gives them: the nominal r + 1/2
-    by default, not ``derived_gamma``, until a bridge study.
+    and gamma as ``statistical_exponents`` gives them.
     """
-    stat = statistical_exponents(r, b, gamma)
+    stat = statistical_exponents(r, b, kind)
     return RateExponents(alpha=4.0 * r / (2.0 * r + 1.0), gamma=stat.gamma,
                          p_star=stat.p_star)
 

@@ -26,10 +26,9 @@ import numpy as np
 
 from . import streams
 from .experiments import equivalence_deviations
-from .rates import (convert_upper, delta_of, derived_gamma, fit_rate,
-                    hs_norm, loss_factor_tau, n_of, paper_risk,
-                    statistical_exponents, worst_case_bias, worst_case_error,
-                    worst_case_risk)
+from .rates import (convert_upper, delta_of, fit_rate, hs_norm,
+                    loss_factor_tau, n_of, paper_risk, statistical_exponents,
+                    worst_case_bias, worst_case_error, worst_case_risk)
 from .regularization import (_FAMILIES, FilterSpec, certify_filter,
                              estimator_paper, kernel_tikhonov)
 from .rkhs import gram_matrix, kernel_eval, rkhs_norm
@@ -269,18 +268,17 @@ def check_loss_factors(seed):
 _CONVERSION_TOL = 0.01
 
 
-def _conversion_fits(r):
+def _conversion_fits(r, b):
     """Tikhonov's worst cases over the source ball of radius 1 at smoothness
-    r, b = 2, J = 1,000 and sigma = 0.1, along lambda_n = n^-p at nine n
+    r, decay b, J = 1,000 and sigma = 0.1, along lambda_n = n^-p at nine n
     from 2e3 to 2e7, each n > J: the fitted gamma of eps = bias / ||L||_HS
     in lambda, the n-slope of ``worst_case_risk`` and the slope of
     ``worst_case_error`` at delta = Delta(n) in Delta(n), each paired with
-    its theory: ``derived_gamma``, alpha and ``convert_upper`` at the
-    derived gamma."""
-    b, sigma = 2.0, 0.1
+    its theory from ``statistical_exponents``: Tikhonov's gamma, alpha and
+    ``convert_upper``."""
+    sigma = 0.1
     problem = build_power_law_problem(1000, b, 1.0)
-    gamma = derived_gamma(r, b, _FAMILIES["tikhonov"].qualification)
-    stat = statistical_exponents(r, b, gamma=gamma)
+    stat = statistical_exponents(r, b, "tikhonov")
     eps_points, risk_points, error_points = [], [], []
     for n in np.geomspace(2e3, 2e7, 9).round().astype(int):
         filt = FilterSpec("tikhonov", float(n) ** -stat.p)
@@ -290,18 +288,18 @@ def _conversion_fits(r):
         risk_points.append((n, worst_case_risk(problem, filt, r, sigma, n)))
         error_points.append((delta, worst_case_error(problem, filt, r,
                                                      delta)))
-    return {"gamma": (fit_rate(eps_points).slope, gamma),
+    return {"gamma": (fit_rate(eps_points).slope, stat.gamma),
             "n-slope": (-fit_rate(risk_points).slope, stat.alpha),
             "delta-slope": (fit_rate(error_points).slope,
                             convert_upper(stat).exponent)}
 
 
 def check_worst_case_conversion(seed):
-    """The n -> delta conversion on the worst cases at r = 1/2
+    """The n -> delta conversion on the worst cases at r = 1/2 and b = 2
     (``_conversion_fits``): each fitted exponent within _CONVERSION_TOL of
     its theory.  The nominal gamma = r + 1/2 puts the conversion on the
     slow branch, 2/3 in place of 0.8."""
-    fits = _conversion_fits(0.5)
+    fits = _conversion_fits(0.5, 2.0)
     devs = {name: abs(fit - theory) for name, (fit, theory) in fits.items()}
     detail = ", ".join(f"{name} {fit:.4f} vs {theory:.4f} "
                        f"(dev {devs[name]:.1e})"

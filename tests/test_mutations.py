@@ -21,10 +21,11 @@ Tikhonov past its qualification, where the derived gamma no longer fits.
 A mutation replaces a function in the namespace the check reads it from:
 ``experiments``' own for the study checks, among them
 ``experiments._grid_learn``, gamma-study's fit; ``verify``'s own for most
-verify checks; ``rkhs._gram_entries``, which ``gram_matrix`` reads;
-``experiments.estimator_learn``, which ``equivalence_deviations`` reads;
-and ``regularization._FAMILIES``, which declares the constants that
-``certify_filter`` certifies.
+verify checks; ``rates.derived_gamma``, the one home of gamma, which
+``statistical_exponents`` reads; ``rkhs._gram_entries``, which
+``gram_matrix`` reads; ``experiments.estimator_learn``, which
+``equivalence_deviations`` reads; and ``regularization._FAMILIES``, which
+declares the constants that ``certify_filter`` certifies.
 
 Eight identity checks were retired because no mutation could fail them;
 each held for any input of the code it called, so only roundoff moved it.
@@ -320,7 +321,7 @@ VERIFY_MUTATIONS = {
     "sample-noise-bridge-identities":
         (verify, "delta_of", cancelling_delta),
     "loss-factor-bounds": (verify, "loss_factor_tau", reciprocal),
-    "worst-case-conversion": (verify, "derived_gamma", nominal_gamma),
+    "worst-case-conversion": (rates, "derived_gamma", nominal_gamma),
     "monte-carlo-risk-matches-exact":
         (verify, "sample_outputs", noise_scaled(3.0)),
 }
@@ -398,6 +399,6 @@ def test_fixed_truth_bias_fails_worst_case_conversion(monkeypatch):
 def test_tikhonov_past_its_qualification_fails_worst_case_conversion():
     # at r = 1.5 > q = 1 Tikhonov's bias saturates at lambda^q, so the
     # n-rate falls short of alpha and the delta-slope of its conversion
-    fits = verify._conversion_fits(1.5)
+    fits = verify._conversion_fits(1.5, 2.0)
     worst = max(abs(fit - theory) for fit, theory in fits.values())
     assert worst > verify._CONVERSION_TOL, fits

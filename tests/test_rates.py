@@ -14,12 +14,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rkhs_invlab import (DomainError, FilterSpec, ModelError, ParameterError,
+from rkhs_invlab import (DomainError, FilterSpec, ParameterError,
                          PerturbationSpec, RateExponents, ShapeError,
                          StudyConfig, build_power_law_problem,
                          classical_exponents, convert_lower, convert_upper,
-                         delta_of, derived_gamma, epsilon_lambda,
-                         estimator_paper,
+                         delta_of, derived_gamma, estimator_paper,
                          experiments, fit_rate, forward_data, hs_norm,
                          lambda_schedule, loss_factor_tau,
                          make_source_solution, n_of, operator_norm,
@@ -60,30 +59,6 @@ class TestHsNorm:
             pytest.approx(0.5)
         assert operator_norm(problem, filt := FilterSpec("tikhonov", 1.0)) <= \
             hs_norm(problem, filt)
-
-
-class TestEpsilonLambda:
-    def test_single_mode_unit(self):
-        problem = build_power_law_problem(1, 2.0, 1.0)
-        truth = make_source_solution(problem, 1.0, [1.0])
-        assert epsilon_lambda(problem, FilterSpec("tikhonov", 1.0),
-                              truth) == pytest.approx(1.0, rel=1e-14)
-
-    def test_cutoff_zero_bias(self):
-        problem, truth = house_problem(5)
-        assert epsilon_lambda(problem, FilterSpec("cutoff", problem.mu[-1]),
-                              truth) == pytest.approx(0.0, abs=1e-14)
-
-    def test_zero_truth(self):
-        problem = build_power_law_problem(4, 2.0, 1.0)
-        truth = make_source_solution(problem, 1.0, np.zeros(4))
-        assert epsilon_lambda(problem, FilterSpec("tikhonov", 0.3),
-                              truth) == 0.0
-
-    def test_degenerate_filter(self):
-        problem, truth = house_problem(4)
-        with pytest.raises(ModelError):
-            epsilon_lambda(problem, FilterSpec("cutoff", 5.0), truth)
 
 
 class TestPaperVariance:
@@ -200,13 +175,16 @@ class TestPaperRisk:
     @pytest.mark.parametrize("kind", ["tikhonov", "cutoff", "landweber"])
     @pytest.mark.parametrize("n", [100, 800, 3200])
     def test_dominance_identity_is_the_grid_paper_risk(self, kind, n):
-        # delta_of's docstring: (bias + Delta(n) ||L||_HS)^2 is the grid
-        # risk for n > J, so the error of any perturbation of norm Delta(n),
-        # at most (bias + Delta(n) ||L||_op)^2, is below it
-        problem, truth = house_problem(60)
+        # delta_of's docstring: at the worst-case truth mu^r e_j*, (bias +
+        # Delta(n) ||L||_HS)^2 is the grid risk for n > J, so the error of
+        # any perturbation of norm Delta(n), at most (bias + Delta(n)
+        # ||L||_op)^2, is below it
+        problem = build_power_law_problem(60, 2.0, 1.0)
         filt = FilterSpec(kind, 0.05)
         hs = hs_norm(problem, filt)
-        eps = epsilon_lambda(problem, filt, truth)
+        bias, mode = worst_case_bias(problem, filt, 0.5)
+        eps = bias / hs
+        truth = unit_source(problem, 0.5, mode)
         risk = paper_risk(problem, filt, truth, 0.1, n, "grid")
         assert (eps * hs + delta_of(n, 0.1, eps) * hs) ** 2 == \
             pytest.approx(risk, rel=1e-14)
@@ -258,6 +236,26 @@ class TestWorstCase:
             worst_case_risk(problem, FilterSpec("tikhonov", 0.05), 0.5, 0.1,
                             n)
 
+    @pytest.mark.parametrize("sigma, n", [
+        (math.nan, 51), (-0.1, 51), (math.inf, 51), ("0.1", 51),
+        (0.1, 51.5), (0.1, math.inf), (0.1, math.nan), (0.1, True)],
+        ids=["sigma-nan", "sigma-negative", "sigma-inf", "sigma-str",
+             "n-fraction", "n-inf", "n-nan", "n-bool"])
+    def test_risk_refuses_invalid_sigma_and_n(self, sigma, n):
+        # sigma = NaN returned NaN, and n = 51.5 and n = inf a number
+        problem = build_power_law_problem(50, 2.0, 1.0)
+        with pytest.raises(ParameterError, match="sigma must|n must"):
+            worst_case_risk(problem, FilterSpec("tikhonov", 0.05), 0.5,
+                            sigma, n)
+
+    @pytest.mark.parametrize("delta", [-1.0, math.nan, math.inf, "0.1"])
+    def test_error_refuses_invalid_delta(self, delta):
+        # delta = -1 returned 4.46 and delta = NaN returned NaN
+        problem = build_power_law_problem(50, 2.0, 1.0)
+        with pytest.raises(ParameterError, match="delta must"):
+            worst_case_error(problem, FilterSpec("tikhonov", 0.05), 0.5,
+                             delta)
+
     @pytest.mark.parametrize("kind", FAMILIES)
     def test_delta_term_is_the_filter_adversarial_error(self, kind):
         problem = build_power_law_problem(50, 2.0, 1.0)
@@ -301,6 +299,14 @@ class TestWorstCase:
     def test_conversion_check(self):
         result = verify.check_worst_case_conversion(0)
         assert result.passed, result.detail
+
+    @pytest.mark.parametrize("r, b", [(0.25, 2.0), (0.5, 3.0)])
+    def test_conversion_fits_hold_beyond_the_verify_point(self, r, b):
+        # the derived gamma away from verify's r = 1/2, b = 2: gamma 1.0 and
+        # 1.1667, delta-slope 0.5 and 0.8571 on the fast branch
+        fits = verify._conversion_fits(r, b)
+        worst = max(abs(fit - theory) for fit, theory in fits.values())
+        assert worst <= verify._CONVERSION_TOL, fits
 
 
 class TestBridge:
@@ -358,8 +364,8 @@ class TestConversionTheorems:
     def test_upper_boundary_is_fast(self):
         got = convert_upper(RateExponents(alpha=1.0, p=0.5, gamma=1.0))
         assert got.case == "fast" and got.exponent == 2.0
-        stat = statistical_exponents(1.0, 2.0, gamma=1.75)
-        assert stat.p * stat.gamma == 0.5
+        stat = statistical_exponents(1.0, 2.0, "tikhonov")
+        assert stat.gamma == 1.75 and stat.p * stat.gamma == 0.5
         assert convert_upper(stat) == (2.0 * stat.alpha, 2.0 * stat.p, "fast")
 
     def test_lower_fast_branch_tikhonov_numbers(self):
@@ -379,8 +385,10 @@ class TestConversionTheorems:
         assert got.exponent == 1.0 and got.case == "fast"
 
     def test_upper_tie_reached_by_rounding_is_fast(self):
-        # p = 1/1.9 and gamma = 0.95: p*gamma is 1/2 up to one ulp
-        stat = statistical_exponents(0.25, 2.5, gamma=0.95)
+        # p = 1/1.9 and the derived gamma = 0.95: p*gamma is 1/2 up to one
+        # ulp
+        stat = statistical_exponents(0.25, 2.5, "tikhonov")
+        assert stat.gamma == 0.95
         assert stat.p * stat.gamma < 0.5
         got = convert_upper(stat)
         assert got == (2.0 * stat.alpha, 2.0 * stat.p, "fast")
@@ -388,8 +396,9 @@ class TestConversionTheorems:
         assert got.exponent == pytest.approx(slow, rel=1e-15)
 
     def test_lower_tie_reached_by_rounding_is_fast(self):
-        # the nominal gamma = r + 1/2 always puts p_star*gamma on the
-        # boundary 1; at r = 0.45 the product rounds to 1 - 2^-53
+        # a bundle built here at the nominal gamma = r + 1/2, which no
+        # library function gives: it puts p_star*gamma on the boundary 1,
+        # and at r = 0.45 the product rounds to 1 - 2^-53
         r = 0.45
         classical = RateExponents(alpha=4 * r / (2 * r + 1),
                                   p_star=2 / (2 * r + 1), gamma=r + 0.5)
@@ -439,9 +448,10 @@ class TestLossFactor:
         (1.0, math.inf), (1.0, 1.0), ("1", 2.0), (1.0, True)])
     def test_r_and_b_follow_the_model_rules(self, rate, r, b):
         # the rules of spectral_model.descriptor_faults: b = inf gave
-        # tau = 1, r = NaN gave NaN exponents
+        # tau = 1, r = NaN gave NaN exponents; "tikhonov" is a variant of
+        # the loss factor and a family of the exponents
         with pytest.raises(ParameterError, match="r must|b must"):
-            rate(r, b)
+            rate(r, b, "tikhonov")
 
     def test_errors(self):
         with pytest.raises(ParameterError):
@@ -519,51 +529,87 @@ class TestLambdaSchedule:
 
 class TestStatisticalExponents:
     def test_reference_values(self):
-        exps = statistical_exponents(1.0, 2.0)
+        exps = statistical_exponents(1.0, 2.0, "tikhonov")
         assert exps.alpha == pytest.approx(2 / 3.5, rel=1e-15)
         assert exps.p == pytest.approx(1 / 3.5, rel=1e-15)
         assert exps.p_star == pytest.approx(2 / 3, rel=1e-15)
-        assert exps.gamma == pytest.approx(1.5)
+        assert exps.gamma == 1.75
 
     def test_classical_rate_shares_p_star_and_gamma(self):
-        stat = statistical_exponents(1.0, 2.0, gamma=0.75)
-        classical = classical_exponents(1.0, 2.0, gamma=0.75)
-        assert classical.alpha == pytest.approx(4 / 3, rel=1e-15)
-        assert (classical.p_star, classical.gamma) == (stat.p_star, 0.75)
+        # past Tikhonov's qualification q = 1 its gamma saturates at
+        # q + 1/2 + 1/(2b); the other families' does not
+        for kind, gamma in (("tikhonov", 1.75), ("cutoff", 2.25),
+                            ("landweber", 2.25)):
+            stat = statistical_exponents(1.5, 2.0, kind)
+            classical = classical_exponents(1.5, 2.0, kind)
+            assert classical.alpha == pytest.approx(1.5, rel=1e-15)
+            assert (classical.p_star, classical.gamma) == (stat.p_star,
+                                                           gamma)
+
+    @pytest.mark.parametrize("rate", [statistical_exponents,
+                                      classical_exponents])
+    def test_unknown_family_is_refused(self, rate):
+        with pytest.raises(ParameterError, match="unknown filter kind"):
+            rate(1.0, 2.0, "spectral")
 
 
-# The JSON payload of ``rkhs-invlab rates --r 1 --b 2``, with the default
-# gamma = r + 1/2 and with --gamma 0.75, which moves the lower conversion
-# to its slow branch.
-RATES_PAYLOAD = {
-    "inputs": {"b": 2.0, "gamma": 1.5, "r": 1.0, "variant": "general"},
-    "lower_conversion": {"branch": "fast",
-                         "lambda_n_exponent": 0.3333333333333333,
-                         "n_exponent": 0.6666666666666666},
-    "statistical": {"alpha": 0.5714285714285714,
-                    "p": 0.2857142857142857},
-    "tau": 1.1666666666666667,
-    "upper_conversion": {"branch": "slow", "delta_exponent": 1.0,
-                         "lambda_delta_exponent": 0.5},
+def conversion(gamma, upper, lower):
+    """One family's entry of the ``rates`` payload: gamma, then (branch,
+    exponent, lambda exponent) of the upper and of the lower conversion."""
+    return {"gamma": gamma,
+            "upper_conversion": dict(zip(
+                ("branch", "delta_exponent", "lambda_delta_exponent"),
+                upper)),
+            "lower_conversion": dict(zip(
+                ("branch", "n_exponent", "lambda_n_exponent"), lower))}
+
+
+# The JSON payload of ``rkhs-invlab rates --r 1 --b 2``, where every family
+# has the derived gamma = 1.75 and p*gamma = 1/2 puts the upper conversion
+# on the fast branch, and of ``--r 1.5 --b 2``, past Tikhonov's
+# qualification q = 1: its gamma saturates at 1.75, so both of its
+# conversions turn slow (p*gamma = 0.389, p_star*gamma = 0.875), while
+# cutoff and Landweber, of unbounded q, stay fast.
+FAST_R1 = conversion(1.75, ("fast", 1.1428571428571428, 0.5714285714285714),
+                     ("fast", 0.6666666666666666, 0.3333333333333333))
+FAST_R15 = conversion(2.25, ("fast", 1.3333333333333333, 0.4444444444444444),
+                      ("fast", 0.75, 0.25))
+RATES_PAYLOADS = {
+    "1": {
+        "inputs": {"b": 2.0, "r": 1.0, "variant": "general"},
+        "tau": 1.1666666666666667,
+        "statistical": {"alpha": 0.5714285714285714,
+                        "p": 0.2857142857142857},
+        "conversions": {"tikhonov": FAST_R1, "cutoff": FAST_R1,
+                        "landweber": FAST_R1},
+    },
+    "1.5": {
+        "inputs": {"b": 2.0, "r": 1.5, "variant": "general"},
+        "tau": 1.125,
+        "statistical": {"alpha": 0.6666666666666666,
+                        "p": 0.2222222222222222},
+        "conversions": {
+            "tikhonov": conversion(
+                1.75, ("slow", 1.0909090909090908, 0.3636363636363636),
+                ("slow", 0.8, 0.26666666666666666)),
+            "cutoff": FAST_R15, "landweber": FAST_R15},
+    },
 }
-RATES_PAYLOAD_GAMMA = {
-    **RATES_PAYLOAD,
-    "inputs": dict(RATES_PAYLOAD["inputs"], gamma=0.75),
-    "lower_conversion": {"branch": "slow",
-                         "lambda_n_exponent": 0.4444444444444444,
-                         "n_exponent": 0.8888888888888888},
-    "upper_conversion": {"branch": "slow",
-                         "delta_exponent": 0.7272727272727273,
-                         "lambda_delta_exponent": 0.36363636363636365},
-}
 
 
-@pytest.mark.parametrize("extra, expected", [
-    ([], RATES_PAYLOAD), (["--gamma", "0.75"], RATES_PAYLOAD_GAMMA)],
-    ids=["default-gamma", "gamma-0.75"])
-def test_cli_rates_payload_is_pinned(extra, expected, capsys):
-    assert main(["rates", "--r", "1", "--b", "2", *extra]) == 0
-    assert json.loads(capsys.readouterr().out) == expected
+@pytest.mark.parametrize("r", sorted(RATES_PAYLOADS),
+                         ids=["r1-b2", "r1.5-b2-past-tikhonov-q"])
+def test_cli_rates_payload_is_pinned(r, capsys):
+    assert main(["rates", "--r", r, "--b", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == RATES_PAYLOADS[r]
+
+
+def test_cli_rates_refuses_the_retired_gamma_option(capsys):
+    # gamma is derived from the family, so --gamma is an unknown argument
+    with pytest.raises(SystemExit) as exit_info:
+        main(["rates", "--r", "0.5", "--b", "2", "--gamma", "1.25"])
+    assert exit_info.value.code == 2
+    assert "--gamma" in capsys.readouterr().err
 
 
 def test_cli_rates_exit_two_on_negative_r(capsys):
@@ -574,11 +620,11 @@ def test_cli_rates_exit_two_on_negative_r(capsys):
 @pytest.mark.parametrize("args", [
     ["--r", "nan", "--b", "2"],
     ["--r", "inf", "--b", "2"], ["--r", "1", "--b", "inf"],
-    ["--r", "1", "--b", "nan"], ["--r", "1", "--b", "2", "--gamma", "nan"],
-    ["--r", "1", "--b", "2", "--gamma", "inf"],
-    ["--r", "1", "--b", "2", "--gamma", "0"]])
+    ["--r", "1", "--b", "nan"], ["--r", "0", "--b", "2"],
+    ["--r", "1", "--b", "1"], ["--r", "1", "--b", "0.5"]])
 def test_cli_rates_exit_two_on_bad_input(args, capsys):
-    # NaN r printed NaN exponents, b = inf printed tau = 1
+    # NaN r printed NaN exponents, b = inf printed tau = 1; r = 0 and
+    # b <= 1 sit outside the model
     assert main(["rates", *args]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -634,8 +680,10 @@ class TestMonteCarloRateProperties:
         # mean plus three standard errors
         problem, truth, filt, sigma, n, _ = mc_setup
         risk = paper_risk(problem, filt, truth, sigma, n, "grid")
-        dmax = delta_of(n, sigma, epsilon_lambda(problem, filt, truth))
         y = forward_data(problem, truth)
+        bias = float(np.linalg.norm(solve_continuous(problem, filt, y)
+                                    - truth))
+        dmax = delta_of(n, sigma, bias / hs_norm(problem, filt))
         for spec in (PerturbationSpec(delta=dmax, mode="random-unit"),
                      PerturbationSpec(delta=dmax, mode="fixed-mode", index=1),
                      PerturbationSpec(delta=dmax, mode="filter-adversarial",
