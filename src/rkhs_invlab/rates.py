@@ -14,6 +14,9 @@ filter parameter lambda is
     N(delta) = sigma^2 / (delta^2 + 2 delta eps),
 
 with eps = ||f_lam - f_true|| / ||L||_HS; the two maps are exact inverses.
+Delta takes a finite n >= 1 and N a finite delta > 0, booleans refused
+(``DomainError``), and both sigma > 0 and eps by their ``_RULES`` rows;
+where a square or quotient under- or overflows they raise NumericalError.
 eps is taken at the worst case over the source ball {mu^r w : ||w|| <= 1},
 bias over ||L||_HS.
 
@@ -51,12 +54,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ShapeError
+from .errors import DomainError, NumericalError, ParameterError, ShapeError
 from .regularization import _FAMILIES
 from .sampling import _DESIGNS
-from .spectral_model import (_finite_number, _positive_integer,
-                             _positive_number, _refuse_faults, forward_data,
-                             grid_aliasing, grid_gram_product)
+from .spectral_model import (_finite_number, _positive_number, _refuse_faults,
+                             forward_data, grid_aliasing, grid_gram_product)
 
 
 def hs_norm(problem, filt):
@@ -68,23 +70,6 @@ def hs_norm(problem, filt):
 def operator_norm(problem, filt):
     """Spectral norm max_j s(mu_j) sigma_j of the reconstruction operator."""
     return float(np.max(filt.response(problem)))
-
-
-def _refuse_negative(**values):
-    """Raise a ParameterError naming the first of ``values`` that is not a
-    finite number >= 0."""
-    for name, value in values.items():
-        if not (_finite_number(value) and value >= 0.0):
-            raise ParameterError(
-                f"{name} must be a finite number >= 0, got {value!r}")
-
-
-def _refuse_noise(sigma, n):
-    """Refuse a noise std that is not a finite number >= 0 or a sample
-    count that is not an integer >= 1."""
-    _refuse_negative(sigma=sigma)
-    if not _positive_integer(n):
-        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
 
 
 def paper_variance(problem, filt, f_true, sigma, n, design):
@@ -99,7 +84,7 @@ def paper_variance(problem, filt, f_true, sigma, n, design):
     E[g**2 u_j**2] is ||y||**2 - sum_k y_k y_{k+2j} + sum_{k+l=2j} y_k y_l
     / 2: one correlation and one convolution of y, with no basis.
     """
-    _refuse_noise(sigma, n)
+    _refuse_faults(sigma=sigma, n=n)
     if design not in _DESIGNS:
         raise ParameterError(f"unknown design scheme: {design!r}")
     y = forward_data(problem, f_true)
@@ -137,14 +122,16 @@ def worst_case_bias(problem, filt, r):
 
 def derived_gamma(r, b, q):
     """The exponent of the worst-case eps ~ lambda^gamma of a family of
-    qualification q: min(r, q) + 1/2 + 1/(2b)."""
+    qualification q: min(r, q) + 1/2 + 1/(2b).  r and b must pass their
+    rules (``spectral_model._RULES``)."""
+    _refuse_faults(r=r, b=b)
     return min(r, q) + 0.5 + 0.5 / b
 
 
 def worst_case_risk(problem, filt, r, sigma, n):
     """Worst-case paper-n risk on the midpoint grid, bias^2 + sigma^2/n
     ||L||_HS^2; exact for n > J only, where the grid Gram matrix is I."""
-    _refuse_noise(sigma, n)
+    _refuse_faults(sigma=sigma, n=n)
     if not n > problem.size:
         raise DomainError(f"n must exceed J = {problem.size}, got {n!r}")
     bias, _ = worst_case_bias(problem, filt, r)
@@ -155,18 +142,30 @@ def worst_case_error(problem, filt, r, delta):
     """(bias + delta ||L||_op)^2, a bound on the squared error of the
     continuous reconstruction over the source ball and every data error of
     norm delta; the bound is attained where bias and ||L||_op share a mode."""
-    _refuse_negative(delta=delta)
+    _refuse_faults(delta=delta)
     bias, _ = worst_case_bias(problem, filt, r)
     return (bias + delta * operator_norm(problem, filt)) ** 2
 
 
 def _check_bridge(sigma, epsilon):
-    """Refuse a noise std that is not a finite number > 0 or an eps that
-    is not a finite number >= 0."""
-    if not _positive_number(sigma):
-        raise ParameterError(
-            f"sigma must be a finite number > 0, got {sigma!r}")
-    _refuse_negative(epsilon=epsilon)
+    """sigma and eps as Python floats, whose ** raises OverflowError where
+    numpy's only warns: both pass their ``_RULES`` rows, and sigma > 0."""
+    _refuse_faults(sigma=sigma, epsilon=epsilon)
+    if sigma == 0:
+        raise ParameterError("sigma must be > 0 in the bridge, got 0")
+    return float(sigma), float(epsilon)
+
+
+def _bridge_value(formula, evaluate):
+    """evaluate(), if a finite float > 0; a NumericalError where a square,
+    a denominator or the quotient of ``formula`` under- or overflows."""
+    try:
+        value = evaluate()
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not 0.0 < value < math.inf:  # NaN included
+        raise NumericalError(f"{formula} under- or overflows")
+    return value
 
 
 def delta_of(n, sigma, epsilon):
@@ -177,11 +176,12 @@ def delta_of(n, sigma, epsilon):
     bias / ||L||_HS, (bias + Delta ||L||_HS)^2 is the grid ``paper_risk`` for
     n > J, above every error at noise level Delta as ||L||_op <= ||L||_HS.
     """
-    _check_bridge(sigma, epsilon)
-    if not n >= 1:  # NaN included
-        raise DomainError(f"n must be at least 1, got {n!r}")
-    v = sigma ** 2 / float(n)
-    return v / (math.sqrt(v + epsilon ** 2) + epsilon)
+    sigma, epsilon = _check_bridge(sigma, epsilon)
+    if not (_finite_number(n) and n >= 1):  # NaN and booleans included
+        raise DomainError(f"n must be a finite number >= 1, got {n!r}")
+    v = _bridge_value("sigma^2/n", lambda: sigma ** 2 / float(n))
+    return _bridge_value("Delta(n)", lambda: v / (math.sqrt(v + epsilon ** 2)
+                                                  + epsilon))
 
 
 def n_of(delta, sigma, epsilon):
@@ -190,10 +190,12 @@ def n_of(delta, sigma, epsilon):
     N(delta) = sigma^2 / (delta^2 + 2 delta eps); exact inverse of
     :func:`delta_of`.
     """
-    _check_bridge(sigma, epsilon)
-    if not delta > 0.0:  # NaN included
-        raise DomainError(f"delta must be positive, got {delta!r}")
-    value = sigma ** 2 / (delta ** 2 + 2.0 * delta * epsilon)
+    sigma, epsilon = _check_bridge(sigma, epsilon)
+    if not (_finite_number(delta) and delta > 0):  # NaN and booleans included
+        raise DomainError(f"delta must be a finite number > 0, got {delta!r}")
+    delta = float(delta)
+    value = _bridge_value("N(delta)", lambda: sigma ** 2 / (
+        delta ** 2 + 2.0 * delta * epsilon))
     return value, int(math.floor(value))
 
 
@@ -278,7 +280,7 @@ def loss_factor_tau(r, b, variant="general"):
 
     general:  (2r + 1 + 1/b) / (2r + 1), always in (1, 2);
     tikhonov: (2r + 1 + 2/b) / (2r + 1), always in (1, 3).  r and b must
-    pass their rules (``spectral_model._MODEL_RULES``).
+    pass their rules (``spectral_model._RULES``).
     """
     _refuse_faults(r=r, b=b)
     if variant == "general":
@@ -296,7 +298,7 @@ def statistical_exponents(r, b, kind):
     noise-level-optimal schedule exponent p_star = 2/(2r+1) is attached for
     lower-rate conversion, and gamma is ``derived_gamma`` at the family's
     qualification q.  Only gamma depends on the family.  r and b must pass
-    their rules (``spectral_model._MODEL_RULES``).
+    their rules (``spectral_model._RULES``).
     """
     _refuse_faults(r=r, b=b)
     if kind not in _FAMILIES:

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (DomainError, ModelError, NumericalError, ParameterError,
                      ShapeError)
 from .rkhs import _gram_entries
-from .spectral_model import (_basis_blocks, _positive_number, basis_matrix,
+from .spectral_model import (_basis_blocks, _refuse_faults, basis_matrix,
                              grid_aliasing, grid_gram_product)
 
 _QUALIFICATION_CAP = 8.0
@@ -98,9 +98,7 @@ class FilterSpec:
     def __post_init__(self):
         if self.kind not in _FAMILIES:
             raise ParameterError(f"unknown filter kind: {self.kind!r}")
-        if not _positive_number(self.lam):
-            raise ParameterError(
-                f"lambda must be a finite number > 0: {self.lam!r}")
+        _refuse_faults(**{"lambda": self.lam})
         lam = float(self.lam)
         if self.kind == "landweber":
             steps = 1.0 / lam
@@ -266,8 +264,7 @@ def kernel_tikhonov(problem, samples, lam):
     u_j(x_i), and pulling g back to parameter space must reproduce the
     J-space Tikhonov ``estimator_learn`` solution.
     """
-    if not _positive_number(lam):
-        raise ParameterError(f"lambda must be a finite number > 0: {lam!r}")
+    _refuse_faults(**{"lambda": lam})
     n = samples.size
     u = basis_matrix(problem, samples.design)
     system = _gram_entries(problem, u)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import streams
 from .errors import ParameterError, ShapeError
-from .spectral_model import (_finite_number, _positive_integer, eval_function,
+from .spectral_model import (_positive_integer, _refuse_faults, eval_function,
                              forward_data)
 
 # The design schemes a study config may name, and the perturbation modes
@@ -76,9 +76,7 @@ class PerturbationSpec:
     filter: object = None
 
     def __post_init__(self):
-        if not (_finite_number(self.delta) and self.delta >= 0.0):
-            raise ParameterError(
-                f"delta must be a finite number >= 0: {self.delta!r}")
+        _refuse_faults(delta=self.delta)
         if self.mode not in _PERTURBATION_MODES:
             raise ParameterError(f"unknown perturbation mode: {self.mode!r}")
         if self.mode == "fixed-mode" and not _positive_integer(self.index):
@@ -94,8 +92,7 @@ def sample_design(scheme, n, seed=0, index=0):
 
     ``index`` selects the replicate substream; the grid ignores it.
     """
-    if not _positive_integer(n):
-        raise ShapeError(f"n must be an integer >= 1, got {n!r}")
+    _refuse_faults(n=n)
     if scheme not in _DESIGNS:
         raise ParameterError(f"unknown design scheme: {scheme!r}")
     if scheme == "grid":
@@ -114,9 +111,7 @@ def sample_outputs(problem, f_true, design, sigma=0.0, seed=0, index=0):
     outputs are ``eval_function`` of y, which reads the basis in blocks,
     so the memory is O(n) beyond one block of ``_BLOCK_CELLS`` entries.
     """
-    if not (_finite_number(sigma) and sigma >= 0.0):
-        raise ParameterError(
-            f"sigma must be a finite number >= 0, got {sigma!r}")
+    _refuse_faults(sigma=sigma)
     design = np.asarray(design, dtype=float)
     if design.ndim != 1 or design.size == 0:
         raise ShapeError("design must be a nonempty 1-d sequence")

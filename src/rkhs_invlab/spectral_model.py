@@ -67,7 +67,7 @@ class SpectralProblem:
 def build_power_law_problem(size, b, d):
     """Construct the problem with mu_j = d j**(-b), j = 1..size.
 
-    size, b and d must pass the rules of J, b and d (``_MODEL_RULES``).
+    size, b and d must pass the rules of J, b and d (``_RULES``).
     """
     _refuse_faults(J=size, b=b, d=d)
     j = np.arange(1, size + 1, dtype=float)
@@ -76,7 +76,7 @@ def build_power_law_problem(size, b, d):
 
 def make_source_solution(problem, r, w):
     """The source-condition solution f with coordinates mu_j**r w_j; r
-    must pass its rule (``_MODEL_RULES``)."""
+    must pass its rule (``_RULES``)."""
     _refuse_faults(r=r)
     w = np.asarray(w, dtype=float)
     if w.shape != (problem.size,):
@@ -411,32 +411,36 @@ def _positive_number(value):
     return _finite_number(value) and value > 0
 
 
-# The rule of each model parameter, with what it asks for: descriptor_faults
-# judges a descriptor by them, and the public builders and rate functions
-# refuse a value that breaks one (``_refuse_faults``).
-_MODEL_RULES = {"J": (_positive_integer, "an integer >= 1"),
-                "b": (lambda b: _finite_number(b) and b > 1,
-                      "a finite number > 1"),
-                "d": (_positive_number, "a finite number > 0"),
-                "r": (_positive_number, "a finite number > 0")}
+# The one rule of each scalar argument the library refuses, and what it
+# asks for: the model's J, b, d and r, the sample count n, the noise std
+# sigma, the data error delta, the bridge's epsilon and the filter's lambda.
+# ``_refuse_faults`` applies them; ``descriptor_faults`` reads J, b, d, r.
+_RULES = {**dict.fromkeys(("J", "n"), (_positive_integer, "an integer >= 1")),
+          "b": (lambda b: _finite_number(b) and b > 1, "a finite number > 1"),
+          **dict.fromkeys(("d", "r", "lambda"),
+                          (_positive_number, "a finite number > 0")),
+          **dict.fromkeys(("sigma", "delta", "epsilon"),
+                          (lambda v: _finite_number(v) and v >= 0,
+                           "a finite number >= 0"))}
 
 
 def _refuse_faults(**values):
-    """Raise a ParameterError naming the first of the model parameters
-    ``values`` (keyword J, b, d or r) that breaks its rule."""
+    """Raise a ParameterError naming the first of ``values`` that breaks its
+    ``_RULES`` row, each keyed by its row's name (``lambda`` through
+    ``**{"lambda": lam}``), with a message that starts with that name."""
     for key, value in values.items():
-        valid, wanted = _MODEL_RULES[key]
+        valid, wanted = _RULES[key]
         if not valid(value):
             raise ParameterError(f"{key} must be {wanted}, got {value!r}")
 
 
 def descriptor_faults(descriptor):
     """The keys of a problem descriptor at fault, in rule order: J, b, d and
-    r by ``_MODEL_RULES``, w_spec a name of _W_SPECS or J finite numbers
-    (its length is judged only against a valid J) and the optional seed an
-    integer.  Any other key is read by nothing."""
+    r by their ``_RULES`` rows, w_spec a name of _W_SPECS or J finite
+    numbers (its length is judged only against a valid J) and the optional
+    seed an integer.  Any other key is read by nothing."""
     size = descriptor.get("J")
-    rules = {**{key: valid for key, (valid, _) in _MODEL_RULES.items()},
+    rules = {**{key: _RULES[key][0] for key in ("J", "b", "d", "r")},
              "w_spec": lambda w: w in _W_SPECS if isinstance(w, str) else (
                  isinstance(w, (list, tuple))
                  and (not _positive_integer(size) or len(w) == size)

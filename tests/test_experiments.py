@@ -522,17 +522,14 @@ def test_config_echo_is_what_the_kind_reads(name):
     assert set(StudyConfig.from_dict(raw).to_dict()) == reads
 
 
-# Each entry each kind reads, with a value its rule refuses.  det-rate's
-# retired theory, gamma and perturbation are refused as unknown keys, named
-# as the entries it reads are.
+# Each entry each kind reads, with a value its rule refuses.
 INVALID_READS = {
     "stat-rate": {"filter": "bogus", "design": "bogus", "sigma": -0.1,
                   "n_grid": [100, 50],
                   "schedule": {"c": 1.0, "exponent": -0.5},
                   "replicates": 0},
     "det-rate": {"filter": "bogus", "delta_grid": [0.2, 0.1],
-                 "schedule": {"c": 0.0, "exponent": 0.5},
-                 "perturbation": "bogus", "theory": "bogus", "gamma": -1.75},
+                 "schedule": {"c": 0.0, "exponent": 0.5}},
     "lemma-check": {"filter": "bogus", "design": "bogus", "sigma": -0.1,
                     "n": 0, "lambda": -0.05, "replicates": 1},
     "gamma-study": {"n_grid": [25, 25], "lambda": 0.0},
@@ -557,9 +554,14 @@ def test_invalid_read_entry_is_named_and_exits_two(kind, entry, tmp_path):
 # conversion.  det-rate always perturbs along the filter's worst mode, and
 # every check is held to the fixed threshold of its kind: a tolerances
 # entry is refused even where it sets the old values, or nothing
-# (lemma-check's row is empty).
+# (lemma-check's row is empty).  A retired entry is refused whatever it
+# holds, a value its old rule refused included.
 RETIRED = {
     "classical": ("det-rate", {"theory": "classical"}, ("theory",)),
+    "theory-bogus": ("det-rate", {"theory": "bogus"}, ("theory",)),
+    "gamma-negative": ("det-rate", {"gamma": -1.75}, ("gamma",)),
+    "perturbation-bogus": ("det-rate", {"perturbation": "bogus"},
+                           ("perturbation",)),
     "converted": ("det-rate", {"theory": "converted", "gamma": 1.75},
                   ("gamma", "theory")),
     "gamma": ("det-rate", {"gamma": 1.75}, ("gamma",)),

@@ -14,9 +14,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rkhs_invlab import (DomainError, FilterSpec, ParameterError,
-                         PerturbationSpec, RateExponents, ShapeError,
-                         StudyConfig, build_power_law_problem,
+from rkhs_invlab import (DomainError, FilterSpec, NumericalError,
+                         ParameterError, PerturbationSpec, RateExponents,
+                         ShapeError, StudyConfig, build_power_law_problem,
                          classical_exponents, convert_lower, convert_upper,
                          delta_of, derived_gamma, estimator_paper,
                          experiments, fit_rate, forward_data, hs_norm,
@@ -296,6 +296,14 @@ class TestWorstCase:
         assert derived_gamma(1.5, 2.0, 1.0) == 1.75
         assert derived_gamma(1.5, 2.0, math.inf) == 2.25
 
+    @pytest.mark.parametrize("r, b", [(math.nan, 2.0), (-1.0, 2.0),
+                                      (0.5, 0.5)])
+    def test_derived_gamma_refuses_what_the_model_refuses(self, r, b):
+        # NaN gave gamma = NaN and b = 1/2 a gamma of no model
+        with pytest.raises(ParameterError, match="^r must" if b > 1
+                           else "^b must"):
+            derived_gamma(r, b, 1.0)
+
     def test_conversion_check(self):
         result = verify.check_worst_case_conversion(0)
         assert result.passed, result.detail
@@ -323,12 +331,23 @@ class TestBridge:
         assert value == pytest.approx(1.0 / 0.21, rel=1e-12) and floor == 4
 
     def test_domain_errors(self):
-        # n must be at least 1 and delta positive; NaN is neither
-        for bad in (0, math.nan):
+        # n must be a finite number >= 1 and delta a finite number > 0;
+        # NaN, inf and True are neither: Delta(inf) divided by zero at
+        # eps = 0, and True was read as n = 1
+        for bad in (0, math.nan, math.inf, True):
             with pytest.raises(DomainError):
                 delta_of(bad, 1.0, 0.5)
             with pytest.raises(DomainError):
                 n_of(bad, 1.0, 0.5)
+        # N(1e-300) at eps = 0 divides by delta^2, which underflows to 0,
+        # and sigma^2 overflows at sigma = 1e200: a numerical failure, not
+        # a ZeroDivisionError or an OverflowError
+        for call in (lambda: n_of(1e-300, 0.1, 0.0),
+                     lambda: n_of(1e-10, 1e200, 0.0),
+                     lambda: delta_of(1, 1e200, 0.0),
+                     lambda: delta_of(1, 1e-200, 0.0)):
+            with pytest.raises(NumericalError):
+                call()
 
     @pytest.mark.parametrize("sigma, epsilon", [
         (0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5), (math.inf, 0.5),

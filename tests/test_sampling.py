@@ -37,9 +37,10 @@ class TestSampleDesign:
 
     def test_empty_and_unknown(self):
         # a float n gave a grid that is not a midpoint grid: 2.5 read as
-        # the points 0.2, 0.6 and 1.0
+        # the points 0.2, 0.6 and 1.0.  n is refused by its rule, as every
+        # function that takes a sample count refuses it
         for n in (0, 2.5, 2.0, True):
-            with pytest.raises(ShapeError):
+            with pytest.raises(ParameterError, match="^n must"):
                 sample_design("grid", n)
         npt.assert_array_equal(sample_design("grid", np.int64(2)),
                                [0.25, 0.75])

@@ -16,12 +16,14 @@ import pytest
 from rkhs_invlab import (DomainError, FilterSpec, ParameterError,
                          PerturbationSpec, SampleSet, ShapeError,
                          SpectralProblem, basis_matrix,
-                         build_power_law_problem, estimator_learn,
+                         build_power_law_problem, delta_of, estimator_learn,
                          estimator_paper, eval_function, forward_data,
-                         make_source_solution, perturb_data,
+                         kernel_tikhonov, make_source_solution, n_of,
+                         paper_risk, paper_variance, perturb_data,
                          problem_from_descriptor, resolve_w_spec,
-                         sample_design, solve_continuous, spectral_model,
-                         verify)
+                         sample_design, sample_outputs, solve_continuous,
+                         spectral_model, verify, worst_case_error,
+                         worst_case_risk)
 from rkhs_invlab.spectral_model import (_basis_blocks, _sine_factor_tables,
                                        _split_modes, descriptor_faults,
                                        grid_aliasing, grid_gram_product)
@@ -493,3 +495,70 @@ def test_model_element_is_coefficient_array(name):
     element = ELEMENTS[name](problem, f, samples)
     assert type(element) is np.ndarray
     assert element.shape == (7,) and element.dtype == float
+
+
+# Each public function that takes one of the shared scalar arguments, as a
+# call with that argument free and valid values of the rest, by the
+# argument's _RULES name.  Every one is refused by its rule, by name.
+_PROBLEM = build_power_law_problem(8, 2.0, 1.0)
+_FILTER = FilterSpec("tikhonov", 0.05)
+_TRUTH = make_source_solution(_PROBLEM, 0.5, np.ones(8))
+SHARED_TAKERS = {
+    "n": {
+        "sample_design": lambda n: sample_design("grid", n),
+        "paper_variance": lambda n: paper_variance(
+            _PROBLEM, _FILTER, _TRUTH, 0.1, n, "grid"),
+        "paper_risk": lambda n: paper_risk(
+            _PROBLEM, _FILTER, _TRUTH, 0.1, n, "grid"),
+        "worst_case_risk": lambda n: worst_case_risk(
+            _PROBLEM, _FILTER, 0.5, 0.1, n)},
+    "sigma": {
+        "sample_outputs": lambda sigma: sample_outputs(
+            _PROBLEM, _TRUTH, [0.5], sigma),
+        "paper_variance": lambda sigma: paper_variance(
+            _PROBLEM, _FILTER, _TRUTH, sigma, 9, "iid-uniform"),
+        "paper_risk": lambda sigma: paper_risk(
+            _PROBLEM, _FILTER, _TRUTH, sigma, 9, "iid-uniform"),
+        "worst_case_risk": lambda sigma: worst_case_risk(
+            _PROBLEM, _FILTER, 0.5, sigma, 9),
+        "delta_of": lambda sigma: delta_of(4, sigma, 0.1),
+        "n_of": lambda sigma: n_of(0.1, sigma, 0.1)},
+    "delta": {
+        "PerturbationSpec": lambda delta: PerturbationSpec(delta),
+        "worst_case_error": lambda delta: worst_case_error(
+            _PROBLEM, _FILTER, 0.5, delta)},
+    "epsilon": {
+        "delta_of": lambda epsilon: delta_of(4, 0.1, epsilon),
+        "n_of": lambda epsilon: n_of(0.1, 0.1, epsilon)},
+    "lambda": {
+        "FilterSpec": lambda lam: FilterSpec("tikhonov", lam),
+        "kernel_tikhonov": lambda lam: kernel_tikhonov(
+            _PROBLEM, SampleSet(design=[0.25, 0.75], outputs=[1.0, 0.5]),
+            lam)},
+}
+# The value next to each rule's range: n = 0, lambda = 0 and the negative
+# float nearest 0.
+FIRST_OUT_OF_RANGE = {"n": 0, "sigma": -math.ulp(0.0),
+                      "delta": -math.ulp(0.0), "epsilon": -math.ulp(0.0),
+                      "lambda": 0.0}
+
+
+def test_shared_arguments_are_the_rules_beyond_the_model():
+    assert set(spectral_model._RULES) == {"J", "b", "d", "r",
+                                          *SHARED_TAKERS}
+    assert set(FIRST_OUT_OF_RANGE) == set(SHARED_TAKERS)
+
+
+@pytest.mark.parametrize("name, function, value", [
+    pytest.param(name, function, value,
+                 id=f"{name}-{function}-{label}")
+    for name, takers in SHARED_TAKERS.items() for function in takers
+    for label, value in (("nan", math.nan), ("inf", math.inf),
+                         ("-inf", -math.inf), ("bool", True),
+                         ("out-of-range", FIRST_OUT_OF_RANGE[name]))])
+def test_shared_argument_is_refused_by_its_rule(name, function, value):
+    # each function applies the argument's one _RULES row: n was a
+    # ShapeError in sample_design and a ParameterError in rates, and every
+    # rule was written out at each function
+    with pytest.raises(ParameterError, match=f"^{name} must"):
+        SHARED_TAKERS[name][function](value)
