@@ -34,7 +34,7 @@ from .regularization import (_FAMILIES, FilterSpec, _grid_learn,
 from .rkhs import rkhs_norm
 from .sampling import (_DESIGNS, PerturbationSpec, perturb_data,
                        sample_design, sample_outputs, _uniform_design)
-from .spectral_model import (_LOW_ROWS, _basis_blocks, _finite_number,
+from .spectral_model import (_LOW_ROWS, _RULES, _basis_blocks, _finite_number,
                              _integer, _positive_integer, _positive_number,
                              _sine_factor_tables, _split_modes,
                              descriptor_faults, forward_data, grid_aliasing,
@@ -101,11 +101,6 @@ def _median(values):
     return float((ordered[mid - 1] + ordered[mid]) / 2)
 
 
-def _sample_count(value):
-    """True for an integer 1 <= n <= 2**53, each held exactly by float(n)."""
-    return _positive_integer(value) and value <= 2 ** 53
-
-
 def _increasing(valid):
     """The rule of a grid: at least two entries, each ``valid``, strictly
     increasing."""
@@ -159,7 +154,10 @@ class StudyConfig:
     entries from these fields, and ``to_dict`` echoes those the kind reads
     (``_reads``).  So a new entry is a field with its rule, and each kind
     that reads it lists it in its ``_STUDIES`` row.  The ``problem`` keys'
-    rules sit beside their builder (``spectral_model.descriptor_faults``).
+    rules sit beside their builder (``spectral_model.descriptor_faults``),
+    and n, each entry of n_grid, lambda, sigma and each entry of delta_grid
+    read the library's row of their argument (``spectral_model._RULES``);
+    sigma and the delta_grid entries add only > 0 to it.
     """
 
     kind: str = field(default="",
@@ -170,16 +168,17 @@ class StudyConfig:
                         metadata=_rule(_one_of(*_FAMILIES)))
     design: str = field(default="grid",
                         metadata=_rule(_one_of(*_DESIGNS)))
-    sigma: float = field(default=0.0, metadata=_rule(_positive_number, float))
+    sigma: float = field(default=0.0, metadata=_rule(
+        lambda v: _RULES["sigma"][0](v) and v > 0, float))
     n_grid: tuple = field(default=(),
-                          metadata=_rule(_increasing(_sample_count), tuple))
-    delta_grid: tuple = field(
-        default=(), metadata=_rule(_increasing(_positive_number), tuple))
+                          metadata=_rule(_increasing(_RULES["n"][0]), tuple))
+    delta_grid: tuple = field(default=(), metadata=_rule(
+        _increasing(lambda v: _RULES["delta"][0](v) and v > 0), tuple))
     schedule: dict = field(default_factory=dict,  # {"c", "exponent"}
                            metadata=_rule(_valid_schedule, dict))
-    lam: float | None = field(default=None,
-                              metadata=_rule(_positive_number, key="lambda"))
-    n: int | None = field(default=None, metadata=_rule(_sample_count))
+    lam: float | None = field(default=None, metadata=_rule(
+        _RULES["lambda"][0], key="lambda"))
+    n: int | None = field(default=None, metadata=_rule(_RULES["n"][0]))
     replicates: int = field(default=1, metadata=_rule(
         lambda v: _positive_integer(v) and v >= 2))
     seed: int = field(default=0, metadata=_rule(_integer))

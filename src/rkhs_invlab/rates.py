@@ -9,16 +9,19 @@ values s(mu_j) sigma_j, so
 The bridge between a sample count n and a noise level delta at fixed
 filter parameter lambda is
 
-    Delta(n) = (sigma^2/n) / (sqrt(sigma^2/n + eps^2) + eps)
-             = sqrt(sigma^2/n + eps^2) - eps,
-    N(delta) = sigma^2 / (delta^2 + 2 delta eps),
+    Delta(n) = sqrt(sigma^2/n + eps^2) - eps
+             = sigma (1/n) / (sqrt(1/n + t^2) + t),
+    N(delta) = sigma^2 / (delta^2 + 2 delta eps) = 1 / (q^2 + 2 q t),
 
-with eps = ||f_lam - f_true|| / ||L||_HS; the two maps are exact inverses.
-Delta takes a finite n >= 1 and N a finite delta > 0, booleans refused
-(``DomainError``), and both sigma > 0 and eps by their ``_RULES`` rows;
-where a square or quotient under- or overflows they raise NumericalError.
-eps is taken at the worst case over the source ball {mu^r w : ||w|| <= 1},
-bias over ||L||_HS.
+with eps = ||f_lam - f_true|| / ||L||_HS, t = eps / sigma and q = delta /
+sigma; the two maps are exact inverses.  Both are evaluated in the second,
+sigma-scaled form, so sigma^2 is never formed: Delta(1) = sigma at eps = 0
+for every float sigma > 0.  Delta takes a finite n >= 1 and N a finite
+delta > 0, booleans refused (``DomainError``), and both sigma > 0 and eps
+by their ``_RULES`` rows.  Where a square, a denominator or the result
+leaves the float range (Delta(1e300) = 1e-450 at sigma = 1e-300, eps = 0)
+they raise NumericalError.  eps is taken at the worst case over the source
+ball {mu^r w : ||w|| <= 1}, bias over ||L||_HS.
 
 Worst cases over that ball, exact in O(J) as the filter is diagonal:
 
@@ -148,8 +151,9 @@ def worst_case_error(problem, filt, r, delta):
 
 
 def _check_bridge(sigma, epsilon):
-    """sigma and eps as Python floats, whose ** raises OverflowError where
-    numpy's only warns: both pass their ``_RULES`` rows, and sigma > 0."""
+    """sigma and eps as Python floats, whose quotients over- and underflow
+    without numpy's warnings: both pass their ``_RULES`` rows, and
+    sigma > 0."""
     _refuse_faults(sigma=sigma, epsilon=epsilon)
     if sigma == 0:
         raise ParameterError("sigma must be > 0 in the bridge, got 0")
@@ -161,7 +165,7 @@ def _bridge_value(formula, evaluate):
     a denominator or the quotient of ``formula`` under- or overflows."""
     try:
         value = evaluate()
-    except (OverflowError, ZeroDivisionError):
+    except ZeroDivisionError:
         value = math.nan
     if not 0.0 < value < math.inf:  # NaN included
         raise NumericalError(f"{formula} under- or overflows")
@@ -171,31 +175,31 @@ def _bridge_value(formula, evaluate):
 def delta_of(n, sigma, epsilon):
     """Largest noise level whose error is dominated by the n-sample risk.
 
-    Delta(n) = (sigma^2/n) / (sqrt(sigma^2/n + eps^2) + eps); equals
-    sqrt(sigma^2/n + eps^2) - eps by conjugate rationalization.  At eps =
-    bias / ||L||_HS, (bias + Delta ||L||_HS)^2 is the grid ``paper_risk`` for
-    n > J, above every error at noise level Delta as ||L||_op <= ||L||_HS.
+    Delta(n) = sigma (1/n) / (sqrt(1/n + t^2) + t) with t = eps / sigma;
+    equals sqrt(sigma^2/n + eps^2) - eps by conjugate rationalization.  At
+    eps = bias / ||L||_HS, (bias + Delta ||L||_HS)^2 is the grid
+    ``paper_risk`` for n > J, above every error at noise level Delta as
+    ||L||_op <= ||L||_HS.
     """
     sigma, epsilon = _check_bridge(sigma, epsilon)
     if not (_finite_number(n) and n >= 1):  # NaN and booleans included
         raise DomainError(f"n must be a finite number >= 1, got {n!r}")
-    v = _bridge_value("sigma^2/n", lambda: sigma ** 2 / float(n))
-    return _bridge_value("Delta(n)", lambda: v / (math.sqrt(v + epsilon ** 2)
-                                                  + epsilon))
+    v, t = 1.0 / float(n), epsilon / sigma
+    return _bridge_value("Delta(n)",
+                         lambda: sigma * (v / (math.sqrt(v + t * t) + t)))
 
 
 def n_of(delta, sigma, epsilon):
     """Largest sample count dominated by noise level delta; also its floor.
 
-    N(delta) = sigma^2 / (delta^2 + 2 delta eps); exact inverse of
-    :func:`delta_of`.
+    N(delta) = 1 / (q^2 + 2 q t) = sigma^2 / (delta^2 + 2 delta eps) with
+    q = delta / sigma and t = eps / sigma; exact inverse of :func:`delta_of`.
     """
     sigma, epsilon = _check_bridge(sigma, epsilon)
     if not (_finite_number(delta) and delta > 0):  # NaN and booleans included
         raise DomainError(f"delta must be a finite number > 0, got {delta!r}")
-    delta = float(delta)
-    value = _bridge_value("N(delta)", lambda: sigma ** 2 / (
-        delta ** 2 + 2.0 * delta * epsilon))
+    q, t = float(delta) / sigma, epsilon / sigma
+    value = _bridge_value("N(delta)", lambda: 1.0 / (q * q + 2.0 * q * t))
     return value, int(math.floor(value))
 
 

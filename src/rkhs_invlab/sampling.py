@@ -87,8 +87,8 @@ class PerturbationSpec:
 
 
 def sample_design(scheme, n, seed=0, index=0):
-    """Draw n design points, n an integer >= 1: midpoint grid or i.i.d.
-    Uniform[0,1].
+    """Draw n design points, n an integer 1 <= n <= 2**53 (its ``_RULES``
+    row): midpoint grid or i.i.d. Uniform[0,1].
 
     ``index`` selects the replicate substream; the grid ignores it.
     """

@@ -414,8 +414,13 @@ def _positive_number(value):
 # The one rule of each scalar argument the library refuses, and what it
 # asks for: the model's J, b, d and r, the sample count n, the noise std
 # sigma, the data error delta, the bridge's epsilon and the filter's lambda.
-# ``_refuse_faults`` applies them; ``descriptor_faults`` reads J, b, d, r.
-_RULES = {**dict.fromkeys(("J", "n"), (_positive_integer, "an integer >= 1")),
+# n stops at 2**53, up to which float(n) is exact and the grid's 2n (in
+# grid_aliasing) fits in int64.  ``_refuse_faults`` applies them,
+# ``descriptor_faults`` reads J, b, d and r, and the study config's n, sigma,
+# delta and lambda entries read theirs.
+_RULES = {"J": (_positive_integer, "an integer >= 1"),
+          "n": (lambda n: _positive_integer(n) and n <= 2 ** 53,
+                "an integer 1 <= n <= 2**53"),
           "b": (lambda b: _finite_number(b) and b > 1, "a finite number > 1"),
           **dict.fromkeys(("d", "r", "lambda"),
                           (_positive_number, "a finite number > 0")),

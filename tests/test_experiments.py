@@ -868,6 +868,11 @@ BAD_FIELDS = {
            ("unknown-name", "bogus"))},
     "sigma-nan": (dict(lemma_check_config("grid").to_dict(),
                        sigma=math.nan), "sigma"),
+    # the config narrows the library's sigma and delta rows (>= 0) to > 0
+    "sigma-zero": (dict(lemma_check_config("grid").to_dict(), sigma=0.0),
+                   "sigma"),
+    "delta_grid-zero": (dict(det_rate_raw("tikhonov"),
+                             delta_grid=[0.0, 1e-3]), "delta_grid"),
     # an integer float() cannot hold is named, not an OverflowError
     "sigma-1e400": (dict(lemma_check_config("grid").to_dict(),
                          sigma=10 ** 400), "sigma"),
@@ -877,8 +882,8 @@ BAD_FIELDS = {
     "lambda-landweber-1e-310": (dict(lemma_check_config("grid").to_dict(),
                                      filter="landweber",
                                      **{"lambda": 1e-310}), "lambda"),
-    # a sample count is at most 2**53, which float(n) holds exactly: grid
-    # studies raised out of grid_aliasing at n = 2**62 and beyond
+    # a sample count is at most 2**53, the library's n rule: grid studies
+    # raised out of grid_aliasing at n = 2**62 and beyond
     **{f"n-{name}": (dict(lemma_check_config("grid").to_dict(), n=n), "n")
        for name, n in (("2**53+1", 2 ** 53 + 1), ("2**62", 2 ** 62),
                        ("1e30", 10 ** 30))},

@@ -323,6 +323,10 @@ class TestBridge:
         assert delta_of(4, 1.0, 0.0) == pytest.approx(0.5)
         assert delta_of(1, 1.0, 1.0) == pytest.approx(
             math.sqrt(2.0) - 1.0, rel=1e-14)
+        # Delta(1) = sigma at eps = 0 for every float sigma: the bridge
+        # raised NumericalError where sigma^2 under- or overflows
+        assert delta_of(1, 1e-200, 0.0) == 1e-200
+        assert delta_of(1, 1e200, 0.0) == 1e200
 
     def test_n_examples(self):
         value, floor = n_of(1.0, 1.0, 0.0)
@@ -339,13 +343,15 @@ class TestBridge:
                 delta_of(bad, 1.0, 0.5)
             with pytest.raises(DomainError):
                 n_of(bad, 1.0, 0.5)
-        # N(1e-300) at eps = 0 divides by delta^2, which underflows to 0,
-        # and sigma^2 overflows at sigma = 1e200: a numerical failure, not
-        # a ZeroDivisionError or an OverflowError
+        # values beyond the float range: N(1e-300) at sigma = 0.1 and
+        # N(1e-10) at sigma = 1e200 overflow, as (delta / sigma)^2
+        # underflows to 0, and Delta(1e300) = 1e-450 at sigma = 1e-300 and
+        # Delta(1e300) ~ 5e-331 at sigma = 1e-10, eps = 1e10 underflow: a
+        # numerical failure, not a ZeroDivisionError or a 0
         for call in (lambda: n_of(1e-300, 0.1, 0.0),
                      lambda: n_of(1e-10, 1e200, 0.0),
-                     lambda: delta_of(1, 1e200, 0.0),
-                     lambda: delta_of(1, 1e-200, 0.0)):
+                     lambda: delta_of(1e300, 1e-300, 0.0),
+                     lambda: delta_of(1e300, 1e-10, 1e10)):
             with pytest.raises(NumericalError):
                 call()
 

@@ -541,6 +541,9 @@ SHARED_TAKERS = {
 FIRST_OUT_OF_RANGE = {"n": 0, "sigma": -math.ulp(0.0),
                       "delta": -math.ulp(0.0), "epsilon": -math.ulp(0.0),
                       "lambda": 0.0}
+# The value past the upper end of a rule that has one: n = 2**53 + 1, which
+# float(n) does not hold (grid_aliasing raised OverflowError at 2**62).
+PAST_UPPER_END = {"n": 2 ** 53 + 1}
 
 
 def test_shared_arguments_are_the_rules_beyond_the_model():
@@ -555,10 +558,19 @@ def test_shared_arguments_are_the_rules_beyond_the_model():
     for name, takers in SHARED_TAKERS.items() for function in takers
     for label, value in (("nan", math.nan), ("inf", math.inf),
                          ("-inf", -math.inf), ("bool", True),
-                         ("out-of-range", FIRST_OUT_OF_RANGE[name]))])
+                         ("out-of-range", FIRST_OUT_OF_RANGE[name]),
+                         *((("past-upper-end", PAST_UPPER_END[name]),)
+                           if name in PAST_UPPER_END else ()))])
 def test_shared_argument_is_refused_by_its_rule(name, function, value):
     # each function applies the argument's one _RULES row: n was a
     # ShapeError in sample_design and a ParameterError in rates, and every
     # rule was written out at each function
     with pytest.raises(ParameterError, match=f"^{name} must"):
         SHARED_TAKERS[name][function](value)
+
+
+def test_largest_sample_count_has_a_grid_risk():
+    # n = 2**53 is the n row's upper end: 2n still fits grid_aliasing's
+    # int64 arithmetic
+    risk = SHARED_TAKERS["n"]["paper_risk"](2 ** 53)
+    assert type(risk) is float and math.isfinite(risk)
