@@ -16,15 +16,14 @@ from .spectral_model import (SpectralProblem, basis_matrix,
 from .rkhs import GramMatrix, gram_matrix, kernel_eval, rkhs_norm
 from .sampling import (PerturbationSpec, SampleSet, perturb_data,
                        sample_design, sample_outputs)
-from .regularization import (FilterSpec, KernelSolution, certify_filter,
-                             estimator_learn, estimator_paper,
-                             kernel_tikhonov, solve_continuous)
+from .regularization import (FilterSpec, certify_filter, estimator_learn,
+                             estimator_paper, kernel_tikhonov,
+                             solve_continuous)
 from .rates import (ConvertedRate, RateExponents, RateFit, classical_exponents,
                     convert_lower, convert_upper, delta_of, derived_gamma,
-                    fit_rate, hs_norm, lambda_schedule, loss_factor_tau,
-                    n_of, operator_norm, paper_risk, paper_variance,
-                    statistical_exponents, worst_case_bias, worst_case_error,
-                    worst_case_risk)
+                    fit_rate, hs_norm, loss_factor_tau, n_of, operator_norm,
+                    paper_risk, paper_variance, statistical_exponents,
+                    worst_case_bias, worst_case_error, worst_case_risk)
 from .experiments import (StudyConfig, StudyReport, equivalence_deviations,
                           run_study, write_report)
 

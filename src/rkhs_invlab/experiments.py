@@ -26,8 +26,8 @@ import numpy as np
 
 from . import streams
 from .errors import NumericalError, ParameterError, ValidationError
-from .rates import (RateFit, classical_exponents, fit_rate, lambda_schedule,
-                    paper_risk, paper_variance, statistical_exponents)
+from .rates import (RateFit, classical_exponents, fit_rate, paper_risk,
+                    paper_variance, statistical_exponents)
 from .regularization import (_FAMILIES, FilterSpec, _grid_learn,
                              estimator_learn, kernel_tikhonov,
                              solve_continuous)
@@ -271,14 +271,16 @@ class StudyConfig:
             raise _invalid(bad)
 
     def _scheduled_filters(self):
-        """The filter of each grid point at the schedule's lambda: c n^-a
-        along n_grid where the kind reads it (stat-rate), else
-        c delta^a along delta_grid (det-rate)."""
-        by_n = "n_grid" in self._reads()
-        return [FilterSpec(self.filter, lambda_schedule(
-                    "by-n" if by_n else "by-delta", self.schedule["c"],
-                    self.schedule["exponent"], value))
-                for value in (self.n_grid if by_n else self.delta_grid)]
+        """The filter of each grid point at the schedule's lambda, the one
+        home of the a-priori schedules: c n^-a along n_grid where the kind
+        reads it (stat-rate), else c delta^a along delta_grid (det-rate).
+        ``validate`` has judged c, a and the grid by their rules."""
+        c, a = self.schedule["c"], self.schedule["exponent"]
+        if "n_grid" in self._reads():
+            lams = [c * float(n) ** (-a) for n in self.n_grid]
+        else:
+            lams = [c * float(delta) ** a for delta in self.delta_grid]
+        return [FilterSpec(self.filter, lam) for lam in lams]
 
 
 @dataclass
@@ -323,7 +325,7 @@ class StudyReport:
 
 
 # The comparisons a check may make of its value with its threshold.
-_OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge}
+_OPS = {"<=": operator.le, "<": operator.lt}
 
 
 def _check(name, value, op, threshold):
@@ -643,15 +645,13 @@ def equivalence_deviations(problem, samples, lam):
     is near-singular.
     """
     learn = estimator_learn(problem, FilterSpec("tikhonov", lam), samples)
-    kernel_side = kernel_tikhonov(problem, samples, lam)
-    g_norm = float(np.linalg.norm(kernel_side.g_coeffs))
-    forward_learn = forward_data(problem, learn)
-    methods_dev = (float(np.linalg.norm(forward_learn - kernel_side.g_coeffs))
+    _, g = kernel_tikhonov(problem, samples, lam)
+    g_norm = float(np.linalg.norm(g))
+    methods_dev = (float(np.linalg.norm(forward_data(problem, learn) - g))
                    / max(g_norm, 1e-300))
     f_norm = float(np.linalg.norm(learn))
-    norm_dev = (abs(rkhs_norm(problem, kernel_side.g_coeffs) - f_norm)
-                / max(f_norm, 1e-300))
-    y, g = samples.outputs, kernel_side.g_coeffs
+    norm_dev = abs(rkhs_norm(problem, g) - f_norm) / max(f_norm, 1e-300)
+    y = samples.outputs
     gradient = np.zeros(problem.size)
     moment = np.zeros(problem.size)
     for rows, u in _basis_blocks(problem, samples.design):

@@ -16,12 +16,15 @@ filter parameter lambda is
 with eps = ||f_lam - f_true|| / ||L||_HS, t = eps / sigma and q = delta /
 sigma; the two maps are exact inverses.  Both are evaluated in the second,
 sigma-scaled form, so sigma^2 is never formed: Delta(1) = sigma at eps = 0
-for every float sigma > 0.  Delta takes a finite n >= 1 and N a finite
-delta > 0, booleans refused (``DomainError``), and both sigma > 0 and eps
-by their ``_RULES`` rows.  Where a square, a denominator or the result
-leaves the float range (Delta(1e300) = 1e-450 at sigma = 1e-300, eps = 0)
-they raise NumericalError.  eps is taken at the worst case over the source
-ball {mu^r w : ||w|| <= 1}, bias over ||L||_HS.
+for every float sigma > 0.  Delta's root is hypot(sqrt(1/n), t), so t^2 is
+not formed either: Delta(1) = 5e-161 at sigma = 1, eps = 1e160.  Its
+denominator t + hypot overflows near t = 9e307, so Delta(1) at sigma = 1,
+eps = 1e308 (about 5e-309) raises.  Delta takes a finite n >= 1 and N a
+finite delta > 0, booleans refused (``DomainError``), and both sigma > 0
+and eps by their ``_RULES`` rows.  Where a square, a denominator or the
+result leaves the float range (Delta(1e300) = 1e-450 at sigma = 1e-300,
+eps = 0) they raise NumericalError.  eps is taken at the worst case over
+the source ball {mu^r w : ||w|| <= 1}, bias over ||L||_HS.
 
 Worst cases over that ball, exact in O(J) as the filter is diagonal:
 
@@ -175,18 +178,18 @@ def _bridge_value(formula, evaluate):
 def delta_of(n, sigma, epsilon):
     """Largest noise level whose error is dominated by the n-sample risk.
 
-    Delta(n) = sigma (1/n) / (sqrt(1/n + t^2) + t) with t = eps / sigma;
-    equals sqrt(sigma^2/n + eps^2) - eps by conjugate rationalization.  At
-    eps = bias / ||L||_HS, (bias + Delta ||L||_HS)^2 is the grid
-    ``paper_risk`` for n > J, above every error at noise level Delta as
-    ||L||_op <= ||L||_HS.
+    Delta(n) = sigma (1/n) / (sqrt(1/n + t^2) + t) with t = eps / sigma
+    and the root taken as hypot(sqrt(1/n), t); equals sqrt(sigma^2/n +
+    eps^2) - eps by conjugate rationalization.  At eps = bias / ||L||_HS,
+    (bias + Delta ||L||_HS)^2 is the grid ``paper_risk`` for n > J, above
+    every error at noise level Delta as ||L||_op <= ||L||_HS.
     """
     sigma, epsilon = _check_bridge(sigma, epsilon)
     if not (_finite_number(n) and n >= 1):  # NaN and booleans included
         raise DomainError(f"n must be a finite number >= 1, got {n!r}")
     v, t = 1.0 / float(n), epsilon / sigma
-    return _bridge_value("Delta(n)",
-                         lambda: sigma * (v / (math.sqrt(v + t * t) + t)))
+    return _bridge_value("Delta(n)", lambda: sigma * (
+        v / (math.hypot(math.sqrt(v), t) + t)))
 
 
 def n_of(delta, sigma, epsilon):
@@ -360,17 +363,3 @@ def fit_rate(points):
     return RateFit(slope=slope, intercept=intercept, stderr=stderr,
                    points=tuple(pts))
 
-
-def lambda_schedule(kind, c, exponent, value):
-    """A-priori filter schedules: by-n gives c*n^-exponent, by-delta
-    gives c*delta^exponent."""
-    for name, number in (("constant", c), ("exponent", exponent),
-                         ("argument", value)):
-        if not _positive_number(number):
-            raise ParameterError(
-                f"schedule {name} must be a finite number > 0: {number!r}")
-    if kind == "by-n":
-        return c * float(value) ** (-exponent)
-    if kind == "by-delta":
-        return c * float(value) ** exponent
-    raise ParameterError(f"unknown schedule kind: {kind!r}")

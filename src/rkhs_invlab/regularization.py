@@ -176,11 +176,6 @@ def certify_filter(kind, problem, n_lambda=50, n_t=10_000):
             "qualification": float(margin_q)}
 
 
-class KernelSolution(NamedTuple):
-    beta: np.ndarray
-    g_coeffs: np.ndarray
-
-
 def solve_continuous(problem, filt, y):
     """f = s(B) A* y in coordinates: coeffs_j = s(mu_j) sigma_j y_j."""
     y = np.asarray(y, dtype=float)
@@ -257,7 +252,8 @@ def _grid_learn(problem, filt, y, n):
 
 
 def kernel_tikhonov(problem, samples, lam):
-    """Solve (K + lambda n I) beta = y; return beta and g = sum beta_i K_{x_i}.
+    """Solve (K + lambda n I) beta = y; return the pair (beta, g_coeffs) of
+    the (n,) weights and the (J,) range element g = sum beta_i K_{x_i}.
 
     This dense n-by-n solve is the kernel-side reference: the range element
     g comes back in output-basis coordinates g_j = mu_j sum_i beta_i
@@ -273,6 +269,5 @@ def kernel_tikhonov(problem, samples, lam):
         beta = np.linalg.solve(system, samples.outputs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"kernel system is singular: {exc}") from exc
-    g_coeffs = problem.mu * (u.T @ beta)
-    return KernelSolution(beta=beta, g_coeffs=g_coeffs)
+    return beta, problem.mu * (u.T @ beta)
 

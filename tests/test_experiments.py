@@ -35,7 +35,7 @@ from rkhs_invlab import (FilterSpec, NumericalError, ParameterError,
                          equivalence_deviations, estimator_learn,
                          estimator_paper, eval_function, experiments,
                          fit_rate, forward_data, kernel_tikhonov,
-                         lambda_schedule, paper_risk, paper_variance,
+                         paper_risk, paper_variance,
                          problem_from_descriptor, run_study,
                          sample_design, sample_outputs, spectral_model,
                          write_report)
@@ -101,7 +101,7 @@ def test_stat_rate_matches_public_path(cells, monkeypatch):
     assert [p["x"] for p in report.points] == list(config.n_grid)
     for point_idx, (n, point) in enumerate(zip(config.n_grid,
                                                report.points)):
-        lam = lambda_schedule("by-n", 1.0, 1.0 / 3.5, n)
+        lam = 1.0 * float(n) ** (-1.0 / 3.5)
         filt = FilterSpec("tikhonov", lam)
         errors = np.array([
             float(np.sum((public_coeffs("iid-uniform", n, filt,
@@ -282,7 +282,7 @@ def test_median_equals_numpy_median(design):
     # the squared errors of a 200-replicate stat-rate point at n = 50
     config = StudyConfig.from_dict(dict(stat_rate_config(design).to_dict(),
                                         replicates=200))
-    filt = FilterSpec("tikhonov", lambda_schedule("by-n", 1.0, 1.0 / 3.5, 50))
+    filt = FilterSpec("tikhonov", 1.0 * 50.0 ** (-1.0 / 3.5))
     rows = experiments._replicate_coeffs(config, MODEL, TRUTH, filt, 50,
                                          range(200))
     errors = np.sum((rows - TRUTH) ** 2, axis=1)
@@ -444,11 +444,9 @@ BASE_RAW = {"stat-rate": stat_rate_config("grid").to_dict(),
 # Entries each kind never reads, each with a valid non-default value.
 # theory, gamma, perturbation and perturbation_index, the entries of
 # det-rate's retired converted theory and perturbation choice, are read by
-# no kind and refused as unknown keys.
+# no kind and refused as unknown keys; stat-rate's four are in RETIRED.
 UNREAD = {
-    "stat-rate": {"delta_grid": [0.1, 0.2], "lambda": 0.3, "n": 7,
-                  "perturbation": "random-unit", "perturbation_index": 2,
-                  "theory": "converted", "gamma": 1.75},
+    "stat-rate": {"delta_grid": [0.1, 0.2], "lambda": 0.3, "n": 7},
     "det-rate": {"design": "iid-uniform", "sigma": 5.0, "replicates": 1000,
                  "lambda": 0.3, "n": 7, "n_grid": [10, 20], "gamma": 1.75,
                  "perturbation_index": 2},
@@ -572,6 +570,11 @@ RETIRED = {
         ("perturbation", "perturbation_index")),
     "perturbation_index": ("det-rate", {"perturbation_index": 1},
                            ("perturbation_index",)),
+    # each retired entry set on a stat-rate config
+    **{f"unread-stat-rate-{entry}": ("stat-rate", {entry: value}, (entry,))
+       for entry, value in (("perturbation", "random-unit"),
+                            ("perturbation_index", 2),
+                            ("theory", "converted"), ("gamma", 1.75))},
     **{f"tolerances-{kind}": (
         kind, {"tolerances": dict.fromkeys(experiments._STUDIES[kind]
                                            .thresholds, 1.0)},
@@ -674,7 +677,7 @@ GAMMA_CHECKS = ("error-decreasing", "final-error-below-tenth",
 
 def kernel_solve_fit(problem, filt, samples):
     """The Tikhonov fit f = g / sigma from kernel_tikhonov's n-by-n solve."""
-    g = kernel_tikhonov(problem, samples, filt.lam).g_coeffs
+    _, g = kernel_tikhonov(problem, samples, filt.lam)
     return g / problem.sigma_sv
 
 
@@ -751,7 +754,7 @@ def test_gamma_study_fit_matches_kernel_tikhonov():
                                  seed=raw["seed"])
         g = forward_data(problem, _grid_learn(
             problem, FilterSpec("tikhonov", raw["lambda"]), y, n))
-        reference = kernel_tikhonov(problem, samples, raw["lambda"]).g_coeffs
+        _, reference = kernel_tikhonov(problem, samples, raw["lambda"])
         assert (np.linalg.norm(g - reference)
                 <= 1e-10 * np.linalg.norm(reference)), n
 
@@ -761,7 +764,7 @@ def test_landweber_det_rate_records_applied_lambda():
     # 1/m, not the scheduled delta^(2/3)
     report = run_study(StudyConfig.from_dict(det_rate_raw("landweber")))
     for point in report.points:
-        scheduled = lambda_schedule("by-delta", 1.0, 2.0 / 3.0, point["x"])
+        scheduled = 1.0 * point["x"] ** (2.0 / 3.0)
         assert point["lambda"] == 1.0 / round(1.0 / scheduled)
 
 
@@ -1182,7 +1185,7 @@ def test_blocked_equivalence_deviations_match_the_basis(small_blocks,
     phi = u * sigma
     learn = np.linalg.solve(phi.T @ phi / 50 + lam * np.eye(40),
                             phi.T @ y / 50)
-    g = kernel_tikhonov(problem, samples, lam).g_coeffs
+    _, g = kernel_tikhonov(problem, samples, lam)
     residual = sigma * (u.T @ (u @ g - y)) / 50 + lam * g / sigma
     expected = {
         "methods_equivalence": max(

@@ -20,7 +20,10 @@ Tikhonov past its qualification, where the derived gamma no longer fits.
 
 A mutation replaces a function in the namespace the check reads it from:
 ``experiments``' own for the study checks, among them
-``experiments._grid_learn``, gamma-study's fit; ``verify``'s own for most
+``experiments._grid_learn``, gamma-study's fit, and
+``experiments.FilterSpec``, with which ``StudyConfig._scheduled_filters``,
+the one home of the a-priori schedules, builds each scheduled filter
+(median-error-decreasing fails it at 1/lambda); ``verify``'s own for most
 verify checks; ``rates.derived_gamma``, the one home of gamma, which
 ``statistical_exponents`` reads; ``rkhs._gram_entries``, which
 ``gram_matrix`` reads; ``experiments.estimator_learn``, which
@@ -136,8 +139,9 @@ def spread_scaled(factor):
 
 
 def inverted(original):
-    """A schedule that gives 1/lambda: lambda grows with n."""
-    return lambda *args: 1.0 / original(*args)
+    """A filter built at 1/lambda: along stat-rate's schedule lambda grows
+    with n."""
+    return lambda kind, lam: original(kind, 1.0 / lam)
 
 
 def wrong_lambda(scale):
@@ -157,7 +161,7 @@ MUTATIONS = {
     ("stat-rate", "slope-matches-theory"):
         ("_replicate_coeffs", scaled(1.3)),
     ("stat-rate", "median-error-decreasing"):
-        ("lambda_schedule", inverted),
+        ("FilterSpec", inverted),
     ("stat-rate", "risk-matches-exact"):
         ("_replicate_coeffs", spread_scaled(1.0 / 3.0)),
     ("det-rate", "slope-matches-theory"):

@@ -16,11 +16,11 @@ import pytest
 
 from rkhs_invlab import (DomainError, FilterSpec, NumericalError,
                          ParameterError, PerturbationSpec, RateExponents,
-                         ShapeError, StudyConfig, build_power_law_problem,
-                         classical_exponents, convert_lower, convert_upper,
-                         delta_of, derived_gamma, estimator_paper,
-                         experiments, fit_rate, forward_data, hs_norm,
-                         lambda_schedule, loss_factor_tau,
+                         ShapeError, StudyConfig, ValidationError,
+                         build_power_law_problem, classical_exponents,
+                         convert_lower, convert_upper, delta_of,
+                         derived_gamma, estimator_paper, experiments,
+                         fit_rate, forward_data, hs_norm, loss_factor_tau,
                          make_source_solution, n_of, operator_norm,
                          paper_risk, paper_variance, perturb_data,
                          problem_from_descriptor, sample_design,
@@ -327,6 +327,9 @@ class TestBridge:
         # raised NumericalError where sigma^2 under- or overflows
         assert delta_of(1, 1e-200, 0.0) == 1e-200
         assert delta_of(1, 1e200, 0.0) == 1e200
+        # Delta(1) ~ sigma^2 / (2 eps) where t = eps / sigma is large: the
+        # bridge raised NumericalError where t^2 overflows
+        assert delta_of(1, 1.0, 1e160) == pytest.approx(5e-161, rel=1e-15)
 
     def test_n_examples(self):
         value, floor = n_of(1.0, 1.0, 0.0)
@@ -347,11 +350,13 @@ class TestBridge:
         # N(1e-10) at sigma = 1e200 overflow, as (delta / sigma)^2
         # underflows to 0, and Delta(1e300) = 1e-450 at sigma = 1e-300 and
         # Delta(1e300) ~ 5e-331 at sigma = 1e-10, eps = 1e10 underflow: a
-        # numerical failure, not a ZeroDivisionError or a 0
+        # numerical failure, not a ZeroDivisionError or a 0.  At eps = 1e308
+        # the denominator t + hypot(1, t) of Delta(1) overflows
         for call in (lambda: n_of(1e-300, 0.1, 0.0),
                      lambda: n_of(1e-10, 1e200, 0.0),
                      lambda: delta_of(1e300, 1e-300, 0.0),
-                     lambda: delta_of(1e300, 1e-10, 1e10)):
+                     lambda: delta_of(1e300, 1e-10, 1e10),
+                     lambda: delta_of(1, 1.0, 1e308)):
             with pytest.raises(NumericalError):
                 call()
 
@@ -525,31 +530,62 @@ class TestFitRate:
         assert abs(fit.slope + 1.5) < 0.5
 
 
+# The a-priori schedules of StudyConfig._scheduled_filters: c n^-a along a
+# stat-rate config's n_grid ("by-n") and c delta^a along a det-rate
+# config's delta_grid ("by-delta").
+SCHEDULE_PROBLEM = {"J": 4, "b": 2.0, "d": 1.0, "r": 1.0,
+                    "w_spec": [1.0, 0.5, 0.25, 0.125]}
+SCHEDULE_RAW = {
+    "by-n": {"kind": "stat-rate", "problem": SCHEDULE_PROBLEM, "sigma": 0.1,
+             "replicates": 2},
+    "by-delta": {"kind": "det-rate", "problem": SCHEDULE_PROBLEM}}
+SCHEDULE_GRID = {"by-n": "n_grid", "by-delta": "delta_grid"}
+
+
+def scheduled_lambdas(kind, c, exponent, grid):
+    """The lambda of each grid point of the ``kind`` config with schedule
+    (c, exponent) along ``grid``."""
+    config = StudyConfig.from_dict(dict(
+        SCHEDULE_RAW[kind], schedule={"c": c, "exponent": exponent},
+        **{SCHEDULE_GRID[kind]: grid}))
+    return [filt.lam for filt in config._scheduled_filters()]
+
+
 class TestLambdaSchedule:
     def test_by_n(self):
-        assert lambda_schedule("by-n", 1.0, 2 / 7, 128) == pytest.approx(0.25,
-                                                                         rel=1e-12)
-        assert lambda_schedule("by-n", 0.7, 0.5, 1) == pytest.approx(0.7)
+        lams = scheduled_lambdas("by-n", 1.0, 2 / 7, [1, 128])
+        assert lams[1] == pytest.approx(0.25, rel=1e-12)
+        assert lams[1] == 1.0 * 128.0 ** (-2 / 7)
+        assert scheduled_lambdas("by-n", 0.7, 0.5, [1, 4]) == pytest.approx(
+            [0.7, 0.35])
 
     def test_by_delta(self):
-        assert lambda_schedule("by-delta", 1.0, 0.5, 0.04) == pytest.approx(0.2)
+        lams = scheduled_lambdas("by-delta", 1.0, 0.5, [0.04, 0.09])
+        assert lams == pytest.approx([0.2, 0.3])
+        assert lams[0] == 1.0 * 0.04 ** 0.5
 
     def test_errors(self):
-        with pytest.raises(ParameterError):
-            lambda_schedule("by-n", -1.0, 0.5, 2)
-        with pytest.raises(ParameterError):
-            lambda_schedule("by-x", 1.0, 0.5, 2)
+        with pytest.raises(ValidationError) as info:
+            scheduled_lambdas("by-n", -1.0, 0.5, [2, 4])
+        assert info.value.fields == ("schedule",)
 
     @pytest.mark.parametrize("kind", ["by-n", "by-delta"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("slot", range(3))
     def test_constant_exponent_and_argument_are_finite(self, kind, bad,
                                                        slot):
-        # NaN would pass a `<= 0` test and return a NaN lambda
-        args = [0.5, 0.5, 4.0]
-        args[slot] = bad
-        with pytest.raises(ParameterError, match="finite number > 0"):
-            lambda_schedule(kind, *args)
+        # NaN would pass a `<= 0` test and give a NaN lambda; the config
+        # names the schedule for c (slot 0) and the exponent (slot 1), and
+        # the grid for one of its entries (slot 2)
+        args = [0.5, 0.5, [4, 8]]
+        if slot < 2:
+            args[slot] = bad
+        else:
+            args[2] = [bad, 8]
+        with pytest.raises(ValidationError) as info:
+            scheduled_lambdas(kind, *args)
+        assert info.value.fields == (
+            "schedule" if slot < 2 else SCHEDULE_GRID[kind],)
 
 
 class TestStatisticalExponents:

@@ -506,23 +506,23 @@ class TestKernelTikhonov:
     def test_two_point_worked_example(self, two_mode):
         problem, truth = two_mode
         samples = clean_samples(problem, truth, sample_design("grid", 2))
-        solution = kernel_tikhonov(problem, samples, 0.5)  # lambda n = 1
-        npt.assert_allclose(solution.beta, [0.510110, 0.156557], atol=5e-7)
+        beta, _ = kernel_tikhonov(problem, samples, 0.5)  # lambda n = 1
+        npt.assert_allclose(beta, [0.510110, 0.156557], atol=5e-7)
 
     def test_zero_data(self, two_mode):
         problem, _ = two_mode
         samples = SampleSet(design=np.array([0.2, 0.8]), outputs=np.zeros(2))
-        solution = kernel_tikhonov(problem, samples, 0.5)
-        npt.assert_allclose(solution.beta, np.zeros(2), atol=1e-15)
-        npt.assert_allclose(solution.g_coeffs, np.zeros(2), atol=1e-15)
+        beta, g_coeffs = kernel_tikhonov(problem, samples, 0.5)
+        npt.assert_allclose(beta, np.zeros(2), atol=1e-15)
+        npt.assert_allclose(g_coeffs, np.zeros(2), atol=1e-15)
 
     def test_scalar_case(self):
         # (K + lambda n) beta = y with K = 2, lambda n = 1, y = sqrt2
         problem = build_power_law_problem(1, 2.0, 1.0)
         truth = make_source_solution(problem, 1.0, [1.0])
         samples = clean_samples(problem, truth, sample_design("grid", 1))
-        solution = kernel_tikhonov(problem, samples, 1.0)
-        npt.assert_allclose(solution.beta, [math.sqrt(2.0) / 3.0], rtol=1e-14)
+        beta, _ = kernel_tikhonov(problem, samples, 1.0)
+        npt.assert_allclose(beta, [math.sqrt(2.0) / 3.0], rtol=1e-14)
 
     def test_pullback_matches_estimator_learn(self):
         result = verify.check_methods_equivalence(43)
