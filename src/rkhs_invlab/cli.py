@@ -5,7 +5,6 @@ Subcommands:
   verify  run the built-in property suite over all module invariants
   rates   pure rate-conversion calculator, per filter family (no
           computation on models)
-  info    print diagnostics of a power-law problem
 
 Exit codes: 0 success / all verdicts pass, 1 a verdict or check failed,
 2 malformed input (bad flags, missing or invalid config), 3 numerical
@@ -18,27 +17,12 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import verify as verify_mod
 from .errors import InvlabError, NumericalError
 from .experiments import StudyConfig, run_study, write_report
 from .rates import (classical_exponents, convert_lower, convert_upper,
-                    hs_norm, loss_factor_tau, statistical_exponents)
-from .regularization import _FAMILIES, FilterSpec
-from .spectral_model import build_power_law_problem
-
-
-def _positive_count(text):
-    """argparse type of a count >= 1; anything else exits 2 at parsing."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got "
-                                         f"{text!r}")
-    return value
+                    loss_factor_tau, statistical_exponents)
+from .regularization import _FAMILIES
 
 
 def _parse_override(raw):
@@ -147,27 +131,6 @@ def _cmd_rates(args):
     return 0
 
 
-def _cmd_info(args):
-    try:
-        problem = build_power_law_problem(args.J, args.b, args.d)
-        lams = np.exp(np.linspace(np.log(10 * problem.mu[-1]),
-                                  np.log(problem.mu[0]), args.lambda_points))
-        hs = {f"{lam:.6g}": hs_norm(problem, FilterSpec("tikhonov", lam))
-              for lam in lams}
-        payload = {
-            "J": problem.size, "b": args.b, "d": args.d,
-            "mu_head": [float(m) for m in problem.mu[:8]],
-            "mu_tail": float(problem.mu[-1]),
-            "kernel_bound_sq": problem.kernel_bound_sq,
-            "tikhonov_hs_norms": hs,
-        }
-    except InvlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="rkhs-invlab",
@@ -197,12 +160,6 @@ def build_parser():
                          default="general")
     rates_p.set_defaults(handler=_cmd_rates)
 
-    info_p = sub.add_parser("info", help="print problem diagnostics")
-    info_p.add_argument("--J", type=int, default=100)
-    info_p.add_argument("--b", type=float, default=2.0)
-    info_p.add_argument("--d", type=float, default=1.0)
-    info_p.add_argument("--lambda-points", type=_positive_count, default=9)
-    info_p.set_defaults(handler=_cmd_info)
     return parser
 
 

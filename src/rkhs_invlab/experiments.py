@@ -26,8 +26,10 @@ import numpy as np
 
 from . import streams
 from .errors import NumericalError, ParameterError, ValidationError
-from .rates import (RateFit, classical_exponents, fit_rate, paper_risk,
-                    paper_variance, statistical_exponents)
+from .rates import (RateFit, classical_exponents, convert_upper, delta_of,
+                    fit_rate, hs_norm, loss_factor_tau, operator_norm,
+                    paper_risk, paper_variance, statistical_exponents,
+                    worst_case_bias, worst_case_error, worst_case_risk)
 from .regularization import (_FAMILIES, FilterSpec, _grid_learn,
                              estimator_learn, kernel_tikhonov,
                              solve_continuous)
@@ -230,7 +232,8 @@ class StudyConfig:
         entries, the filter family must be valid on mu_1 = problem.d (its
         ``_FAMILIES`` row's bound) and accept lambda (``FilterSpec``'s
         rule: Landweber's 1/lambda must be finite), and so must the
-        schedule at each point of the grid (``_scheduled_filters``)."""
+        schedule at each point of the grid (``_scheduled_filters``); and
+        bridge's n_grid must start above J."""
         study, reads = _study_of(self.kind), self._reads()
         defaults = StudyConfig()
         bad = [f"problem.{key}" for key in descriptor_faults(self.problem)]
@@ -267,6 +270,10 @@ class StudyConfig:
             except (ParameterError, OverflowError):
                 # lambda under- or overflows, or Landweber's 1/lambda does
                 bad.append("schedule")
+        if (self.kind == "bridge" and not {"n_grid", "problem.J"} & set(bad)
+                and self.n_grid[0] <= self.problem["J"]):
+            # the worst-case risk is the grid risk for n > J only
+            bad.append("n_grid")
         if bad:
             raise _invalid(bad)
 
@@ -319,7 +326,8 @@ class StudyReport:
         return StudyReport(**values)
 
     def recompute_checks(self):
-        """Re-derive pass flags from the stored numbers."""
+        """Re-derive pass flags from the stored numbers; a ValidationError
+        names a check whose comparison ``_OPS`` does not hold."""
         return [_check(c["name"], c["value"], c["op"], c["threshold"])
                 for c in self.checks]
 
@@ -329,6 +337,9 @@ _OPS = {"<=": operator.le, "<": operator.lt}
 
 
 def _check(name, value, op, threshold):
+    if op not in _OPS:  # a stored report's retired comparison, such as >=
+        raise ValidationError(f"check {name!r} compares with {op!r}, not "
+                              f"one of {sorted(_OPS)}", ["checks"])
     passed = _OPS[op](value, threshold)
     return {"name": name, "value": float(value), "op": op,
             "threshold": float(threshold), "passed": bool(passed)}
@@ -526,8 +537,8 @@ def _run_det_rate(config, started):
     schedule in delta, slope-fitted against delta and compared to the
     classical 4r/(2r+1).  The rate bounds the error over every data error
     of norm delta, so the data are perturbed along the filter's worst mode
-    (``filter-adversarial``), whose error attains its order.  ``verify``'s
-    worst-case-conversion judges the n -> delta conversion."""
+    (``filter-adversarial``), whose error attains its order.  The bridge
+    study judges the n -> delta conversion."""
     problem, truth = _problem_of(config)
     y_clean = forward_data(problem, truth)
     points = []
@@ -684,6 +695,57 @@ def _run_equivalence_check(config, started):
                    started=started)
 
 
+def _bridge_fits(problem, r, b, sigma, n_grid):
+    """Tikhonov's worst cases over the source ball {mu^r w : ||w|| <= 1}
+    along lambda_n = n^-p, p from ``statistical_exponents``, at each n of
+    ``n_grid`` (each > J): the points, and per fit its RateFit and theory.
+    eps = bias / ||L||_HS is fitted in lambda (the derived gamma), the
+    worst-case risk in 1/n (alpha) and ``worst_case_error`` at Delta(n) in
+    Delta(n) (``convert_upper``)."""
+    stat = statistical_exponents(r, b, "tikhonov")
+    points = []
+    for n in n_grid:
+        filt = FilterSpec("tikhonov", float(n) ** -stat.p)
+        hs = hs_norm(problem, filt)
+        eps = worst_case_bias(problem, filt, r)[0] / hs
+        delta = delta_of(n, sigma, eps)
+        risk = worst_case_risk(problem, filt, r, sigma, n)
+        error = worst_case_error(problem, filt, r, delta)
+        points.append({"x": int(n), "lambda": filt.lam, "err_mean": risk,
+                       "err_se": 0.0, "epsilon": eps, "delta": delta,
+                       "hs_norm": hs, "op_norm": operator_norm(problem, filt),
+                       "delta_error": error, "error_over_risk": error / risk})
+    return points, {
+        "gamma": (fit_rate([(p["lambda"], p["epsilon"]) for p in points]),
+                  stat.gamma),
+        "n-slope": (fit_rate([(1.0 / p["x"], p["err_mean"]) for p in points]),
+                    stat.alpha),
+        "delta-slope": (fit_rate([(p["delta"], p["delta_error"])
+                                  for p in points]),
+                        convert_upper(stat).exponent)}
+
+
+def _run_bridge(config, started):
+    """The n -> delta conversion on Tikhonov's exact worst cases on the
+    grid, with no Monte Carlo (``_bridge_fits``): each fitted exponent
+    must lie within its threshold of its theory.  Each point records n,
+    lambda_n, eps, Delta(n), ||L||_HS, ||L||_op, the worst-case risk as
+    err_mean, the worst-case error at Delta(n) and their ratio, which no
+    check reads (||L||_op <= ||L||_HS keeps it <= 1).  problem.r fixes the
+    source ball, so problem.w_spec is not read."""
+    problem, _ = _problem_of(config)
+    r, b = float(config.problem["r"]), float(config.problem["b"])
+    points, fits = _bridge_fits(problem, r, b, config.sigma, config.n_grid)
+    thresholds = _STUDIES[config.kind].thresholds
+    checks = [_check(f"{name}-matches-theory", abs(fit.slope - value), "<=",
+                     thresholds[name]) for name, (fit, value) in fits.items()]
+    theory = {"alpha": fits["n-slope"][1], "gamma": fits["gamma"][1],
+              "delta_exponent": fits["delta-slope"][1],
+              "loss_factor_tau": loss_factor_tau(r, b)}
+    return _finish(config, points, fits["n-slope"][0], theory, checks,
+                   started)
+
+
 class _Study(NamedTuple):
     """One study kind: its runner, the optional config entries it reads
     besides kind, problem and seed, and the fixed thresholds of its checks
@@ -717,6 +779,10 @@ _STUDIES = {
     "equivalence-check": _Study(
         _run_equivalence_check, ("design", "n", "lambda"),
         {"methods_equivalence": 1e-10, "representer_oracle": 1e-10}),
+    # Tikhonov's worst cases on the grid: no filter, design or schedule is
+    # read.  Its bounds were fixed before the conversion was first measured
+    "bridge": _Study(_run_bridge, ("sigma", "n_grid"),
+                     dict.fromkeys(("gamma", "n-slope", "delta-slope"), 0.01)),
 }
 
 

@@ -16,15 +16,19 @@ filter parameter lambda is
 with eps = ||f_lam - f_true|| / ||L||_HS, t = eps / sigma and q = delta /
 sigma; the two maps are exact inverses.  Both are evaluated in the second,
 sigma-scaled form, so sigma^2 is never formed: Delta(1) = sigma at eps = 0
-for every float sigma > 0.  Delta's root is hypot(sqrt(1/n), t), so t^2 is
-not formed either: Delta(1) = 5e-161 at sigma = 1, eps = 1e160.  Its
-denominator t + hypot overflows near t = 9e307, so Delta(1) at sigma = 1,
-eps = 1e308 (about 5e-309) raises.  Delta takes a finite n >= 1 and N a
-finite delta > 0, booleans refused (``DomainError``), and both sigma > 0
-and eps by their ``_RULES`` rows.  Where a square, a denominator or the
-result leaves the float range (Delta(1e300) = 1e-450 at sigma = 1e-300,
-eps = 0) they raise NumericalError.  eps is taken at the worst case over
-the source ball {mu^r w : ||w|| <= 1}, bias over ||L||_HS.
+for every normal float sigma > 0.  Delta's root is hypot(sqrt(1/n), t), so
+t^2 is not formed either: Delta(1) = 5e-161 at sigma = 1, eps = 1e160.
+Delta takes a finite n >= 1 and N a finite delta > 0, booleans refused
+(``DomainError``), and both sigma > 0 and eps by their ``_RULES`` rows.
+Each result must be a normal float: where a square, a denominator or the
+result leaves that range they raise NumericalError.  So Delta(1e300) =
+1e-450 at sigma = 1e-300, eps = 0 raises, as does Delta(1) at sigma = 1,
+eps = 1e308, whose denominator t + hypot overflows near t = 9e307.  A
+result below the smallest normal float, sys.float_info.min = 2.2e-308,
+raises too: the subnormal Delta(1e40) = 1e-320 at sigma = 1e-300 carries
+too few bits for N to return n (it missed by 2.2e-5 relative).  eps is
+taken at the worst case over the source ball {mu^r w : ||w|| <= 1}, bias
+over ||L||_HS.
 
 Worst cases over that ball, exact in O(J) as the filter is diagonal:
 
@@ -55,6 +59,7 @@ noise-level-optimal one under the same source smoothness.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -164,13 +169,14 @@ def _check_bridge(sigma, epsilon):
 
 
 def _bridge_value(formula, evaluate):
-    """evaluate(), if a finite float > 0; a NumericalError where a square,
-    a denominator or the quotient of ``formula`` under- or overflows."""
+    """evaluate(), if a finite normal float > 0; a NumericalError where a
+    square, a denominator or the quotient of ``formula`` under- or
+    overflows, a subnormal quotient included."""
     try:
         value = evaluate()
     except ZeroDivisionError:
         value = math.nan
-    if not 0.0 < value < math.inf:  # NaN included
+    if not sys.float_info.min <= value < math.inf:  # NaN included
         raise NumericalError(f"{formula} under- or overflows")
     return value
 

@@ -10,7 +10,9 @@ them.  ``reproducing-property`` sums its series from np.sin, so it reads
 no evaluator of the package.  ``kernel-vs-parameter-tikhonov`` runs the
 study function ``equivalence_deviations`` instead of a copy of it.
 ``worst-case-conversion`` judges the n -> delta conversion on the exact
-worst cases over the source ball, where one fixed truth cannot show it.
+worst cases over the source ball, where one fixed truth cannot show it: it
+runs the bridge study's function ``_bridge_fits`` at one point and
+holds it to that study's thresholds.
 Every check has a mutation of the program in tests/test_mutations.py under
 which it fails, so no check here holds for any input of the code it calls.
 The whole suite runs in about a second.
@@ -25,10 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import streams
-from .experiments import equivalence_deviations
-from .rates import (convert_upper, delta_of, fit_rate, hs_norm,
-                    loss_factor_tau, n_of, paper_risk, statistical_exponents,
-                    worst_case_bias, worst_case_error, worst_case_risk)
+from .experiments import _STUDIES, _bridge_fits, equivalence_deviations
+from .rates import delta_of, fit_rate, loss_factor_tau, n_of, paper_risk
 from .regularization import (_FAMILIES, FilterSpec, certify_filter,
                              estimator_paper, kernel_tikhonov)
 from .rkhs import gram_matrix, kernel_eval, rkhs_norm
@@ -262,49 +262,23 @@ def check_loss_factors(seed):
                    f"r->0 gap={gap:.1e}")
 
 
-# Bound on each of worst-case-conversion's three deviations from theory,
-# fixed before the check was first measured.
-_CONVERSION_TOL = 0.01
-
-
-def _conversion_fits(r, b):
-    """Tikhonov's worst cases over the source ball of radius 1 at smoothness
-    r, decay b, J = 1,000 and sigma = 0.1, along lambda_n = n^-p at nine n
-    from 2e3 to 2e7, each n > J: the fitted gamma of eps = bias / ||L||_HS
-    in lambda, the n-slope of ``worst_case_risk`` and the slope of
-    ``worst_case_error`` at delta = Delta(n) in Delta(n), each paired with
-    its theory from ``statistical_exponents``: Tikhonov's gamma, alpha and
-    ``convert_upper``."""
-    sigma = 0.1
-    problem = build_power_law_problem(1000, b, 1.0)
-    stat = statistical_exponents(r, b, "tikhonov")
-    eps_points, risk_points, error_points = [], [], []
-    for n in np.geomspace(2e3, 2e7, 9).round().astype(int):
-        filt = FilterSpec("tikhonov", float(n) ** -stat.p)
-        eps = worst_case_bias(problem, filt, r)[0] / hs_norm(problem, filt)
-        delta = delta_of(n, sigma, eps)
-        eps_points.append((filt.lam, eps))
-        risk_points.append((n, worst_case_risk(problem, filt, r, sigma, n)))
-        error_points.append((delta, worst_case_error(problem, filt, r,
-                                                     delta)))
-    return {"gamma": (fit_rate(eps_points).slope, stat.gamma),
-            "n-slope": (-fit_rate(risk_points).slope, stat.alpha),
-            "delta-slope": (fit_rate(error_points).slope,
-                            convert_upper(stat).exponent)}
-
-
 def check_worst_case_conversion(seed):
-    """The n -> delta conversion on the worst cases at r = 1/2 and b = 2
-    (``_conversion_fits``): each fitted exponent within _CONVERSION_TOL of
-    its theory.  The nominal gamma = r + 1/2 puts the conversion on the
-    slow branch, 2/3 in place of 0.8."""
-    fits = _conversion_fits(0.5, 2.0)
-    devs = {name: abs(fit - theory) for name, (fit, theory) in fits.items()}
-    detail = ", ".join(f"{name} {fit:.4f} vs {theory:.4f} "
+    """The n -> delta conversion on the worst cases at r = 1/2, b = 2,
+    J = 1,000 and sigma = 0.1, at nine n from 2e3 to 2e7 (the bridge
+    study's ``_bridge_fits``): each fitted exponent within the bridge
+    threshold of its theory.  The nominal gamma = r + 1/2 puts the
+    conversion on the slow branch, 2/3 in place of 0.8."""
+    _, fits = _bridge_fits(build_power_law_problem(1000, 2.0, 1.0), 0.5, 2.0,
+                           0.1, np.geomspace(2e3, 2e7, 9).round().astype(int))
+    thresholds = _STUDIES["bridge"].thresholds
+    devs = {name: abs(fit.slope - theory)
+            for name, (fit, theory) in fits.items()}
+    detail = ", ".join(f"{name} {fit.slope:.4f} vs {theory:.4f} "
                        f"(dev {devs[name]:.1e})"
                        for name, (fit, theory) in fits.items())
     return _result("worst-case-conversion",
-                   max(devs.values()) <= _CONVERSION_TOL, detail)
+                   all(devs[name] <= thresholds[name] for name in devs),
+                   detail)
 
 
 def check_mini_monte_carlo(seed):

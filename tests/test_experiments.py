@@ -10,10 +10,11 @@ on both, for determinism and the JSON round trip; stat-rate's pooled
 exact-risk z, its median against ``np.median`` and the numpy.ma import it
 avoids; the kernel-side study kinds for verdict, determinism and the JSON
 round trip; config validation (a Monte-Carlo kind needs two replicates,
-and the retired entries are refused), the problem builder's agreement with
-it, the config echo and each check's fixed threshold;
+bridge's sample counts exceed J, and the retired entries are refused), the
+problem builder's agreement with it, the config echo and each check's
+fixed threshold; a report whose check compares with a retired operator;
 ``rkhs-invlab run`` for its exit codes, overflow and running out of
-memory included.
+memory included, and the ``info`` command's removal.
 """
 
 import json
@@ -422,6 +423,18 @@ def det_rate_raw(filter_kind):
             "schedule": {"c": 1.0, "exponent": 2.0 / 3.0}, "seed": SEED}
 
 
+# bridge at worst-case-conversion's point: r = 1/2, b = 2, J = 1,000 and
+# nine n from 2e3 to 2e7.  Its source ball is fixed by r, so w_spec, here a
+# unit vector, is not read.
+def bridge_raw(r):
+    return {"kind": "bridge",
+            "problem": {"J": 1000, "b": 2.0, "d": 1.0, "r": r,
+                        "w_spec": "unit-random"},
+            "sigma": 0.1,
+            "n_grid": [int(n) for n in np.geomspace(2e3, 2e7, 9).round()],
+            "seed": SEED}
+
+
 KERNEL_STUDIES = {
     "gamma-study": {"kind": "gamma-study", "problem": KERNEL_PROBLEM,
                     "design": "grid", "n_grid": [25, 50, 100, 200],
@@ -431,6 +444,7 @@ KERNEL_STUDIES = {
                           "n": 60, "lambda": 1e-3, "seed": SEED},
     **{f"det-rate-{kind}": det_rate_raw(kind)
        for kind in ("tikhonov", "cutoff", "landweber")},
+    "bridge": bridge_raw(0.5),
 }
 
 
@@ -439,7 +453,8 @@ BASE_RAW = {"stat-rate": stat_rate_config("grid").to_dict(),
             "det-rate": det_rate_raw("tikhonov"),
             "lemma-check": lemma_check_config("grid").to_dict(),
             "gamma-study": KERNEL_STUDIES["gamma-study"],
-            "equivalence-check": KERNEL_STUDIES["equivalence-check"]}
+            "equivalence-check": KERNEL_STUDIES["equivalence-check"],
+            "bridge": KERNEL_STUDIES["bridge"]}
 
 # Entries each kind never reads, each with a valid non-default value.
 # theory, gamma, perturbation and perturbation_index, the entries of
@@ -459,6 +474,9 @@ UNREAD = {
     "equivalence-check": {"sigma": 0.1, "replicates": 10,
                           "filter": "cutoff", "n_grid": [10, 20],
                           "schedule": {"c": 1.0, "exponent": 0.5}},
+    "bridge": {"filter": "cutoff", "design": "iid-uniform",
+               "schedule": {"c": 1.0, "exponent": 0.5}, "lambda": 0.3,
+               "n": 7, "replicates": 10, "delta_grid": [0.1, 0.2]},
 }
 
 # A config of each kind that sets every entry the kind reads away from its
@@ -472,6 +490,7 @@ FULL_RAW = {
     "gamma-study": BASE_RAW["gamma-study"],
     "equivalence-check": dict(BASE_RAW["equivalence-check"],
                               design="iid-uniform"),
+    "bridge": BASE_RAW["bridge"],
 }
 
 
@@ -504,6 +523,9 @@ FULL_ECHO = {
     "equivalence-check": {"kind": "equivalence-check",
                           "problem": KERNEL_PROBLEM, "design": "iid-uniform",
                           "lambda": 1e-3, "n": 60, "seed": SEED},
+    "bridge": {"kind": "bridge", "problem": BASE_RAW["bridge"]["problem"],
+               "sigma": 0.1, "n_grid": BASE_RAW["bridge"]["n_grid"],
+               "seed": SEED},
 }
 
 
@@ -532,6 +554,7 @@ INVALID_READS = {
                     "n": 0, "lambda": -0.05, "replicates": 1},
     "gamma-study": {"n_grid": [25, 25], "lambda": 0.0},
     "equivalence-check": {"design": "bogus", "n": 0, "lambda": -1e-3},
+    "bridge": {"sigma": -0.1, "n_grid": [20_000, 2000]},
 }
 
 
@@ -548,8 +571,8 @@ def test_invalid_read_entry_is_named_and_exits_two(kind, entry, tmp_path):
 
 
 # name -> (kind, retired entries, the fields named).  det-rate's converted
-# theory is gone: verify's worst-case-conversion judges the n -> delta
-# conversion.  det-rate always perturbs along the filter's worst mode, and
+# theory is gone: the bridge study judges the n -> delta conversion.
+# det-rate always perturbs along the filter's worst mode, and
 # every check is held to the fixed threshold of its kind: a tolerances
 # entry is refused even where it sets the old values, or nothing
 # (lemma-check's row is empty).  A retired entry is refused whatever it
@@ -635,6 +658,8 @@ THRESHOLD_CHECKS = {
     "equivalence-check": ({}, {name: name for name in (
         "methods_equivalence", "representer_oracle")}),
     "lemma-check": ({}, {"z_max": "mean-matches-continuous"}),
+    "bridge": ({}, {name: f"{name}-matches-theory"
+                    for name in ("gamma", "n-slope", "delta-slope")}),
 }
 # The thresholds no _STUDIES row holds, as they follow the problem.
 J_THRESHOLDS = {
@@ -950,6 +975,10 @@ BAD_FIELDS = {
     "schedule-stat-rate-underflow": (
         dict(stat_rate_config("grid").to_dict(),
              schedule={"c": 1.0, "exponent": 400.0}), "schedule"),
+    # the worst-case risk is the grid risk for n > J only, and
+    # worst_case_risk refuses n <= J
+    **{f"bridge-n-{name}": (dict(bridge_raw(0.5), n_grid=grid), "n_grid")
+       for name, grid in (("at-J", [1000, 2000]), ("below-J", [10, 2000]))},
 }
 
 
@@ -1044,24 +1073,36 @@ def test_cli_run_names_a_schedule_set_to_underflow(tmp_path, capsys):
     assert "offending fields: ['schedule']" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args", [
-    ["--d", "inf"], ["--d", "nan"], ["--d", "0"], ["--b", "nan"],
-    ["--b", "inf"], ["--b", "1"], ["--J", "0"]])
-def test_cli_info_exit_two_on_a_model_parameter_at_fault(args, capsys):
-    # the rules of descriptor_faults: d = inf printed Infinity eigenvalues
-    # and NaN norms
-    assert main(["info", *args]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"error: {args[0][2:]} must be ")
+@pytest.mark.parametrize("r, code", [(0.5, 0), (1.5, 1)])
+def test_cli_run_bridge_exit_code_is_its_verdict(r, code, tmp_path, capsys):
+    # past Tikhonov's qualification q = 1 the worst-case fits miss their
+    # theory by up to 0.43
+    assert run_cli(tmp_path, bridge_raw(r)) == code
+    back = json.loads((tmp_path / "out" / "bridge.report.json").read_text())
+    assert back["verdict"] is (code == 0)
+    assert capsys.readouterr().out == (
+        f"STUDY bridge {'pass' if code == 0 else 'fail'}\n")
 
 
-@pytest.mark.parametrize("count", ["-1", "0"])
-def test_cli_info_refuses_lambda_points_below_one(count, capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["info", "--lambda-points", count])
-    assert info.value.code == 2
-    assert "--lambda-points" in capsys.readouterr().err
+def test_cli_has_no_info_command(capsys):
+    # a bridge report records the lambda and ||L||_HS values info printed
+    with pytest.raises(SystemExit) as exit_info:
+        main(["info"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'info'" in capsys.readouterr().err
+
+
+def test_recompute_refuses_a_retired_comparison():
+    # a report written while a check compared with >= (the retired
+    # risk-above-lower-bound) raised a bare KeyError
+    report = StudyReport.from_dict({
+        "kind": "lemma-check", "points": [], "theory": {}, "verdict": True,
+        "config": {}, "checks": [
+            {"name": "risk-above-lower-bound", "value": 2.0, "op": ">=",
+             "threshold": 1.0, "passed": True}]})
+    with pytest.raises(ValidationError,
+                       match="'risk-above-lower-bound' compares with '>='"):
+        report.recompute_checks()
 
 
 def test_cli_run_exit_three_on_numerical_failure(tmp_path, monkeypatch,

@@ -2,7 +2,7 @@
 
 A check that no wrong estimator can fail says nothing about its claim
 (mutation analysis: DeMillo, Lipton and Sayward, "Hints on test data
-selection", 1978).  So for each check of the five study kinds, ``MUTATIONS``
+selection", 1978).  So for each check of the six study kinds, ``MUTATIONS``
 names one change to the program, applied by monkeypatching at tiny size,
 under which that check fails, while the unmutated study passes it.  Two
 checks are already failed this way by tests in test_experiments.py, named
@@ -14,9 +14,11 @@ an earlier form of the check, or another check, passed: tripled noise in
 the grid replicates (lemma-check's mean-matches-continuous), tripled and
 shrunken noise on both designs (stat-rate's risk-matches-exact, where
 slope-matches-theory passes both), a wrong basis (reproducing-property)
-and swapped loss-factor variants (loss-factor-bounds).  worst-case-conversion
-has two more: a bias at one fixed truth in place of the supremum, and
-Tikhonov past its qualification, where the derived gamma no longer fits.
+and swapped loss-factor variants (loss-factor-bounds).  worst-case-conversion,
+which runs the bridge study's function, has two more: a bias at one fixed
+truth in place of the supremum, and Tikhonov past its qualification, where
+the derived gamma no longer fits.  Each of bridge's three checks fails
+when its worst case is taken over the ball of half the smoothness.
 
 A mutation replaces a function in the namespace the check reads it from:
 ``experiments``' own for the study checks, among them
@@ -83,6 +85,8 @@ from rkhs_invlab import (FilterSpec, PerturbationSpec, SpectralProblem,
 
 SEED = 314
 VERIFY_SEED = 20260809  # the default seed of ``rkhs-invlab verify``
+# worst-case-conversion's nine n, from 2e3 to 2e7
+BRIDGE_N = [int(n) for n in np.geomspace(2e3, 2e7, 9).round()]
 
 
 def problem(size):
@@ -90,7 +94,9 @@ def problem(size):
             "w_spec": [1.0 / j for j in range(1, size + 1)]}
 
 
-# One config of each kind that passes every check, at tiny size.
+# One config of each kind that passes every check, at tiny size; bridge,
+# O(J) per point, at worst-case-conversion's J = 1,000 and nine n, as
+# J = 200 misses its fits by up to 0.07.
 # stat-rate's pooled z read tripled noise as 2.65 (grid) and 1.35 (iid) at
 # 10 replicates, and reads 13.6 and 5.0 at 200.
 CONFIGS = {
@@ -112,6 +118,10 @@ CONFIGS = {
     "equivalence-check": {"kind": "equivalence-check",
                           "problem": problem(40), "design": "grid",
                           "n": 60, "lambda": 1e-3, "seed": SEED},
+    "bridge": {"kind": "bridge",
+               "problem": {"J": 1000, "b": 2.0, "d": 1.0, "r": 0.5,
+                           "w_spec": "unit-random"},
+               "sigma": 0.1, "n_grid": BRIDGE_N, "seed": SEED},
 }
 
 
@@ -150,6 +160,12 @@ def wrong_lambda(scale):
         problem, FilterSpec("tikhonov", scale * filt.lam), samples)
 
 
+def half_smoothness(original):
+    """A worst case over the source ball of smoothness r / 2."""
+    return lambda problem, filt, r, *args: original(problem, filt, r / 2,
+                                                    *args)
+
+
 def wrong_grid_lambda(scale):
     """A ``_grid_learn`` fit at ``scale(n)`` times the study's lambda."""
     return lambda original: lambda problem, filt, y, n: original(
@@ -177,6 +193,14 @@ MUTATIONS = {
         ("_grid_learn", wrong_grid_lambda(lambda n: 1.1)),
     ("equivalence-check", "methods_equivalence"):
         ("estimator_learn", wrong_lambda(1.1)),
+    # the fits read 0.254, 0.200 and 0.401 from their theory against 0.01;
+    # the rougher bias fails delta-slope as well (0.136)
+    ("bridge", "gamma-matches-theory"):
+        ("worst_case_bias", half_smoothness),
+    ("bridge", "n-slope-matches-theory"):
+        ("worst_case_risk", half_smoothness),
+    ("bridge", "delta-slope-matches-theory"):
+        ("worst_case_error", half_smoothness),
 }
 
 # (kind, check) -> the test in test_experiments.py that fails it
@@ -394,7 +418,9 @@ def test_fixed_truth_bias_fails_worst_case_conversion(monkeypatch):
         residual = 1.0 - filt.on_spectrum(problem) * problem.mu
         return float(np.linalg.norm(residual * problem.mu ** r / j)), 1
 
-    for module in (rates, verify):
+    # the study function reads it from experiments, and the worst-case
+    # risk and error from rates
+    for module in (rates, experiments):
         monkeypatch.setattr(module, "worst_case_bias", fixed_truth_bias)
     result = verify.check_worst_case_conversion(VERIFY_SEED)
     assert not result.passed, result.detail
@@ -402,7 +428,12 @@ def test_fixed_truth_bias_fails_worst_case_conversion(monkeypatch):
 
 def test_tikhonov_past_its_qualification_fails_worst_case_conversion():
     # at r = 1.5 > q = 1 Tikhonov's bias saturates at lambda^q, so the
-    # n-rate falls short of alpha and the delta-slope of its conversion
-    fits = verify._conversion_fits(1.5, 2.0)
-    worst = max(abs(fit - theory) for fit, theory in fits.values())
-    assert worst > verify._CONVERSION_TOL, fits
+    # n-rate falls short of alpha and the delta-slope of its conversion:
+    # 0.253 and 0.431 against 0.01
+    _, fits = experiments._bridge_fits(
+        spectral_model.build_power_law_problem(1000, 2.0, 1.0), 1.5, 2.0, 0.1,
+        BRIDGE_N)
+    thresholds = experiments._STUDIES["bridge"].thresholds
+    failed = {name for name, (fit, theory) in fits.items()
+              if abs(fit.slope - theory) > thresholds[name]}
+    assert {"n-slope", "delta-slope"} <= failed, fits

@@ -9,6 +9,7 @@ holds the invariant's set-up and tolerance.
 
 import json
 import math
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -311,10 +312,14 @@ class TestWorstCase:
     @pytest.mark.parametrize("r, b", [(0.25, 2.0), (0.5, 3.0)])
     def test_conversion_fits_hold_beyond_the_verify_point(self, r, b):
         # the derived gamma away from verify's r = 1/2, b = 2: gamma 1.0 and
-        # 1.1667, delta-slope 0.5 and 0.8571 on the fast branch
-        fits = verify._conversion_fits(r, b)
-        worst = max(abs(fit - theory) for fit, theory in fits.values())
-        assert worst <= verify._CONVERSION_TOL, fits
+        # 1.1667, delta-slope 0.5 and 0.8571 on the fast branch; the worst
+        # fits read 8.3e-3 and 4.1e-3 from their theory
+        _, fits = experiments._bridge_fits(
+            build_power_law_problem(1000, b, 1.0), r, b, 0.1,
+            np.geomspace(2e3, 2e7, 9).round().astype(int))
+        thresholds = experiments._STUDIES["bridge"].thresholds
+        for name, (fit, theory) in fits.items():
+            assert abs(fit.slope - theory) <= thresholds[name], (name, fit)
 
 
 class TestBridge:
@@ -359,6 +364,18 @@ class TestBridge:
                      lambda: delta_of(1, 1.0, 1e308)):
             with pytest.raises(NumericalError):
                 call()
+
+    def test_subnormal_values_are_refused(self):
+        # Delta(1e40) = 1e-320 at sigma = 1e-300 is subnormal: N of it
+        # returned 1.0000223e40, 2.2e-5 relative off n.  The smallest
+        # normal result still passes, and is N's exact inverse
+        with pytest.raises(NumericalError, match="Delta"):
+            delta_of(1e40, 1e-300, 0.0)
+        with pytest.raises(NumericalError, match="N"):
+            n_of(1.0, 1.0, 8e307)  # 1 / (1 + 1.6e308) = 6.25e-309
+        tiny = sys.float_info.min
+        assert delta_of(1, tiny, 0.0) == tiny
+        assert n_of(tiny, tiny, 0.0) == (1.0, 1)
 
     @pytest.mark.parametrize("sigma, epsilon", [
         (0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5), (math.inf, 0.5),
